@@ -47,14 +47,22 @@ pub fn permuted_reference<T: Clone>(pi: &[usize], values: &[T]) -> Vec<T> {
 /// inclusive sum `values[0] + … + values[p]` — the oracle for every
 /// algorithm in [`crate::scan`].
 pub fn prefix_reference(values: &[u64], queries: &[usize]) -> Vec<u64> {
-    queries
-        .iter()
-        .map(|&p| {
-            values[..=p]
-                .iter()
-                .fold(0u64, |acc, &v| acc.wrapping_add(v))
-        })
-        .collect()
+    // One running sum, visiting the queries in position order: O(n + q log q)
+    // instead of re-folding a prefix per query.
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_unstable_by_key(|&i| queries[i]);
+    let mut out = vec![0u64; queries.len()];
+    // `sum` is the wrapping sum of `values[..upto]`.
+    let (mut sum, mut upto) = (0u64, 0usize);
+    for i in order {
+        let p = queries[i];
+        sum = values[upto..=p]
+            .iter()
+            .fold(sum, |acc, &v| acc.wrapping_add(v));
+        upto = p + 1;
+        out[i] = sum;
+    }
+    out
 }
 
 /// RAM-model dense multiply: `d × d` row-major wrapping product — the
@@ -146,6 +154,22 @@ mod tests {
     fn prefix_reference_wraps() {
         assert_eq!(prefix_reference(&[1, 2, 3], &[0, 2, 1]), vec![1, 6, 3]);
         assert_eq!(prefix_reference(&[u64::MAX, 2], &[1]), vec![1]);
+    }
+
+    #[test]
+    fn prefix_reference_matches_the_naive_fold() {
+        let mut rng = aem_workloads::SplitMix64::seed_from_u64(0x9f1);
+        for _ in 0..200 {
+            let n = 1 + rng.next_below_usize(40);
+            let values: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let q = rng.next_below_usize(20);
+            let queries: Vec<usize> = (0..q).map(|_| rng.next_below_usize(n)).collect();
+            let naive: Vec<u64> = queries
+                .iter()
+                .map(|&p| values[..=p].iter().fold(0u64, |a, &v| a.wrapping_add(v)))
+                .collect();
+            assert_eq!(prefix_reference(&values, &queries), naive);
+        }
     }
 
     #[test]

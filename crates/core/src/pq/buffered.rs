@@ -7,7 +7,10 @@
 //! * **Deletes** are served from an internal *delete buffer* holding the
 //!   `M/4` globally smallest external elements. When it drains, one
 //!   **refill round** — structured like a round of the §3.1 merge — scans
-//!   every live run and moves the next `M/4` smallest elements in.
+//!   every live run and moves the next `M/4` smallest elements in. The
+//!   round buffer is the merge's `Selector` on its sorted path; a run's
+//!   scan stops once the buffer is full and a block's last element lies
+//!   above the buffer maximum.
 //!
 //! The per-run consumption state follows the §3 mergesort discipline
 //! exactly:
@@ -37,11 +40,11 @@
 //! Budget contract: as for [`crate::pq::ExternalPq`] — `push` charges one
 //! internal slot, `pop` returns the element still charged.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use aem_machine::{AemAccess, AemConfig, MachineError, Region, Result};
 
-use crate::sort::merge_runs;
+use crate::sort::{merge_runs, Selector};
 
 /// Tagged element `(key, run id, position within run)`: a strict total
 /// order consistent with the key order, shared with the §3.1 merge.
@@ -417,7 +420,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
             Some(r) => r,
             None => return Ok(()),
         };
-        let mut sel: BinaryHeap<Tagged<T>> = BinaryHeap::new();
+        let mut sel: Selector<Tagged<T>> = Selector::new(cap);
         for pb in 0..ptrs.blocks {
             let words = machine.read_aux_block(ptrs.block(pb))?;
             for (off, &p) in words.iter().enumerate() {
@@ -425,11 +428,11 @@ impl<T: Ord + Clone> BufferedPq<T> {
                 let Some(run) = self.runs.iter().find(|r| r.slot == slot && r.remaining > 0) else {
                     continue;
                 };
-                scan_run(machine, run, p as usize, &mut sel, cap)?;
+                scan_run(machine, run, p as usize, &mut sel)?;
             }
             machine.discard(words.len())?;
         }
-        let batch = sel.into_sorted_vec();
+        let batch = sel.into_sorted();
         debug_assert!(
             batch.is_empty() == (self.external_remaining() == 0),
             "a refill makes progress whenever external elements remain"
@@ -500,15 +503,13 @@ impl<T: Ord + Clone> BufferedPq<T> {
 }
 
 /// Scan one run from `first_blk`, merging unconsumed elements into the
-/// capped round buffer. Stops as soon as the buffer is full and the last
-/// block's maximum exceeds its cut — later blocks only hold larger
-/// elements.
+/// round buffer. Stops as soon as the buffer is full and the last block's
+/// maximum exceeds its cut — later blocks only hold larger elements.
 fn scan_run<T, A>(
     machine: &mut A,
     run: &PqRun<T>,
     first_blk: usize,
-    sel: &mut BinaryHeap<Tagged<T>>,
-    cap: usize,
+    sel: &mut Selector<Tagged<T>>,
 ) -> Result<()>
 where
     T: Ord + Clone,
@@ -518,28 +519,13 @@ where
     for blk in first_blk..run.region.blocks {
         let data = machine.read_block(run.region.block(blk))?;
         let len = data.len();
-        let before = sel.len();
-        let mut block_max: Option<Tagged<T>> = None;
-        for (off, x) in data.into_iter().enumerate() {
-            let tag = (x, run.id, (blk * b + off) as u64);
-            block_max = Some(tag.clone()); // positions increase: last wins
-            if run.boundary.as_ref().map(|bd| tag <= *bd).unwrap_or(false) {
-                continue; // consumed in an earlier refill
-            }
-            if sel.len() < cap {
-                sel.push(tag);
-            } else if tag < *sel.peek().expect("cap >= 1") {
-                sel.pop();
-                sel.push(tag);
-            }
-        }
-        let retained = sel.len() - before;
-        machine.discard(len - retained)?;
-        if sel.len() >= cap {
-            if let (Some(mx), Some(top)) = (&block_max, sel.peek()) {
-                if mx > top {
-                    break;
-                }
+        let (kept, block_max) = sel.offer_sorted(data, run.boundary.as_ref(), |off, x| {
+            (x, run.id, (blk * b + off) as u64)
+        });
+        machine.discard(len - kept)?;
+        if let (Some(mx), Some(top)) = (&block_max, sel.full_max()) {
+            if mx > top {
+                break;
             }
         }
     }

@@ -25,14 +25,23 @@
 //!   active run with the smallest maximal loaded element, until no active
 //!   run can contribute.
 //!
+//! The round buffer is a `Selector` fed through its sorted path: each
+//! block read skips its prefix at or below the boundary by binary search
+//! and stops at the first element that cannot enter a full buffer, and
+//! the block maximum (`s_i`) is its last element. Activation and the
+//! merge loop's `retain` read only `Selector::full_max`, the maximum of
+//! the exact `M̂`-smallest set, so the I/O schedule is that of a plain
+//! capped heap (`docs/COST_MODEL.md` §7).
+//!
 //! Ties are broken by `(key, run, position)`, making the merge stable and
 //! every comparison strict. The tags are the constant per-element auxiliary
 //! words §3.1 allows.
 
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
+
+use crate::sort::Selector;
 
 /// Statistics reported by [`merge_runs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,10 +124,9 @@ where
 
     while written < total {
         rounds += 1;
-        // The round buffer (the paper's in-memory array `M`), as a max-heap
-        // capped at `mhat` elements: it always holds the `mhat` smallest
-        // candidates seen this round.
-        let mut sel: BinaryHeap<Tagged<T>> = BinaryHeap::new();
+        // The round buffer (the paper's in-memory array `M`): it always
+        // holds the `mhat` smallest candidates seen this round.
+        let mut sel: Selector<Tagged<T>> = Selector::new(mhat);
 
         // --- Seeding scan: up to two blocks from each run. -------------
         for pb in 0..ptr_region.blocks {
@@ -128,7 +136,7 @@ where
                 let run = &runs[run_idx];
                 let first = ptr as usize;
                 for blk in first..(first + 2).min(run.blocks) {
-                    read_merge(machine, run, run_idx, blk, &boundary, &mut sel, mhat)?;
+                    read_merge(machine, run, run_idx, blk, &boundary, &mut sel)?;
                 }
             }
             machine.discard(ptrs.len())?;
@@ -160,8 +168,7 @@ where
                 // the loaded ones, and (b) s_i is among the M̂ smallest seen
                 // (when the buffer is full, that means s_i ≤ its maximum).
                 let more = last_loaded + 1 < run.blocks;
-                let eligible =
-                    more && (sel.len() < mhat || sel.peek().map(|t| s_max <= *t).unwrap_or(true));
+                let eligible = more && sel.full_max().map_or(true, |t| s_max <= *t);
                 if eligible {
                     actives.push(Active {
                         run: run_idx,
@@ -184,9 +191,8 @@ where
         // --- Merge loop: load from the active run with smallest s_i. ----
         while !actives.is_empty() {
             // Drop runs that can no longer contribute this round.
-            if sel.len() >= mhat {
-                let t = sel.peek().expect("sel non-empty").clone();
-                actives.retain(|a| a.s_max <= t);
+            if let Some(t) = sel.full_max() {
+                actives.retain(|a| a.s_max <= *t);
                 if actives.is_empty() {
                     break;
                 }
@@ -199,10 +205,8 @@ where
             let run_idx = actives[j].run;
             let run = &runs[run_idx];
             let blk = actives[j].next_blk;
-            let (last_len, new_max) =
-                read_merge(machine, run, run_idx, blk, &boundary, &mut sel, mhat)?;
-            debug_assert!(last_len > 0);
-            actives[j].s_max = new_max.expect("non-empty block");
+            actives[j].s_max = read_merge(machine, run, run_idx, blk, &boundary, &mut sel)?
+                .expect("non-empty block");
             actives[j].next_blk += 1;
             if actives[j].next_blk >= run.blocks {
                 actives.swap_remove(j);
@@ -210,7 +214,7 @@ where
         }
 
         // --- Output: write the round buffer in sorted order. -----------
-        let batch = sel.into_sorted_vec();
+        let batch = sel.into_sorted();
         debug_assert!(!batch.is_empty(), "progress while written < total");
         boundary = batch.last().cloned();
         written += batch.len();
@@ -280,17 +284,15 @@ fn tag<T>(x: T, run_idx: usize, blk: usize, off: usize, b: usize) -> Tagged<T> {
 }
 
 /// Read block `blk` of `run` and merge its elements above `boundary` into
-/// the capped round buffer. Returns the block length and its maximal tagged
-/// element.
+/// the round buffer. Returns the block's maximal tagged element.
 fn read_merge<T, A>(
     machine: &mut A,
     run: &Region,
     run_idx: usize,
     blk: usize,
     boundary: &Option<Tagged<T>>,
-    sel: &mut BinaryHeap<Tagged<T>>,
-    cap: usize,
-) -> Result<(usize, Option<Tagged<T>>)>
+    sel: &mut Selector<Tagged<T>>,
+) -> Result<Option<Tagged<T>>>
 where
     T: Ord + Clone,
     A: AemAccess<T>,
@@ -298,30 +300,12 @@ where
     let b = machine.cfg().block;
     let data = machine.read_block(run.block(blk))?;
     let len = data.len();
-    let mut max_tagged: Option<Tagged<T>> = None;
-    let before = sel.len();
-    for (off, x) in data.into_iter().enumerate() {
-        let tagged = tag(x, run_idx, blk, off, b);
-        if max_tagged.as_ref().map(|m| tagged > *m).unwrap_or(true) {
-            max_tagged = Some(tagged.clone());
-        }
-        if let Some(p) = boundary {
-            if tagged <= *p {
-                continue; // already output in an earlier round
-            }
-        }
-        if sel.len() < cap {
-            sel.push(tagged);
-        } else if tagged < *sel.peek().expect("cap >= 1") {
-            sel.pop();
-            sel.push(tagged);
-        }
-    }
-    let retained = sel.len() - before;
-    // Everything read but not net-retained leaves internal memory; each
-    // eviction also freed one slot that a pushed element re-used.
-    machine.discard(len - retained)?;
-    Ok((len, max_tagged))
+    let (kept, max) = sel.offer_sorted(data, boundary.as_ref(), |off, x| {
+        tag(x, run_idx, blk, off, b)
+    });
+    // Everything read but not net-retained leaves internal memory.
+    machine.discard(len - kept)?;
+    Ok(max)
 }
 
 #[cfg(test)]

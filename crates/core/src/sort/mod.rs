@@ -17,6 +17,9 @@
 //! * [`merge`] — the §3.1 round-based `ωm`-way merge: `O(ω(n + m))` reads
 //!   and `O(n + m)` writes for merging up to `ωm` sorted runs of `N` total
 //!   elements (Theorem 3.2).
+//! * `select` — the round buffer both share with the buffered priority
+//!   queue: the `cap` smallest tagged candidates of a round, computed in
+//!   `O(1)` host work per element.
 //! * [`merge_sort()`] — the recursion of §3 driven bottom-up.
 //! * [`em_sort`] — the classical `m`-way EM mergesort baseline, oblivious
 //!   to `ω`: it pays `(1 + ω)·n` per level over `log_m n` levels, which is
@@ -28,6 +31,7 @@ pub mod merge;
 pub mod merge_sort;
 pub mod resident;
 pub mod sample;
+pub(crate) mod select;
 pub mod small;
 pub mod via_pq;
 
@@ -37,6 +41,7 @@ pub use merge::{merge_runs, MergeStats};
 pub use merge_sort::{merge_sort, merge_sort_with_fan_in};
 pub use resident::merge_runs_resident;
 pub use sample::distribution_sort;
+pub(crate) use select::Selector;
 pub use small::small_sort;
 pub use via_pq::sort_via_pq;
 

@@ -11,15 +11,22 @@
 //! dear, so trading `ω` scans for a single output write is exactly the
 //! asymmetric-memory bargain.
 //!
+//! Each scan feeds its blocks to a `Selector` through the unsorted path:
+//! candidates below a running cut are appended and compacted with
+//! `select_nth_unstable` whenever the host pool reaches `2C`, so the scan
+//! costs `O(1)` host work per element instead of a heap operation. The
+//! ledger still holds exactly `min(C, candidates seen)` after every block
+//! (`docs/COST_MODEL.md` §7).
+//!
 //! Ties are broken by input position, making the sort stable and the
 //! selection boundary exact even with duplicate keys. The position tag is
 //! one auxiliary word per resident element, within the "constant number of
 //! additional words of auxiliary data with each element" that §3.1 of the
 //! paper allows.
 
-use std::collections::BinaryHeap;
-
 use aem_machine::{AemAccess, MachineError, Region, Result};
+
+use crate::sort::Selector;
 
 /// Sort `input` (at most `ω·M` elements) into a freshly allocated region,
 /// returned on success.
@@ -63,32 +70,18 @@ where
 
     while written < input.elems {
         // One selection scan: keep the `cap` smallest elements above `last`.
-        let mut heap: BinaryHeap<(T, u64)> = BinaryHeap::new();
+        // The ledger holds `min(cap, seen)` of each block; the rest leaves.
+        let mut sel = Selector::new(cap);
         for blk in 0..input.blocks {
             let data = machine.read_block(input.block(blk))?;
             let len = data.len();
-            let before = heap.len();
-            for (off, x) in data.into_iter().enumerate() {
-                let tagged = (x, (blk * b + off) as u64);
-                if let Some(boundary) = &last {
-                    if tagged <= *boundary {
-                        continue; // already written in an earlier batch
-                    }
-                }
-                if heap.len() < cap {
-                    heap.push(tagged);
-                } else if tagged < *heap.peek().expect("cap >= 1") {
-                    heap.pop();
-                    heap.push(tagged);
-                }
-            }
-            // Everything read but not retained leaves internal memory.
-            let retained = heap.len() - before;
-            machine.discard(len - retained)?;
+            let kept =
+                sel.offer_unsorted(data, last.as_ref(), |off, x| (x, (blk * b + off) as u64));
+            machine.discard(len - kept)?;
         }
 
         // Drain the selection in ascending order and write it out.
-        let batch = heap.into_sorted_vec();
+        let batch = sel.into_sorted();
         debug_assert!(!batch.is_empty(), "progress guaranteed while written < N'");
         last = batch.last().cloned();
         written += batch.len();

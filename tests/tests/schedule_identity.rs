@@ -12,7 +12,7 @@
 
 use aem_core::sort::{merge_runs, merge_sort, small_sort, sort_via_pq};
 use aem_core::workload::fnv1a;
-use aem_machine::{AemAccess, AemConfig, IoEvent, Machine, Region, Result};
+use aem_machine::{AemConfig, IoEvent, Machine, Region, Result};
 use aem_obs::{InstrumentedMachine, WorkloadMeta};
 use aem_workloads::{KeyDist, SplitMix64};
 
@@ -49,7 +49,13 @@ fn program_hash(im: Im, extra: &[u64]) -> u64 {
             IoEvent::Read { aux, .. } => (0, aux),
             IoEvent::Write { aux, .. } => (1, aux),
         };
-        [op, ev.block().index() as u64, ev.len() as u64, aux as u64, iu]
+        [
+            op,
+            ev.block().index() as u64,
+            ev.len() as u64,
+            aux as u64,
+            iu,
+        ]
     });
     fnv1a(
         words
@@ -226,5 +232,8 @@ fn sort_family_schedules_are_pinned() {
         .filter(|((k, h), (pk, ph))| k != pk || h != ph)
         .map(|((k, _), _)| k.as_str())
         .collect();
-    assert!(moved.is_empty(), "schedules moved: {moved:?}\ngot:\n{table}");
+    assert!(
+        moved.is_empty(),
+        "schedules moved: {moved:?}\ngot:\n{table}"
+    );
 }
