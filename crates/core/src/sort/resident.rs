@@ -14,11 +14,10 @@
 //! so the `exp_sorting --ablation pointers` table also quantifies what the
 //! external-pointer machinery costs when it is *not* needed.
 
-use std::collections::BinaryHeap;
-
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
 use super::merge::MergeStats;
+use super::Selector;
 
 /// Cursor of one run, resident in internal memory (charged 2 words ≈ 1
 /// element slot each; we charge one slot per run, the model's constant-
@@ -90,7 +89,7 @@ where
 
     while written < total {
         rounds += 1;
-        let mut sel: BinaryHeap<Tagged<T>> = BinaryHeap::new();
+        let mut sel: Selector<Tagged<T>> = Selector::new(mhat);
         // Per-round local state (free internal bookkeeping for the runs
         // touched this round): last block loaded and its maximal element.
         let mut loaded_through: Vec<usize> = vec![usize::MAX; k];
@@ -102,20 +101,14 @@ where
                 continue;
             }
             let blk = cursors[i].next_blk;
-            let (len, max) = load_merge(machine, runs, i, blk, &boundary, &mut sel, mhat)?;
-            debug_assert!(len > 0);
+            s_max[i] = load_merge(machine, runs, i, blk, &boundary, &mut sel)?;
             loaded_through[i] = blk;
-            s_max[i] = max;
         }
 
         // Merge loop: load the next block of the run with the smallest
         // maximal loaded element, while it may still contribute.
         loop {
-            let t = if sel.len() >= mhat {
-                sel.peek().cloned()
-            } else {
-                None
-            };
+            let t = sel.full_max().cloned();
             let candidate = (0..k)
                 .filter(|&i| {
                     loaded_through[i] != usize::MAX && loaded_through[i] + 1 < runs[i].blocks
@@ -128,14 +121,12 @@ where
                 .min_by(|&a, &c| s_max[a].cmp(&s_max[c]));
             let Some(j) = candidate else { break };
             let blk = loaded_through[j] + 1;
-            let (len, max) = load_merge(machine, runs, j, blk, &boundary, &mut sel, mhat)?;
-            debug_assert!(len > 0);
+            s_max[j] = load_merge(machine, runs, j, blk, &boundary, &mut sel)?;
             loaded_through[j] = blk;
-            s_max[j] = max;
         }
 
         // Output.
-        let batch = sel.into_sorted_vec();
+        let batch = sel.into_sorted();
         debug_assert!(!batch.is_empty());
         boundary = batch.last().cloned();
         written += batch.len();
@@ -172,17 +163,16 @@ where
 type Tag<T> = (T, u32, u64);
 
 /// Read block `blk` of run `i`, merging elements above `boundary` into the
-/// capped buffer (same accounting as the external-pointer merge).
-#[allow(clippy::too_many_arguments)]
+/// round buffer (same accounting as the external-pointer merge). Returns
+/// the block's maximal tagged element.
 fn load_merge<T, A>(
     machine: &mut A,
     runs: &[Region],
     i: usize,
     blk: usize,
     boundary: &Option<Tag<T>>,
-    sel: &mut BinaryHeap<Tag<T>>,
-    cap: usize,
-) -> Result<(usize, Option<Tag<T>>)>
+    sel: &mut Selector<Tag<T>>,
+) -> Result<Option<Tag<T>>>
 where
     T: Ord + Clone,
     A: AemAccess<T>,
@@ -190,27 +180,11 @@ where
     let b = machine.cfg().block;
     let data = machine.read_block(runs[i].block(blk))?;
     let len = data.len();
-    let before = sel.len();
-    let mut max: Option<(T, u32, u64)> = None;
-    for (off, x) in data.into_iter().enumerate() {
-        let tagged = (x, i as u32, (blk * b + off) as u64);
-        if max.as_ref().map(|m| tagged > *m).unwrap_or(true) {
-            max = Some(tagged.clone());
-        }
-        if let Some(p) = boundary {
-            if tagged <= *p {
-                continue;
-            }
-        }
-        if sel.len() < cap {
-            sel.push(tagged);
-        } else if tagged < *sel.peek().expect("cap >= 1") {
-            sel.pop();
-            sel.push(tagged);
-        }
-    }
-    machine.discard(len - (sel.len() - before))?;
-    Ok((len, max))
+    let (kept, max) = sel.offer_sorted(data, boundary.as_ref(), |off, x| {
+        (x, i as u32, (blk * b + off) as u64)
+    });
+    machine.discard(len - kept)?;
+    Ok(max)
 }
 
 #[cfg(test)]

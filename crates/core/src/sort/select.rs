@@ -2,10 +2,10 @@
 //! of distinct tagged candidates.
 //!
 //! [`small_sort`](crate::sort::small_sort), the §3.1 merge
-//! ([`merge_runs`](crate::sort::merge_runs)) and the buffered priority
-//! queue's refill ([`BufferedPq`](crate::pq::BufferedPq)) all keep, per
-//! round, the `cap` smallest candidates above the previous round's
-//! boundary. In the model that set is what internal memory holds, and the
+//! ([`merge_runs`](crate::sort::merge_runs)) and its resident-cursor
+//! ablation, and the buffered priority queue's refill
+//! ([`BufferedPq`](crate::pq::BufferedPq)) all keep, per round, the `cap`
+//! smallest candidates above the previous round's boundary. In the model that set is what internal memory holds, and the
 //! ledger is charged `min(cap, candidates seen)` for it. The model does not
 //! charge internal computation, so a [`Selector`] is free to compute the
 //! set with more host scratch than `cap`, as long as every quantity the

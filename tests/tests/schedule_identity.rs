@@ -1,22 +1,25 @@
 //! Schedule identity for the §3 sort family: host-side work may change,
 //! the metered program may not.
 //!
-//! `small_sort`, `merge_runs`, `merge_sort` and the buffered priority queue
-//! (through `sort_via_pq`) are run on seeded inputs under an
-//! `InstrumentedMachine`. Each run's I/O program — every event's
+//! `small_sort`, `merge_runs`, the resident-cursor merge ablation,
+//! `merge_sort` and the buffered priority queue (through `sort_via_pq`)
+//! are run on seeded inputs under an `InstrumentedMachine`. Each run's I/O program — every event's
 //! `(op, block, len, aux)` plus the internal-memory occupancy after it —
 //! is folded into one FNV-1a hash and compared with the hash the same case
 //! produced before the round buffers were rewritten. Any change to a read,
 //! a write, the order of I/Os or a single ledger charge moves the hash.
 //! See `docs/COST_MODEL.md` §7 for the clause this test enforces.
 
-use aem_core::sort::{merge_runs, merge_sort, small_sort, sort_via_pq};
+use aem_core::sort::{
+    merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq, MergeStats,
+};
 use aem_core::workload::fnv1a;
 use aem_machine::{AemConfig, IoEvent, Machine, Region, Result};
 use aem_obs::{InstrumentedMachine, WorkloadMeta};
 use aem_workloads::{KeyDist, SplitMix64};
 
 type Im = InstrumentedMachine<u64, Machine<u64>>;
+type Merger = fn(&mut Im, &[Region]) -> Result<(Region, MergeStats)>;
 
 /// The machine shapes: a plain one, `ω > B`, `B = 1` and `M = 4B`.
 const SHAPES: [(&str, usize, usize, u64); 4] = [
@@ -83,6 +86,22 @@ fn checked_sort(
     program_hash(im, &[])
 }
 
+fn checked_merge(shape: (&str, usize, usize, u64), runs: &[Vec<u64>], merger: Merger) -> u64 {
+    let mut im = machine(shape);
+    let regions: Vec<Region> = runs.iter().map(|r| im.inner_mut().install(r)).collect();
+    let (merged, stats) = merger(&mut im, &regions).unwrap();
+    let mut want: Vec<u64> = runs.concat();
+    want.sort();
+    assert_eq!(im.inner().inspect(merged), want);
+    let extra = [
+        stats.rounds,
+        stats.elems as u64,
+        stats.max_active as u64,
+        stats.active_bound as u64,
+    ];
+    program_hash(im, &extra)
+}
+
 /// Every case's hash, keyed `algorithm/shape/distribution`.
 fn all_hashes() -> Vec<(String, u64)> {
     let mut out = Vec::new();
@@ -110,19 +129,13 @@ fn all_hashes() -> Vec<(String, u64)> {
                     v
                 })
                 .collect();
-            let mut im = machine(shape);
-            let regions: Vec<Region> = runs.iter().map(|r| im.inner_mut().install(r)).collect();
-            let (merged, stats) = merge_runs(&mut im, &regions).unwrap();
-            let mut want: Vec<u64> = runs.concat();
-            want.sort();
-            assert_eq!(im.inner().inspect(merged), want);
-            let extra = [
-                stats.rounds,
-                stats.elems as u64,
-                stats.max_active as u64,
-                stats.active_bound as u64,
-            ];
-            out.push((key("merge_runs"), program_hash(im, &extra)));
+            out.push((key("merge_runs"), checked_merge(shape, &runs, merge_runs)));
+
+            // The resident-cursor ablation, at a fan-in that leaves its
+            // cursor table room beside the round buffer.
+            let k = (mem - 3 * b) / 2;
+            let resident = checked_merge(shape, &runs[..k], merge_runs_resident);
+            out.push((key("merge_runs_resident"), resident));
 
             // merge_sort with at least one merge level.
             let input = keys(dist, 1500, seed);
@@ -143,78 +156,101 @@ fn all_hashes() -> Vec<(String, u64)> {
 const PINNED: &[(&str, u64)] = &[
     ("small_sort/plain/uniform", 0xcacba56610740d2a),
     ("merge_runs/plain/uniform", 0x12505abc72da52b6),
+    ("merge_runs_resident/plain/uniform", 0xa87445e2a1a46c44),
     ("merge_sort/plain/uniform", 0x1597bed79811b5d8),
     ("sort_via_pq/plain/uniform", 0x0dc176ed2c39b4a5),
     ("small_sort/plain/sorted", 0x7336e7fc032eab45),
     ("merge_runs/plain/sorted", 0x33df68010b4f04b9),
+    ("merge_runs_resident/plain/sorted", 0xe13d2b731f663b8a),
     ("merge_sort/plain/sorted", 0xac39b2f43f967e1f),
     ("sort_via_pq/plain/sorted", 0xa94bf8e443c9b34d),
     ("small_sort/plain/reversed", 0x11a2adbd23308b3f),
     ("merge_runs/plain/reversed", 0x430bce87ec31647e),
+    ("merge_runs_resident/plain/reversed", 0x188815547d9a6c5c),
     ("merge_sort/plain/reversed", 0x96fafde252877102),
     ("sort_via_pq/plain/reversed", 0x118f1399e524f46e),
     ("small_sort/plain/few-distinct", 0x02295857a3e778f3),
     ("merge_runs/plain/few-distinct", 0xc2bd7045b21c909e),
+    ("merge_runs_resident/plain/few-distinct", 0xba9410f316f7fb22),
     ("merge_sort/plain/few-distinct", 0xd93615e0a8156f8b),
     ("sort_via_pq/plain/few-distinct", 0x4b5347e566d040ef),
     ("small_sort/plain/all-equal", 0x7336e7fc032eab45),
     ("merge_runs/plain/all-equal", 0x14a5b83784cccfec),
+    ("merge_runs_resident/plain/all-equal", 0xd64cfcc9cefe687e),
     ("merge_sort/plain/all-equal", 0xac39b2f43f967e1f),
     ("sort_via_pq/plain/all-equal", 0x512e7670bc4ead92),
     ("small_sort/omega>B/uniform", 0x7a9203100a66ef13),
     ("merge_runs/omega>B/uniform", 0xf651755f80b5b99f),
+    ("merge_runs_resident/omega>B/uniform", 0x23382e2ffdf8de5e),
     ("merge_sort/omega>B/uniform", 0x4ad102ed8e8d3698),
     ("sort_via_pq/omega>B/uniform", 0xfbe660cf097f5c94),
     ("small_sort/omega>B/sorted", 0x87d8744761e17a7d),
     ("merge_runs/omega>B/sorted", 0xa2a952791715d8a5),
+    ("merge_runs_resident/omega>B/sorted", 0x1b5f919121d248db),
     ("merge_sort/omega>B/sorted", 0x5b16fb446d4dda6e),
     ("sort_via_pq/omega>B/sorted", 0xa94bf8e443c9b34d),
     ("small_sort/omega>B/reversed", 0x2d25c78fae54ec0f),
     ("merge_runs/omega>B/reversed", 0xf765a7e320ad17f6),
+    ("merge_runs_resident/omega>B/reversed", 0xcb05e9cf810cab92),
     ("merge_sort/omega>B/reversed", 0x4940269e6944a797),
     ("sort_via_pq/omega>B/reversed", 0x118f1399e524f46e),
     ("small_sort/omega>B/few-distinct", 0x4ad6c671fa227947),
     ("merge_runs/omega>B/few-distinct", 0x601b7d29b5868329),
+    (
+        "merge_runs_resident/omega>B/few-distinct",
+        0x2d3b6a7e5df9bbac,
+    ),
     ("merge_sort/omega>B/few-distinct", 0x47015ded4cea3ccc),
     ("sort_via_pq/omega>B/few-distinct", 0x2ed5d466a423a9e5),
     ("small_sort/omega>B/all-equal", 0x87d8744761e17a7d),
     ("merge_runs/omega>B/all-equal", 0x291a9b59871444e5),
+    ("merge_runs_resident/omega>B/all-equal", 0x2bce575bdcee66f8),
     ("merge_sort/omega>B/all-equal", 0x5b16fb446d4dda6e),
     ("sort_via_pq/omega>B/all-equal", 0x512e7670bc4ead92),
     ("small_sort/B=1/uniform", 0xe8a748f8cbda010b),
     ("merge_runs/B=1/uniform", 0x55f81a0c96997e24),
+    ("merge_runs_resident/B=1/uniform", 0x160d44ed99844c6d),
     ("merge_sort/B=1/uniform", 0xda35b4243f82a32f),
     ("sort_via_pq/B=1/uniform", 0x88068147f3f264b2),
     ("small_sort/B=1/sorted", 0x40ef4ed32548ce24),
     ("merge_runs/B=1/sorted", 0x4a2051b34a3b7e54),
+    ("merge_runs_resident/B=1/sorted", 0x83f407e22765b96d),
     ("merge_sort/B=1/sorted", 0x890a0222ee049785),
     ("sort_via_pq/B=1/sorted", 0x8a9967c9fbb30750),
     ("small_sort/B=1/reversed", 0x2c68bafaa5210324),
     ("merge_runs/B=1/reversed", 0x0a654e744073ec33),
+    ("merge_runs_resident/B=1/reversed", 0xdb2c12a086af2d4c),
     ("merge_sort/B=1/reversed", 0x442d96abdcdde4fe),
     ("sort_via_pq/B=1/reversed", 0xdfd390085984d94f),
     ("small_sort/B=1/few-distinct", 0x098be7a4b958566a),
     ("merge_runs/B=1/few-distinct", 0x388ae1cafd470177),
+    ("merge_runs_resident/B=1/few-distinct", 0x998414d71808f1c5),
     ("merge_sort/B=1/few-distinct", 0x0fc230c5c63da233),
     ("sort_via_pq/B=1/few-distinct", 0xbdfbe28dfb2eb951),
     ("small_sort/B=1/all-equal", 0x40ef4ed32548ce24),
     ("merge_runs/B=1/all-equal", 0xc982032d682d5adc),
+    ("merge_runs_resident/B=1/all-equal", 0x0f57c02192c48a53),
     ("merge_sort/B=1/all-equal", 0x890a0222ee049785),
     ("sort_via_pq/B=1/all-equal", 0x957cd29290f5522f),
     ("small_sort/M=4B/uniform", 0xdb313c12e9f3b5f0),
     ("merge_runs/M=4B/uniform", 0x0dfe75ac7ec1517a),
+    ("merge_runs_resident/M=4B/uniform", 0x5d1abbcbbf8f3033),
     ("merge_sort/M=4B/uniform", 0xadf281c03b81af5e),
     ("small_sort/M=4B/sorted", 0x649ccd8c2a47cbc0),
     ("merge_runs/M=4B/sorted", 0x62527dff1e1ada88),
+    ("merge_runs_resident/M=4B/sorted", 0x6ce8c9c143f39358),
     ("merge_sort/M=4B/sorted", 0x58cbafb1ea3fbdd8),
     ("small_sort/M=4B/reversed", 0xede4d80d6f841bcf),
     ("merge_runs/M=4B/reversed", 0xf583e2c28eefd16b),
+    ("merge_runs_resident/M=4B/reversed", 0x2d66c985d16cdd04),
     ("merge_sort/M=4B/reversed", 0x5cb8b2d0b4fddc68),
     ("small_sort/M=4B/few-distinct", 0x43eea3bd77c35380),
     ("merge_runs/M=4B/few-distinct", 0xafc03a3f55202ec9),
+    ("merge_runs_resident/M=4B/few-distinct", 0x4c22905062b23776),
     ("merge_sort/M=4B/few-distinct", 0x96dbd01996018e04),
     ("small_sort/M=4B/all-equal", 0x649ccd8c2a47cbc0),
     ("merge_runs/M=4B/all-equal", 0x705bff1dd14a4bc1),
+    ("merge_runs_resident/M=4B/all-equal", 0xb65e5c39d9d0688d),
     ("merge_sort/M=4B/all-equal", 0x58cbafb1ea3fbdd8),
 ];
 
