@@ -18,8 +18,8 @@
 //!   and `O(n + m)` writes for merging up to `ωm` sorted runs of `N` total
 //!   elements (Theorem 3.2).
 //! * `select` — the round buffer both share with the buffered priority
-//!   queue: the `cap` smallest tagged candidates of a round, computed in
-//!   `O(1)` host work per element.
+//!   queue: the `cap` smallest tagged candidates of a round, without a
+//!   heap operation per element read.
 //! * [`merge_sort()`] — the recursion of §3 driven bottom-up.
 //! * [`em_sort`] — the classical `m`-way EM mergesort baseline, oblivious
 //!   to `ω`: it pays `(1 + ω)·n` per level over `log_m n` levels, which is

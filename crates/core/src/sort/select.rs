@@ -11,18 +11,20 @@
 //! set with more host scratch than `cap`, as long as every quantity the
 //! algorithms read back — [`len`](Selector::len), the buffer maximum
 //! ([`full_max`](Selector::full_max)) and the final set — is exactly that
-//! of the `cap`-smallest set (see `docs/COST_MODEL.md` §7). Two ingest
-//! paths do the host work in `O(1)` amortised per element:
+//! of the `cap`-smallest set (see `docs/COST_MODEL.md` §7). There are two
+//! ingest paths:
 //!
 //! * [`offer_unsorted`](Selector::offer_unsorted) — for blocks in no
 //!   particular order. Candidates below a running cut are appended; when
 //!   the pool reaches `2·cap` it is compacted to the `cap` smallest with
-//!   `select_nth_unstable`, which lowers the cut.
+//!   `select_nth_unstable`, which lowers the cut. `O(1)` amortised work
+//!   per element.
 //! * [`offer_sorted`](Selector::offer_sorted) — for blocks of sorted runs.
 //!   The prefix at or below the boundary is skipped by binary search,
 //!   better candidates replace the maximum of a capped max-heap in place,
 //!   and the scan stops at the first candidate that cannot enter a full
-//!   buffer: every later element of the block is larger still.
+//!   buffer: every later element of the block is larger still. Only
+//!   elements that enter the buffer cost a heap operation.
 //!
 //! A selector is fed through one path only. [`into_sorted`](Selector::into_sorted)
 //! drains it with `sort_unstable`; tags are distinct, so the order equals

@@ -14,7 +14,7 @@
 //! Each scan feeds its blocks to a `Selector` through the unsorted path:
 //! candidates below a running cut are appended and compacted with
 //! `select_nth_unstable` whenever the host pool reaches `2C`, so the scan
-//! costs `O(1)` host work per element instead of a heap operation. The
+//! costs `O(1)` amortised host work per element, not a heap operation. The
 //! ledger still holds exactly `min(C, candidates seen)` after every block
 //! (`docs/COST_MODEL.md` §7).
 //!
