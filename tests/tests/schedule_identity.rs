@@ -1,22 +1,34 @@
-//! Schedule identity for the §3 sort family: host-side work may change,
-//! the metered program may not.
+//! Schedule identity: host-side work may change, the metered program may
+//! not.
 //!
-//! `small_sort`, `merge_runs`, the resident-cursor merge ablation,
-//! `merge_sort` and the buffered priority queue (through `sort_via_pq`)
-//! are run on seeded inputs under an `InstrumentedMachine`. Each run's I/O program — every event's
-//! `(op, block, len, aux)` plus the internal-memory occupancy after it —
-//! is folded into one FNV-1a hash and compared with the hash the same case
-//! produced before the round buffers were rewritten. Any change to a read,
-//! a write, the order of I/Os or a single ledger charge moves the hash.
-//! See `docs/COST_MODEL.md` §7 for the clause this test enforces.
+//! Two families are pinned:
+//!
+//! * the §3 sort family — `small_sort`, `merge_runs`, the resident-cursor
+//!   merge ablation, `merge_sort` and the buffered priority queue (through
+//!   `sort_via_pq`) — whose hashes were recorded before the round buffers
+//!   were rewritten;
+//! * the probe-and-discard kernels — bfs mark and rescan (path, random and
+//!   star graphs), search binary, btree and eytzinger (build plus lookups)
+//!   and the three scan strategies — whose hashes were recorded while
+//!   every probe still copied its block (`read_block_into`), before the
+//!   kernels moved to borrowed reads (`read_block_with`).
+//!
+//! Every case runs on a seeded input under an `InstrumentedMachine`. Each
+//! run's I/O program — every event's `(op, block, len, aux)` plus the
+//! internal-memory occupancy after it — is folded into one FNV-1a hash and
+//! compared with the pinned hash. Any change to a read, a write, the order
+//! of I/Os or a single ledger charge moves the hash. See
+//! `docs/COST_MODEL.md` §7 for the clauses this test enforces.
 
+use aem_core::oracle::{bfs_reference, lookup_reference, prefix_reference};
 use aem_core::sort::{
     merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq, MergeStats,
 };
 use aem_core::workload::fnv1a;
+use aem_core::{bfs, scan, search};
 use aem_machine::{AemConfig, IoEvent, Machine, Region, Result};
 use aem_obs::{InstrumentedMachine, WorkloadMeta};
-use aem_workloads::{KeyDist, SplitMix64};
+use aem_workloads::{graph_instance, scan_instance, search_instance, KeyDist, SplitMix64};
 
 type Im = InstrumentedMachine<u64, Machine<u64>>;
 type Merger = fn(&mut Im, &[Region]) -> Result<(Region, MergeStats)>;
@@ -27,6 +39,17 @@ const SHAPES: [(&str, usize, usize, u64); 4] = [
     ("omega>B", 64, 8, 32),
     ("B=1", 16, 1, 4),
     ("M=4B", 32, 8, 4),
+];
+
+/// The probe kernels' schedules depend on `B` alone (`ω` never steers
+/// them and `M` only gates bfs mark at `M >= 4B`), so their shapes vary
+/// the block size: a plain one, `B = 1`, an odd `B` that leaves ragged
+/// blocks, and `M = 4B`.
+const PROBE_SHAPES: [(&str, usize, usize, u64); 4] = [
+    ("B=8", 64, 8, 4),
+    ("B=1", 16, 1, 4),
+    ("B=5", 40, 5, 16),
+    ("M=4B", 64, 16, 4),
 ];
 
 const DISTS: [&str; 5] = ["uniform", "sorted", "reversed", "few-distinct", "all-equal"];
@@ -254,17 +277,136 @@ const PINNED: &[(&str, u64)] = &[
     ("merge_sort/M=4B/all-equal", 0x58cbafb1ea3fbdd8),
 ];
 
-#[test]
-fn sort_family_schedules_are_pinned() {
-    let got = all_hashes();
+/// Every probe-kernel case's hash, keyed `kind/algorithm/shape/instance`.
+/// Each run is checked against its RAM-model oracle before it is hashed.
+fn probe_hashes() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for &shape in &PROBE_SHAPES {
+        let (name, _, b, _) = shape;
+
+        // bfs: seeds 0, 1, 2 pick the path, random and star graphs.
+        let (n, delta) = (200, 3);
+        for (seed, graph) in [(0u64, "path"), (1, "random"), (2, "star")] {
+            let g = graph_instance(n, delta, seed);
+            let want = bfs_reference(n, &g.offs, &g.adj);
+            type Traversal = fn(&mut Im, usize, &[u64], &[u64]) -> Result<Region>;
+            let algos: [(&str, Traversal); 2] = [
+                ("mark", |m, n, o, a| bfs::bfs_mark(m, n, o, a)),
+                ("rescan", |m, n, o, a| bfs::bfs_rescan(m, n, o, a)),
+            ];
+            for (algo, run) in algos {
+                let mut im = machine(shape);
+                let dist = run(&mut im, n, &g.offs, &g.adj).unwrap();
+                assert_eq!(im.inner().inspect(dist), want, "bfs/{algo}/{name}/{graph}");
+                out.push((format!("bfs/{algo}/{name}/{graph}"), program_hash(im, &[])));
+            }
+        }
+
+        // search: build plus a lookup batch with hits and misses. The
+        // btree needs fan-out B >= 2.
+        let inst = search_instance(700, 60, 0x5ea4c4 + b as u64);
+        let want = lookup_reference(&inst.keys, &inst.queries);
+        type Build = fn(&mut Im, &[u64]) -> Result<search::SearchIndex>;
+        let builds: [(&str, Build); 3] = [
+            ("binary", |m, k| search::build_binary(m, k)),
+            ("btree", |m, k| search::build_btree(m, k)),
+            ("eytzinger", |m, k| search::build_eytzinger(m, k)),
+        ];
+        for (algo, build) in builds {
+            if algo == "btree" && b < 2 {
+                continue;
+            }
+            let mut im = machine(shape);
+            let idx = build(&mut im, &inst.keys).unwrap();
+            let got = search::lookup_batch(&mut im, &idx, &inst.queries).unwrap();
+            assert_eq!(got, want, "search/{algo}/{name}");
+            out.push((format!("search/{algo}/{name}"), program_hash(im, &[])));
+        }
+
+        // scan: every strategy over the same values and query positions.
+        // The sum tree needs fan-out B >= 2.
+        let inst = scan_instance(700, 40, 0x5ca4 + b as u64);
+        let want = prefix_reference(&inst.values, &inst.queries);
+        for algo in ["materialize", "tree", "rescan"] {
+            if algo == "tree" && b < 2 {
+                continue;
+            }
+            let mut im = machine(shape);
+            let r = im.inner_mut().install(&inst.values);
+            let got = match algo {
+                "materialize" => scan::scan_materialize(&mut im, r, &inst.queries),
+                "rescan" => scan::scan_rescan(&mut im, r, &inst.queries),
+                _ => scan::build_sum_tree(&mut im, r)
+                    .and_then(|t| scan::query_tree(&mut im, &t, &inst.queries)),
+            }
+            .unwrap();
+            assert_eq!(got, want, "scan/{algo}/{name}");
+            out.push((format!("scan/{algo}/{name}"), program_hash(im, &[])));
+        }
+    }
+    out
+}
+
+/// Hashes recorded while every bfs, search and scan probe copied its
+/// block into a caller buffer.
+const PINNED_PROBES: &[(&str, u64)] = &[
+    ("bfs/mark/B=8/path", 0xa6385d99965260e2),
+    ("bfs/rescan/B=8/path", 0xf2d2bd35db07f7cc),
+    ("bfs/mark/B=8/random", 0x5ca8949976b8519f),
+    ("bfs/rescan/B=8/random", 0x8e079a4bb175e962),
+    ("bfs/mark/B=8/star", 0x83fa18d811cc63e5),
+    ("bfs/rescan/B=8/star", 0xfe5e8a55d84dba1f),
+    ("search/binary/B=8", 0xd08381f98ce9a87d),
+    ("search/btree/B=8", 0x52f8875482917418),
+    ("search/eytzinger/B=8", 0x7a4f9502b1ab7ae2),
+    ("scan/materialize/B=8", 0x98a3232086c08b47),
+    ("scan/tree/B=8", 0x9d0a3e34fb1fdfd4),
+    ("scan/rescan/B=8", 0x493e529817a1157a),
+    ("bfs/mark/B=1/path", 0x2b518aaf4b93031d),
+    ("bfs/rescan/B=1/path", 0x86a0a860020811f4),
+    ("bfs/mark/B=1/random", 0x4cd535ccf7429ba7),
+    ("bfs/rescan/B=1/random", 0xc1e9b8a9017a345a),
+    ("bfs/mark/B=1/star", 0xd8afea06f30e6a37),
+    ("bfs/rescan/B=1/star", 0xd1415dd4d94a877d),
+    ("search/binary/B=1", 0xa44d5a4a6a6aa8cd),
+    ("search/eytzinger/B=1", 0x09ba1e3f3d843dbe),
+    ("scan/materialize/B=1", 0x57e715db52c4224b),
+    ("scan/rescan/B=1", 0x2dea78c1540e5134),
+    ("bfs/mark/B=5/path", 0xdb28bb1a56e840dc),
+    ("bfs/rescan/B=5/path", 0x2ab839ee2410e68a),
+    ("bfs/mark/B=5/random", 0x662d698db1718536),
+    ("bfs/rescan/B=5/random", 0x862c5241a16c1488),
+    ("bfs/mark/B=5/star", 0xd5c5b6ad70d56339),
+    ("bfs/rescan/B=5/star", 0x7435de57d2bbf63e),
+    ("search/binary/B=5", 0x5fed70cb745def9a),
+    ("search/btree/B=5", 0x4dc76ed4c0a7b414),
+    ("search/eytzinger/B=5", 0xd5d7736ad053ed39),
+    ("scan/materialize/B=5", 0xa7982d1f746ad429),
+    ("scan/tree/B=5", 0x1314a1b905cab6a5),
+    ("scan/rescan/B=5", 0x2836fee2f3e783cd),
+    ("bfs/mark/M=4B/path", 0xea8dd25786aede26),
+    ("bfs/rescan/M=4B/path", 0x63d12e6379c76920),
+    ("bfs/mark/M=4B/random", 0x61d8a4581971f277),
+    ("bfs/rescan/M=4B/random", 0xa6fff81995aa9723),
+    ("bfs/mark/M=4B/star", 0x0dc61bc83b6c5acd),
+    ("bfs/rescan/M=4B/star", 0xde9423e52f0396b8),
+    ("search/binary/M=4B", 0x26c04069f310e46c),
+    ("search/btree/M=4B", 0x98a571a35cc06917),
+    ("search/eytzinger/M=4B", 0xc752d37ef4cccb04),
+    ("scan/materialize/M=4B", 0xcabd434f7e8e6529),
+    ("scan/tree/M=4B", 0xaf1c36652393e6f6),
+    ("scan/rescan/M=4B", 0xe2de6ab7ee33bd4f),
+];
+
+fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String = got
         .iter()
         .map(|(k, h)| format!("    (\"{k}\", 0x{h:016x}),\n"))
         .collect();
-    assert_eq!(got.len(), PINNED.len(), "case list changed; got:\n{table}");
+    assert_eq!(got.len(), pinned.len(), "case list changed; got:\n{table}");
     let moved: Vec<&str> = got
         .iter()
-        .zip(PINNED)
+        .zip(pinned)
         .filter(|((k, h), (pk, ph))| k != pk || h != ph)
         .map(|((k, _), _)| k.as_str())
         .collect();
@@ -272,4 +414,14 @@ fn sort_family_schedules_are_pinned() {
         moved.is_empty(),
         "schedules moved: {moved:?}\ngot:\n{table}"
     );
+}
+
+#[test]
+fn sort_family_schedules_are_pinned() {
+    assert_pinned(&all_hashes(), PINNED);
+}
+
+#[test]
+fn probe_kernel_schedules_are_pinned() {
+    assert_pinned(&probe_hashes(), PINNED_PROBES);
 }
