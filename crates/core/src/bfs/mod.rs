@@ -39,30 +39,24 @@ use crate::search::MISS;
 use crate::spmv::InstallExt;
 
 /// Read `offs[v]` and `offs[v + 1]` from the installed offsets region
-/// (one or two block reads, extract-then-discard).
-fn read_offsets<A>(
-    m: &mut A,
-    offs: Region,
-    v: usize,
-    b: usize,
-    buf: &mut Vec<u64>,
-) -> Result<(usize, usize)>
+/// (one or two borrowed block reads, each discarded at once).
+fn read_offsets<A>(m: &mut A, offs: Region, v: usize, b: usize) -> Result<(usize, usize)>
 where
     A: AemAccess<u64> + ?Sized,
 {
-    let len = m.read_block_into(offs.block(v / b), buf)?;
-    let o0 = buf[v % b] as usize;
-    let o1 = if (v + 1) / b == v / b {
-        let x = buf[(v + 1) % b] as usize;
+    let (mut o0, mut o1) = (0, 0);
+    let same_block = (v + 1) / b == v / b;
+    let len = m.read_block_with(offs.block(v / b), &mut |blk| {
+        o0 = blk[v % b] as usize;
+        if same_block {
+            o1 = blk[(v + 1) % b] as usize;
+        }
+    })?;
+    m.discard(len)?;
+    if !same_block {
+        let len = m.read_block_with(offs.block((v + 1) / b), &mut |blk| o1 = blk[0] as usize)?;
         m.discard(len)?;
-        x
-    } else {
-        m.discard(len)?;
-        let len2 = m.read_block_into(offs.block((v + 1) / b), buf)?;
-        let x = buf[0] as usize;
-        m.discard(len2)?;
-        x
-    };
+    }
     Ok((o0, o1))
 }
 
@@ -108,30 +102,43 @@ where
     let mut cursor = 1usize;
     let (mut cur_start, mut cur_len) = (0usize, 1usize);
     let mut level = 0u64;
-    let (mut fbuf, mut buf) = (Vec::new(), Vec::new());
+    // `frontier` holds the resident queue block; `buf` receives a
+    // distance block only when a probe discovers a vertex.
+    let (mut frontier, mut buf) = (Vec::new(), Vec::new());
     loop {
         level += 1;
         let next_start = cursor;
         let mut next_len = 0usize;
         let mut batch: Vec<u64> = Vec::with_capacity(b);
         for qb in 0..cur_len.div_ceil(b) {
-            let flen = m.read_block_into(queue.block(cur_start + qb), &mut fbuf)?;
-            let frontier: Vec<usize> = fbuf[..flen].iter().map(|&v| v as usize).collect();
-            for v in frontier {
-                let (o0, o1) = read_offsets(m, offs_r, v, b, &mut buf)?;
+            let flen = m.read_block_into(queue.block(cur_start + qb), &mut frontier)?;
+            for &v in &frontier {
+                let (o0, o1) = read_offsets(m, offs_r, v as usize, b)?;
                 for e in o0..o1 {
-                    let alen = m.read_block_into(adj_r.block(e / b), &mut buf)?;
-                    let w = buf[e % b] as usize;
+                    let mut w = 0;
+                    let alen = m.read_block_with(adj_r.block(e / b), &mut |blk| {
+                        w = blk[e % b] as usize;
+                    })?;
                     m.discard(alen)?;
-                    let dlen = m.read_block_into(dist.block(w / b), &mut buf)?;
-                    if buf[w % b] == MISS {
+                    // Probe the distance block; copy it only on a
+                    // discovery, to write it back with the new level.
+                    let mut found = false;
+                    let dlen = m.read_block_with(dist.block(w / b), &mut |blk| {
+                        found = blk[w % b] == MISS;
+                        if found {
+                            buf.clear();
+                            buf.extend_from_slice(blk);
+                        }
+                    })?;
+                    if found {
                         buf[w % b] = level;
-                        m.write_block(dist.block(w / b), std::mem::take(&mut buf))?;
+                        m.write_run(dist.block(w / b), &buf)?;
                         m.reserve(1)?;
                         batch.push(w as u64);
                         next_len += 1;
                         if batch.len() == b {
-                            m.write_block(queue.block(cursor), std::mem::take(&mut batch))?;
+                            m.write_run(queue.block(cursor), &batch)?;
+                            batch.clear();
                             cursor += 1;
                         }
                     } else {

@@ -66,8 +66,7 @@ where
     let mut answers = Vec::with_capacity(queries.len());
     m.phase_enter("queries");
     for &p in queries {
-        let len = m.read_block_into(out.block(p / b), &mut buf)?;
-        answers.push(buf[p % b]);
+        let len = m.read_block_with(out.block(p / b), &mut |blk| answers.push(blk[p % b]))?;
         m.discard(len)?;
     }
     m.phase_exit();
@@ -99,11 +98,10 @@ where
     while cur.blocks > 1 {
         let next = m.alloc_region(cur.blocks);
         let mut batch = Vec::with_capacity(b);
-        let mut buf = Vec::new();
         let mut out_block = 0;
         for i in 0..cur.blocks {
-            let len = m.read_block_into(cur.block(i), &mut buf)?;
-            let sum = buf.iter().fold(0u64, |acc, &v| acc.wrapping_add(v));
+            let mut sum = 0u64;
+            let len = m.read_block_with(cur.block(i), &mut |blk| sum = wrapping_sum(blk))?;
             m.discard(len)?;
             m.reserve(1)?;
             batch.push(sum);
@@ -132,25 +130,22 @@ where
 {
     let b = m.cfg().block;
     let mut out = Vec::with_capacity(queries.len());
-    let mut buf = Vec::new();
     m.phase_enter("queries");
     for &p in queries {
         let mut total = 0u64;
         // Leaf block: entries 0..=p%B of block p/B.
-        let len = m.read_block_into(tree.values.block(p / b), &mut buf)?;
-        for &v in &buf[..=p % b] {
-            total = total.wrapping_add(v);
-        }
+        let len = m.read_block_with(tree.values.block(p / b), &mut |blk| {
+            total = total.wrapping_add(wrapping_sum(&blk[..=p % b]));
+        })?;
         m.discard(len)?;
         // Level i entry index on the path is the block index one level
         // below; its block-local predecessors cover what the leaf block
         // left out, and the remainder recurses upward.
         let mut idx = p / b;
         for level in &tree.levels {
-            let len = m.read_block_into(level.block(idx / b), &mut buf)?;
-            for &v in &buf[..idx % b] {
-                total = total.wrapping_add(v);
-            }
+            let len = m.read_block_with(level.block(idx / b), &mut |blk| {
+                total = total.wrapping_add(wrapping_sum(&blk[..idx % b]));
+            })?;
             m.discard(len)?;
             idx /= b;
         }
@@ -169,22 +164,25 @@ where
 {
     let b = m.cfg().block;
     let mut out = Vec::with_capacity(queries.len());
-    let mut buf = Vec::new();
     m.phase_enter("rescan");
     for &p in queries {
         let mut total = 0u64;
         for i in 0..=p / b {
-            let len = m.read_block_into(values.block(i), &mut buf)?;
-            let upto = if i == p / b { p % b + 1 } else { len };
-            for &v in &buf[..upto] {
-                total = total.wrapping_add(v);
-            }
+            let len = m.read_block_with(values.block(i), &mut |blk| {
+                let upto = if i == p / b { p % b + 1 } else { blk.len() };
+                total = total.wrapping_add(wrapping_sum(&blk[..upto]));
+            })?;
             m.discard(len)?;
         }
         out.push(total);
     }
     m.phase_exit();
     Ok(out)
+}
+
+/// The wrapping sum of a slice of values.
+fn wrapping_sum(values: &[u64]) -> u64 {
+    values.iter().fold(0u64, |acc, &v| acc.wrapping_add(v))
 }
 
 /// Exact schedule cost of [`scan_materialize`]: `⌈n/B⌉ + δ` reads and

@@ -25,7 +25,7 @@
 //! certified upper bound, because block-boundary reuse along the descent
 //! path is key-dependent.
 
-use aem_machine::{AemAccess, AemConfig, Cost, Region, Result};
+use aem_machine::{AemAccess, AemConfig, BlockId, Cost, Region, Result};
 
 use crate::spmv::InstallExt;
 
@@ -94,11 +94,11 @@ where
     while cur.blocks > 1 {
         let next = m.alloc_region(cur.blocks);
         let mut batch = Vec::with_capacity(b);
-        let mut buf = Vec::new();
         let mut out_block = 0;
         for i in 0..cur.blocks {
-            let len = m.read_block_into(cur.block(i), &mut buf)?;
-            let sep = *buf.last().expect("region blocks are non-empty");
+            let mut sep = None;
+            let len = m.read_block_with(cur.block(i), &mut |blk| sep = blk.last().copied())?;
+            let sep = sep.expect("region blocks are non-empty");
             m.discard(len)?;
             m.reserve(1)?;
             batch.push(sep);
@@ -131,12 +131,11 @@ where
     let out = m.alloc_region(n);
     m.phase_enter("build");
     let mut batch = Vec::with_capacity(b);
-    let mut buf = Vec::new();
     let mut out_block = 0;
     for t in 1..=n as u64 {
         let rank = bfs_to_inorder(t, n as u64) as usize;
-        let len = m.read_block_into(src.block(rank / b), &mut buf)?;
-        let key = buf[rank % b];
+        let mut key = 0;
+        let len = m.read_block_with(src.block(rank / b), &mut |blk| key = blk[rank % b])?;
         m.discard(len)?;
         m.reserve(1)?;
         batch.push(key);
@@ -167,12 +166,12 @@ where
     match index {
         SearchIndex::Sorted { data } => {
             for &q in queries {
-                out.push(binary_lookup(m, *data, q, &mut buf)?);
+                out.push(binary_lookup(m, *data, q)?);
             }
         }
         SearchIndex::Btree { leaves, levels } => {
             for &q in queries {
-                out.push(btree_lookup(m, *leaves, levels, q, b, &mut buf)?);
+                out.push(btree_lookup(m, *leaves, levels, q, b)?);
             }
         }
         SearchIndex::Eytzinger { data, n } => {
@@ -200,7 +199,7 @@ where
 /// Fixed-schedule block bisection: exactly `⌈log₂ blocks⌉ + 1` reads per
 /// query, independent of the key values (padded with a re-read when the
 /// span collapses early), so the ghost backend prices it exactly.
-fn binary_lookup<A>(m: &mut A, data: Region, q: u64, buf: &mut Vec<u64>) -> Result<u64>
+fn binary_lookup<A>(m: &mut A, data: Region, q: u64) -> Result<u64>
 where
     A: AemAccess<u64> + ?Sized,
 {
@@ -210,8 +209,8 @@ where
     let (mut lo, mut hi) = (0usize, data.blocks);
     for _ in 0..ceil_log2(data.blocks) {
         let probe = if hi - lo > 1 { lo + (hi - lo) / 2 } else { lo };
-        let len = m.read_block_into(data.block(probe), buf)?;
-        let first = buf[0];
+        let mut first = 0;
+        let len = m.read_block_with(data.block(probe), &mut |blk| first = blk[0])?;
         m.discard(len)?;
         if hi - lo > 1 {
             if q < first {
@@ -221,23 +220,13 @@ where
             }
         }
     }
-    let len = m.read_block_into(data.block(lo), buf)?;
-    let res = if buf.contains(&q) { q } else { MISS };
-    m.discard(len)?;
-    Ok(res)
+    probe_leaf(m, data.block(lo), q)
 }
 
 /// Root→leaf descent: exactly `levels + 1` reads per query. At each node
 /// the child is the first separator `≥ q` (rightmost child when `q`
 /// exceeds them all); entry `e` of a level indexes block `e` below.
-fn btree_lookup<A>(
-    m: &mut A,
-    leaves: Region,
-    levels: &[Region],
-    q: u64,
-    b: usize,
-    buf: &mut Vec<u64>,
-) -> Result<u64>
+fn btree_lookup<A>(m: &mut A, leaves: Region, levels: &[Region], q: u64, b: usize) -> Result<u64>
 where
     A: AemAccess<u64> + ?Sized,
 {
@@ -246,15 +235,30 @@ where
     }
     let mut child = 0usize;
     for level in levels.iter().rev() {
-        let len = m.read_block_into(level.block(child), buf)?;
-        let j = buf.iter().position(|&s| q <= s).unwrap_or(len - 1);
+        let mut j = 0;
+        let len = m.read_block_with(level.block(child), &mut |node| {
+            debug_assert!(node.windows(2).all(|w| w[0] <= w[1]), "unsorted btree node");
+            j = node.partition_point(|&s| s < q).min(node.len() - 1);
+        })?;
         m.discard(len)?;
         child = child * b + j;
     }
-    let len = m.read_block_into(leaves.block(child), buf)?;
-    let res = if buf.contains(&q) { q } else { MISS };
+    probe_leaf(m, leaves.block(child), q)
+}
+
+/// The last read of a lookup: `q` itself when the sorted block `id` holds
+/// it, [`MISS`] otherwise.
+fn probe_leaf<A>(m: &mut A, id: BlockId, q: u64) -> Result<u64>
+where
+    A: AemAccess<u64> + ?Sized,
+{
+    let mut hit = false;
+    let len = m.read_block_with(id, &mut |leaf| {
+        debug_assert!(leaf.windows(2).all(|w| w[0] <= w[1]), "unsorted key block");
+        hit = leaf.binary_search(&q).is_ok();
+    })?;
     m.discard(len)?;
-    Ok(res)
+    Ok(if hit { q } else { MISS })
 }
 
 /// BST descent over the BFS layout: `t → 2t` or `2t+1`, reading a block

@@ -157,12 +157,13 @@ where
                     continue; // exhausted
                 }
                 let last_loaded = (first + 1).min(run.blocks - 1);
-                let data = machine.read_block(run.block(last_loaded))?;
-                let len = data.len();
-                let s_max = data
-                    .last()
-                    .map(|x| tag(x.clone(), run_idx, last_loaded, len - 1, b))
-                    .expect("run blocks are non-empty");
+                let mut s_max = None;
+                let len = machine.read_block_with(run.block(last_loaded), &mut |blk| {
+                    s_max = blk
+                        .last()
+                        .map(|x| tag(x.clone(), run_idx, last_loaded, blk.len() - 1, b));
+                })?;
+                let s_max = s_max.expect("run blocks are non-empty");
                 machine.discard(len)?;
                 // Active (paper's conditions): (a) more blocks exist beyond
                 // the loaded ones, and (b) s_i is among the M̂ smallest seen

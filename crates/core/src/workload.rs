@@ -821,23 +821,25 @@ fn run_sorter(
 /// Generate this kind's seeded instance and run it under `h`. The single
 /// place that matches on [`WorkloadKind`] to pick payload types, oracle,
 /// and verification — every executor (serve live/trace, fuzz, profile,
-/// the cost gate) goes through here.
+/// the cost gate) goes through here. Each body computes its oracle only
+/// after the run, and only when the payload is real: ghost runs return
+/// unverified without paying for a reference they would throw away.
 pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, WorkloadError> {
     let algo = ctx.algo.name;
     let (n, delta, seed) = (ctx.n, ctx.delta, ctx.seed);
     match ctx.kind {
         WorkloadKind::Sort | WorkloadKind::Pq => {
             let input = sort_keys(n, seed);
-            let want = oracle::sorted_reference(&input);
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
                     let r = m.install_atoms(&input);
                     let out = run_sorter(algo, m, r)?;
-                    let got = m.inspect_region(out);
                     if !m.payload_real() {
                         return Ok(Verified::unverified());
                     }
+                    let got = m.inspect_region(out);
+                    let want = oracle::sorted_reference(&input);
                     check(got == want, "sort: output diverges from the oracle")?;
                     Ok(Verified::hashed(fnv1a(got)))
                 }),
@@ -846,7 +848,6 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
         WorkloadKind::Permute => {
             let values: Vec<u64> = (0..n as u64).collect();
             let pi = PermKind::Random { seed }.generate(n);
-            let want = perm::apply(&pi, &values);
             match algo {
                 "naive" => h.run::<u64>(
                     ctx,
@@ -860,6 +861,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                             return Ok(Verified::unverified());
                         }
                         let got = m.inspect_region(out);
+                        let want = perm::apply(&pi, &values);
                         check(got == want, "naive permute: verification failed")?;
                         Ok(Verified::hashed(fnv1a(got)))
                     }),
@@ -886,6 +888,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                             }
                             let got: Vec<u64> =
                                 m.inspect_region(out).into_iter().map(|t| t.value).collect();
+                            let want = perm::apply(&pi, &values);
                             check(got == want, "by-sort permute: verification failed")?;
                             Ok(Verified::hashed(fnv1a(got)))
                         }),
@@ -899,10 +902,6 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                 .map(|i| U64Ring((i as u64 * 37 + 1) % 97))
                 .collect();
             let x: Vec<U64Ring> = (0..n).map(|j| U64Ring((j as u64 * 13 + 5) % 89)).collect();
-            let want: Vec<u64> = reference_multiply(&conf, &a, &x)
-                .into_iter()
-                .map(|v| v.0)
-                .collect();
             h.run::<MatEntry<U64Ring>>(
                 ctx,
                 Box::new(move |m| {
@@ -923,6 +922,10 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                         return Ok(Verified::unverified());
                     }
                     let got: Vec<u64> = m.inspect_region(y).into_iter().map(|e| e.val.0).collect();
+                    let want: Vec<u64> = reference_multiply(&conf, &a, &x)
+                        .into_iter()
+                        .map(|v| v.0)
+                        .collect();
                     check(got == want, "spmv: verification failed")?;
                     Ok(Verified::hashed(fnv1a(got)))
                 }),
@@ -930,7 +933,6 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
         }
         WorkloadKind::Search => {
             let inst = search_instance(n, delta, seed);
-            let want = oracle::lookup_reference(&inst.keys, &inst.queries);
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
@@ -944,6 +946,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     if !m.payload_real() {
                         return Ok(Verified::unverified());
                     }
+                    let want = oracle::lookup_reference(&inst.keys, &inst.queries);
                     check(got == want, "search: lookup verification failed")?;
                     Ok(Verified::hashed(fnv1a(got)))
                 }),
@@ -951,7 +954,6 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
         }
         WorkloadKind::Scan => {
             let inst = scan_instance(n, delta, seed);
-            let want = oracle::prefix_reference(&inst.values, &inst.queries);
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
@@ -968,6 +970,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     if !m.payload_real() {
                         return Ok(Verified::unverified());
                     }
+                    let want = oracle::prefix_reference(&inst.values, &inst.queries);
                     check(got == want, "scan: prefix verification failed")?;
                     Ok(Verified::hashed(fnv1a(got)))
                 }),
@@ -975,7 +978,6 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
         }
         WorkloadKind::Matmul => {
             let inst = matmul_instance(n, seed);
-            let want = oracle::matmul_reference(inst.d, &inst.a, &inst.b);
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
@@ -988,6 +990,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                         return Ok(Verified::unverified());
                     }
                     let got = matmul::extract(inst.d, t, m.cfg().block, &m.inspect_region(cr));
+                    let want = oracle::matmul_reference(inst.d, &inst.a, &inst.b);
                     check(got == want, "matmul: verification failed")?;
                     Ok(Verified::hashed(fnv1a(got)))
                 }),
@@ -995,7 +998,6 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
         }
         WorkloadKind::Bfs => {
             let g = graph_instance(n, delta, seed);
-            let want = oracle::bfs_reference(n, &g.offs, &g.adj);
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
@@ -1008,6 +1010,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                         return Ok(Verified::unverified());
                     }
                     let got = m.inspect_region(dist);
+                    let want = oracle::bfs_reference(n, &g.offs, &g.adj);
                     check(got == want, "bfs: distance verification failed")?;
                     Ok(Verified::hashed(fnv1a(got)))
                 }),

@@ -9,6 +9,8 @@
 //! the shrinker must reduce the failure to a minimal case; the
 //! `broken_merge` integration test pins both properties.
 
+use aem_core::spmv::InstallExt;
+use aem_core::workload::WorkloadMachine;
 use aem_machine::{AemAccess, AemConfig, BlockId, Cost, MachineError, Region};
 
 type Result<T> = std::result::Result<T, MachineError>;
@@ -136,6 +138,25 @@ impl<T, A: AemAccess<T>> AemAccess<T> for OffByOneMachine<A> {
 
     fn phase_exit(&mut self) {
         self.inner.phase_exit()
+    }
+}
+
+// Registry bodies run through `&mut dyn WorkloadMachine<T>`, so the
+// wrapper is one too: installation and inspection go straight to the
+// wrapped machine (they are free and unfaulted), every metered read
+// passes through the fault.
+impl<T, A: InstallExt<T>> InstallExt<T> for OffByOneMachine<A> {
+    fn install_atoms(&mut self, data: &[T]) -> Region {
+        self.inner.install_atoms(data)
+    }
+}
+
+impl<T, A: WorkloadMachine<T>> WorkloadMachine<T> for OffByOneMachine<A> {
+    fn inspect_region(&self, r: Region) -> Vec<T> {
+        self.inner.inspect_region(r)
+    }
+    fn payload_real(&self) -> bool {
+        self.inner.payload_real()
     }
 }
 

@@ -289,6 +289,12 @@ impl<T: Clone> AemAccess<T> for TraceMachine<T> {
         Ok(len)
     }
 
+    fn read_block_with(&mut self, id: BlockId, f: &mut dyn FnMut(&[T])) -> Result<usize> {
+        let len = self.inner.read_block_with(id, f)?;
+        self.rec(false, false, id, 1, len as u64);
+        Ok(len)
+    }
+
     fn exchange_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
         // The discard half is unmetered, so the compiled op is just the
         // read — identical to what the decomposed pair would record.
@@ -430,6 +436,21 @@ mod tests {
         let tr = t.install(&(0..8u32).collect::<Vec<_>>());
         assert_eq!((vr.first, vr.blocks), (tr.first, tr.blocks));
         assert_eq!(script(v, vr), script(t, tr));
+    }
+
+    #[test]
+    fn borrowed_reads_compile_like_copying_reads() {
+        let mut m: TraceMachine<u32> = TraceMachine::new(cfg());
+        let r = m.install(&[1, 2, 3, 4, 5]);
+        let mut buf = Vec::new();
+        let copied = m.read_block_into(r.block(1), &mut buf).unwrap();
+        let borrowed = m.read_block_with(r.block(1), &mut |_| {}).unwrap();
+        assert_eq!((copied, borrowed), (1, 1));
+        assert!(m.read_block_with(BlockId(9), &mut |_| {}).is_err());
+        let schedule = m.into_schedule();
+        assert_eq!(schedule.len(), 2, "a failed borrow records nothing");
+        assert_eq!(schedule.ops()[0], schedule.ops()[1]);
+        assert_eq!(schedule.replay(), Cost::new(2, 0));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   releases budget, and elements dropped without being written must be
 //!   released explicitly via [`AemAccess::discard`]. Leaks are conservative —
 //!   they can only cause *spurious capacity errors*, never let an algorithm
-//!   use more than `M` elements of internal memory unnoticed.
+//!   use more than `M` elements of internal memory unnoticed. A borrowed
+//!   read ([`AemAccess::read_block_with`]) is metered identically but lends
+//!   the stored block instead of copying it.
 //! * **Writes** store at most `B` elements to a block and release the
 //!   internal budget correspondingly.
 //! * A separate **auxiliary store** with the same block size carries machine
@@ -62,6 +64,22 @@ pub trait AemAccess<T> {
     fn read_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
         *buf = self.read_block(id)?;
         Ok(buf.len())
+    }
+
+    /// Read a data block and lend its contents to `f` instead of copying
+    /// them out, returning the occupancy. Cost, internal-budget charge,
+    /// trace event and error precedence are exactly those of
+    /// [`AemAccess::read_block_into`]: the caller owns the charged budget
+    /// and releases it with [`AemAccess::discard`] as after any read. `f`
+    /// is called once on success and never on error. Probe-and-discard
+    /// kernels use this to extract a few elements without a host copy;
+    /// the default reads into a temporary, so wrappers that override only
+    /// [`AemAccess::read_block`] keep their semantics.
+    fn read_block_with(&mut self, id: BlockId, f: &mut dyn FnMut(&[T])) -> Result<usize> {
+        let mut tmp = Vec::new();
+        let len = self.read_block_into(id, &mut tmp)?;
+        f(&tmp);
+        Ok(len)
     }
 
     /// Evict the block currently held in `buf` (unmodified, so no
@@ -187,6 +205,9 @@ impl<T, M: AemAccess<T> + ?Sized> AemAccess<T> for &mut M {
     }
     fn read_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
         (**self).read_block_into(id, buf)
+    }
+    fn read_block_with(&mut self, id: BlockId, f: &mut dyn FnMut(&[T])) -> Result<usize> {
+        (**self).read_block_with(id, f)
     }
     fn exchange_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
         (**self).exchange_block_into(id, buf)
@@ -430,6 +451,20 @@ where
     }
 }
 
+/// The ledger half of a fused read: charge `k` elements against
+/// `capacity`, or fail with `InternalOverflow` leaving `used` unchanged.
+fn charge_ledger(used: &mut usize, capacity: usize, k: usize) -> Result<()> {
+    if *used + k > capacity {
+        return Err(MachineError::InternalOverflow {
+            used: *used,
+            capacity,
+            requested: k,
+        });
+    }
+    *used += k;
+    Ok(())
+}
+
 impl<T, S, A> AemAccess<T> for MachineCore<T, S, A>
 where
     T: Clone,
@@ -460,19 +495,26 @@ where
         // (this is the hot path of gather-heavy kernels — one call per
         // block reload). The closure charges the ledger between the two,
         // preserving the occupancy → charge → read validation order.
-        let used = &mut self.internal_used;
-        let capacity = self.cfg.memory;
-        let len = self.data.read_into_charged(id, buf, |k| {
-            if *used + k > capacity {
-                return Err(MachineError::InternalOverflow {
-                    used: *used,
-                    capacity,
-                    requested: k,
-                });
-            }
-            *used += k;
-            Ok(())
-        })?;
+        let (used, capacity) = (&mut self.internal_used, self.cfg.memory);
+        let len = self
+            .data
+            .read_into_charged(id, buf, |k| charge_ledger(used, capacity, k))?;
+        self.counter.charge_read();
+        self.record(IoEvent::Read {
+            block: id,
+            len,
+            aux: false,
+        });
+        Ok(len)
+    }
+
+    fn read_block_with(&mut self, id: BlockId, f: &mut dyn FnMut(&[T])) -> Result<usize> {
+        // The borrowed counterpart of `read_block_into`: the same fused
+        // lookup and ledger closure, but the store lends its slice.
+        let (used, capacity) = (&mut self.internal_used, self.cfg.memory);
+        let len = self
+            .data
+            .peek_charged(id, |k| charge_ledger(used, capacity, k), f)?;
         self.counter.charge_read();
         self.record(IoEvent::Read {
             block: id,
@@ -807,6 +849,16 @@ mod tests {
                 .unwrap();
             assert!(len <= 4);
         }
+        errs.push(
+            m.read_block_with(BlockId(42), &mut |_| unreachable!())
+                .unwrap_err(),
+        );
+        for i in 0..3 {
+            let len = m
+                .read_block_with(out.block(i), &mut |blk| payload.extend_from_slice(blk))
+                .unwrap();
+            m.discard(len).unwrap();
+        }
         errs.push(m.discard(1).unwrap_err());
         (m.cost(), m.internal_used(), errs, payload)
     }
@@ -907,6 +959,77 @@ mod tests {
                 assert_eq!(per_block.2.len(), bulk.2.len(), "{backend}: length");
             }
             assert_eq!(per_block.3, bulk.3, "{backend}: trace events");
+        }
+    }
+
+    // A borrowed read and a copying read of the same blocks on one machine
+    // type: cost, ledger, trace event, the lent slice and the errors must
+    // agree.
+    fn borrowed_matches_copied<M: AemAccess<u32> + TraceRecording>(mut m: M, backend: Backend) {
+        let r = m.alloc_region(10);
+        m.reserve(10).unwrap();
+        m.write_run(r.block(0), &(50..60).collect::<Vec<u32>>())
+            .unwrap();
+        m.start_rec();
+        let mut buf = Vec::new();
+        for i in 0..3 {
+            let before = m.cost();
+            let copied = m.read_block_into(r.block(i), &mut buf).unwrap();
+            let (copy_cost, copy_used) = (m.cost(), m.internal_used());
+            m.discard(copied).unwrap();
+            let (mut lent, mut calls) = (Vec::new(), 0);
+            let borrowed = m
+                .read_block_with(r.block(i), &mut |blk| {
+                    calls += 1;
+                    lent = blk.to_vec();
+                })
+                .unwrap();
+            assert_eq!((borrowed, calls), (copied, 1), "{backend}: occupancy");
+            assert_eq!(lent.len(), borrowed, "{backend}: lent length");
+            if backend.carries_payload() {
+                assert_eq!(lent, buf, "{backend}: lent payload");
+            } else {
+                assert!(lent.iter().all(|&x| x == 0), "{backend}: placeholders");
+            }
+            assert_eq!(m.internal_used(), copy_used, "{backend}: ledger");
+            let step = |a: Cost, b: Cost| (b.reads - a.reads, b.writes - a.writes);
+            assert_eq!(
+                step(copy_cost, m.cost()),
+                step(before, copy_cost),
+                "{backend}"
+            );
+            m.discard(borrowed).unwrap();
+        }
+        let events = m.take_rec();
+        assert_eq!(events.len(), 6, "{backend}: one event per read");
+        for pair in events.chunks(2) {
+            assert_eq!(pair[0], pair[1], "{backend}: trace event");
+        }
+
+        // Errors: BadBlock before InternalOverflow, exactly as the copying
+        // read reports them; a failed borrow never calls `f` and moves
+        // neither the meter nor the ledger.
+        m.reserve(cfg().memory - m.internal_used()).unwrap();
+        let (cost, used) = (m.cost(), m.internal_used());
+        for id in [BlockId(99), r.block(0)] {
+            let mut called = false;
+            let err = m.read_block_with(id, &mut |_| called = true).unwrap_err();
+            assert_eq!(err, m.read_block_into(id, &mut buf).unwrap_err());
+            let overflow = matches!(err, MachineError::InternalOverflow { .. });
+            assert_eq!(overflow, id == r.block(0), "{backend}: {err:?}");
+            assert!(!called, "{backend}: f called on error");
+            assert_eq!((m.cost(), m.internal_used()), (cost, used), "{backend}");
+        }
+    }
+
+    #[test]
+    fn borrowed_reads_match_copying_reads_on_every_backend() {
+        let c = cfg();
+        for backend in Backend::ALL {
+            crate::with_backend_machine!(backend, u32, |M| borrowed_matches_copied(
+                M::new(c),
+                backend
+            ));
         }
     }
 

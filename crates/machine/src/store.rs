@@ -225,6 +225,16 @@ pub trait BlockStore<T> {
         charge(len)?;
         self.read_into(id, buf)
     }
+
+    /// Fused metered borrow: validate `id`, gate its occupancy through
+    /// `charge` exactly as [`BlockStore::read_into_charged`] does, then
+    /// lend the stored payload to `f` instead of copying it. `f` is never
+    /// called when validation or `charge` fails. Ghost stores lend
+    /// `occupancy` placeholders.
+    fn peek_charged<F>(&self, id: BlockId, charge: F, f: &mut dyn FnMut(&[T])) -> Result<usize>
+    where
+        F: FnOnce(usize) -> Result<()>,
+        Self: Sized;
 }
 
 /// The default copying backend: an alias for [`ExternalMemory`].
@@ -306,6 +316,15 @@ impl<T: Clone> BlockStore<T> for ExternalMemory<T> {
         charge(block.len())?;
         buf.clear();
         buf.extend_from_slice(block.as_slice());
+        Ok(block.len())
+    }
+    fn peek_charged<F>(&self, id: BlockId, charge: F, f: &mut dyn FnMut(&[T])) -> Result<usize>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        let block = self.get(id)?;
+        charge(block.len())?;
+        f(block.as_slice());
         Ok(block.len())
     }
 }
@@ -521,6 +540,16 @@ impl<T: Clone> BlockStore<T> for ArenaStore<T> {
         buf.extend_from_slice(block);
         Ok(block.len())
     }
+    fn peek_charged<F>(&self, id: BlockId, charge: F, f: &mut dyn FnMut(&[T])) -> Result<usize>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        self.check(id)?;
+        let block = &self.blocks[id.index()];
+        charge(block.len())?;
+        f(block);
+        Ok(block.len())
+    }
 }
 
 /// Cost-only backend: per-block occupancy, no payload.
@@ -528,13 +557,14 @@ impl<T: Clone> BlockStore<T> for ArenaStore<T> {
 /// Reads return `vec![T::default(); occupancy]` so element *counts* (and
 /// therefore every internal-budget charge, every capacity error, every
 /// `Q_r`/`Q_w` increment) match [`VecStore`] exactly; the *values* are
-/// placeholders. Sound only for payload-oblivious workloads — see the
-/// module docs.
+/// placeholders. Borrowed reads lend a prefix of one block of placeholders
+/// the store allocates once. Sound only for payload-oblivious workloads —
+/// see the module docs.
 #[derive(Debug, Clone)]
 pub struct GhostStore<T> {
     block_size: usize,
     lens: Vec<usize>,
-    _elem: std::marker::PhantomData<fn() -> T>,
+    zeros: Vec<T>,
 }
 
 impl<T> GhostStore<T> {
@@ -558,7 +588,7 @@ impl<T: Clone + Default> BlockStore<T> for GhostStore<T> {
         GhostStore {
             block_size,
             lens: Vec::new(),
-            _elem: std::marker::PhantomData,
+            zeros: vec![T::default(); block_size],
         }
     }
     fn block_size(&self) -> usize {
@@ -659,6 +689,16 @@ impl<T: Clone + Default> BlockStore<T> for GhostStore<T> {
         charge(len)?;
         buf.clear();
         buf.resize(len, T::default());
+        Ok(len)
+    }
+    fn peek_charged<F>(&self, id: BlockId, charge: F, f: &mut dyn FnMut(&[T])) -> Result<usize>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        self.check(id)?;
+        let len = self.lens[id.index()];
+        charge(len)?;
+        f(&self.zeros[..len]);
         Ok(len)
     }
 }

@@ -8,7 +8,8 @@
 //! * the [`GhostStore`] machine accepts and rejects *exactly* the
 //!   operations the [`VecStore`] machine does, with the same
 //!   [`MachineError`] variant and the same meter — the contract that makes
-//!   cost-only ghost sweeps sound.
+//!   cost-only ghost sweeps sound. Borrowed reads (`read_block_with`) run
+//!   in the same lockstep and lend slices of the same length.
 //!
 //! Randomness is the workspace's seeded [`SplitMix64`]; every case is
 //! deterministic and reproduces without an external shrinker.
@@ -25,16 +26,18 @@ use aem_workloads::SplitMix64;
 #[derive(Debug, Clone, Copy)]
 enum Action {
     Read(usize),
+    Borrow(usize),
     WriteHeld(usize, usize),
     Discard(usize),
     Reserve(usize),
 }
 
 fn random_action(rng: &mut SplitMix64) -> Action {
-    match rng.next_below(4) {
+    match rng.next_below(5) {
         0 => Action::Read(rng.next_below_usize(24)),
         1 => Action::WriteHeld(rng.next_below_usize(8), rng.next_below_usize(24)),
         2 => Action::Discard(rng.next_below_usize(8)),
+        3 => Action::Borrow(rng.next_below_usize(24)),
         _ => Action::Reserve(rng.next_below_usize(8)),
     }
 }
@@ -96,6 +99,12 @@ fn arena_freelist_never_aliases_live_blocks() {
                         if m.discard(data.len()).is_err() {
                             held -= data.len();
                         }
+                    }
+                }
+                Action::Borrow(i) => {
+                    // A borrowed read must not touch the free list.
+                    if let Ok(len) = m.read_block_with(BlockId(i), &mut |_| {}) {
+                        held += len;
                     }
                 }
                 Action::WriteHeld(k, b) => {
@@ -183,6 +192,23 @@ fn ghost_rejects_exactly_where_vec_does() {
                     let v = vec_m.read_block(BlockId(i)).map(|d| d.len());
                     let g = ghost_m.read_block(BlockId(i)).map(|d| d.len());
                     assert_eq!(v, g, "case {case} step {step}: read divergence");
+                    if let Ok(len) = v {
+                        held += len;
+                    }
+                }
+                Action::Borrow(i) => {
+                    // The lent slice has the read's length on both; on
+                    // ghost it holds placeholders.
+                    let (mut vlen, mut glen) = (None, None);
+                    let v = vec_m.read_block_with(BlockId(i), &mut |blk| vlen = Some(blk.len()));
+                    let g = ghost_m.read_block_with(BlockId(i), &mut |blk| {
+                        assert!(blk.iter().all(|&x| x == 0), "case {case} step {step}");
+                        glen = Some(blk.len());
+                    });
+                    assert_eq!(v, g, "case {case} step {step}: borrow divergence");
+                    assert_eq!(vlen, glen, "case {case} step {step}: lent length");
+                    // `f` runs exactly when the read succeeds.
+                    assert_eq!(v.as_ref().ok(), vlen.as_ref(), "case {case} step {step}");
                     if let Ok(len) = v {
                         held += len;
                     }

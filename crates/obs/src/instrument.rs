@@ -298,6 +298,16 @@ impl<T, A: AemAccess<T>> AemAccess<T> for InstrumentedMachine<T, A> {
         Ok(len)
     }
 
+    fn read_block_with(&mut self, id: BlockId, f: &mut dyn FnMut(&[T])) -> Result<usize> {
+        let len = self.inner.read_block_with(id, f)?;
+        self.observe_event(IoEvent::Read {
+            block: id,
+            len,
+            aux: false,
+        });
+        Ok(len)
+    }
+
     fn write_block(&mut self, id: BlockId, data: Vec<T>) -> Result<()> {
         let len = data.len();
         self.inner.write_block(id, data)?;
@@ -374,7 +384,7 @@ impl<T, A: AemAccess<T>> AemAccess<T> for InstrumentedMachine<T, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aem_machine::Machine;
+    use aem_machine::{Machine, MachineError};
 
     fn cfg() -> AemConfig {
         AemConfig::new(16, 4, 8).unwrap()
@@ -486,6 +496,51 @@ mod tests {
         im.exit();
         assert_eq!(log.borrow().ios, 1);
         assert_eq!(log.borrow().phases, 1);
+    }
+
+    #[test]
+    fn borrowed_reads_are_observed_like_copying_reads() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        struct Hook(Rc<RefCell<Vec<(IoEvent, usize)>>>);
+        impl Observer for Hook {
+            fn on_io(&mut self, ev: &IoEvent, iu: usize) {
+                self.0.borrow_mut().push((ev.clone(), iu));
+            }
+        }
+
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let mut im = InstrumentedMachine::new(Machine::<u32>::new(cfg()));
+        im.add_observer(Box::new(Hook(seen.clone())));
+        let r = im.inner_mut().install(&[1, 2, 3, 4, 5, 6]);
+        let mut buf = Vec::new();
+        let copied = im.read_block_into(r.block(0), &mut buf).unwrap();
+        let mut lent = Vec::new();
+        let borrowed = im
+            .read_block_with(r.block(0), &mut |blk| lent = blk.to_vec())
+            .unwrap();
+        assert_eq!((copied, borrowed), (4, 4));
+        assert_eq!(lent, buf);
+        assert_eq!(im.internal_used(), 8);
+
+        // Errors reach the caller unobserved, BadBlock before overflow.
+        let err = im.read_block_with(BlockId(9), &mut |_| unreachable!());
+        assert!(matches!(err, Err(MachineError::BadBlock { .. })));
+        im.reserve(8).unwrap();
+        let err = im.read_block_with(r.block(1), &mut |_| unreachable!());
+        assert!(matches!(err, Err(MachineError::InternalOverflow { .. })));
+        im.discard(16).unwrap();
+
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[0].0, seen[1].0, "same event");
+        assert_eq!((seen[0].1, seen[1].1), (4, 8), "occupancy after each");
+        assert_eq!(im.cost(), Cost::new(2, 0));
+        assert_eq!(im.metrics().counter(CTR_READS), 2);
+        let rec = im.into_record(WorkloadMeta::new("test", "borrow", 6));
+        assert_eq!(rec.trace.len(), 2);
+        assert_eq!(rec.trace.events()[0], rec.trace.events()[1]);
     }
 
     #[test]
