@@ -63,61 +63,3 @@ pub fn backend_from_args(args: &[String]) -> aem_machine::Backend {
     }
     aem_machine::Backend::Vec
 }
-
-/// Run `f` over `items` on up to `threads` OS threads, preserving input
-/// order. The simulators are single-threaded by design; sweeps are
-/// embarrassingly parallel at the (machine, workload) granularity, which
-/// is where an HPC harness should spend its cores.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4);
-    let n = items.len();
-    if n <= 1 || threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let work: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = std::sync::Mutex::new(work);
-    let out = std::sync::Mutex::new(&mut slots);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let item = { queue.lock().expect("queue").pop() };
-                match item {
-                    Some((i, t)) => {
-                        let r = f(t);
-                        out.lock().expect("slots")[i] = Some(r);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("all slots filled"))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect::<Vec<i32>>(), |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        assert!(parallel_map(Vec::<i32>::new(), |x| x).is_empty());
-        assert_eq!(parallel_map(vec![7], |x| x + 1), vec![8]);
-    }
-}

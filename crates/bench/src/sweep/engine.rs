@@ -2,9 +2,10 @@
 //!
 //! Takes a list of [`Sweep`]s, flattens them into independent cells,
 //! subtracts the cells already present in the result cache, and executes
-//! the remainder on a pool of `std::thread::scope` workers pulling from a
-//! shared queue (work stealing at cell granularity — no static
-//! partitioning, so one slow table cannot idle the other workers).
+//! the remainder on the workspace's worker pool, [`aem_obs::pool`]: scoped
+//! workers pulling from one shared queue (work stealing at cell
+//! granularity — no static partitioning, so one slow table cannot idle the
+//! other workers).
 //!
 //! Determinism: execution order is whatever the pool produces, but results
 //! are reassembled **in cell-declaration order** (each cell is keyed, and
@@ -14,13 +15,12 @@
 //! reported separately via [`RunReport::stats_table`] and the
 //! [`aem_obs::Metrics`] registry.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use aem_machine::Backend;
+use aem_obs::pool::{self, Handle};
 use aem_obs::Metrics;
 
 use super::cache::{self, Cache, CacheWriter};
@@ -189,16 +189,6 @@ impl RunReport {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Execute `sweeps` under `opts`: subtract cached cells, run the rest on
 /// the worker pool (appending each completed cell to the cache), then
 /// render every table from results in declaration order.
@@ -243,61 +233,41 @@ pub fn run(sweeps: &[Sweep], opts: &RunOptions) -> Result<RunReport, String> {
         None => None,
     };
 
-    // Slot per cell: cache hits pre-filled, the rest queued as tasks.
-    let mut slots: Vec<Vec<Option<Result<CellOut, String>>>> = Vec::new();
-    let mut tasks: Vec<(usize, usize)> = Vec::new();
-    let mut cached_total = 0usize;
-    for (si, sweep) in selected.iter().enumerate() {
-        let mut row = Vec::with_capacity(sweep.cells.len());
-        for (ci, cell) in sweep.cells.iter().enumerate() {
-            let hash = cache::cell_hash(&sweep.id, &cell.key, opts.backend, salt);
-            match cache_map.get(&hash) {
-                Some(out) => {
-                    cached_total += 1;
-                    row.push(Some(Ok(out.clone())));
-                }
-                None => {
-                    tasks.push((si, ci));
-                    row.push(None);
-                }
-            }
-        }
-        slots.push(row);
-    }
+    // Cache hit (or miss) per cell; the misses are the pool's tasks.
+    let hits: Vec<Vec<Option<&CellOut>>> = selected
+        .iter()
+        .map(|sw| {
+            (sw.cells.iter())
+                .map(|c| cache_map.get(&cache::cell_hash(&sw.id, &c.key, opts.backend, salt)))
+                .collect()
+        })
+        .collect();
+    let tasks: Vec<(usize, usize)> = hits
+        .iter()
+        .enumerate()
+        .flat_map(|(si, row)| {
+            let misses = row.iter().enumerate().filter(|(_, hit)| hit.is_none());
+            misses.map(move |(ci, _)| (si, ci))
+        })
+        .collect();
 
     let jobs = opts.effective_jobs();
-    let next = AtomicUsize::new(0);
-    let busy = AtomicU64::new(0);
-    // (sweep idx, cell idx, run result, elapsed nanos) per finished cell.
-    type Finished = (usize, usize, Result<CellOut, String>, u128);
-    let done: Mutex<Vec<Finished>> = Mutex::new(Vec::with_capacity(tasks.len()));
     let writer = Mutex::new(writer);
+    let run_cell = |(si, ci): (usize, usize)| {
+        let cell = &selected[si].cells[ci];
+        let out = (cell.run)();
+        if let Some(w) = writer.lock().expect("cache writer").as_mut() {
+            // A failed append degrades resumability, not correctness; the
+            // in-memory result survives.
+            let _ = w.append(&selected[si].id, &cell.key, opts.backend, salt, &out);
+        }
+        out
+    };
 
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(tasks.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                let Some(&(si, ci)) = tasks.get(i) else { break };
-                let cell = &selected[si].cells[ci];
-                let start = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| (cell.run)()));
-                let nanos = start.elapsed().as_nanos();
-                busy.fetch_add(nanos as u64, Ordering::Relaxed);
-                let result = match result {
-                    Ok(out) => {
-                        if let Some(w) = writer.lock().expect("cache writer").as_mut() {
-                            // A failed append degrades resumability, not
-                            // correctness; the in-memory result survives.
-                            let _ = w.append(&selected[si].id, &cell.key, opts.backend, salt, &out);
-                        }
-                        Ok(out)
-                    }
-                    Err(payload) => Err(panic_message(payload)),
-                };
-                done.lock().expect("results").push((si, ci, result, nanos));
-            });
-        }
+    let finished: Vec<_> = pool::scope(jobs.min(tasks.len()), run_cell, |pool| {
+        let handles: Vec<_> = tasks.iter().map(|&task| pool.submit(task)).collect();
+        handles.into_iter().map(Handle::wait).collect()
     });
     let wall = t0.elapsed();
 
@@ -306,65 +276,59 @@ pub fn run(sweeps: &[Sweep], opts: &RunOptions) -> Result<RunReport, String> {
         "sweep.cell.micros",
         vec![100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
     );
-    let mut cell_nanos: Vec<u128> = vec![0; selected.len()];
-    let mut executed: Vec<usize> = vec![0; selected.len()];
-    let mut executed_total = 0usize;
-    for (si, ci, result, nanos) in done.into_inner().expect("results") {
-        metrics.observe("sweep.cell.micros", (nanos / 1_000) as u64);
-        cell_nanos[si] += nanos;
-        executed[si] += 1;
-        executed_total += 1;
-        slots[si][ci] = Some(result);
-    }
-
+    // Results come back in task order, which is declaration order.
+    let mut finished = finished.into_iter();
+    let mut busy_nanos = 0u128;
     let mut outcomes = Vec::with_capacity(selected.len());
-    for (si, sweep) in selected.iter().enumerate() {
-        let row = std::mem::take(&mut slots[si]);
-        let mut outs = Vec::with_capacity(row.len());
-        let mut panic = None;
-        for slot in row {
-            match slot.expect("every cell executed or cached") {
+    for (sweep, row) in selected.iter().zip(hits) {
+        let (mut outs, mut panic) = (Vec::with_capacity(row.len()), None);
+        let (mut executed, mut cell_nanos) = (0, 0u128);
+        for hit in row {
+            let result = match hit {
+                Some(out) => Ok(out.clone()),
+                None => {
+                    let (result, nanos) = finished.next().expect("one result per task");
+                    // Panicked cells count too: their time was spent all the same.
+                    metrics.observe("sweep.cell.micros", nanos / 1_000);
+                    cell_nanos += u128::from(nanos);
+                    executed += 1;
+                    result
+                }
+            };
+            match result {
                 Ok(out) => outs.push(out),
                 Err(msg) => {
-                    if panic.is_none() {
-                        panic = Some(msg);
-                    }
+                    panic.get_or_insert(msg);
                 }
             }
         }
+        busy_nanos += cell_nanos;
         let table = if panic.is_none() {
-            match catch_unwind(AssertUnwindSafe(|| (sweep.render)(&outs))) {
-                Ok(table) => Some(table),
-                Err(payload) => {
-                    panic = Some(panic_message(payload));
-                    None
-                }
-            }
+            pool::catch(|| (sweep.render)(&outs))
+                .map_err(|msg| panic = Some(msg))
+                .ok()
         } else {
             None
         };
-        metrics.add(
-            &format!("sweep.cell_nanos.{}", sweep.id),
-            cell_nanos[si] as u64,
-        );
+        metrics.add(&format!("sweep.cell_nanos.{}", sweep.id), cell_nanos as u64);
         outcomes.push(SweepOutcome {
             id: sweep.id.clone(),
             table,
             panic,
             cells: sweep.cells.len(),
-            executed: executed[si],
-            cached: sweep.cells.len() - executed[si],
-            cell_nanos: cell_nanos[si],
+            executed,
+            cached: sweep.cells.len() - executed,
+            cell_nanos,
         });
     }
+    let cached_total: usize = outcomes.iter().map(|o| o.cached).sum();
 
-    metrics.add("sweep.cells.executed", executed_total as u64);
+    metrics.add("sweep.cells.executed", tasks.len() as u64);
     metrics.add("sweep.cells.cached", cached_total as u64);
     metrics.gauge_set("sweep.jobs", jobs as u64);
-    let busy_nanos = busy.load(Ordering::Relaxed) as u128;
     let mut report = RunReport {
         outcomes,
-        executed: executed_total,
+        executed: tasks.len(),
         cached: cached_total,
         jobs,
         wall,

@@ -9,10 +9,10 @@
 //! loop early on a slow machine, so CI determinism checks leave it
 //! unset.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use aem_machine::Backend;
+use aem_obs::pool::catch;
 use aem_workloads::SplitMix64;
 
 use crate::case::FuzzCase;
@@ -137,17 +137,8 @@ impl FuzzReport {
 /// Run one target on one case against one backend, converting panics
 /// into failures.
 pub fn check_case(target: &Target, case: &FuzzCase, backend: Backend) -> Outcome {
-    match catch_unwind(AssertUnwindSafe(|| target.run(case, backend))) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Outcome::Fail(format!("{}: panic: {msg}", target.name))
-        }
-    }
+    catch(|| target.run(case, backend))
+        .unwrap_or_else(|msg| Outcome::Fail(format!("{}: panic: {msg}", target.name)))
 }
 
 /// Run a fuzz session. Returns an error only for invalid options

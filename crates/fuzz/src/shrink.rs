@@ -9,11 +9,11 @@
 //! candidate that still fails the same target. The loop ends when no
 //! candidate fails (a local minimum) or after [`MAX_STEPS`] commits.
 //!
-//! Checks are wrapped in `catch_unwind`, so a candidate that makes the
-//! algorithm panic counts as "still failing" — panics are exactly the
-//! bugs worth keeping.
+//! Checks are wrapped in [`aem_obs::pool::catch`], so a candidate that
+//! makes the algorithm panic counts as "still failing" — panics are
+//! exactly the bugs worth keeping.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use aem_obs::pool::catch;
 
 use crate::case::{DistKind, FuzzCase};
 use crate::targets::Outcome;
@@ -27,9 +27,7 @@ pub fn fails<F>(check: &F, case: &FuzzCase) -> bool
 where
     F: Fn(&FuzzCase) -> Outcome,
 {
-    catch_unwind(AssertUnwindSafe(|| check(case)))
-        .map(|o| o.is_fail())
-        .unwrap_or(true)
+    catch(|| check(case)).map_or(true, |o| o.is_fail())
 }
 
 /// Candidate simplifications of `case`, most aggressive first. Only

@@ -26,6 +26,10 @@
 //!   §3's pointer-rewrite discipline, Lemma 4.1's round structure, and the
 //!   Theorem 4.5 / Theorem 3.2 cost sandwich.
 //!
+//! It also holds the workspace's one worker pool ([`pool`]), shared by the
+//! sweep engine, the job server and its load generator, and its one panic
+//! decoder ([`pool::catch`]).
+//!
 //! Dependency direction: `aem-core` never depends on this crate — its
 //! algorithms only call the no-op phase hooks on `AemAccess`. The CLI, the
 //! benches and the integration tests wrap machines in instrumentation when
@@ -43,6 +47,7 @@ pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod phase;
+pub mod pool;
 pub mod profile;
 pub mod promtext;
 pub mod record;

@@ -1,10 +1,10 @@
 //! # `aem-serve` — a cost-metered multi-tenant job service
 //!
 //! The repo's algorithms, predictors and backends, assembled into one
-//! long-lived system (ROADMAP item 1): a TCP server speaking
-//! length-prefixed JSON frames that accepts batched `sort | permute |
-//! spmv | pq` jobs with per-job `(M, B, ω, n)` machine shapes from many
-//! concurrent tenants.
+//! long-lived system: a TCP server speaking length-prefixed JSON frames
+//! that accepts batched jobs of every registered workload kind (`sort |
+//! permute | spmv | pq | search | scan | matmul | bfs`) with per-job
+//! `(M, B, ω, n)` machine shapes from many concurrent tenants.
 //!
 //! The pipeline per request:
 //!
@@ -17,9 +17,10 @@
 //!    against the tenant's budget; over-budget jobs are rejected or
 //!    parked until a top-up. Decisions are deterministic integers, so the
 //!    sorted admission log is byte-identical across same-seed runs.
-//! 3. **Execution** ([`exec`], [`server`]) — a worker pool (the sweep
-//!    engine's pattern: shared queue, `catch_unwind`, in-order
-//!    reassembly) runs the simulation and meters the actual cost.
+//! 3. **Execution** ([`exec`], [`server`]) — the workspace's one worker
+//!    pool, [`aem_obs::pool`] (shared queue, panics caught per job,
+//!    replies reassembled in declaration order), runs the simulation and
+//!    meters the actual cost.
 //! 4. **Metering** ([`metering`]) — per-tenant JSONL records and a
 //!    Prometheus text exposition via `aem-obs`.
 //!

@@ -11,6 +11,7 @@
 //! `cmp`s both this report and the server's admission log.
 
 use crate::protocol::{exchange, JobKind, JobSpec, Request, Response};
+use aem_obs::pool;
 use aem_workloads::SplitMix64;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -221,24 +222,20 @@ fn tenant_session(opts: &LoadOptions, tix: usize) -> Result<String, String> {
 /// Drive the server with `opts.tenants` concurrent seeded tenants and
 /// return the canonical report (tenant blocks in tenant order).
 pub fn run_load(opts: &LoadOptions) -> Result<String, String> {
-    let mut results: Vec<Option<Result<String, String>>> = Vec::new();
-    results.resize_with(opts.tenants, || None);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..opts.tenants)
-            .map(|tix| s.spawn(move || tenant_session(opts, tix)))
-            .collect();
-        for (tix, h) in handles.into_iter().enumerate() {
-            results[tix] = Some(
-                h.join()
-                    .unwrap_or_else(|_| Err("tenant thread panicked".into())),
-            );
-        }
-    });
-    let mut out = String::new();
-    for r in results {
-        out.push_str(&r.expect("all slots filled")?);
-    }
-    Ok(out)
+    // One worker per tenant, so every session runs concurrently.
+    let run = |tix| tenant_session(opts, tix);
+    let blocks = pool::scope(opts.tenants, run, |tenants| {
+        let handles: Vec<_> = (0..opts.tenants).map(|tix| tenants.submit(tix)).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.wait()
+                    .0
+                    .map_err(|p| format!("tenant thread panicked: {p}"))?
+            })
+            .collect::<Result<Vec<_>, _>>()
+    })?;
+    Ok(blocks.concat())
 }
 
 #[cfg(test)]

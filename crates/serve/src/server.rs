@@ -1,11 +1,17 @@
 //! The long-lived job server.
 //!
 //! One accept loop (non-blocking, polling the shutdown flag), one thread
-//! per connection, and one shared execution pool threaded on the sweep
-//! engine's worker pattern: a shared queue, `catch_unwind` around every
-//! job so a panicking simulation downs one request instead of a worker,
-//! and per-submission reply channels so each connection reassembles its
-//! batch results in declaration order.
+//! per connection, and one shared execution pool: the workspace's
+//! [`aem_obs::pool`], whose shared queue runs every job under
+//! [`aem_obs::pool::catch`] so a panicking simulation downs one request
+//! instead of a worker.
+//!
+//! Every job takes one path in two steps. `admit` prices the job,
+//! checks that it can run and debits the tenant's budget, or settles it
+//! with a `rejected`/`queued` response. A connection submits each admitted
+//! job to the pool as soon as it is admitted, then `finish`es them in
+//! declaration order, metering each completed job. A single `job` is a
+//! batch of one; the jobs a top-up `hello` drains take the same path.
 //!
 //! Shutdown is cooperative: SIGTERM (or a `shutdown` frame) flips one
 //! `AtomicBool`; the accept loop stops taking connections, every
@@ -20,11 +26,10 @@ use crate::planner::{self, Plan};
 use crate::protocol::{
     write_frame, FrameReader, JobOutcome, JobSpec, ReadOutcome, Request, Response,
 };
+use aem_obs::pool;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 /// How the server is run.
@@ -60,11 +65,7 @@ impl Default for ServeOptions {
     }
 }
 
-struct Task {
-    spec: JobSpec,
-    plan: Plan,
-    reply: mpsc::Sender<Result<ExecResult, String>>,
-}
+type Pool = pool::Pool<(JobSpec, Plan), Result<ExecResult, String>>;
 
 struct State {
     admission: Admission,
@@ -92,42 +93,32 @@ pub fn serve(opts: &ServeOptions, shutdown: &AtomicBool) -> Result<String, Strin
         metering: Metering::new(),
         cache: TraceCache::new(),
     };
-    let (tx, rx) = mpsc::channel::<Task>();
-    let rx = Mutex::new(rx);
-
-    std::thread::scope(|s| {
-        for _ in 0..opts.workers.max(1) {
-            s.spawn(|| worker_loop(&rx, &state.cache));
-        }
-        let mut conns = Vec::new();
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let tx = tx.clone();
-                    let state = &state;
-                    conns.push(s.spawn(move || handle_conn(stream, state, tx, shutdown)));
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    eprintln!("accept: {e}");
-                    std::thread::sleep(Duration::from_millis(20));
+    let run = |(spec, plan): (JobSpec, Plan)| execute(&spec, &plan, &state.cache);
+    pool::scope(opts.workers, run, |jobs| {
+        // The scope joins every connection thread at its end, so no handle
+        // is kept per connection; a panicking connection downs only itself.
+        std::thread::scope(|s| {
+            while !shutdown.load(Ordering::SeqCst) {
+                match listener.accept() {
+                    Ok((stream, _peer)) => {
+                        let state = &state;
+                        s.spawn(move || pool::catch(|| handle_conn(stream, state, jobs, shutdown)));
+                    }
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::WouldBlock
+                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                    {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    Err(e) => {
+                        eprintln!("accept: {e}");
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
                 }
             }
-        }
-        drop(listener);
-        for c in conns {
-            let _ = c.join();
-        }
-        drop(tx); // workers observe the closed queue and exit
-    });
+            drop(listener);
+        });
+    }); // the pool closes here: workers drain the queue and exit
 
     if let Some(path) = &opts.admission_log {
         std::fs::write(path, state.admission.log_jsonl())
@@ -148,233 +139,146 @@ pub fn serve(opts: &ServeOptions, shutdown: &AtomicBool) -> Result<String, Strin
     ))
 }
 
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Task>>, cache: &TraceCache) {
-    loop {
-        // Holding the lock while blocked on recv is fine: execution
-        // happens after the guard drops, so only *pickup* serializes —
-        // the same discipline as the sweep engine's shared task index.
-        let task = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(task) = task else { return };
-        let result = catch_unwind(AssertUnwindSafe(|| execute(&task.spec, &task.plan, cache)))
-            .unwrap_or_else(|_| Err("job panicked during execution".into()));
-        let _ = task.reply.send(result);
-    }
-}
-
-/// Submit one admitted job to the pool and wait for its outcome.
-fn run_job(tx: &mpsc::Sender<Task>, spec: &JobSpec, plan: Plan) -> Result<ExecResult, String> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    tx.send(Task {
-        spec: spec.clone(),
-        plan,
-        reply: reply_tx,
-    })
-    .map_err(|_| "execution pool is gone".to_string())?;
-    reply_rx
-        .recv()
-        .map_err(|_| "execution worker died".to_string())?
-}
-
-fn outcome_response(spec: &JobSpec, plan: &Plan, r: ExecResult) -> Response {
-    Response::Done(JobOutcome {
-        id: spec.id,
-        algo: plan.algo.to_string(),
-        backend: plan.backend.name().to_string(),
-        predicted: plan.predicted,
-        measured: r.measured,
-        q: r.measured.q_saturating(spec.omega),
-        checksum: r.checksum,
-    })
-}
-
-/// Admit one job and, if accepted, execute it on the pool.
-fn handle_job(state: &State, tx: &mpsc::Sender<Task>, tenant: &str, spec: &JobSpec) -> Response {
+/// Price, check and admit one job: its plan if accepted, else the
+/// response that settles it.
+fn admit(state: &State, tenant: &str, spec: &JobSpec) -> Result<Plan, Response> {
     let plan = match planner::plan(spec).and_then(|p| planner::executable(spec).map(|_| p)) {
         Ok(p) => p,
         Err(e) => {
             let remaining = state.admission.reject_invalid(tenant, spec, &e);
-            return Response::Rejected {
+            return Err(Response::Rejected {
                 id: spec.id,
                 reason: format!("bad_request: {e}"),
                 q: 0,
                 remaining,
-            };
+            });
         }
     };
     let (decision, remaining) = state.admission.admit(tenant, spec, plan.q);
     match decision {
-        Decision::Accept => match run_job(tx, spec, plan.clone()) {
-            Ok(r) => {
-                state.metering.record_done(
-                    tenant,
-                    r.measured,
-                    r.measured.q_saturating(spec.omega),
-                    r.via_replay,
-                );
-                outcome_response(spec, &plan, r)
-            }
-            Err(e) => Response::Error {
-                message: format!("job {} failed after admission: {e}", spec.id),
-            },
-        },
-        Decision::Queue => Response::Queued {
+        Decision::Accept => Ok(plan),
+        Decision::Queue => Err(Response::Queued {
             id: spec.id,
             q: plan.q,
-        },
-        Decision::Reject | Decision::Drain => Response::Rejected {
+        }),
+        Decision::Reject | Decision::Drain => Err(Response::Rejected {
             id: spec.id,
             reason: "over_budget".into(),
             q: plan.q,
             remaining,
+        }),
+    }
+}
+
+/// Turn one pool result into a metered `done`, or an `error` naming the
+/// job.
+fn finish(
+    state: &State,
+    tenant: &str,
+    spec: &JobSpec,
+    plan: &Plan,
+    result: Result<Result<ExecResult, String>, String>,
+) -> Response {
+    let result = result
+        .map_err(|panic| format!("job panicked during execution: {panic}"))
+        .and_then(|r| r);
+    match result {
+        Ok(r) => {
+            let q = r.measured.q_saturating(spec.omega);
+            state
+                .metering
+                .record_done(tenant, r.measured, q, r.via_replay);
+            Response::Done(JobOutcome {
+                id: spec.id,
+                algo: plan.algo.to_string(),
+                backend: plan.backend.name().to_string(),
+                predicted: plan.predicted,
+                measured: r.measured,
+                q,
+                checksum: r.checksum,
+            })
+        }
+        Err(e) => Response::Error {
+            message: format!("job {} failed after admission: {e}", spec.id),
         },
     }
 }
 
-/// Admit a batch sequentially (so the admission log order is the request
-/// order), then execute the accepted jobs concurrently on the pool and
-/// reassemble replies in declaration order.
-fn handle_batch(
+/// Submit each admitted job as its slot is produced (so admission order is
+/// slot order), then finish every job in slot order: a settled slot is
+/// already its response.
+fn execute_all<'a>(
     state: &State,
-    tx: &mpsc::Sender<Task>,
+    pool: &Pool,
     tenant: &str,
-    jobs: &[JobSpec],
-) -> Response {
-    enum Slot {
-        Ready(Response),
-        Running(JobSpec, Plan, mpsc::Receiver<Result<ExecResult, String>>),
-    }
-    let mut slots = Vec::with_capacity(jobs.len());
-    for spec in jobs {
-        let plan = match planner::plan(spec).and_then(|p| planner::executable(spec).map(|_| p)) {
-            Ok(p) => p,
-            Err(e) => {
-                let remaining = state.admission.reject_invalid(tenant, spec, &e);
-                slots.push(Slot::Ready(Response::Rejected {
-                    id: spec.id,
-                    reason: format!("bad_request: {e}"),
-                    q: 0,
-                    remaining,
-                }));
-                continue;
-            }
-        };
-        let (decision, remaining) = state.admission.admit(tenant, spec, plan.q);
-        match decision {
-            Decision::Accept => {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                if tx
-                    .send(Task {
-                        spec: spec.clone(),
-                        plan: plan.clone(),
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
-                    slots.push(Slot::Ready(Response::Error {
-                        message: "execution pool is gone".into(),
-                    }));
-                    continue;
-                }
-                slots.push(Slot::Running(spec.clone(), plan, reply_rx));
-            }
-            Decision::Queue => slots.push(Slot::Ready(Response::Queued {
-                id: spec.id,
-                q: plan.q,
-            })),
-            Decision::Reject | Decision::Drain => slots.push(Slot::Ready(Response::Rejected {
-                id: spec.id,
-                reason: "over_budget".into(),
-                q: plan.q,
-                remaining,
-            })),
-        }
-    }
-    let results = slots
+    slots: impl IntoIterator<Item = (&'a JobSpec, Result<Plan, Response>)>,
+) -> Vec<Response> {
+    let running: Vec<_> = slots
         .into_iter()
-        .map(|slot| match slot {
-            Slot::Ready(r) => r,
-            Slot::Running(spec, plan, rx) => match rx.recv() {
-                Ok(Ok(r)) => {
-                    state.metering.record_done(
-                        tenant,
-                        r.measured,
-                        r.measured.q_saturating(spec.omega),
-                        r.via_replay,
-                    );
-                    outcome_response(&spec, &plan, r)
-                }
-                Ok(Err(e)) => Response::Error {
-                    message: format!("job {} failed after admission: {e}", spec.id),
-                },
-                Err(_) => Response::Error {
-                    message: format!("job {}: execution worker died", spec.id),
-                },
-            },
+        .map(|(spec, slot)| {
+            let slot = slot.map(|plan| {
+                let handle = pool.submit((spec.clone(), plan.clone()));
+                (plan, handle)
+            });
+            (spec, slot)
         })
         .collect();
-    Response::Batch(results)
+    running
+        .into_iter()
+        .map(|(spec, slot)| match slot {
+            Ok((plan, handle)) => finish(state, tenant, spec, &plan, handle.wait().0),
+            Err(settled) => settled,
+        })
+        .collect()
 }
 
 fn handle_request(
     state: &State,
-    tx: &mpsc::Sender<Task>,
+    pool: &Pool,
     tenant: &mut Option<String>,
     req: Request,
     shutdown: &AtomicBool,
 ) -> Response {
-    if let Request::Hello {
-        tenant: name,
-        budget,
-    } = &req
-    {
-        let (total, drained) = state.admission.hello(name, *budget);
-        *tenant = Some(name.clone());
-        let drained_responses = drained
-            .into_iter()
-            .map(|job| match planner::plan(&job.spec) {
-                Ok(plan) => match run_job(tx, &job.spec, plan.clone()) {
-                    Ok(r) => {
-                        state.metering.record_done(
-                            name,
-                            r.measured,
-                            r.measured.q_saturating(job.spec.omega),
-                            r.via_replay,
-                        );
-                        outcome_response(&job.spec, &plan, r)
-                    }
-                    Err(e) => Response::Error {
-                        message: format!("drained job {} failed: {e}", job.spec.id),
-                    },
-                },
-                Err(e) => Response::Error {
+    let tenant = match req {
+        Request::Hello {
+            tenant: name,
+            budget,
+        } => {
+            let (total, drained) = state.admission.hello(&name, budget);
+            // Drained jobs were admitted when they queued; they only re-plan.
+            let slots = drained.iter().map(|job| {
+                let plan = planner::plan(&job.spec).map_err(|e| Response::Error {
                     message: format!("drained job {} failed to re-plan: {e}", job.spec.id),
-                },
-            })
-            .collect();
-        return Response::HelloOk {
-            budget: total,
-            drained: drained_responses,
-        };
-    }
-    let Some(tenant) = tenant.as_deref() else {
-        return match req {
-            Request::Shutdown => {
-                shutdown.store(true, Ordering::SeqCst);
-                Response::Bye
+                });
+                (&job.spec, plan)
+            });
+            let drained = execute_all(state, pool, &name, slots);
+            *tenant = Some(name);
+            return Response::HelloOk {
+                budget: total,
+                drained,
+            };
+        }
+        Request::Shutdown => {
+            shutdown.store(true, Ordering::SeqCst);
+            return Response::Bye;
+        }
+        _ => match tenant.as_deref() {
+            Some(tenant) => tenant,
+            None => {
+                return Response::Error {
+                    message: "say hello first: {\"type\":\"hello\",\"tenant\":...,\"budget\":...}"
+                        .into(),
+                }
             }
-            _ => Response::Error {
-                message: "say hello first: {\"type\":\"hello\",\"tenant\":...,\"budget\":...}"
-                    .into(),
-            },
-        };
+        },
     };
+    let admitted = |spec| (spec, admit(state, tenant, spec));
     match req {
-        Request::Hello { .. } => unreachable!("handled above"),
-        Request::Job(spec) => handle_job(state, tx, tenant, &spec),
-        Request::Batch(jobs) => handle_batch(state, tx, tenant, &jobs),
+        Request::Job(spec) => execute_all(state, pool, tenant, [admitted(&spec)]).remove(0),
+        Request::Batch(jobs) => {
+            Response::Batch(execute_all(state, pool, tenant, jobs.iter().map(admitted)))
+        }
         Request::Quote(spec) => match planner::plan(&spec) {
             Ok(plan) => {
                 state.metering.record_quote(tenant);
@@ -410,15 +314,11 @@ fn handle_request(
         Request::Metrics => Response::Metrics {
             text: state.metering.prometheus_text(),
         },
-        Request::Shutdown => {
-            shutdown.store(true, Ordering::SeqCst);
-            Response::Bye
-        }
+        Request::Hello { .. } | Request::Shutdown => unreachable!("handled above"),
     }
 }
 
-fn handle_conn(stream: TcpStream, state: &State, tx: mpsc::Sender<Task>, shutdown: &AtomicBool) {
-    let mut stream = stream;
+fn handle_conn(mut stream: TcpStream, state: &State, pool: &Pool, shutdown: &AtomicBool) {
     if stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .is_err()
@@ -431,7 +331,7 @@ fn handle_conn(stream: TcpStream, state: &State, tx: mpsc::Sender<Task>, shutdow
         match reader.poll(&mut stream) {
             Ok(ReadOutcome::Frame(json)) => {
                 let response = match Request::from_json(&json) {
-                    Ok(req) => handle_request(state, &tx, &mut tenant, req, shutdown),
+                    Ok(req) => handle_request(state, pool, &mut tenant, req, shutdown),
                     Err(e) => Response::Error {
                         message: format!("bad request: {e}"),
                     },

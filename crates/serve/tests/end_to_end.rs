@@ -96,6 +96,11 @@ fn spec(id: u64, kind: JobKind, n: usize, payload: bool) -> JobSpec {
     }
 }
 
+fn hello(c: &mut TcpStream, tenant: &str, budget: u64) -> Response {
+    let tenant = tenant.into();
+    exchange(c, &Request::Hello { tenant, budget }).unwrap()
+}
+
 #[test]
 fn basic_session_prices_admits_and_meters() {
     let mut h = boot("basic", false);
@@ -105,14 +110,7 @@ fn basic_session_prices_admits_and_meters() {
     let r = exchange(&mut c, &Request::Stats).unwrap();
     assert!(matches!(r, Response::Error { .. }));
 
-    let r = exchange(
-        &mut c,
-        &Request::Hello {
-            tenant: "alice".into(),
-            budget: 1_000_000,
-        },
-    )
-    .unwrap();
+    let r = hello(&mut c, "alice", 1_000_000);
     assert!(matches!(
         r,
         Response::HelloOk {
@@ -196,43 +194,68 @@ fn over_budget_jobs_queue_and_drain_on_topup() {
     let mut h = boot("queue", true);
     let mut c = h.connect();
 
-    exchange(
-        &mut c,
-        &Request::Hello {
-            tenant: "bob".into(),
-            budget: 10,
-        },
-    )
-    .unwrap();
+    hello(&mut c, "bob", 10);
 
-    // Far beyond 10 units of Q: parked, not rejected.
-    let r = exchange(&mut c, &Request::Job(spec(1, JobKind::Sort, 1024, false))).unwrap();
-    let parked_q = match r {
-        Response::Queued { id: 1, q } => q,
-        other => panic!("expected queued, got {other:?}"),
-    };
-
-    // Top up enough to cover it: the hello carries the drained outcome.
-    let r = exchange(
-        &mut c,
-        &Request::Hello {
-            tenant: "bob".into(),
-            budget: parked_q + 1_000,
-        },
-    )
-    .unwrap();
-    match r {
-        Response::HelloOk { drained, .. } => {
-            assert_eq!(drained.len(), 1);
-            assert!(matches!(&drained[0], Response::Done(o) if o.id == 1));
+    // Far beyond 10 units of Q: parked, not rejected. The second job
+    // queues behind the first (strict per-tenant FIFO).
+    let mut parked_q = 0;
+    for id in [1, 2] {
+        let r = exchange(&mut c, &Request::Job(spec(id, JobKind::Sort, 1024, false))).unwrap();
+        match r {
+            Response::Queued { id: got, q } if got == id => parked_q += q,
+            other => panic!("expected queued, got {other:?}"),
         }
-        other => panic!("expected hello_ok, got {other:?}"),
     }
+
+    // Top up enough to cover both: the hello carries the drained outcomes,
+    // run concurrently on the pool and reported in queue order.
+    let r = hello(&mut c, "bob", parked_q + 1_000);
+    let Response::HelloOk { drained, .. } = r else {
+        panic!("expected hello_ok, got {r:?}")
+    };
+    assert!(
+        matches!(&drained[..], [Response::Done(a), Response::Done(b)] if (a.id, b.id) == (1, 2)),
+        "{drained:?}"
+    );
 
     h.stop();
     let log = h.file("admission.jsonl");
     assert!(log.contains("\"decision\":\"queue\""));
     assert!(log.contains("\"decision\":\"drain\""));
+}
+
+#[test]
+fn a_job_answers_as_a_batch_of_one() {
+    let mut h = boot("twin", false);
+    let (mut a, mut b) = (h.connect(), h.connect());
+    hello(&mut a, "twin-a", 1_000_000);
+    hello(&mut b, "twin-b", 1_000_000);
+    let mut singles = Vec::new();
+    for s in [
+        spec(1, JobKind::Sort, 512, true),
+        spec(2, JobKind::Pq, 256, false),
+        spec(3, JobKind::Sort, 0, true),          // bad_request
+        spec(4, JobKind::Permute, 1 << 20, true), // over budget
+    ] {
+        let single = exchange(&mut a, &Request::Job(s.clone())).unwrap();
+        let batch = exchange(&mut b, &Request::Batch(vec![s])).unwrap();
+        assert_eq!(Response::Batch(vec![single.clone()]), batch);
+        singles.push(single);
+    }
+    // Every kind of answer was compared: done, bad request, over budget.
+    assert!(
+        matches!(
+            &singles[..],
+            [
+                Response::Done(_),
+                Response::Done(_),
+                Response::Rejected { id: 3, .. },
+                Response::Rejected { id: 4, .. },
+            ]
+        ),
+        "{singles:?}"
+    );
+    h.stop();
 }
 
 #[test]
