@@ -2,7 +2,8 @@
 //! dependency; the workspace's allowed-crates policy keeps the CLI surface
 //! tiny anyway).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// `true` if `tok` looks like a (possibly negative, possibly fractional)
 /// number rather than an option. `-1`, `-2.5` and `-1e3` are values;
@@ -13,7 +14,8 @@ fn is_number(tok: &str) -> bool {
 
 /// Parsed arguments: a subcommand, an optional operand (second
 /// positional, e.g. `profile sort`), plus `--key value` / `--key=value`
-/// options and bare `--flag` switches.
+/// options and bare `--flag` switches. Every lookup is remembered, so a
+/// command can refuse the options it never read ([`Args::unread`]).
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first non-flag token).
@@ -23,6 +25,11 @@ pub struct Args {
     pub operand: Option<String>,
     opts: HashMap<String, String>,
     flags: Vec<String>,
+    read: RefCell<HashSet<String>>,
+    /// Test hook: stop a command where it has read its options, before it
+    /// does any work (see `commands::reject_unread`).
+    #[cfg(test)]
+    pub dry_run: bool,
 }
 
 impl Args {
@@ -73,12 +80,13 @@ impl Args {
 
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.opts.get(key).map(|s| s.as_str())
     }
 
     /// A parsed option with a default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.opts.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -88,7 +96,19 @@ impl Args {
 
     /// A bare `--flag`.
     pub fn flag(&self, key: &str) -> bool {
+        self.read.borrow_mut().insert(key.to_string());
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// The options and flags given that no lookup has read, sorted.
+    pub fn unread(&self) -> Vec<&str> {
+        let read = self.read.borrow();
+        let mut out: Vec<&str> = (self.opts.keys().chain(&self.flags))
+            .map(String::as_str)
+            .filter(|k| !read.contains(*k))
+            .collect();
+        out.sort_unstable();
+        out
     }
 }
 
@@ -179,6 +199,20 @@ mod tests {
         let a = Args::parse(toks("x --n 5 --verbose")).unwrap();
         assert_eq!(a.get("n"), Some("5"));
         assert!(a.flag("verbose"));
+    }
+
+    #[test]
+    fn unread_lists_what_no_lookup_touched() {
+        let a = Args::parse(toks("run sort --n 8 --dist reversed --verbose --algo=aem")).unwrap();
+        assert_eq!(a.unread(), vec!["algo", "dist", "n", "verbose"]);
+        assert_eq!(a.get_or("n", 0usize).unwrap(), 8);
+        assert_eq!(a.get("algo"), Some("aem"));
+        // Looking up an absent key or flag reads it without adding it.
+        assert_eq!(a.get("input"), None);
+        assert!(!a.flag("quick"));
+        assert_eq!(a.unread(), vec!["dist", "verbose"]);
+        assert!(a.flag("verbose"));
+        assert_eq!(a.unread(), vec!["dist"]);
     }
 
     #[test]

@@ -1,30 +1,18 @@
 //! `aemsim` subcommand implementations. Each returns its report as a
 //! `String` so the handlers are unit-testable without capturing stdout.
 
-use aem_core::bounds::predict;
 use aem_core::bounds::{flash as fbounds, permute as pbounds, spmv as sbounds};
-use aem_core::permute::{
-    permute_auto, permute_by_sort, permute_by_sort_on, permute_naive, DestTagged,
-};
-use aem_core::pq::replacement_select;
 use aem_core::relational::{group_aggregate, sort_merge_join, Tuple};
-use aem_core::sort::{distribution_sort, em_merge_sort, heap_sort, merge_sort, sort_via_pq};
-use aem_core::spmv::{
-    install_instance, reference_multiply, spmv_direct, spmv_direct_on, spmv_sorted, spmv_sorted_on,
-    MatEntry, SpmvInstance, U64Ring,
-};
 use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
 use aem_flash::driver::naive_atom_permutation;
 use aem_flash::verify_lemma_4_3;
 use aem_fuzz::{DistKind, FuzzCase, FuzzOptions};
-use aem_machine::{AemAccess, AemConfig, Backend, Cost, Machine};
+use aem_machine::{AemAccess, AemConfig, Backend, Machine};
 use aem_obs::{
-    render_markdown, render_text, run_all, tail_from_record, InstrumentedMachine, Profile,
-    ProfileHarness, RunRecord, WorkloadMeta,
+    render_markdown, render_text, run_all, tail_from_record, Profile, ProfileHarness, RunRecord,
 };
-use aem_workloads::{perm, Conformation, KeyDist, MatrixShape, PermKind};
-
 use aem_serve::{install_shutdown_signals, run_load, serve, LoadOptions, ServeOptions};
+use aem_workloads::{KeyDist, PermKind};
 
 use crate::args::Args;
 
@@ -51,288 +39,44 @@ pub fn machine_config(args: &Args) -> Result<AemConfig, String> {
     AemConfig::new(mem, block, omega).map_err(|e| e.to_string())
 }
 
-fn key_dist(args: &Args, seed: u64) -> Result<KeyDist, String> {
-    Ok(match args.get("dist").unwrap_or("uniform") {
-        "uniform" => KeyDist::Uniform { seed },
-        "sorted" => KeyDist::Sorted,
-        "reversed" => KeyDist::Reversed,
-        "few-distinct" => KeyDist::FewDistinct { distinct: 16, seed },
-        "organ-pipe" => KeyDist::OrganPipe,
-        other => return Err(format!("unknown --dist '{other}'")),
-    })
+/// The input-shape options of the per-kind commands that `run --input`
+/// replaced; an unread one gets a pointer to `--input`.
+const FOLDED_INTO_INPUT: [&str; 6] = ["dist", "kind", "rows", "shape", "bandwidth", "mblock"];
+
+/// Fail on any `--key` or `--flag` the command has not read. Every command
+/// calls this once it has read all of its options and before it does any
+/// work, so a misspelt option never runs, writes or binds anything.
+fn reject_unread(args: &Args) -> Result<(), String> {
+    let unread = args.unread();
+    if !unread.is_empty() {
+        let cmd = args.command.as_deref().unwrap_or("aemsim");
+        let names: Vec<String> = unread.iter().map(|k| format!("--{k}")).collect();
+        let mut msg = format!("{cmd} does not take {}", names.join(", "));
+        if matches!(cmd, "run" | "profile") && unread.iter().any(|k| FOLDED_INTO_INPUT.contains(k))
+        {
+            msg.push_str(
+                "; name the instance with --input NAME (`aemsim --help` lists each kind's inputs)",
+            );
+        }
+        return Err(msg);
+    }
+    #[cfg(test)]
+    if args.dry_run {
+        return Err(DRY_RUN.into());
+    }
+    Ok(())
 }
 
-fn perm_kind(args: &Args, n: usize, seed: u64) -> Result<PermKind, String> {
-    Ok(match args.get("kind").unwrap_or("random") {
-        "random" => PermKind::Random { seed },
-        "identity" => PermKind::Identity,
-        "reverse" => PermKind::Reverse,
-        "bit-reversal" => {
-            if !n.is_power_of_two() {
-                return Err("--kind bit-reversal requires a power-of-two --n".into());
-            }
-            PermKind::BitReversal
-        }
-        "transpose" => {
-            let rows = args.get_or("rows", (n as f64).sqrt() as usize)?;
-            if rows == 0 || n % rows != 0 {
-                return Err("--kind transpose requires --rows dividing --n".into());
-            }
-            PermKind::Transpose { rows }
-        }
-        other => return Err(format!("unknown --kind '{other}'")),
-    })
-}
-
-fn cost_line(label: &str, cost: Cost, omega: u64) -> String {
-    format!(
-        "{label:<24} {: >10} reads  {: >10} writes  Q = {}\n",
-        cost.reads,
-        cost.writes,
-        cost.q(omega)
-    )
-}
-
-/// `aemsim sort` — run one (or all) sorter on a generated workload.
-pub fn cmd_sort(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 100_000usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let input = key_dist(args, seed)?.generate(n);
-    let algo = args.get("algo").unwrap_or("all");
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: sort N={n} ({})\n\n",
-        args.get("dist").unwrap_or("uniform")
-    );
-    let mut run = |name: &str, which: &str| -> Result<(), String> {
-        let mut m: Machine<u64> = Machine::new(cfg);
-        let r = m.install(&input);
-        let sorted = match which {
-            "aem" => merge_sort(&mut m, r),
-            "em" => em_merge_sort(&mut m, r),
-            "dist" => distribution_sort(&mut m, r),
-            "heap" => heap_sort(&mut m, r),
-            "pq" => sort_via_pq(&mut m, r),
-            _ => unreachable!(),
-        }
-        .map_err(|e| e.to_string())?;
-        let got = m.inspect(sorted);
-        if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
-            return Err(format!("{name}: output verification failed"));
-        }
-        out.push_str(&cost_line(name, m.cost(), cfg.omega));
-        Ok(())
-    };
-    match algo {
-        "all" => {
-            run("AEM mergesort (§3)", "aem")?;
-            run("EM mergesort", "em")?;
-            run("distribution sort", "dist")?;
-            run("heapsort (ext. PQ)", "heap")?;
-            run("PQ sort (buffered)", "pq")?;
-        }
-        "aem" | "em" | "dist" | "heap" | "pq" => run(algo, algo)?,
-        other => {
-            return Err(format!(
-                "unknown --algo '{other}' (aem|em|dist|heap|pq|all)"
-            ))
-        }
-    }
-    let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
-    out.push_str(&format!(
-        "\nThm 4.5 lower bound (applies to sorting): {lb:.0}\n"
-    ));
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of one sorter (the chosen one, or the §3
-        // mergesort under --algo all) to capture the full run record.
-        let which = if algo == "all" { "aem" } else { algo };
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
-        let r = im.inner_mut().install(&input);
-        let sorted = match which {
-            "aem" => merge_sort(&mut im, r),
-            "em" => em_merge_sort(&mut im, r),
-            "dist" => distribution_sort(&mut im, r),
-            "heap" => heap_sort(&mut im, r),
-            "pq" => sort_via_pq(&mut im, r),
-            _ => unreachable!(),
-        }
-        .map_err(|e| e.to_string())?;
-        let got = im.inner().inspect(sorted);
-        if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
-            return Err(format!("{which}: output verification failed"));
-        }
-        let rec = im.into_record(WorkloadMeta::new("sort", which, n as u64));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
-}
-
-/// `aemsim permute` — run the permuting strategies and compare with bounds.
-pub fn cmd_permute(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 65_536usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let kind = perm_kind(args, n, seed)?;
-    let pi = kind.generate(n);
-    let values: Vec<u64> = (0..n as u64).collect();
-    let want = perm::apply(&pi, &values);
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: permute N={n} ({})\n\n",
-        kind.label()
-    );
-    let naive = permute_naive(cfg, &values, &pi).map_err(|e| e.to_string())?;
-    if naive.output != want {
-        return Err("naive: verification failed".into());
-    }
-    out.push_str(&cost_line("naive gather", naive.cost, cfg.omega));
-    let sort = permute_by_sort(cfg, &values, &pi).map_err(|e| e.to_string())?;
-    if sort.output != want {
-        return Err("by-sort: verification failed".into());
-    }
-    out.push_str(&cost_line("by sorting (§3)", sort.cost, cfg.omega));
-    let (auto, strategy) = permute_auto(cfg, &values, &pi).map_err(|e| e.to_string())?;
-    out.push_str(&cost_line(
-        &format!("auto → {strategy:?}"),
-        auto.cost,
-        cfg.omega,
-    ));
-
-    let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
-    let branch = pbounds::active_branch(n as u64, cfg);
-    let flash = fbounds::flash_reduction_cost_bound(n as u64, cfg);
-    out.push_str(&format!(
-        "\nThm 4.5 counting bound: {lb:.0} (active branch: {branch:?}); best measured/bound = {:.1}\n",
-        naive.q().min(sort.q()) as f64 / lb.max(1.0)
-    ));
-    if flash > 0.0 {
-        out.push_str(&format!("Cor 4.4 flash-reduction bound: {flash:.0}\n"));
-    }
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of the sort-based permuter.
-        let tagged: Vec<DestTagged<u64>> = values
-            .iter()
-            .zip(pi.iter())
-            .map(|(v, &d)| DestTagged {
-                dest: d as u64,
-                value: *v,
-            })
-            .collect();
-        let mut im = InstrumentedMachine::new(Machine::<DestTagged<u64>>::new(cfg));
-        let input = im.inner_mut().install(&tagged);
-        let outr = permute_by_sort_on(&mut im, input).map_err(|e| e.to_string())?;
-        let got: Vec<u64> = im
-            .inner()
-            .inspect(outr)
-            .into_iter()
-            .map(|t| t.value)
-            .collect();
-        if got != want {
-            return Err("by-sort (instrumented): verification failed".into());
-        }
-        let rec = im.into_record(WorkloadMeta::new("permute", "by_sort", n as u64));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
-}
-
-/// `aemsim spmv` — run both SpMxV programs on a generated conformation.
-pub fn cmd_spmv(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 4096usize)?;
-    let delta = args.get_or("delta", 4usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let shape = match args.get("shape").unwrap_or("random") {
-        "random" => MatrixShape::Random { seed },
-        "banded" => MatrixShape::Banded {
-            bandwidth: args.get_or("bandwidth", 4 * delta)?,
-            seed,
-        },
-        "block-diagonal" => MatrixShape::BlockDiagonal {
-            block: args.get_or("mblock", (2 * delta).max(8))?,
-            seed,
-        },
-        other => return Err(format!("unknown --shape '{other}'")),
-    };
-    let conf = Conformation::generate(shape, n, delta);
-    let a: Vec<U64Ring> = (0..conf.nnz())
-        .map(|i| U64Ring((i as u64 * 37 + 1) % 97))
-        .collect();
-    let x: Vec<U64Ring> = (0..n).map(|j| U64Ring((j as u64 * 13 + 5) % 89)).collect();
-    let want = reference_multiply(&conf, &a, &x);
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: SpMxV {n}x{n}, δ={delta} (H={}), {} conformation\n\n",
-        conf.nnz(),
-        args.get("shape").unwrap_or("random")
-    );
-    let d = spmv_direct(cfg, &conf, &a, &x).map_err(|e| e.to_string())?;
-    if d.output != want {
-        return Err("direct: verification failed".into());
-    }
-    out.push_str(&cost_line("direct O(H + ωn)", d.cost, cfg.omega));
-    let s = spmv_sorted(cfg, &conf, &a, &x).map_err(|e| e.to_string())?;
-    if s.output != want {
-        return Err("sorted: verification failed".into());
-    }
-    out.push_str(&cost_line("sorting-based (§5)", s.cost, cfg.omega));
-
-    let lb = sbounds::spmv_cost_lower_bound(n as u64, delta as u64, cfg);
-    let applies = sbounds::theorem_applies(n as u64, delta as u64, cfg, 0.05);
-    out.push_str(&format!(
-        "\nThm 5.1 bound: {lb:.0} (parameter range {}); best measured/bound = {}\n",
-        if applies {
-            "satisfied"
-        } else {
-            "NOT satisfied — bound informational"
-        },
-        if lb > 0.0 {
-            format!("{:.1}", d.q().min(s.q()) as f64 / lb)
-        } else {
-            "—".into()
-        },
-    ));
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of the chosen SpMxV program (sorted by
-        // default — it is the paper's §5 upper bound).
-        let which = args.get("algo").unwrap_or("sorted");
-        let inst = SpmvInstance {
-            conf: &conf,
-            a_vals: &a,
-            x: &x,
-        };
-        let mut im = InstrumentedMachine::new(Machine::<MatEntry<U64Ring>>::new(cfg));
-        let (ar, xr) = install_instance(im.inner_mut(), &inst);
-        let y = match which {
-            "sorted" => spmv_sorted_on(&mut im, &conf, ar, xr),
-            "direct" => spmv_direct_on(&mut im, &conf, ar, xr),
-            other => return Err(format!("unknown --algo '{other}' (sorted|direct)")),
-        }
-        .map_err(|e| e.to_string())?;
-        let got: Vec<U64Ring> = im.inner().inspect(y).into_iter().map(|e| e.val).collect();
-        if got != want {
-            return Err(format!("{which} (instrumented): verification failed"));
-        }
-        let rec = im.into_record(WorkloadMeta::with_delta(
-            "spmv",
-            which,
-            n as u64,
-            delta as u64,
-        ));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
-}
+/// What [`reject_unread`] returns under [`Args::dry_run`].
+#[cfg(test)]
+const DRY_RUN: &str = "dry run: options accepted";
 
 /// `aemsim bounds` — print every bound value for a parameter point.
 pub fn cmd_bounds(args: &Args) -> Result<String, String> {
     let cfg = machine_config(args)?;
     let n = args.get_or("n", 1u64 << 20)?;
     let delta = args.get_or("delta", 8u64)?;
+    reject_unread(args)?;
     let cb = pbounds::counting_rounds(n, cfg);
     let mut out = format!("machine: {cfg}, N = {n}\n\n");
     out.push_str(&format!(
@@ -368,6 +112,7 @@ pub fn cmd_lemma43(args: &Args) -> Result<String, String> {
     let cfg = machine_config(args)?;
     let n = args.get_or("n", 4096usize)?;
     let seed = args.get_or("seed", 1u64)?;
+    reject_unread(args)?;
     let pi = PermKind::Random { seed }.generate(n);
     let (prog, _) = naive_atom_permutation(cfg, &pi).map_err(|e| e.to_string())?;
     if !prog.realizes(&pi) {
@@ -394,6 +139,7 @@ pub fn cmd_join(args: &Args) -> Result<String, String> {
     let n_right = args.get_or("right", 5_000usize)?;
     let keys = args.get_or("keys", 1_000u64)?;
     let seed = args.get_or("seed", 1u64)?;
+    reject_unread(args)?;
 
     let left: Vec<Tuple<u64>> = KeyDist::Zipf {
         distinct: keys,
@@ -439,147 +185,11 @@ pub fn cmd_join(args: &Args) -> Result<String, String> {
     ))
 }
 
-/// `aemsim trace` — record an algorithm's I/O trace and report its
-/// structure (the §2 program view of an execution).
-pub fn cmd_trace(args: &Args) -> Result<String, String> {
-    use aem_machine::rounds::{round_based_cost, round_decompose};
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 16_384usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let input = key_dist(args, seed)?.generate(n);
-    let algo = args.get("algo").unwrap_or("aem");
-
-    let mut m: Machine<u64> = Machine::new(cfg);
-    let r = m.install(&input);
-    m.start_trace();
-    match algo {
-        "aem" => drop(merge_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "em" => drop(em_merge_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "dist" => drop(distribution_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "heap" => drop(heap_sort(&mut m, r).map_err(|e| e.to_string())?),
-        "pq" => drop(sort_via_pq(&mut m, r).map_err(|e| e.to_string())?),
-        other => return Err(format!("unknown --algo '{other}' (aem|em|dist|heap|pq)")),
-    }
-    let trace = m.take_trace().ok_or("no trace recorded")?;
-    let stats = trace.stats();
-    let rounds = round_decompose(&trace, cfg);
-    let q = trace.cost().q(cfg.omega);
-    let q_rb = round_based_cost(&trace, cfg).q(cfg.omega);
-
-    let mut extra = String::new();
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run with full phase attribution (the plain
-        // machine trace above has no phase spans).
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
-        let r = im.inner_mut().install(&input);
-        match algo {
-            "aem" => drop(merge_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "em" => drop(em_merge_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "dist" => drop(distribution_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "heap" => drop(heap_sort(&mut im, r).map_err(|e| e.to_string())?),
-            "pq" => drop(sort_via_pq(&mut im, r).map_err(|e| e.to_string())?),
-            _ => unreachable!(),
-        }
-        let rec = im.into_record(WorkloadMeta::new("sort", algo, n as u64));
-        extra = export_record(path, &rec)?;
-    }
-
-    Ok(format!(
-        "machine: {cfg}\n\
-         program: {algo} sort of N={n} ({} events)\n\n\
-         data I/O:   {} reads, {} writes\n\
-         aux  I/O:   {} reads, {} writes  ({:.1}% of all I/O)\n\
-         distinct blocks read: {}; max re-reads of one block: {}\n\
-         I/O volume: {} elements\n\n\
-         Q = {}\n\
-         ωm-rounds (greedy decomposition): {}\n\
-         Lemma 4.1 round-based conversion cost: {} ({:.2}x)\n{extra}",
-        trace.len(),
-        stats.data_reads,
-        stats.data_writes,
-        stats.aux_reads,
-        stats.aux_writes,
-        100.0 * stats.aux_fraction(),
-        stats.distinct_blocks_read,
-        stats.max_rereads,
-        stats.volume,
-        q,
-        rounds.len(),
-        q_rb,
-        q_rb as f64 / q.max(1) as f64,
-    ))
-}
-
-/// `aemsim pq` — exercise the buffered external priority queue: one
-/// replacement-selection pass over the workload, then a full
-/// insert-all/extract-all sort reported against the exact-schedule
-/// predictor and the §3 mergesort.
-pub fn cmd_pq(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n = args.get_or("n", 65_536usize)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let input = key_dist(args, seed)?.generate(n);
-
-    let mut out = format!(
-        "machine: {cfg}\nworkload: pq N={n} ({})\n\n",
-        args.get("dist").unwrap_or("uniform")
-    );
-
-    // One replacement-selection pass: the run-generation workload.
-    let mut m: Machine<u64> = Machine::new(cfg);
-    let r = m.install(&input);
-    let (runs, stats) = replacement_select(&mut m, r).map_err(|e| e.to_string())?;
-    if runs.iter().map(|r| r.elems).sum::<usize>() != n {
-        return Err("run generation: element count mismatch".into());
-    }
-    let avg = n as f64 / stats.runs.max(1) as f64;
-    out.push_str(&format!(
-        "run generation (replacement selection, h = {}):\n  {} runs, avg length {:.1} ({:.2}x h)\n",
-        stats.heap_capacity,
-        stats.runs,
-        avg,
-        avg / stats.heap_capacity as f64,
-    ));
-    out.push_str(&cost_line("  single pass", m.cost(), cfg.omega));
-
-    // Full sort through the queue, against the predictor and mergesort.
-    let mut mp: Machine<u64> = Machine::new(cfg);
-    let rp = mp.install(&input);
-    let sorted = sort_via_pq(&mut mp, rp).map_err(|e| e.to_string())?;
-    let got = mp.inspect(sorted);
-    if !got.windows(2).all(|w| w[0] <= w[1]) || got.len() != n {
-        return Err("pq sort: output verification failed".into());
-    }
-    let mut mm: Machine<u64> = Machine::new(cfg);
-    let rm = mm.install(&input);
-    merge_sort(&mut mm, rm).map_err(|e| e.to_string())?;
-    out.push('\n');
-    out.push_str(&cost_line("PQ sort (buffered)", mp.cost(), cfg.omega));
-    out.push_str(&cost_line("AEM mergesort (§3)", mm.cost(), cfg.omega));
-    let pred = predict::pq_sort_cost(cfg, n);
-    out.push_str(&format!(
-        "\nexact-schedule predictor: Q = {} (measured = {:.0}% of predicted)\nQ(PQ) / Q(mergesort) = {:.2}\n",
-        pred.q(cfg.omega),
-        100.0 * mp.cost().q(cfg.omega) as f64 / pred.q(cfg.omega).max(1) as f64,
-        mp.cost().q(cfg.omega) as f64 / mm.cost().q(cfg.omega).max(1) as f64,
-    ));
-
-    if let Some(path) = args.get("trace-out") {
-        // Instrumented re-run of the PQ-backed sorter.
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
-        let r = im.inner_mut().install(&input);
-        sort_via_pq(&mut im, r).map_err(|e| e.to_string())?;
-        let rec = im.into_record(WorkloadMeta::new("sort", "pq", n as u64));
-        out.push_str(&export_record(path, &rec)?);
-    }
-    Ok(out)
-}
-
 /// Parse the `--backend {vec,arena,ghost,trace}` option (default: vec).
-fn parse_backend(args: &Args) -> Result<aem_machine::Backend, String> {
+fn parse_backend(args: &Args) -> Result<Backend, String> {
     match args.get("backend") {
-        None => Ok(aem_machine::Backend::Vec),
-        Some(name) => aem_machine::Backend::from_name(name),
+        None => Ok(Backend::Vec),
+        Some(name) => Backend::from_name(name),
     }
 }
 
@@ -600,6 +210,8 @@ pub fn cmd_exp(args: &Args) -> Result<String, String> {
         backend,
     };
     let quick = args.flag("quick");
+    let stats = args.flag("stats");
+    reject_unread(args)?;
     let sweeps = aem_bench::exp::all_sweeps(quick, backend);
     let report = aem_bench::sweep::run(&sweeps, &opts)?;
 
@@ -621,7 +233,7 @@ pub fn cmd_exp(args: &Args) -> Result<String, String> {
         report.executed,
         report.cached
     ));
-    if args.flag("stats") {
+    if stats {
         out.push('\n');
         out.push_str(&report.stats_table().to_markdown());
     }
@@ -657,6 +269,7 @@ fn render_fuzz_replay(
 ///   reports emit as their one-line repro command.
 pub fn cmd_fuzz(args: &Args) -> Result<String, String> {
     if let Some(path) = args.get("replay") {
+        reject_unread(args)?;
         let entry = aem_fuzz::corpus::load_file(std::path::Path::new(path))?;
         let outcome = aem_fuzz::corpus::replay(&entry)?;
         return render_fuzz_replay(&entry.target, &entry.case, outcome);
@@ -679,7 +292,9 @@ pub fn cmd_fuzz(args: &Args) -> Result<String, String> {
             dist,
             delta: args.get_or("delta", 4usize)?,
         };
-        let outcome = aem_fuzz::runner::replay_on(target, &case, parse_backend(args)?)?;
+        let backend = parse_backend(args)?;
+        reject_unread(args)?;
+        let outcome = aem_fuzz::runner::replay_on(target, &case, backend)?;
         return render_fuzz_replay(target, &case, outcome);
     }
 
@@ -701,9 +316,11 @@ pub fn cmd_fuzz(args: &Args) -> Result<String, String> {
                 .collect()
         }),
     };
+    let repro_out = args.get("repro-out");
+    reject_unread(args)?;
     let report = aem_fuzz::run(&opts)?;
     if let Some(f) = &report.failure {
-        if let Some(path) = args.get("repro-out") {
+        if let Some(path) = repro_out {
             std::fs::write(path, format!("{}\n", f.repro_json()))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
@@ -721,14 +338,16 @@ pub fn cmd_report(args: &Args) -> Result<String, String> {
     let path = args
         .get("in")
         .ok_or("report requires --in FILE (a --trace-out export)")?;
+    let render = match args.get("format").unwrap_or("text") {
+        "text" => render_text,
+        "md" | "markdown" => render_markdown,
+        other => return Err(format!("unknown --format '{other}' (text|md)")),
+    };
+    reject_unread(args)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let rec = RunRecord::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
     let checks = run_all(&rec);
-    let rendered = match args.get("format").unwrap_or("text") {
-        "text" => render_text(&rec, &checks),
-        "md" | "markdown" => render_markdown(&rec, &checks),
-        other => return Err(format!("unknown --format '{other}' (text|md)")),
-    };
+    let rendered = render(&rec, &checks);
     if let Some(bad) = checks.iter().find(|c| !c.passed) {
         return Err(format!(
             "{rendered}\npaper-invariant checker FAILED: {} — {}\n{}",
@@ -749,69 +368,61 @@ fn workload_names() -> String {
         .join("|")
 }
 
-/// Resolve the shared registry options (`--n --delta --algo --seed`) for
-/// one workload operand into a validated run context. Defaults come from
-/// the kind's descriptor, so each registered kind names its own
-/// canonical profile shape.
-fn registry_ctx(kind: WorkloadKind, args: &Args) -> Result<RunCtx, String> {
+/// Resolve the shared registry options (`--n --delta --algo --seed
+/// --input`) for one workload operand into a validated run context.
+/// Defaults come from the kind's descriptor, so each registered kind
+/// names its own canonical shape and default input.
+fn registry_ctx(args: &Args) -> Result<RunCtx, String> {
+    let cmd = args.command.as_deref().unwrap_or("run");
+    let workload = args.operand.as_deref().ok_or_else(|| {
+        format!(
+            "{cmd} requires a workload operand: aemsim {cmd} {} [--algo --n --delta --input --backend ...]",
+            workload_names()
+        )
+    })?;
+    let kind = WorkloadKind::from_name(workload)?;
     let w = kind.descriptor();
     let cfg = machine_config(args)?;
     let n = args.get_or("n", w.profile_n)?;
     let delta = args.get_or("delta", w.default_delta)?;
     let seed = args.get_or("seed", 1u64)?;
     let algo = args.get("algo").unwrap_or(w.default_algo);
-    RunCtx::new(kind, algo, cfg, n, delta, seed)
-}
-
-/// Build the instrumented run record — plus the live flight-recorder
-/// tail, which only exists machine-side — for one `profile` workload on
-/// one backend.
-///
-/// Fully registry-driven: the kind name, algorithm menu, shape defaults,
-/// and ghost policy all come from the `Workload` descriptor, so a newly
-/// registered kind is profilable with zero edits here.
-fn profile_record(
-    workload: &str,
-    backend: Backend,
-    args: &Args,
-) -> Result<(RunRecord, String), String> {
-    let kind = WorkloadKind::from_name(workload).map_err(|_| {
-        format!(
-            "unknown profile workload '{workload}' ({})",
-            workload_names()
-        )
-    })?;
-    let ctx = registry_ctx(kind, args)?;
-    // The cost-only backend carries no payloads: algorithms whose
-    // schedule routes on data refuse it (the registry says which).
-    if !backend.carries_payload() && !ctx.algo.ghost_runnable {
-        return Err(format!(
-            "profile {}/{} {}; use --backend vec|arena",
-            kind.name(),
-            ctx.algo.name,
-            ctx.algo.ghost_note
-        ));
+    let ctx = RunCtx::new(kind, algo, cfg, n, delta, seed)?;
+    match args.get("input") {
+        Some(name) => ctx.with_input(name),
+        None => Ok(ctx),
     }
-    let p = run_workload(&ctx, &mut ProfileHarness { backend }).map_err(|e| e.to_string())?;
-    Ok((p.record, p.flight_jsonl))
 }
 
-/// `aemsim run <workload>` — execute a registered workload live and
-/// report the measured cost next to the registry's priced candidate
-/// menu (every predictor that accepts this config, cheapest flagged).
+/// `aemsim run <workload>` — execute a registered workload on the input
+/// `--input` names and report the measured cost, Theorem 4.5's lower
+/// bound where it applies, and the registry's priced candidate menu
+/// (every predictor that accepts this config, cheapest flagged). With
+/// `--trace-out FILE` the run is instrumented and its record exported.
 pub fn cmd_run(args: &Args) -> Result<String, String> {
-    let workload = args.operand.as_deref().ok_or_else(|| {
-        format!(
-            "run requires a workload operand: aemsim run {} [--algo --n --delta --backend ...]",
-            workload_names()
-        )
-    })?;
-    let kind = WorkloadKind::from_name(workload)?;
-    let w = kind.descriptor();
     let backend = parse_backend(args)?;
-    let ctx = registry_ctx(kind, args)?;
-    let (cost, checksum) =
-        run_workload(&ctx, &mut LiveHarness { backend }).map_err(|e| e.to_string())?;
+    let ctx = registry_ctx(args)?;
+    let trace_out = args.get("trace-out");
+    reject_unread(args)?;
+    let w = ctx.kind.descriptor();
+    let omega = ctx.cfg.omega;
+    let (cost, checksum, export) = match trace_out {
+        None => {
+            let (cost, checksum) =
+                run_workload(&ctx, &mut LiveHarness { backend }).map_err(|e| e.to_string())?;
+            (cost, checksum, String::new())
+        }
+        Some(path) => {
+            ctx.check_ghost(backend).map_err(|e| e.to_string())?;
+            let p =
+                run_workload(&ctx, &mut ProfileHarness { backend }).map_err(|e| e.to_string())?;
+            (
+                p.record.trace.cost(),
+                p.checksum,
+                export_record(path, &p.record)?,
+            )
+        }
+    };
 
     let delta_note = if w.requires_delta {
         format!(", {} = {}", w.delta_name, ctx.delta)
@@ -819,14 +430,26 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
         String::new()
     };
     let mut out = format!(
-        "machine: {}\nworkload: {}/{} N={}{delta_note} backend={}\n\n",
+        "machine: {}\nworkload: {}/{} N={}{delta_note} input={} backend={}\n\n",
         ctx.cfg,
-        kind.name(),
+        w.name,
         ctx.algo.name,
         ctx.n,
+        ctx.input,
         backend.name(),
     );
-    out.push_str(&cost_line("measured", cost, ctx.cfg.omega));
+    out.push_str(&format!(
+        "measured                 {: >10} reads  {: >10} writes  Q = {}\n",
+        cost.reads,
+        cost.writes,
+        cost.q(omega)
+    ));
+    if let Some(lb) = w.lower_bound(ctx.cfg, ctx.n) {
+        out.push_str(&format!(
+            "Thm 4.5 lower bound: {lb:.0} (measured/bound = {:.2})\n",
+            cost.q(omega) as f64 / lb.max(1.0)
+        ));
+    }
     if backend.carries_payload() {
         out.push_str(&format!("output checksum: {checksum:#018x}\n"));
     } else {
@@ -846,9 +469,10 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
             if Some(*name) == best {
                 marks.push_str("  (cheapest)");
             }
-            out.push_str(&format!("  {name:<12} Q = {}{marks}\n", c.q(ctx.cfg.omega)));
+            out.push_str(&format!("  {name:<12} Q = {}{marks}\n", c.q(omega)));
         }
     }
+    out.push_str(&export);
     Ok(out)
 }
 
@@ -857,19 +481,29 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
 /// (flamegraph input), the per-block access heatmap, a Prometheus-style
 /// text exposition, and the flight-recorder tail. The summary printed to
 /// stdout carries the predictor-residual gauges and the heatmap.
+///
+/// Fully registry-driven: the kind name, algorithm menu, shape defaults,
+/// inputs and ghost policy all come from the `Workload` descriptor, so a
+/// newly registered kind is profilable with zero edits here.
 pub fn cmd_profile(args: &Args) -> Result<String, String> {
-    let workload = args.operand.as_deref().ok_or_else(|| {
-        format!(
-            "profile requires a workload operand: aemsim profile {} [--backend ...]",
-            workload_names()
-        )
-    })?;
     let backend = parse_backend(args)?;
-    let cfg = machine_config(args)?;
-    let (rec, flight_jsonl) = profile_record(workload, backend, args)?;
+    let ctx = registry_ctx(args)?;
+    let prefix = args.get("out").unwrap_or("aemsim-profile");
+    reject_unread(args)?;
+    // The cost-only backend carries no payloads: algorithms whose
+    // schedule routes on data refuse it (the registry says which).
+    if !backend.carries_payload() && !ctx.algo.ghost_runnable {
+        return Err(format!(
+            "profile {}/{} {}; use --backend vec|arena",
+            ctx.kind.name(),
+            ctx.algo.name,
+            ctx.algo.ghost_note
+        ));
+    }
+    let run = run_workload(&ctx, &mut ProfileHarness { backend }).map_err(|e| e.to_string())?;
+    let (rec, flight_jsonl) = (run.record, run.flight_jsonl);
     let profile = Profile::build(&rec, &[("backend", backend.name())]);
 
-    let prefix = args.get("out").unwrap_or("aemsim-profile");
     for (suffix, content) in [
         (".folded", profile.folded.as_str()),
         (".prom", profile.prometheus.as_str()),
@@ -884,10 +518,12 @@ pub fn cmd_profile(args: &Args) -> Result<String, String> {
 
     let cost = rec.trace.cost();
     let mut out = format!(
-        "machine: {cfg}\nworkload: {}/{} N={} backend={}\n\nQ = {} ({} reads, {} writes)\n",
+        "machine: {}\nworkload: {}/{} N={} input={} backend={}\n\nQ = {} ({} reads, {} writes)\n",
+        ctx.cfg,
         rec.workload.kind,
         rec.workload.algo,
         rec.workload.n,
+        ctx.input,
         backend.name(),
         rec.q(),
         cost.reads,
@@ -935,6 +571,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
         prom_out: args.get("prom-out").map(str::to_string),
         addr_file: args.get("addr-file").map(str::to_string),
     };
+    reject_unread(args)?;
     let shutdown = install_shutdown_signals();
     serve(&opts, shutdown)
 }
@@ -949,6 +586,7 @@ pub fn cmd_serve_load(args: &Args) -> Result<String, String> {
         jobs: args.get_or("jobs", 12usize)?,
         seed: args.get_or("seed", 1u64)?,
     };
+    reject_unread(args)?;
     run_load(&opts)
 }
 
@@ -957,7 +595,7 @@ pub fn cmd_serve_load(args: &Args) -> Result<String, String> {
 /// `aem_fuzz::targets::all_targets`, `Backend::ALL`) so the help can
 /// never drift from what the binary actually accepts.
 pub fn usage() -> String {
-    let backends = aem_machine::Backend::ALL
+    let backends = Backend::ALL
         .iter()
         .map(|b| b.name())
         .collect::<Vec<_>>()
@@ -973,8 +611,10 @@ pub fn usage() -> String {
         let w = kind.descriptor();
         let algos = w.algos.iter().map(|a| a.name).collect::<Vec<_>>().join("|");
         workload_lines.push_str(&format!(
-            "  {:<8} {}  (--algo {algos})\n",
-            w.name, w.summary
+            "  {:<8} {}\n           --algo {algos}\n           --input {}\n",
+            w.name,
+            w.summary,
+            w.inputs.join("|")
         ));
     }
     format!(
@@ -984,30 +624,27 @@ pub fn usage() -> String {
 USAGE: aemsim <command> [--key value]...
 
 COMMANDS
-  sort      run sorters        --n --dist --algo aem|em|dist|heap|pq|all
-  pq        priority queue     --n --dist (replacement-selection run
-                               generation + PQ-backed sort vs predictor)
-  permute   run permuters      --n --kind random|identity|reverse|transpose|bit-reversal
-  spmv      run SpMxV          --n --delta --shape random|banded|block-diagonal
-  bounds    evaluate bounds    --n --delta
-  join      relational ops     --left --right --keys
-  trace     record + analyze   --n --algo aem|em|dist|heap|pq
-  lemma43   flash reduction    --n
-  report    render a trace     --in FILE [--format text|md]
-                               (exits nonzero if a paper-invariant
-                               checker fails, with the I/O tail)
   run       registry run       <workload> = {workloads}
-                               [--backend {backends} --n --algo --delta]
-                               executes a registered workload live and
-                               prints the measured cost beside the
-                               priced candidate menu (cheapest flagged)
+                               [--backend {backends} --n --algo --delta
+                                --input NAME --trace-out FILE]
+                               runs a registered workload on a named
+                               input and prints the measured cost, the
+                               Thm 4.5 lower bound where it applies, and
+                               the priced candidate menu (cheapest
+                               flagged)
   profile   cost attribution   <workload> = {workloads}
                                [--backend {backends} --out PREFIX
-                                --n --algo --delta]
+                                --n --algo --delta --input NAME]
                                writes PREFIX.folded (flamegraph input),
                                PREFIX.heatmap.txt, PREFIX.prom,
                                PREFIX.flight.jsonl; prints predictor
                                residuals + the per-block heatmap
+  report    render a trace     --in FILE [--format text|md]
+                               (exits nonzero if a paper-invariant
+                               checker fails, with the I/O tail)
+  bounds    evaluate bounds    --n --delta
+  join      relational ops     --left --right --keys
+  lemma43   flash reduction    --n
   serve     job service        [--addr HOST:PORT --workers N --no-queue
                                 --admission-log FILE --metering-out FILE
                                 --prom-out FILE --addr-file FILE]
@@ -1035,20 +672,20 @@ WORKLOADS (the registry behind run, profile, serve and fuzz)
 FUZZ TARGETS (--target takes exact names, prefixes, or comma lists)
   {targets}
 
-MACHINE OPTIONS (all commands)
+MACHINE OPTIONS (run, profile, bounds, join, lemma43)
   --mem M      internal memory in elements   (default 1024)
   --block B    block size in elements        (default 64)
   --omega W    write/read cost ratio         (default 16)
-  --seed S     workload seed                 (default 1)
+  --seed S     workload seed, not for bounds (default 1)
 
 OBSERVABILITY
-  sort, pq, permute, spmv and trace accept --trace-out FILE: the workload
-  is re-run on an instrumented machine and the full run record (config,
-  I/O events, phase spans, metrics) is exported as JSONL. The paper
-  invariants (§3 pointer rewrites, Lemma 4.1 rounds, cost sandwich) are
-  checked on export and again by `report`, which renders the
-  phase-attributed cost breakdown. Options use --key value or
-  --key=value.
+  run accepts --trace-out FILE: the workload runs once on an
+  instrumented machine and the full run record (config, I/O events,
+  phase spans, metrics) is exported as JSONL. The paper invariants
+  (§3 pointer rewrites, Lemma 4.1 rounds, cost sandwich) are checked on
+  export and again by `report`, which renders the phase-attributed cost
+  breakdown. Options use --key value or --key=value; a command fails on
+  any option it does not take.
 "
     )
 }
@@ -1059,13 +696,8 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
         return Ok(usage());
     }
     match args.command.as_deref() {
-        Some("sort") => cmd_sort(args),
-        Some("pq") => cmd_pq(args),
-        Some("permute") => cmd_permute(args),
-        Some("spmv") => cmd_spmv(args),
         Some("bounds") => cmd_bounds(args),
         Some("join") => cmd_join(args),
-        Some("trace") => cmd_trace(args),
         Some("lemma43") => cmd_lemma43(args),
         Some("report") => cmd_report(args),
         Some("run") => cmd_run(args),
@@ -1090,10 +722,15 @@ mod tests {
 
     #[test]
     fn sort_all_small() {
-        let out = run("sort --n 2000 --mem 64 --block 8 --omega 8").unwrap();
-        assert!(out.contains("AEM mergesort"));
-        assert!(out.contains("heapsort"));
-        assert!(out.contains("lower bound"));
+        let out = run("run sort --n 2000 --mem 64 --block 8 --omega 8").unwrap();
+        assert!(out.contains("sort/aem"), "{out}");
+        assert!(out.contains("input=seeded"), "{out}");
+        assert!(out.contains("Thm 4.5 lower bound:"), "{out}");
+        assert!(out.contains("(measured/bound = "), "{out}");
+        for a in ["aem", "em", "dist", "heap", "pq"] {
+            let out = run(&format!("run sort --n 1000 --mem 64 --block 8 --algo {a}")).unwrap();
+            assert!(out.contains(&format!("sort/{a} ")), "{out}");
+        }
     }
 
     #[test]
@@ -1106,26 +743,36 @@ mod tests {
             "organ-pipe",
         ] {
             let out = run(&format!(
-                "sort --n 500 --mem 64 --block 8 --algo aem --dist {d}"
+                "run sort --n 500 --mem 64 --block 8 --algo aem --input {d}"
             ))
             .unwrap();
             assert!(out.contains("Q ="), "{d}");
+            assert!(out.contains(&format!("input={d} ")), "{out}");
         }
-        assert!(run("sort --algo nope --n 10 --mem 64 --block 8").is_err());
-        assert!(run("sort --dist nope --n 10 --mem 64 --block 8").is_err());
+        assert!(run("run sort --algo nope --n 10 --mem 64 --block 8").is_err());
+        let err = run("run sort --input nope --n 10 --mem 64 --block 8").unwrap_err();
+        assert!(err.contains("seeded|uniform"), "{err}");
     }
 
     #[test]
     fn pq_command_and_sort_algo() {
-        let out = run("pq --n 2000 --mem 64 --block 8 --omega 16").unwrap();
-        assert!(out.contains("replacement selection"), "{out}");
-        assert!(out.contains("PQ sort (buffered)"), "{out}");
-        assert!(out.contains("exact-schedule predictor"), "{out}");
-
-        let out = run("sort --n 1000 --mem 64 --block 8 --algo pq").unwrap();
+        let out = run("run pq --n 2000 --mem 64 --block 8 --omega 16").unwrap();
+        assert!(out.contains("pq/pq"), "{out}");
+        assert!(
+            out.contains("candidate menu (exact-schedule predictions)"),
+            "{out}"
+        );
+        assert!(out.contains("Thm 4.5 lower bound:"), "{out}");
+        let out = run("run sort --n 1000 --mem 64 --block 8 --algo pq").unwrap();
         assert!(out.contains("Q ="), "{out}");
-        let out = run("trace --n 1024 --mem 64 --block 8 --algo pq").unwrap();
-        assert!(out.contains("ωm-rounds"), "{out}");
+        let path = tmp_path("sort-pq.jsonl");
+        let out = run(&format!(
+            "run sort --n 1024 --mem 64 --block 8 --algo pq --trace-out {}",
+            path.display()
+        ))
+        .unwrap();
+        assert!(out.contains("rounds, budget"), "{out}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1133,7 +780,7 @@ mod tests {
         let path = tmp_path("pq.jsonl");
         let p = path.to_str().unwrap();
         let out = run(&format!(
-            "pq --n 2048 --mem 64 --block 8 --omega 16 --trace-out {p}"
+            "run pq --n 2048 --mem 64 --block 8 --omega 16 --trace-out {p}"
         ))
         .unwrap();
         assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
@@ -1153,7 +800,7 @@ mod tests {
         for t in aem_fuzz::targets::all_targets() {
             assert!(out.contains(t.name), "usage missing target {}", t.name);
         }
-        for b in aem_machine::Backend::ALL {
+        for b in Backend::ALL {
             assert!(out.contains(b.name()), "usage missing backend {}", b.name());
         }
     }
@@ -1230,6 +877,149 @@ mod tests {
                     a.fuzz_target
                 );
             }
+            for input in w.inputs {
+                assert!(
+                    catalog.contains(&format!("`{input}`")),
+                    "{}: input `{input}` missing from docs/WORKLOADS.md",
+                    w.name
+                );
+                assert!(
+                    usage_text.contains(input),
+                    "{}: input {input} not in usage",
+                    w.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trace_out_holds_every_check_on_every_registered_input() {
+        // Every (kind, algo, input) the registry accepts at this shape
+        // exports a record whose paper-invariant checks all pass.
+        let path = tmp_path("every-input.jsonl");
+        let p = path.to_str().unwrap();
+        let mut runs = 0;
+        for kind in WorkloadKind::ALL {
+            let w = kind.descriptor();
+            let delta = w.default_delta.min(8);
+            for a in w.algos {
+                for input in w.inputs {
+                    let out = run(&format!(
+                        "run {} --algo {} --input {input} --n 256 --delta {delta} \
+                         --mem 64 --block 8 --omega 16 --trace-out {p}",
+                        w.name, a.name
+                    ))
+                    .unwrap_or_else(|e| panic!("{}/{}/{input}: {e}", w.name, a.name));
+                    assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
+                    let report = run(&format!("report --in {p}"))
+                        .unwrap_or_else(|e| panic!("{}/{}/{input}: {e}", w.name, a.name));
+                    assert!(report.contains(&format!("workload: {}/{}", w.name, a.name)));
+                    runs += 1;
+                }
+            }
+        }
+        assert_eq!(runs, 5 * 6 + 2 * 5 + 2 * 3 + 6 + 3 + 3 + 2 + 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn commands_reject_options_they_do_not_read() {
+        // The per-kind commands' input options are gone: `run` refuses
+        // them by name and points at --input.
+        for old in [
+            "--dist reversed",
+            "--kind transpose",
+            "--rows 32",
+            "--shape banded",
+            "--bandwidth 8",
+            "--mblock 8",
+        ] {
+            let err = run(&format!("run sort --n 64 --mem 64 --block 8 {old}")).unwrap_err();
+            let name = old.split(' ').next().unwrap();
+            assert!(err.contains(&format!("run does not take {name}")), "{err}");
+            assert!(err.contains("--input"), "{err}");
+        }
+        // A typo'd option stops `serve` before it binds: nothing listens
+        // and no address file appears.
+        let addr_file = tmp_path("typo.addr");
+        let err = run(&format!(
+            "serve --adress 127.0.0.1:0 --addr-file {}",
+            addr_file.display()
+        ))
+        .unwrap_err();
+        assert!(err.contains("serve does not take --adress"), "{err}");
+        assert!(!addr_file.exists());
+        // Flags count too, and the check runs before any work: `exp`
+        // simulates nothing, `report` opens no file.
+        let err = run("exp --quick --only t2 --quik").unwrap_err();
+        assert_eq!(err, "exp does not take --quik");
+        let err = run("report --in /nonexistent.jsonl --fromat md").unwrap_err();
+        assert_eq!(err, "report does not take --fromat");
+        // Options a command reads only in another mode are refused too.
+        let err = run("fuzz --seed 1 --iters 1 --dist uniform").unwrap_err();
+        assert_eq!(err, "fuzz does not take --dist");
+    }
+
+    /// The `aemsim` command lines in the fenced blocks of `text` (a
+    /// markdown page or a workflow file): lines that start with the
+    /// binary or its `cargo run` and hold no `<placeholder>` or `…`,
+    /// continuation lines joined, quotes dropped, cut at the first shell
+    /// operator or comment.
+    fn command_lines(text: &str) -> Vec<String> {
+        let joined = text.replace("\\\n", " ");
+        let mut fenced = !text.contains("```");
+        let mut out = Vec::new();
+        for line in joined.lines().map(str::trim_start) {
+            if line.starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let rest = [
+                "cargo run --release -p aem-cli -- ",
+                "cargo run -p aem-cli -- ",
+                "./target/release/aemsim ",
+                "aemsim ",
+            ]
+            .iter()
+            .find_map(|prefix| line.strip_prefix(prefix));
+            let Some(rest) = rest.filter(|r| fenced && !r.contains(['<', '…'])) else {
+                continue;
+            };
+            let end = rest.find(['#', '|', '>', '&', ';']).unwrap_or(rest.len());
+            out.push(rest[..end].replace('"', "").trim().to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        // Every aemsim line in CI, the README and the docs reaches its
+        // command's option check and passes it (stopping there, before
+        // any work), as does the line hostbench boots the server with.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut files = vec![
+            format!("{root}/.github/workflows/ci.yml"),
+            format!("{root}/README.md"),
+        ];
+        for entry in std::fs::read_dir(format!("{root}/docs")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "md") {
+                files.push(path.display().to_string());
+            }
+        }
+        let mut lines = vec!["serve --addr 127.0.0.1:0 --workers 4 --addr-file addr".to_string()];
+        for f in &files {
+            lines.extend(command_lines(&std::fs::read_to_string(f).unwrap()));
+        }
+        assert!(lines.len() > 30, "{lines:?}");
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("run sort --n 4096 --algo aem --trace-out")));
+        for line in &lines {
+            let mut args = Args::parse(line.split_whitespace().map(String::from)).expect(line);
+            args.dry_run = true;
+            let got = dispatch(&args).unwrap_or_else(|e| e);
+            assert_eq!(got.lines().next(), Some(DRY_RUN), "`{line}`");
         }
     }
 
@@ -1294,25 +1084,36 @@ mod tests {
     #[test]
     fn permute_kinds() {
         for k in ["random", "identity", "reverse"] {
-            let out = run(&format!("permute --n 1024 --mem 64 --block 8 --kind {k}")).unwrap();
-            assert!(out.contains("counting bound"), "{k}");
+            let out = run(&format!(
+                "run permute --n 1024 --mem 64 --block 8 --input {k}"
+            ))
+            .unwrap();
+            assert!(out.contains("Thm 4.5 lower bound:"), "{k}");
         }
-        let out = run("permute --n 1024 --mem 64 --block 8 --kind bit-reversal").unwrap();
+        let out = run("run permute --n 1024 --mem 64 --block 8 --input bit-reversal").unwrap();
         assert!(out.contains("bit-reversal"));
-        let out = run("permute --n 1024 --mem 64 --block 8 --kind transpose --rows 32").unwrap();
+        let out = run("run permute --n 1024 --mem 64 --block 8 --input transpose").unwrap();
         assert!(out.contains("transpose"));
-        assert!(run("permute --n 1000 --mem 64 --block 8 --kind bit-reversal").is_err());
+        let err = run("run permute --n 1000 --mem 64 --block 8 --input bit-reversal").unwrap_err();
+        assert!(err.contains("power of two"), "{err}");
     }
 
     #[test]
     fn spmv_shapes() {
         for s in ["random", "banded", "block-diagonal"] {
             let out = run(&format!(
-                "spmv --n 128 --delta 2 --mem 64 --block 8 --shape {s}"
+                "run spmv --n 128 --delta 2 --mem 64 --block 8 --input {s}"
             ))
             .unwrap();
-            assert!(out.contains("Thm 5.1"), "{s}");
+            assert!(out.contains(&format!("input={s} ")), "{out}");
+            // SpMxV has no Thm 4.5 line; its Thm 5.1 bound lives in `bounds`.
+            assert!(!out.contains("Thm 4.5"), "{out}");
         }
+        let out = run("bounds --n 128 --delta 2 --mem 64 --block 8").unwrap();
+        assert!(out.contains("Thm 5.1"), "{out}");
+        assert!(
+            run("run spmv --n 19 --delta 4 --mem 64 --block 8 --input block-diagonal").is_err()
+        );
     }
 
     #[test]
@@ -1331,10 +1132,23 @@ mod tests {
 
     #[test]
     fn trace_report() {
-        let out = run("trace --n 2048 --mem 64 --block 8 --omega 32 --algo aem").unwrap();
-        assert!(out.contains("ωm-rounds"));
-        assert!(out.contains("aux  I/O"));
-        assert!(run("trace --algo nope --n 10 --mem 64 --block 8").is_err());
+        let path = tmp_path("rounds.jsonl");
+        let p = path.to_str().unwrap();
+        let out = run(&format!(
+            "run sort --n 2048 --mem 64 --block 8 --omega 32 --algo aem --trace-out {p}"
+        ))
+        .unwrap();
+        assert!(out.contains("rounds, budget"), "{out}");
+        assert!(out.contains("round-based Q"), "{out}");
+        let report = run(&format!("report --in {p}")).unwrap();
+        assert!(report.contains("aux I/O:"), "{report}");
+        assert!(report.contains("max re-reads of one block"), "{report}");
+        std::fs::remove_file(&path).ok();
+        assert!(run(&format!(
+            "run sort --algo nope --n 10 --mem 64 --block 8 --trace-out {p}"
+        ))
+        .is_err());
+        assert!(!path.exists(), "a refused run must not write its record");
     }
 
     #[test]
@@ -1427,7 +1241,7 @@ mod tests {
         let path = tmp_path("sort.jsonl");
         let p = path.to_str().unwrap();
         let out = run(&format!(
-            "sort --n 2048 --mem 64 --block 8 --algo aem --trace-out {p}"
+            "run sort --n 2048 --mem 64 --block 8 --algo aem --trace-out {p}"
         ))
         .unwrap();
         assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
@@ -1448,7 +1262,7 @@ mod tests {
         let path = tmp_path("permute.jsonl");
         let p = path.to_str().unwrap();
         let out = run(&format!(
-            "permute --n 1024 --mem 64 --block 8 --trace-out {p}"
+            "run permute --n 1024 --mem 64 --block 8 --trace-out {p}"
         ))
         .unwrap();
         assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
@@ -1459,7 +1273,7 @@ mod tests {
         let path = tmp_path("spmv.jsonl");
         let p = path.to_str().unwrap();
         let out = run(&format!(
-            "spmv --n 128 --delta 2 --mem 64 --block 8 --trace-out {p}"
+            "run spmv --n 128 --delta 2 --mem 64 --block 8 --trace-out {p}"
         ))
         .unwrap();
         assert_eq!(out.matches("[PASS]").count(), 3, "{out}");
@@ -1473,7 +1287,7 @@ mod tests {
         let path = tmp_path("trace.jsonl");
         let p = path.to_str().unwrap();
         let out = run(&format!(
-            "trace --n 2048 --mem 64 --block 8 --algo heap --trace-out {p}"
+            "run sort --n 2048 --mem 64 --block 8 --algo heap --trace-out {p}"
         ))
         .unwrap();
         assert!(out.contains("trace record:"), "{out}");
@@ -1486,7 +1300,7 @@ mod tests {
 
     #[test]
     fn profile_sort_writes_artifacts_per_backend() {
-        for b in aem_machine::Backend::ALL {
+        for b in Backend::ALL {
             let prefix = tmp_path(&format!("prof-{}", b.name()));
             let p = prefix.to_str().unwrap();
             let out = run(&format!(
@@ -1545,7 +1359,7 @@ mod tests {
         let path = tmp_path("tampered.jsonl");
         let p = path.to_str().unwrap();
         run(&format!(
-            "sort --n 2048 --mem 64 --block 8 --algo aem --trace-out {p}"
+            "run sort --n 2048 --mem 64 --block 8 --algo aem --trace-out {p}"
         ))
         .unwrap();
         // Shrink the recorded workload size: the Thm 3.2 predictor upper

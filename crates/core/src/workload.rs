@@ -11,12 +11,12 @@
 //!   by [`AlgoSpec::ghost_sound`]; its executor and the cost gate run
 //!   jobs through [`run_workload`] with their own [`Harness`] (live
 //!   backends, trace compilation);
-//! * `aem-obs` resolves predictors and lower-bound applicability from
+//! * `aem-obs` resolves predictors and [`Workload::lower_bound`] from
 //!   the descriptor when checking records;
 //! * `aem-fuzz` generates one differential target per
 //!   [`AlgoSpec::fuzz_target`];
-//! * the CLI builds its usage text, profile defaults, and ghost
-//!   gating from the same fields.
+//! * the CLI builds its usage text, run/profile defaults, named
+//!   [`Workload::inputs`], and ghost gating from the same fields.
 //!
 //! Registering a new kind (the search family was the first to land this
 //! way) reaches serve, profile, fuzz, and the strict cost gate without
@@ -34,6 +34,7 @@ use aem_workloads::{
 };
 
 use crate::bfs;
+use crate::bounds::permute::permute_cost_lower_bound;
 use crate::bounds::predict;
 use crate::matmul;
 use crate::oracle;
@@ -164,7 +165,8 @@ pub type PhasePredictor = fn(AemConfig, usize, usize) -> Vec<(String, Cost)>;
 pub struct Workload {
     /// The kind this entry describes.
     pub kind: WorkloadKind,
-    /// Stable wire name (`sort`, `permute`, `spmv`, `pq`, `search`).
+    /// Stable wire name (`sort`, `permute`, `spmv`, `pq`, `search`,
+    /// `scan`, `matmul`, `bfs`).
     pub name: &'static str,
     /// One-line description for usage text.
     pub summary: &'static str,
@@ -172,15 +174,18 @@ pub struct Workload {
     pub delta_name: &'static str,
     /// `true` when `delta == 0` is an invalid shape.
     pub requires_delta: bool,
-    /// The algorithm `aemsim profile` runs when none is named.
+    /// The algorithm `aemsim run` and `aemsim profile` use when none is
+    /// named.
     pub default_algo: &'static str,
-    /// Default `n` for `aemsim profile`.
+    /// Default `n` for `aemsim run` and `aemsim profile`.
     pub profile_n: usize,
-    /// Default `delta` for `aemsim profile` and `aemsim run`.
+    /// Default `delta` for `aemsim run` and `aemsim profile`.
     pub default_delta: usize,
-    /// `true` when the §3/§4 counting lower bound applies to measured
-    /// runs of this kind (the obs cost sandwich uses it).
-    pub counting_lower_bound: bool,
+    /// Named instance generators, default first: [`RunCtx::new`] picks
+    /// the first, [`RunCtx::with_input`] any other. Every executor that
+    /// does not name an input (serve, fuzz, the sweeps, the cost gate)
+    /// runs the default.
+    pub inputs: &'static [&'static str],
     /// Candidate algorithms in canonical (menu) order.
     pub algos: &'static [AlgoSpec],
     /// Canonical `(n, delta)` shapes metered by the strict cost gate.
@@ -212,6 +217,19 @@ impl Workload {
         self.menu(cfg, n, delta)
             .into_iter()
             .min_by_key(|(_, c)| c.q_saturating(cfg.omega))
+    }
+
+    /// Theorem 4.5's lower bound on the cost `Q` of any program for this
+    /// kind at size `n`: sorting, permuting and the PQ sorter must realize
+    /// a permutation, so the counting bound applies. `None` for the other
+    /// kinds (SpMxV's Theorem 5.1 bound has its own parameter range).
+    pub fn lower_bound(&self, cfg: AemConfig, n: usize) -> Option<f64> {
+        match self.kind {
+            WorkloadKind::Sort | WorkloadKind::Permute | WorkloadKind::Pq => {
+                Some(permute_cost_lower_bound(n as u64, cfg))
+            }
+            _ => None,
+        }
     }
 
     /// The kind's shape-validity predicate: every layer (CLI, planner,
@@ -297,6 +315,20 @@ fn phases_merge_sort(cfg: AemConfig, n: usize, _d: usize) -> Vec<(String, Cost)>
     predict::merge_sort_cost_phases(cfg, n, cfg.fan_in())
 }
 
+/// Inputs of the sort and pq kinds: the seed-derived default, then each
+/// [`KeyDist`] by label.
+const KEY_INPUTS: &[&str] = &[
+    "seeded",
+    "uniform",
+    "sorted",
+    "reversed",
+    "organ-pipe",
+    "few-distinct",
+];
+
+/// Inputs of the kinds whose instance only the seed chooses.
+const SEEDED: &[&str] = &["seeded"];
+
 const fn sorter(
     name: &'static str,
     aliases: &'static [&'static str],
@@ -317,6 +349,29 @@ const fn sorter(
     }
 }
 
+/// An algorithm outside the sort family, without record invariants or a
+/// phase predictor: ghost-sound when `ghost_note` is empty, otherwise
+/// neither sound nor runnable on ghost, for the reason the note gives.
+const fn algo(
+    name: &'static str,
+    aliases: &'static [&'static str],
+    fuzz_target: &'static str,
+    predict: fn(AemConfig, usize, usize) -> Option<Cost>,
+    ghost_note: &'static str,
+) -> AlgoSpec {
+    AlgoSpec {
+        name,
+        aliases,
+        ghost_sound: ghost_note.is_empty(),
+        ghost_runnable: ghost_note.is_empty(),
+        ghost_note,
+        fuzz_target,
+        invariants: false,
+        predict,
+        predict_phases: None,
+    }
+}
+
 static SORT: Workload = Workload {
     kind: WorkloadKind::Sort,
     name: "sort",
@@ -326,7 +381,7 @@ static SORT: Workload = Workload {
     default_algo: "aem",
     profile_n: 8192,
     default_delta: 0,
-    counting_lower_bound: true,
+    inputs: KEY_INPUTS,
     algos: &[
         sorter(
             "aem",
@@ -352,29 +407,18 @@ static PERMUTE: Workload = Workload {
     default_algo: "by-sort",
     profile_n: 8192,
     default_delta: 0,
-    counting_lower_bound: true,
+    inputs: &["random", "identity", "reverse", "bit-reversal", "transpose"],
     algos: &[
+        algo("naive", &[], "permute_naive", predict_naive, ""),
         AlgoSpec {
-            name: "naive",
-            aliases: &[],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "permute_naive",
-            invariants: false,
-            predict: predict_naive,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "by-sort",
-            aliases: &["by_sort", "sort"],
-            ghost_sound: false,
-            ghost_runnable: false,
-            ghost_note: "routes on destination tags",
-            fuzz_target: "permute_by_sort",
             invariants: true,
-            predict: predict_by_sort,
-            predict_phases: None,
+            ..algo(
+                "by-sort",
+                &["by_sort", "sort"],
+                "permute_by_sort",
+                predict_by_sort,
+                "routes on destination tags",
+            )
         },
     ],
     gate_shapes: &[(2048, 3)],
@@ -389,30 +433,22 @@ static SPMV: Workload = Workload {
     default_algo: "sorted",
     profile_n: 1024,
     default_delta: 4,
-    counting_lower_bound: false,
+    inputs: &["random", "banded", "block-diagonal"],
     algos: &[
-        AlgoSpec {
-            name: "direct",
-            aliases: &[],
-            ghost_sound: false,
-            ghost_runnable: false,
-            ghost_note: "moves semiring atoms",
-            fuzz_target: "spmv_direct",
-            invariants: false,
-            predict: predict_spmv_direct,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "sorted",
-            aliases: &[],
-            ghost_sound: false,
-            ghost_runnable: false,
-            ghost_note: "moves semiring atoms",
-            fuzz_target: "spmv_sorted",
-            invariants: false,
-            predict: predict_spmv_sorted,
-            predict_phases: None,
-        },
+        algo(
+            "direct",
+            &[],
+            "spmv_direct",
+            predict_spmv_direct,
+            "moves semiring atoms",
+        ),
+        algo(
+            "sorted",
+            &[],
+            "spmv_sorted",
+            predict_spmv_sorted,
+            "moves semiring atoms",
+        ),
     ],
     gate_shapes: &[(2048, 3)],
 };
@@ -426,7 +462,7 @@ static PQ: Workload = Workload {
     default_algo: "pq",
     profile_n: 8192,
     default_delta: 0,
-    counting_lower_bound: true,
+    inputs: KEY_INPUTS,
     algos: &[sorter("pq", &[], "pq_sort", predict_pq, None)],
     gate_shapes: &[(2048, 3)],
 };
@@ -440,41 +476,17 @@ static SEARCH: Workload = Workload {
     default_algo: "btree",
     profile_n: 8192,
     default_delta: 256,
-    counting_lower_bound: false,
+    inputs: SEEDED,
     algos: &[
-        AlgoSpec {
-            name: "binary",
-            aliases: &[],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "search_binary",
-            invariants: false,
-            predict: predict_search_binary,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "btree",
-            aliases: &[],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "search_btree",
-            invariants: false,
-            predict: predict_search_btree,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "eytzinger",
-            aliases: &[],
-            ghost_sound: false,
-            ghost_runnable: false,
-            ghost_note: "descent depth is key-dependent",
-            fuzz_target: "search_eytzinger",
-            invariants: false,
-            predict: predict_search_eytzinger,
-            predict_phases: None,
-        },
+        algo("binary", &[], "search_binary", predict_search_binary, ""),
+        algo("btree", &[], "search_btree", predict_search_btree, ""),
+        algo(
+            "eytzinger",
+            &[],
+            "search_eytzinger",
+            predict_search_eytzinger,
+            "descent depth is key-dependent",
+        ),
     ],
     // Two canonical shapes so both sides of the build-vs-query trade
     // land in COSTS.json: few lookups (binary wins — the build is free)
@@ -491,41 +503,17 @@ static SCAN: Workload = Workload {
     default_algo: "tree",
     profile_n: 8192,
     default_delta: 64,
-    counting_lower_bound: false,
+    inputs: SEEDED,
     algos: &[
-        AlgoSpec {
-            name: "materialize",
-            aliases: &["classic"],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "scan_materialize",
-            invariants: false,
-            predict: predict_scan_materialize,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "tree",
-            aliases: &["sum-tree"],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "scan_tree",
-            invariants: false,
-            predict: predict_scan_tree,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "rescan",
-            aliases: &[],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "scan_rescan",
-            invariants: false,
-            predict: predict_scan_rescan,
-            predict_phases: None,
-        },
+        algo(
+            "materialize",
+            &["classic"],
+            "scan_materialize",
+            predict_scan_materialize,
+            "",
+        ),
+        algo("tree", &["sum-tree"], "scan_tree", predict_scan_tree, ""),
+        algo("rescan", &[], "scan_rescan", predict_scan_rescan, ""),
     ],
     // Small batches (rescan territory at high ω) and a large batch
     // (where the materialize↔tree crossover lives).
@@ -541,30 +529,22 @@ static MATMUL: Workload = Workload {
     default_algo: "tiled",
     profile_n: 1764,
     default_delta: 0,
-    counting_lower_bound: false,
+    inputs: SEEDED,
     algos: &[
-        AlgoSpec {
-            name: "tiled",
-            aliases: &["write-avoiding"],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "matmul_tiled",
-            invariants: false,
-            predict: matmul::tiled_cost,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "stream",
-            aliases: &["streaming"],
-            ghost_sound: true,
-            ghost_runnable: true,
-            ghost_note: "",
-            fuzz_target: "matmul_stream",
-            invariants: false,
-            predict: matmul::stream_cost,
-            predict_phases: None,
-        },
+        algo(
+            "tiled",
+            &["write-avoiding"],
+            "matmul_tiled",
+            matmul::tiled_cost,
+            "",
+        ),
+        algo(
+            "stream",
+            &["streaming"],
+            "matmul_stream",
+            matmul::stream_cost,
+            "",
+        ),
     ],
     gate_shapes: &[(1764, 0)],
 };
@@ -578,30 +558,22 @@ static BFS: Workload = Workload {
     default_algo: "mark",
     profile_n: 2048,
     default_delta: 4,
-    counting_lower_bound: false,
+    inputs: SEEDED,
     algos: &[
-        AlgoSpec {
-            name: "mark",
-            aliases: &[],
-            ghost_sound: false,
-            ghost_runnable: false,
-            ghost_note: "traversal order and queue flushes derive from adjacency payloads",
-            fuzz_target: "bfs_mark",
-            invariants: false,
-            predict: bfs::mark_cost,
-            predict_phases: None,
-        },
-        AlgoSpec {
-            name: "rescan",
-            aliases: &[],
-            ghost_sound: false,
-            ghost_runnable: false,
-            ghost_note: "round count is the BFS depth, an adjacency-payload property",
-            fuzz_target: "bfs_rescan",
-            invariants: false,
-            predict: bfs::rescan_cost,
-            predict_phases: None,
-        },
+        algo(
+            "mark",
+            &[],
+            "bfs_mark",
+            bfs::mark_cost,
+            "traversal order and queue flushes derive from adjacency payloads",
+        ),
+        algo(
+            "rescan",
+            &[],
+            "bfs_rescan",
+            bfs::rescan_cost,
+            "round count is the BFS depth, an adjacency-payload property",
+        ),
     ],
     gate_shapes: &[(2048, 3)],
 };
@@ -702,7 +674,7 @@ impl Verified {
 pub type Body<'a, T> =
     Box<dyn FnOnce(&mut dyn WorkloadMachine<T>) -> Result<Verified, WorkloadError> + 'a>;
 
-/// A resolved execution context: kind, algorithm, shape, seed.
+/// A resolved execution context: kind, algorithm, shape, input, seed.
 #[derive(Debug, Clone, Copy)]
 pub struct RunCtx {
     /// The workload kind.
@@ -717,10 +689,14 @@ pub struct RunCtx {
     pub delta: usize,
     /// Instance seed.
     pub seed: u64,
+    /// The named input (one of [`Workload::inputs`]) the instance is
+    /// generated from.
+    pub input: &'static str,
 }
 
 impl RunCtx {
-    /// Validate a shape and resolve an algorithm name into a context.
+    /// Validate a shape and resolve an algorithm name into a context on
+    /// the kind's default input.
     pub fn new(
         kind: WorkloadKind,
         algo: &str,
@@ -746,7 +722,42 @@ impl RunCtx {
             n,
             delta,
             seed,
+            input: w.inputs[0],
         })
+    }
+
+    /// The same context on the input `name`, which must be one of the
+    /// kind's [`Workload::inputs`] and valid at this shape (`bit-reversal`
+    /// needs a power-of-two `n`, for one), so [`run_workload`] can always
+    /// generate it.
+    pub fn with_input(mut self, name: &str) -> Result<RunCtx, String> {
+        let w = self.kind.descriptor();
+        self.input =
+            w.inputs.iter().find(|&&i| i == name).ok_or_else(|| {
+                format!("unknown {} input '{name}' ({})", w.name, w.inputs.join("|"))
+            })?;
+        match self.kind {
+            WorkloadKind::Permute => {
+                PermKind::from_label(name, self.n, self.seed)?;
+            }
+            WorkloadKind::Spmv => {
+                MatrixShape::from_label(name, self.n, self.delta, self.seed)?;
+            }
+            _ => {}
+        }
+        Ok(self)
+    }
+
+    /// Refuse the cost-only ghost backend for an algorithm it does not
+    /// price exactly ([`AlgoSpec::ghost_sound`]).
+    pub fn check_ghost(&self, backend: Backend) -> Result<(), WorkloadError> {
+        if backend == Backend::Ghost && !self.algo.ghost_sound {
+            return Err(WorkloadError::Check(format!(
+                "ghost is unsound for {}/{} (payload-routed schedule)",
+                self.kind, self.algo.name
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -784,22 +795,24 @@ fn check(ok: bool, msg: &str) -> Result<(), WorkloadError> {
     }
 }
 
-/// Seeded sort instance. The distribution *shape* is seed-derived too, so
-/// any executor sweeping seeds (the fuzzer in particular) also sweeps the
-/// degenerate corners the paper's tie handling must survive: presorted,
-/// reversed, duplicate-heavy and organ-pipe inputs, not just uniform keys.
-fn sort_keys(n: usize, seed: u64) -> Vec<u64> {
-    let dist = match seed % 5 {
-        0 => KeyDist::Sorted,
-        1 => KeyDist::Reversed,
-        2 => KeyDist::FewDistinct {
+/// Sort instance of the named input. On the default `seeded` input the
+/// distribution *shape* is seed-derived too, so any executor sweeping
+/// seeds (the fuzzer in particular) also sweeps the degenerate corners the
+/// paper's tie handling must survive: presorted, reversed,
+/// duplicate-heavy and organ-pipe inputs, not just uniform keys.
+fn sort_keys(input: &str, n: usize, seed: u64) -> Result<Vec<u64>, String> {
+    let dist = match (input, seed % 5) {
+        ("seeded", 0) => KeyDist::Sorted,
+        ("seeded", 1) => KeyDist::Reversed,
+        ("seeded", 2) => KeyDist::FewDistinct {
             distinct: 2 + (seed / 5) % 7,
             seed,
         },
-        3 => KeyDist::OrganPipe,
-        _ => KeyDist::Uniform { seed },
+        ("seeded", 3) => KeyDist::OrganPipe,
+        ("seeded", _) => KeyDist::Uniform { seed },
+        (label, _) => KeyDist::from_label(label, seed)?,
     };
-    dist.generate(n)
+    Ok(dist.generate(n))
 }
 
 fn run_sorter(
@@ -818,7 +831,7 @@ fn run_sorter(
     }
 }
 
-/// Generate this kind's seeded instance and run it under `h`. The single
+/// Generate this kind's instance of `ctx.input` and run it under `h`. The single
 /// place that matches on [`WorkloadKind`] to pick payload types, oracle,
 /// and verification — every executor (serve live/trace, fuzz, profile,
 /// the cost gate) goes through here. Each body computes its oracle only
@@ -829,7 +842,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
     let (n, delta, seed) = (ctx.n, ctx.delta, ctx.seed);
     match ctx.kind {
         WorkloadKind::Sort | WorkloadKind::Pq => {
-            let input = sort_keys(n, seed);
+            let input = sort_keys(ctx.input, n, seed).map_err(WorkloadError::Check)?;
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
@@ -847,7 +860,9 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
         }
         WorkloadKind::Permute => {
             let values: Vec<u64> = (0..n as u64).collect();
-            let pi = PermKind::Random { seed }.generate(n);
+            let pi = PermKind::from_label(ctx.input, n, seed)
+                .map_err(WorkloadError::Check)?
+                .generate(n);
             match algo {
                 "naive" => h.run::<u64>(
                     ctx,
@@ -897,7 +912,9 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
             }
         }
         WorkloadKind::Spmv => {
-            let conf = Conformation::generate(MatrixShape::Random { seed }, n, delta);
+            let shape =
+                MatrixShape::from_label(ctx.input, n, delta, seed).map_err(WorkloadError::Check)?;
+            let conf = Conformation::generate(shape, n, delta);
             let a: Vec<U64Ring> = (0..conf.nnz())
                 .map(|i| U64Ring((i as u64 * 37 + 1) % 97))
                 .collect();
@@ -1060,12 +1077,7 @@ impl Harness for LiveHarness {
         ctx: &RunCtx,
         body: Body<'_, T>,
     ) -> Result<Self::Out, WorkloadError> {
-        if self.backend == Backend::Ghost && !ctx.algo.ghost_sound {
-            return Err(WorkloadError::Check(format!(
-                "ghost is unsound for {}/{} (payload-routed schedule)",
-                ctx.kind, ctx.algo.name
-            )));
-        }
+        ctx.check_ghost(self.backend)?;
         struct Visit<'a, T>(Body<'a, T>);
         impl<T: Payload> MachineVisitor<T> for Visit<'_, T> {
             type Out = Result<(Cost, u64), WorkloadError>;
@@ -1200,30 +1212,67 @@ mod tests {
             run_workload(&bfs, &mut ghost),
             Err(WorkloadError::Check(_))
         ));
-        // Ghost-sound algorithms price exactly on ghost: naive permute,
-        // the fixed-schedule search layouts, the whole scan family, and
-        // both matmul tilings (position-routed schedules).
-        for (kind, algo, delta) in [
-            (WorkloadKind::Permute, "naive", 0),
-            (WorkloadKind::Search, "binary", 16),
-            (WorkloadKind::Search, "btree", 16),
-            (WorkloadKind::Scan, "materialize", 16),
-            (WorkloadKind::Scan, "tree", 16),
-            (WorkloadKind::Scan, "rescan", 16),
-            (WorkloadKind::Matmul, "tiled", 0),
-            (WorkloadKind::Matmul, "stream", 0),
-        ] {
-            let ctx = RunCtx::new(kind, algo, cfg, 256, delta, 1).unwrap();
-            let (gcost, gsum) = run_workload(&ctx, &mut ghost).unwrap();
-            let (vcost, _) = run_workload(
-                &ctx,
-                &mut LiveHarness {
-                    backend: Backend::Vec,
-                },
-            )
-            .unwrap();
-            assert_eq!(gcost, vcost, "{kind}/{algo}: ghost must price exactly");
-            assert_eq!(gsum, 0, "{kind}/{algo}: ghost output is unverified");
+        // Ghost-sound algorithms price exactly on ghost, on every input:
+        // naive permute, the fixed-schedule search layouts, the whole scan
+        // family, and both matmul tilings (position-routed schedules).
+        let mut vec = LiveHarness {
+            backend: Backend::Vec,
+        };
+        let mut pairs = 0;
+        for kind in WorkloadKind::ALL {
+            let w = kind.descriptor();
+            for a in w.algos.iter().filter(|a| a.ghost_sound) {
+                for input in w.inputs {
+                    let ctx = RunCtx::new(kind, a.name, cfg, 256, w.default_delta.min(16), 1)
+                        .and_then(|c| c.with_input(input))
+                        .unwrap();
+                    let (gcost, gsum) = run_workload(&ctx, &mut ghost).unwrap();
+                    let (vcost, _) = run_workload(&ctx, &mut vec).unwrap();
+                    let at = format!("{kind}/{}/{input}", a.name);
+                    assert_eq!(gcost, vcost, "{at}: ghost must price exactly");
+                    assert_eq!(gsum, 0, "{at}: ghost output is unverified");
+                    pairs += 1;
+                }
+            }
+        }
+        // permute/naive on its five inputs; search x2, scan x3 and
+        // matmul x2 on their one input each.
+        assert_eq!(pairs, 5 + 2 + 3 + 2);
+    }
+
+    #[test]
+    fn inputs_resolve_default_first_and_refuse_invalid_shapes() {
+        let cfg = AemConfig::new(64, 8, 16).unwrap();
+        for kind in WorkloadKind::ALL {
+            let w = kind.descriptor();
+            let ctx =
+                RunCtx::new(kind, w.default_algo, cfg, 256, w.default_delta.max(1), 1).unwrap();
+            assert_eq!(ctx.input, w.inputs[0], "{kind}");
+            for input in w.inputs {
+                assert_eq!(ctx.with_input(input).unwrap().input, *input);
+            }
+            assert!(ctx.with_input("nope").is_err(), "{kind}");
+        }
+        let permute = RunCtx::new(WorkloadKind::Permute, "naive", cfg, 1000, 0, 1).unwrap();
+        let err = permute.with_input("bit-reversal").unwrap_err();
+        assert!(err.contains("power of two"), "{err}");
+        assert!(permute.with_input("transpose").is_ok());
+        let spmv = RunCtx::new(WorkloadKind::Spmv, "direct", cfg, 19, 4, 1).unwrap();
+        assert!(spmv.with_input("block-diagonal").is_err());
+        assert!(spmv.with_input("banded").is_ok());
+    }
+
+    #[test]
+    fn lower_bound_is_theorem_4_5_for_the_permuting_kinds_only() {
+        let cfg = AemConfig::new(64, 8, 16).unwrap();
+        for kind in WorkloadKind::ALL {
+            let lb = kind.descriptor().lower_bound(cfg, 4096);
+            match kind {
+                WorkloadKind::Sort | WorkloadKind::Permute | WorkloadKind::Pq => {
+                    assert_eq!(lb, Some(permute_cost_lower_bound(4096, cfg)), "{kind}")
+                }
+                _ => assert_eq!(lb, None, "{kind}"),
+            }
         }
     }
 

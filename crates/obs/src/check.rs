@@ -18,7 +18,6 @@
 //!   predictor for the algorithm that ran (Theorem 3.2 for the `ωm`-way
 //!   merge sort), when one exists.
 
-use aem_core::bounds::permute::permute_cost_lower_bound;
 use aem_core::workload::WorkloadKind;
 use aem_machine::rounds::{round_based_cost, round_decompose};
 use aem_machine::Cost;
@@ -200,23 +199,10 @@ pub fn predicted_cost(rec: &RunRecord) -> Option<Cost> {
     )
 }
 
-/// Whether the §4 permuting/sorting counting lower bound applies to this
-/// workload kind. It is a bound on data movement for problems that must
-/// realize an (unknown) permutation — sorting and permuting, not SpMxV
-/// (SpMxV has its own Theorem 5.1 bound with different parameters) and
-/// not batched search (read-mostly, no permutation realized). The verdict
-/// is the registry's per-kind `counting_lower_bound` flag.
-fn lower_bound(rec: &RunRecord) -> Option<f64> {
-    let kind = WorkloadKind::from_name(&rec.workload.kind).ok()?;
-    if !kind.descriptor().counting_lower_bound {
-        return None;
-    }
-    Some(permute_cost_lower_bound(rec.workload.n, rec.config))
-}
-
 /// Sandwich the measured cost between the paper's lower and upper bounds.
 ///
-/// Lower: Theorem 4.5's counting bound (sorting/permuting workloads).
+/// Lower: the registry's `Workload::lower_bound`, Theorem 4.5's counting
+/// bound for the sorting and permuting kinds.
 /// Upper: the algorithm's closed-form predictor (e.g. Theorem 3.2's
 /// `O(n/B · log_{ωm} n)` merge-sort cost), when one exists. Workloads with
 /// neither bound pass vacuously, with a note saying so.
@@ -225,7 +211,13 @@ pub fn check_cost_sandwich(rec: &RunRecord) -> CheckResult {
     let mut parts = Vec::new();
     let mut passed = true;
 
-    match lower_bound(rec) {
+    let lower_bound = WorkloadKind::from_name(&rec.workload.kind)
+        .ok()
+        .and_then(|kind| {
+            kind.descriptor()
+                .lower_bound(rec.config, rec.workload.n as usize)
+        });
+    match lower_bound {
         Some(lb) => {
             // The lower bound is over *any* program for the worst-case
             // permutation; a measured run on one input must not beat it.

@@ -72,6 +72,10 @@ fn summary_lines(rec: &RunRecord) -> Vec<String> {
             stats.volume
         ),
         format!(
+            "blocks:   {} distinct read, max re-reads of one block {}",
+            stats.distinct_blocks_read, stats.max_rereads
+        ),
+        format!(
             "memory:   high-water {mem_high} / {}, final {}",
             cfg.memory, rec.final_internal_used
         ),
@@ -257,6 +261,12 @@ mod tests {
         let text = render_text(&rec, &checks);
         assert!(text.contains("AEM run report"));
         assert!(text.contains("workload: sort/aem, n = 128"));
+        let stats = rec.trace.stats();
+        assert!(stats.distinct_blocks_read > 0 && stats.max_rereads > 0);
+        assert!(text.contains(&format!(
+            "blocks:   {} distinct read, max re-reads of one block {}",
+            stats.distinct_blocks_read, stats.max_rereads
+        )));
         assert!(text.contains("Phases (inclusive):"));
         assert!(text.contains("whole-sort"));
         assert!(text.contains("io.reads"));

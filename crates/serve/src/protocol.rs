@@ -35,7 +35,10 @@ pub struct JobSpec {
     pub block: usize,
     /// Write/read cost ratio `ω`.
     pub omega: u64,
-    /// Nonzeros per column (spmv only; ignored elsewhere).
+    /// The kind's second shape parameter (`Workload::delta_name`):
+    /// non-zeros per column for spmv, lookups for search, prefix queries
+    /// for scan, out-degree for bfs; sort, permute, pq and matmul ignore
+    /// it.
     pub delta: usize,
     /// Workload seed: equal seeds give equal instances, bit for bit.
     pub seed: u64,

@@ -100,6 +100,20 @@ impl KeyDist {
             KeyDist::Zipf { .. } => "zipf",
         }
     }
+
+    /// Inverse of [`KeyDist::label`]: the distribution a label names,
+    /// seeded with `seed`. `few-distinct` draws from 16 keys; `zipf` has an
+    /// exponent a label cannot carry and is not nameable.
+    pub fn from_label(label: &str, seed: u64) -> Result<KeyDist, String> {
+        Ok(match label {
+            "uniform" => KeyDist::Uniform { seed },
+            "sorted" => KeyDist::Sorted,
+            "reversed" => KeyDist::Reversed,
+            "few-distinct" => KeyDist::FewDistinct { distinct: 16, seed },
+            "organ-pipe" => KeyDist::OrganPipe,
+            other => return Err(format!("no key distribution is labelled '{other}'")),
+        })
+    }
 }
 
 /// `true` if `v` is sorted ascending (validation helper).
@@ -180,6 +194,28 @@ mod tests {
             }
             .generate(10_000)
         );
+    }
+
+    #[test]
+    fn from_label_inverts_label() {
+        for label in [
+            "uniform",
+            "sorted",
+            "reversed",
+            "few-distinct",
+            "organ-pipe",
+        ] {
+            assert_eq!(KeyDist::from_label(label, 3).unwrap().label(), label);
+        }
+        assert_eq!(
+            KeyDist::from_label("few-distinct", 3).unwrap(),
+            KeyDist::FewDistinct {
+                distinct: 16,
+                seed: 3
+            }
+        );
+        assert!(KeyDist::from_label("zipf", 3).is_err());
+        assert!(KeyDist::from_label("nope", 3).is_err());
     }
 
     #[test]

@@ -60,6 +60,48 @@ pub struct Conformation {
     pub triples: Vec<Triple>,
 }
 
+impl MatrixShape {
+    /// Short label for tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            MatrixShape::Random { .. } => "random",
+            MatrixShape::Banded { .. } => "banded",
+            MatrixShape::BlockDiagonal { .. } => "block-diagonal",
+        }
+    }
+
+    /// Inverse of [`MatrixShape::label`] for an `n × n` conformation with
+    /// `delta` entries per column, seeded with `seed`. `banded` has
+    /// half-bandwidth `4δ` and `block-diagonal` blocks of side
+    /// `max(2δ, 8)`; the structural checks [`Conformation::generate`]
+    /// would panic on are made here instead.
+    pub fn from_label(
+        label: &str,
+        n: usize,
+        delta: usize,
+        seed: u64,
+    ) -> Result<MatrixShape, String> {
+        Ok(match label {
+            "random" => MatrixShape::Random { seed },
+            "banded" => MatrixShape::Banded {
+                bandwidth: 4 * delta,
+                seed,
+            },
+            "block-diagonal" => {
+                let block = (2 * delta).max(8);
+                let tail = n % block;
+                if tail != 0 && tail < delta {
+                    return Err(format!(
+                        "block-diagonal: the tail block ({tail} = n mod {block}) cannot hold delta = {delta} rows"
+                    ));
+                }
+                MatrixShape::BlockDiagonal { block, seed }
+            }
+            other => return Err(format!("no matrix shape is labelled '{other}'")),
+        })
+    }
+}
+
 impl Conformation {
     /// Generate a conformation with exactly `delta` entries per column.
     ///
@@ -210,6 +252,22 @@ mod tests {
         for t in &c.triples {
             assert_eq!(t.row / 8, t.col / 8);
         }
+    }
+
+    #[test]
+    fn from_label_inverts_label_and_checks_the_tail_block() {
+        for label in ["random", "banded", "block-diagonal"] {
+            let shape = MatrixShape::from_label(label, 100, 3, 1).unwrap();
+            assert_eq!(shape.label(), label);
+            Conformation::generate(shape, 100, 3).validate().unwrap();
+        }
+        assert_eq!(
+            MatrixShape::from_label("block-diagonal", 64, 4, 2).unwrap(),
+            MatrixShape::BlockDiagonal { block: 8, seed: 2 }
+        );
+        // n = 19, block 8: the tail block has 3 < 4 rows.
+        assert!(MatrixShape::from_label("block-diagonal", 19, 4, 1).is_err());
+        assert!(MatrixShape::from_label("clustered", 64, 4, 1).is_err());
     }
 
     #[test]

@@ -89,6 +89,32 @@ impl PermKind {
             PermKind::Stride { .. } => "stride",
         }
     }
+
+    /// Inverse of [`PermKind::label`] for an `n`-element permutation,
+    /// checking the family's structural requirement so that
+    /// [`PermKind::generate`] cannot panic on the result. `random` is
+    /// seeded with `seed`; `transpose` takes the most nearly square shape,
+    /// rows = the largest divisor of `n` that is at most `√n`. `stride`
+    /// needs a stride a label cannot carry and is not nameable.
+    pub fn from_label(label: &str, n: usize, seed: u64) -> Result<PermKind, String> {
+        Ok(match label {
+            "identity" => PermKind::Identity,
+            "reverse" => PermKind::Reverse,
+            "random" => PermKind::Random { seed },
+            "transpose" => {
+                let rows = (1..=n)
+                    .take_while(|&r| r <= n / r)
+                    .filter(|r| n % r == 0)
+                    .last();
+                PermKind::Transpose {
+                    rows: rows.ok_or("transpose needs n >= 1")?,
+                }
+            }
+            "bit-reversal" if n.is_power_of_two() => PermKind::BitReversal,
+            "bit-reversal" => return Err(format!("bit-reversal needs n a power of two (n = {n})")),
+            other => return Err(format!("no permutation family is labelled '{other}'")),
+        })
+    }
 }
 
 fn reverse_low_bits(x: usize, bits: u32) -> usize {
@@ -190,6 +216,25 @@ mod tests {
         for i in 0..64 {
             assert_eq!(pi[pi[i]], i);
         }
+    }
+
+    #[test]
+    fn from_label_inverts_label_and_checks_n() {
+        for label in ["identity", "reverse", "random", "transpose", "bit-reversal"] {
+            let k = PermKind::from_label(label, 64, 1).unwrap();
+            assert_eq!(k.label(), label);
+            assert!(is_permutation(&k.generate(64)));
+        }
+        // The most nearly square shape: 64 = 8 x 8, 2048 = 32 x 64, 1000 = 25 x 40.
+        for (n, rows) in [(64, 8), (2048, 32), (1000, 25), (7, 1), (1, 1)] {
+            assert_eq!(
+                PermKind::from_label("transpose", n, 1).unwrap(),
+                PermKind::Transpose { rows }
+            );
+        }
+        assert!(PermKind::from_label("transpose", 0, 1).is_err());
+        assert!(PermKind::from_label("bit-reversal", 1000, 1).is_err());
+        assert!(PermKind::from_label("stride", 64, 1).is_err());
     }
 
     #[test]
