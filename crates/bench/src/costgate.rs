@@ -19,7 +19,8 @@
 
 use std::path::Path;
 
-use aem_obs::json::{obj, Json};
+use aem_machine::Cost;
+use aem_obs::json::{self, obj, Field, Json};
 use aem_serve::exec::{execute, TraceCache};
 use aem_serve::planner::plan;
 use aem_serve::protocol::{JobKind, JobSpec};
@@ -106,19 +107,13 @@ pub fn measure() -> Result<Json, String> {
         let p = plan(&spec).map_err(|e| format!("plan {}: {e}", spec.kind.name()))?;
         let r =
             execute(&spec, &p, &cache).map_err(|e| format!("exec {}: {e}", spec.kind.name()))?;
-        cells.push((
-            cell_name(&spec, p.algo),
-            obj(vec![
-                ("reads", Json::UInt(r.measured.reads)),
-                ("writes", Json::UInt(r.measured.writes)),
-            ]),
-        ));
+        cells.push((cell_name(&spec, p.algo), r.measured.to_json()));
     }
     cells.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(Json::Obj(vec![
-        ("gate".to_string(), Json::Str("cost-model".into())),
+    Ok(obj(vec![
+        ("gate", Json::Str("cost-model".into())),
         (
-            "note".to_string(),
+            "note",
             Json::Str(
                 "exact metered (Q_r, Q_w) per canonical cell; regenerate with \
                  `cargo run -p aem-bench --bin cost_gate -- --write` only when \
@@ -126,7 +121,7 @@ pub fn measure() -> Result<Json, String> {
                     .into(),
             ),
         ),
-        ("cells".to_string(), Json::Obj(cells)),
+        ("cells", Json::Obj(cells)),
     ]))
 }
 
@@ -206,23 +201,14 @@ impl CostReport {
 type CellCosts = Vec<(String, (u64, u64))>;
 
 fn cells_of(doc: &Json) -> Result<CellCosts, String> {
-    let cells = doc.get("cells").ok_or("document has no 'cells' object")?;
-    let Json::Obj(members) = cells else {
-        return Err("'cells' is not an object".into());
-    };
-    let mut out = Vec::new();
-    for (name, v) in members {
-        let reads = v
-            .get("reads")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell '{name}' has no integer 'reads'"))?;
-        let writes = v
-            .get("writes")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell '{name}' has no integer 'writes'"))?;
-        out.push((name.clone(), (reads, writes)));
-    }
-    Ok(out)
+    let cells: Vec<(String, Json)> = json::field(doc, "cells", None)?;
+    cells
+        .into_iter()
+        .map(|(name, v)| {
+            let c = Cost::from_json(&v).map_err(|e| format!("cell '{name}': {e}"))?;
+            Ok((name, (c.reads, c.writes)))
+        })
+        .collect()
 }
 
 /// Compare a committed snapshot against a fresh measurement.

@@ -22,12 +22,28 @@ use std::io::Write as _;
 use std::path::Path;
 
 use aem_machine::Backend;
-use aem_obs::json::{parse, Json};
+use aem_obs::json::{parse, Field};
+use aem_obs::json_table;
 
 use super::value::CellOut;
 
-/// Cache line format version.
-const CACHE_VERSION: u64 = 1;
+/// Cache line format version. Version 2 stores a cell's fields as one JSON
+/// object (floats as `{:?}` strings) in place of version 1's
+/// `[name, tag, value]` triples.
+const CACHE_VERSION: u64 = 2;
+
+json_table! {
+    /// One cache line.
+    struct Line {
+        v: u64,
+        key: String,
+        exp: String,
+        cell: String,
+        backend: String,
+        salt: String,
+        out: CellOut,
+    }
+}
 
 /// The build-time code-version salt: a hash of every `src/exp/*` and
 /// `src/sweep/*` source file, computed by `build.rs`. Editing any
@@ -85,19 +101,12 @@ impl Cache {
             return cache;
         };
         for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(j) = parse(line) else { continue };
-            if j.get("v").and_then(Json::as_u64) != Some(CACHE_VERSION) {
-                continue;
-            }
-            let (Some(key), Some(out)) = (j.get("key").and_then(Json::as_str), j.get("out")) else {
-                continue;
-            };
-            if let Ok(out) = CellOut::from_json(out) {
-                cache.entries.insert(key.to_string(), out);
+            // Blank and torn lines fail to parse and are skipped with the rest.
+            let line = parse(line).map_err(|e| e.to_string());
+            if let Ok(l) = line.and_then(|j| Line::from_json(&j)) {
+                if l.v == CACHE_VERSION {
+                    cache.entries.insert(l.key, l.out);
+                }
             }
         }
         cache
@@ -127,18 +136,16 @@ pub fn record_line(
     salt: &str,
     out: &CellOut,
 ) -> String {
-    Json::Obj(vec![
-        ("v".to_string(), Json::UInt(CACHE_VERSION)),
-        (
-            "key".to_string(),
-            Json::Str(cell_hash(exp_id, cell_key, backend, salt)),
-        ),
-        ("exp".to_string(), Json::Str(exp_id.to_string())),
-        ("cell".to_string(), Json::Str(cell_key.to_string())),
-        ("backend".to_string(), Json::Str(backend.name().to_string())),
-        ("salt".to_string(), Json::Str(salt.to_string())),
-        ("out".to_string(), out.to_json()),
-    ])
+    Line {
+        v: CACHE_VERSION,
+        key: cell_hash(exp_id, cell_key, backend, salt),
+        exp: exp_id.to_string(),
+        cell: cell_key.to_string(),
+        backend: backend.name().to_string(),
+        salt: salt.to_string(),
+        out: out.clone(),
+    }
+    .to_json()
     .to_string_compact()
 }
 

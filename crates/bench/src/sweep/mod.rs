@@ -30,7 +30,7 @@ pub mod engine;
 pub mod value;
 
 pub use engine::{run, RunOptions, RunReport, SweepOutcome};
-pub use value::{CellOut, Value};
+pub use value::CellOut;
 
 use crate::table::Table;
 

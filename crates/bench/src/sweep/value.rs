@@ -1,36 +1,27 @@
 //! Typed cell outputs with an exact JSONL round-trip.
 //!
-//! A sweep cell returns a [`CellOut`]: an ordered list of named scalar
+//! A sweep cell returns a [`CellOut`]: an ordered list of named JSON
 //! fields plus (optionally) pre-rendered table rows, for experiments whose
 //! per-cell row count is only known at run time (e.g. the T1f phase
 //! attribution). The representation is deliberately flat so that a cell's
 //! result can be cached as one JSONL record and replayed later with
-//! bit-identical rendering: `u64` survives as JSON integers, `f64` is
+//! bit-identical rendering: `u64` survives as a JSON integer, and `f64` is
 //! stored as its shortest round-tripping decimal string (Rust's `{:?}`
-//! float formatting), so a cache hit reproduces *exactly* the bytes a
-//! fresh simulation would have produced.
+//! float formatting), so `2.0` stays distinct from `2`, non-finite values
+//! survive, and a cache hit reproduces *exactly* the bytes a fresh
+//! simulation would have produced.
 
 use aem_obs::json::Json;
+use aem_obs::json_table;
 
-/// A single typed scalar stored in a [`CellOut`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// An unsigned integer (costs, sizes, counts).
-    U64(u64),
-    /// A float, serialized via its shortest round-trip representation.
-    F64(f64),
-    /// A boolean verdict.
-    Bool(bool),
-    /// A label or pre-formatted fragment.
-    Str(String),
-}
-
-/// The result of one sweep cell: ordered named fields plus optional
-/// pre-rendered rows.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CellOut {
-    fields: Vec<(String, Value)>,
-    rows: Vec<Vec<String>>,
+json_table! {
+    /// The result of one sweep cell: ordered named fields plus optional
+    /// pre-rendered rows.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct CellOut {
+        fields: Vec<(String, Json)>,
+        rows: Vec<Vec<String>>,
+    }
 }
 
 impl CellOut {
@@ -39,28 +30,29 @@ impl CellOut {
         Self::default()
     }
 
-    /// Append an unsigned-integer field (builder style).
-    pub fn with_u64(mut self, name: &str, v: u64) -> Self {
-        self.fields.push((name.to_string(), Value::U64(v)));
+    fn with(mut self, name: &str, v: Json) -> Self {
+        self.fields.push((name.to_string(), v));
         self
+    }
+
+    /// Append an unsigned-integer field (builder style).
+    pub fn with_u64(self, name: &str, v: u64) -> Self {
+        self.with(name, Json::UInt(v))
     }
 
     /// Append a float field (builder style).
-    pub fn with_f64(mut self, name: &str, v: f64) -> Self {
-        self.fields.push((name.to_string(), Value::F64(v)));
-        self
+    pub fn with_f64(self, name: &str, v: f64) -> Self {
+        self.with(name, Json::Str(format!("{v:?}")))
     }
 
     /// Append a boolean field (builder style).
-    pub fn with_bool(mut self, name: &str, v: bool) -> Self {
-        self.fields.push((name.to_string(), Value::Bool(v)));
-        self
+    pub fn with_bool(self, name: &str, v: bool) -> Self {
+        self.with(name, Json::Bool(v))
     }
 
     /// Append a string field (builder style).
-    pub fn with_str(mut self, name: &str, v: impl Into<String>) -> Self {
-        self.fields.push((name.to_string(), Value::Str(v.into())));
-        self
+    pub fn with_str(self, name: &str, v: impl Into<String>) -> Self {
+        self.with(name, Json::Str(v.into()))
     }
 
     /// Append one pre-rendered table row (builder style).
@@ -74,12 +66,14 @@ impl CellOut {
         &self.rows
     }
 
-    fn field(&self, name: &str) -> &Value {
-        self.fields
+    fn field<'a, T>(&'a self, name: &str, ty: &str, read: impl FnOnce(&'a Json) -> Option<T>) -> T {
+        let v = self
+            .fields
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("cell output has no field {name:?}"))
+            .unwrap_or_else(|| panic!("cell output has no field {name:?}"));
+        read(v).unwrap_or_else(|| panic!("field {name:?} is {v:?}, not {ty}"))
     }
 
     /// Read back a `u64` field.
@@ -90,111 +84,29 @@ impl CellOut {
     /// `render` reading a field its own cells never wrote is a programming
     /// error, not a runtime condition.
     pub fn u64(&self, name: &str) -> u64 {
-        match self.field(name) {
-            Value::U64(v) => *v,
-            other => panic!("field {name:?} is {other:?}, not u64"),
-        }
+        self.field(name, "u64", Json::as_u64)
     }
 
     /// Read back an `f64` field (see [`CellOut::u64`] for panics).
     pub fn f64(&self, name: &str) -> f64 {
-        match self.field(name) {
-            Value::F64(v) => *v,
-            other => panic!("field {name:?} is {other:?}, not f64"),
-        }
+        self.field(name, "f64", |v| v.as_str()?.parse().ok())
     }
 
     /// Read back a boolean field (see [`CellOut::u64`] for panics).
     pub fn bool(&self, name: &str) -> bool {
-        match self.field(name) {
-            Value::Bool(v) => *v,
-            other => panic!("field {name:?} is {other:?}, not bool"),
-        }
+        self.field(name, "bool", Json::as_bool)
     }
 
     /// Read back a string field (see [`CellOut::u64`] for panics).
     pub fn str(&self, name: &str) -> &str {
-        match self.field(name) {
-            Value::Str(v) => v,
-            other => panic!("field {name:?} is {other:?}, not str"),
-        }
-    }
-
-    /// Serialize to a JSON object (used by the result cache).
-    pub fn to_json(&self) -> Json {
-        let fields = self
-            .fields
-            .iter()
-            .map(|(k, v)| {
-                let (tag, val) = match v {
-                    Value::U64(x) => ("u", Json::UInt(*x)),
-                    // {:?} is Rust's shortest round-trip float repr; going
-                    // through a string keeps 2.0 distinguishable from 2u64.
-                    Value::F64(x) => ("f", Json::Str(format!("{x:?}"))),
-                    Value::Bool(x) => ("b", Json::Bool(*x)),
-                    Value::Str(x) => ("s", Json::Str(x.clone())),
-                };
-                Json::Arr(vec![Json::Str(k.clone()), Json::Str(tag.to_string()), val])
-            })
-            .collect();
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| Json::Arr(r.iter().map(|c| Json::Str(c.clone())).collect()))
-            .collect();
-        Json::Obj(vec![
-            ("fields".to_string(), Json::Arr(fields)),
-            ("rows".to_string(), Json::Arr(rows)),
-        ])
-    }
-
-    /// Parse back from [`CellOut::to_json`]'s representation.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let mut out = CellOut::new();
-        let fields = j
-            .get("fields")
-            .and_then(Json::as_array)
-            .ok_or("cell output missing 'fields' array")?;
-        for f in fields {
-            let triple = f.as_array().ok_or("field is not an array")?;
-            let [name, tag, val] = triple else {
-                return Err("field is not a [name, tag, value] triple".into());
-            };
-            let name = name.as_str().ok_or("field name is not a string")?;
-            let value = match tag.as_str().ok_or("field tag is not a string")? {
-                "u" => Value::U64(val.as_u64().ok_or("u-field is not a u64")?),
-                "f" => Value::F64(
-                    val.as_str()
-                        .ok_or("f-field is not a string")?
-                        .parse()
-                        .map_err(|e| format!("bad float: {e}"))?,
-                ),
-                "b" => Value::Bool(val.as_bool().ok_or("b-field is not a bool")?),
-                "s" => Value::Str(val.as_str().ok_or("s-field is not a string")?.to_string()),
-                other => return Err(format!("unknown field tag {other:?}")),
-            };
-            out.fields.push((name.to_string(), value));
-        }
-        let rows = j
-            .get("rows")
-            .and_then(Json::as_array)
-            .ok_or("cell output missing 'rows' array")?;
-        for r in rows {
-            let cells = r.as_array().ok_or("row is not an array")?;
-            let mut row = Vec::with_capacity(cells.len());
-            for c in cells {
-                row.push(c.as_str().ok_or("row cell is not a string")?.to_string());
-            }
-            out.rows.push(row);
-        }
-        Ok(out)
+        self.field(name, "str", Json::as_str)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aem_obs::json::parse;
+    use aem_obs::json::{parse, Field};
 
     #[test]
     fn round_trips_all_types_exactly() {
@@ -232,9 +144,9 @@ mod tests {
     fn rejects_malformed_json() {
         for bad in [
             "{}",
-            "{\"fields\":[[\"a\",\"u\",\"nope\"]],\"rows\":[]}",
-            "{\"fields\":[[\"a\",\"z\",1]],\"rows\":[]}",
-            "{\"fields\":[],\"rows\":[[1]]}",
+            "{\"fields\":[[\"a\",\"u\",1]],\"rows\":[]}",
+            "{\"fields\":{},\"rows\":{}}",
+            "{\"fields\":{},\"rows\":[[1]]}",
         ] {
             assert!(CellOut::from_json(&parse(bad).unwrap()).is_err(), "{bad}");
         }

@@ -322,7 +322,11 @@ fn fuzz_seed_line_is_golden() {
     assert_eq!(back.to_json(&target), SEED);
 }
 
-const CACHE_LINE: &str = r#"{"v":1,"key":"7559089a2ba3d8d7","exp":"T1a","cell":"n=4096","backend":"vec","salt":"salt-1","out":{"fields":[["n","u",4096],["whole","f","2.0"],["ratio","f","0.30000000000000004"],["slope","f","inf"],["ok","b",true],["label","s","ωm \"q\""]],"rows":[["a","b"]]}}"#;
+/// Cache format 1, as written before cell fields became one JSON object:
+/// the loader must skip it rather than misread it.
+const CACHE_LINE_V1: &str = r#"{"v":1,"key":"7559089a2ba3d8d7","exp":"T1a","cell":"n=4096","backend":"vec","salt":"salt-1","out":{"fields":[["n","u",4096],["whole","f","2.0"],["ratio","f","0.30000000000000004"],["slope","f","inf"],["ok","b",true],["label","s","ωm \"q\""]],"rows":[["a","b"]]}}"#;
+
+const CACHE_LINE: &str = r#"{"v":2,"key":"7559089a2ba3d8d7","exp":"T1a","cell":"n=4096","backend":"vec","salt":"salt-1","out":{"fields":{"n":4096,"whole":"2.0","ratio":"0.30000000000000004","slope":"inf","ok":true,"label":"ωm \"q\""},"rows":[["a","b"]]}}"#;
 
 #[test]
 fn sweep_cache_line_is_golden_and_replays() {
@@ -339,9 +343,10 @@ fn sweep_cache_line_is_golden_and_replays() {
     let key = "7559089a2ba3d8d7";
 
     let path = std::env::temp_dir().join(format!("aem-wire-golden-{}.jsonl", std::process::id()));
-    std::fs::write(&path, format!("{line}\n")).unwrap();
+    std::fs::write(&path, format!("{CACHE_LINE_V1}\n{line}\n")).unwrap();
     let cache = Cache::load(&path);
     std::fs::remove_file(&path).unwrap();
+    assert_eq!(cache.len(), 1, "the version-1 line is skipped");
     let back = cache.get(key).expect("cache line reloads");
     assert_eq!(back, &out);
     assert_eq!(

@@ -8,7 +8,8 @@
 //! check fails — and render to a one-line `aemsim fuzz` replay command.
 
 use aem_machine::{AemConfig, MachineError};
-use aem_obs::json::{self, Json};
+use aem_obs::json::{self, Json, Table};
+use aem_obs::json_table;
 use aem_workloads::KeyDist;
 
 /// Key-distribution shape of a case, biased toward the degenerate corner
@@ -72,23 +73,45 @@ impl DistKind {
     }
 }
 
-/// One sampled configuration-and-workload point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzCase {
-    /// Internal memory `M` in elements.
-    pub mem: usize,
-    /// Block size `B` in elements.
-    pub block: usize,
-    /// Write/read cost ratio `ω`.
-    pub omega: u64,
-    /// Input size `n` in elements.
-    pub n: usize,
-    /// Seed of the generated workload (keys, permutation, matrix).
-    pub case_seed: u64,
-    /// Key-distribution shape (sort targets).
-    pub dist: DistKind,
-    /// Row density `δ` (SpMxV targets).
-    pub delta: usize,
+json_table! {
+    /// How a seed file spells a [`DistKind`]: its name and alphabet size.
+    struct DistFields {
+        dist: String = ("uniform".to_string()),
+        distinct: u64 = 1,
+    }
+}
+
+impl Table for DistKind {
+    fn write_fields(&self, out: &mut Vec<(String, Json)>) {
+        let (dist, distinct) = (self.name().to_string(), self.distinct());
+        DistFields { dist, distinct }.write_fields(out);
+    }
+
+    fn read_fields(j: &Json) -> Result<Self, String> {
+        let DistFields { dist, distinct } = DistFields::read_fields(j)?;
+        DistKind::from_name(&dist, distinct)
+    }
+}
+
+json_table! {
+    /// One sampled configuration-and-workload point.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FuzzCase {
+        /// Internal memory `M` in elements.
+        pub mem: usize,
+        /// Block size `B` in elements.
+        pub block: usize,
+        /// Write/read cost ratio `ω`.
+        pub omega: u64,
+        /// Input size `n` in elements.
+        pub n: usize,
+        /// Seed of the generated workload (keys, permutation, matrix).
+        pub case_seed: u64,
+        /// Key-distribution shape (sort targets).
+        pub dist: DistKind = flat,
+        /// Row density `δ` (SpMxV targets).
+        pub delta: usize = 4,
+    }
 }
 
 impl FuzzCase {
@@ -114,45 +137,16 @@ impl FuzzCase {
 
     /// Single-line JSON seed-file form (the corpus / repro format).
     pub fn to_json(&self, target: &str) -> String {
-        json::obj(vec![
-            ("target", Json::Str(target.to_string())),
-            ("mem", Json::UInt(self.mem as u64)),
-            ("block", Json::UInt(self.block as u64)),
-            ("omega", Json::UInt(self.omega)),
-            ("n", Json::UInt(self.n as u64)),
-            ("case_seed", Json::UInt(self.case_seed)),
-            ("dist", Json::Str(self.dist.name().to_string())),
-            ("distinct", Json::UInt(self.dist.distinct())),
-            ("delta", Json::UInt(self.delta as u64)),
-        ])
-        .to_string_compact()
+        self.to_json_after("target", Json::Str(target.to_string()))
+            .to_string_compact()
     }
 
     /// Parse a seed file produced by [`FuzzCase::to_json`]; returns the
     /// target name alongside the case.
     pub fn from_json(text: &str) -> Result<(String, FuzzCase), String> {
         let v = json::parse(text).map_err(|e| format!("seed file is not JSON: {e}"))?;
-        let field = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("seed file missing numeric field '{k}'"))
-        };
-        let target = v
-            .get("target")
-            .and_then(Json::as_str)
-            .ok_or("seed file missing 'target'")?
-            .to_string();
-        let dist_name = v.get("dist").and_then(Json::as_str).unwrap_or("uniform");
-        let distinct = v.get("distinct").and_then(Json::as_u64).unwrap_or(1);
-        let case = FuzzCase {
-            mem: field("mem")? as usize,
-            block: field("block")? as usize,
-            omega: field("omega")?,
-            n: field("n")? as usize,
-            case_seed: field("case_seed")?,
-            dist: DistKind::from_name(dist_name, distinct)?,
-            delta: v.get("delta").and_then(Json::as_u64).unwrap_or(4) as usize,
-        };
+        let target = json::field(&v, "target", None).map_err(|e| format!("seed file: {e}"))?;
+        let case = FuzzCase::read_fields(&v).map_err(|e| format!("seed file: {e}"))?;
         Ok((target, case))
     }
 

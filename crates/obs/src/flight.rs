@@ -18,48 +18,42 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::json::{obj, Json};
+use crate::json::{Json, Table};
+use crate::record::Op;
 
 /// Default ring capacity: enough tail to see the faulting access pattern
 /// (a merge round, a pointer-block rewrite cycle) without drowning a
 /// terminal in output.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 64;
 
-/// One recorded I/O event, as the flight recorder saw it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Global 0-based index of the event within the run.
-    pub seq: u64,
-    /// `true` for a write, `false` for a read.
-    pub write: bool,
-    /// Block id touched.
-    pub block: usize,
-    /// Elements transferred.
-    pub len: usize,
-    /// `true` if the block is an auxiliary (pointer) block.
-    pub aux: bool,
-    /// Innermost open phase when the event happened (`"-"` outside any).
-    pub phase: String,
-    /// Cost contribution in the `Q` metric: `1` for a read, `ω` for a
-    /// write.
-    pub q_delta: u64,
+crate::json_table! {
+    /// One recorded I/O event, as the flight recorder saw it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FlightEvent {
+        /// Global 0-based index of the event within the run.
+        pub seq: u64,
+        /// `true` for a write, `false` for a read.
+        pub write: bool = (via Op),
+        /// Block id touched.
+        pub block: usize as "blk",
+        /// Elements transferred.
+        pub len: usize,
+        /// `true` if the block is an auxiliary (pointer) block.
+        pub aux: bool,
+        /// Innermost open phase when the event happened (`"-"` outside any).
+        pub phase: String,
+        /// Cost contribution in the `Q` metric: `1` for a read, `ω` for a
+        /// write.
+        pub q_delta: u64 as "dq",
+    }
 }
 
 impl FlightEvent {
     /// One self-describing JSON line (`{"t":"flight",...}`), matching the
     /// style of the RunRecord JSONL format.
     pub fn to_json_line(&self) -> String {
-        obj(vec![
-            ("t", Json::Str("flight".into())),
-            ("seq", Json::UInt(self.seq)),
-            ("op", Json::Str(if self.write { "w" } else { "r" }.into())),
-            ("blk", Json::UInt(self.block as u64)),
-            ("len", Json::UInt(self.len as u64)),
-            ("aux", Json::Bool(self.aux)),
-            ("phase", Json::Str(self.phase.clone())),
-            ("dq", Json::UInt(self.q_delta)),
-        ])
-        .to_string_compact()
+        self.to_json_after("t", Json::Str("flight".into()))
+            .to_string_compact()
     }
 
     fn render_line(&self) -> String {

@@ -66,5 +66,5 @@ pub use observer::Observer;
 pub use phase::{node_depth, PhaseNode, PhaseStack};
 pub use profile::{Heatmap, Profile, Residual};
 pub use promtext::{prom_label_value, prom_name, PromText};
-pub use record::{RunRecord, WorkloadMeta, FORMAT_VERSION};
+pub use record::{Op, RunRecord, WorkloadMeta, FORMAT_VERSION};
 pub use report::{render_markdown, render_text};

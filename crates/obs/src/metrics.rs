@@ -9,17 +9,19 @@
 
 use std::collections::BTreeMap;
 
-/// A monotone value with its historical maximum.
-///
-/// The AEM analyses care about *peaks* (does internal memory ever exceed
-/// `M`? is it empty at round boundaries?), so every `set` updates the
-/// high-water mark as a side effect.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gauge {
-    /// The most recent value.
-    pub value: u64,
-    /// The largest value ever set.
-    pub high_water: u64,
+crate::json_table! {
+    /// A monotone value with its historical maximum.
+    ///
+    /// The AEM analyses care about *peaks* (does internal memory ever exceed
+    /// `M`? is it empty at round boundaries?), so every `set` updates the
+    /// high-water mark as a side effect.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Gauge {
+        /// The most recent value.
+        pub value: u64,
+        /// The largest value ever set.
+        pub high_water: u64,
+    }
 }
 
 impl Gauge {
@@ -32,25 +34,27 @@ impl Gauge {
     }
 }
 
-/// A histogram over `u64` samples with fixed, ascending bucket bounds.
-///
-/// Bucket `i` counts samples `x` with `x <= bounds[i]` (and greater than the
-/// previous bound); one extra overflow bucket counts samples above the last
-/// bound. `count`, `sum` and `max` are tracked exactly, so the mean is exact
-/// even though per-sample values are bucketed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    /// Inclusive upper bounds of the buckets, strictly ascending.
-    pub bounds: Vec<u64>,
-    /// Per-bucket sample counts; `counts.len() == bounds.len() + 1`, the
-    /// final entry being the overflow bucket.
-    pub counts: Vec<u64>,
-    /// Total number of samples observed.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Largest sample observed.
-    pub max: u64,
+crate::json_table! {
+    /// A histogram over `u64` samples with fixed, ascending bucket bounds.
+    ///
+    /// Bucket `i` counts samples `x` with `x <= bounds[i]` (and greater than
+    /// the previous bound); one extra overflow bucket counts samples above
+    /// the last bound. `count`, `sum` and `max` are tracked exactly, so the
+    /// mean is exact even though per-sample values are bucketed.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Histogram {
+        /// Inclusive upper bounds of the buckets, strictly ascending.
+        pub bounds: Vec<u64>,
+        /// Per-bucket sample counts; `counts.len() == bounds.len() + 1`, the
+        /// final entry being the overflow bucket.
+        pub counts: Vec<u64>,
+        /// Total number of samples observed.
+        pub count: u64,
+        /// Sum of all samples.
+        pub sum: u64,
+        /// Largest sample observed.
+        pub max: u64,
+    }
 }
 
 impl Histogram {

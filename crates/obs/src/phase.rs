@@ -9,26 +9,28 @@
 
 use aem_machine::Cost;
 
-/// One node of the phase tree, holding inclusive totals for its span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseNode {
-    /// Phase name as passed to `enter` ("merge-level-2", "base-runs", …).
-    pub name: String,
-    /// Index of the parent phase in the tree's node list, or `None` for
-    /// top-level phases.
-    pub parent: Option<usize>,
-    /// I/O cost incurred while the span was open (inclusive of children).
-    pub cost: Cost,
-    /// Elements transferred while the span was open.
-    pub volume: u64,
-    /// Auxiliary-block reads while the span was open.
-    pub aux_reads: u64,
-    /// Auxiliary-block writes while the span was open.
-    pub aux_writes: u64,
-    /// Number of I/O events while the span was open.
-    pub events: u64,
-    /// Peak internal-memory occupancy (elements) observed during the span.
-    pub high_water: u64,
+crate::json_table! {
+    /// One node of the phase tree, holding inclusive totals for its span.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PhaseNode {
+        /// Index of the parent phase in the tree's node list, or `None` for
+        /// top-level phases.
+        pub parent: Option<usize>,
+        /// Phase name as passed to `enter` ("merge-level-2", "base-runs", …).
+        pub name: String,
+        /// I/O cost incurred while the span was open (inclusive of children).
+        pub cost: Cost = flat,
+        /// Elements transferred while the span was open.
+        pub volume: u64,
+        /// Auxiliary-block reads while the span was open.
+        pub aux_reads: u64,
+        /// Auxiliary-block writes while the span was open.
+        pub aux_writes: u64,
+        /// Number of I/O events while the span was open.
+        pub events: u64,
+        /// Peak internal-memory occupancy (elements) observed during the span.
+        pub high_water: u64,
+    }
 }
 
 impl PhaseNode {

@@ -16,27 +16,29 @@
 //! {"t":"hist","name":"block.occupancy.read","bounds":[2,4,6,8],...}
 //! ```
 
-use aem_machine::{AemConfig, BlockId, Cost, IoEvent, Trace};
+use aem_machine::{AemConfig, BlockId, IoEvent, Trace};
 
 use crate::error::ObsError;
-use crate::json::{obj, parse, Json};
+use crate::json::parse;
 use crate::metrics::{Gauge, Histogram, Metrics};
 use crate::phase::PhaseNode;
 
 /// Version of the JSONL format; bumped on incompatible changes.
 pub const FORMAT_VERSION: u64 = 1;
 
-/// Identity of the workload an instrumented run executed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkloadMeta {
-    /// Workload family: `"sort"`, `"permute"`, `"spmv"`, ….
-    pub kind: String,
-    /// Algorithm within the family: `"aem"`, `"em"`, `"by_sort"`, ….
-    pub algo: String,
-    /// Problem size (elements, or rows for SpMxV).
-    pub n: u64,
-    /// Row density δ for SpMxV; `0` when not applicable.
-    pub delta: u64,
+crate::json_table! {
+    /// Identity of the workload an instrumented run executed.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WorkloadMeta {
+        /// Workload family: `"sort"`, `"permute"`, `"spmv"`, ….
+        pub kind: String,
+        /// Algorithm within the family: `"aem"`, `"em"`, `"by_sort"`, ….
+        pub algo: String,
+        /// Problem size (elements, or rows for SpMxV).
+        pub n: u64,
+        /// Row density δ for SpMxV; `0` when not applicable.
+        pub delta: u64,
+    }
 }
 
 impl WorkloadMeta {
@@ -89,98 +91,51 @@ impl RunRecord {
     /// Serialize to JSON Lines (one object per line, trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let meta = obj(vec![
-            ("t", Json::Str("meta".into())),
-            ("version", Json::UInt(FORMAT_VERSION)),
-            ("memory", Json::UInt(self.config.memory as u64)),
-            ("block", Json::UInt(self.config.block as u64)),
-            ("omega", Json::UInt(self.config.omega)),
-            ("kind", Json::Str(self.workload.kind.clone())),
-            ("algo", Json::Str(self.workload.algo.clone())),
-            ("n", Json::UInt(self.workload.n)),
-            ("delta", Json::UInt(self.workload.delta)),
-            ("final_iu", Json::UInt(self.final_internal_used)),
-        ]);
-        out.push_str(&meta.to_string_compact());
-        out.push('\n');
-
+        let mut put = |line: Line| {
+            out.push_str(&line.to_json().to_string_compact());
+            out.push('\n');
+        };
+        put(Line::Meta(Meta {
+            version: FORMAT_VERSION,
+            memory: self.config.memory,
+            block: self.config.block,
+            omega: self.config.omega,
+            workload: self.workload.clone(),
+            final_iu: self.final_internal_used,
+        }));
         for (i, ev) in self.trace.events().iter().enumerate() {
-            let iu = self.occupancy.get(i).copied().unwrap_or(0);
-            let (op, block, len, aux) = match *ev {
-                IoEvent::Read { block, len, aux } => ("r", block, len, aux),
-                IoEvent::Write { block, len, aux } => ("w", block, len, aux),
-            };
-            let line = obj(vec![
-                ("t", Json::Str("ev".into())),
-                ("op", Json::Str(op.into())),
-                ("blk", Json::UInt(block.index() as u64)),
-                ("len", Json::UInt(len as u64)),
-                ("aux", Json::Bool(aux)),
-                ("iu", Json::UInt(iu)),
-            ]);
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
+            let (IoEvent::Read { block, len, aux } | IoEvent::Write { block, len, aux }) = *ev;
+            put(Line::Ev {
+                write: ev.is_write(),
+                blk: block.index(),
+                len,
+                aux,
+                iu: self.occupancy.get(i).copied().unwrap_or(0),
+            });
         }
-
-        for (id, p) in self.phases.iter().enumerate() {
-            let parent = match p.parent {
-                Some(idx) => Json::UInt(idx as u64),
-                None => Json::Null,
-            };
-            let line = obj(vec![
-                ("t", Json::Str("phase".into())),
-                ("id", Json::UInt(id as u64)),
-                ("parent", parent),
-                ("name", Json::Str(p.name.clone())),
-                ("reads", Json::UInt(p.cost.reads)),
-                ("writes", Json::UInt(p.cost.writes)),
-                ("volume", Json::UInt(p.volume)),
-                ("aux_reads", Json::UInt(p.aux_reads)),
-                ("aux_writes", Json::UInt(p.aux_writes)),
-                ("events", Json::UInt(p.events)),
-                ("high_water", Json::UInt(p.high_water)),
-            ]);
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
+        for (id, node) in self.phases.iter().cloned().enumerate() {
+            put(Line::Phase {
+                id: id as u64,
+                node,
+            });
         }
-
         for (name, value) in self.metrics.counters() {
-            let line = obj(vec![
-                ("t", Json::Str("ctr".into())),
-                ("name", Json::Str(name.into())),
-                ("value", Json::UInt(value)),
-            ]);
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
+            put(Line::Ctr {
+                name: name.into(),
+                value,
+            });
         }
-        for (name, g) in self.metrics.gauges() {
-            let line = obj(vec![
-                ("t", Json::Str("gauge".into())),
-                ("name", Json::Str(name.into())),
-                ("value", Json::UInt(g.value)),
-                ("high_water", Json::UInt(g.high_water)),
-            ]);
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
+        for (name, gauge) in self.metrics.gauges() {
+            put(Line::Gauge {
+                name: name.into(),
+                gauge,
+            });
         }
-        for (name, h) in self.metrics.histograms() {
-            let line = obj(vec![
-                ("t", Json::Str("hist".into())),
-                ("name", Json::Str(name.into())),
-                (
-                    "bounds",
-                    Json::Arr(h.bounds.iter().map(|&b| Json::UInt(b)).collect()),
-                ),
-                (
-                    "counts",
-                    Json::Arr(h.counts.iter().map(|&c| Json::UInt(c)).collect()),
-                ),
-                ("count", Json::UInt(h.count)),
-                ("sum", Json::UInt(h.sum)),
-                ("max", Json::UInt(h.max)),
-            ]);
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
+        for (name, hist) in self.metrics.histograms() {
+            put(Line::Hist {
+                name: name.into(),
+                hist: hist.clone(),
+            });
         }
         out
     }
@@ -198,101 +153,46 @@ impl RunRecord {
             if line.is_empty() {
                 continue;
             }
-            let v = parse(line)?;
-            let tag = req_str(&v, "t")?;
-            match tag {
-                "meta" => {
-                    let version = req_u64(&v, "version")?;
-                    if version != FORMAT_VERSION {
+            match Line::from_json(&parse(line)?).map_err(ObsError::Format)? {
+                Line::Meta(m) => {
+                    if m.version != FORMAT_VERSION {
                         return Err(ObsError::Format(format!(
-                            "unsupported format version {version} (expected {FORMAT_VERSION})"
+                            "unsupported format version {} (expected {FORMAT_VERSION})",
+                            m.version
                         )));
                     }
-                    let cfg = AemConfig::new(
-                        req_u64(&v, "memory")? as usize,
-                        req_u64(&v, "block")? as usize,
-                        req_u64(&v, "omega")?,
-                    )
-                    .map_err(|e| ObsError::Format(format!("invalid config in meta: {e}")))?;
-                    let wl = WorkloadMeta {
-                        kind: req_str(&v, "kind")?.to_string(),
-                        algo: req_str(&v, "algo")?.to_string(),
-                        n: req_u64(&v, "n")?,
-                        delta: req_u64(&v, "delta")?,
-                    };
-                    let final_iu = req_u64(&v, "final_iu")?;
-                    meta = Some((cfg, wl, final_iu));
+                    let cfg = AemConfig::new(m.memory, m.block, m.omega)
+                        .map_err(|e| ObsError::Format(format!("invalid config in meta: {e}")))?;
+                    meta = Some((cfg, m.workload, m.final_iu));
                 }
-                "ev" => {
-                    let block = BlockId(req_u64(&v, "blk")? as usize);
-                    let len = req_u64(&v, "len")? as usize;
-                    let aux = req_bool(&v, "aux")?;
-                    let ev = match req_str(&v, "op")? {
-                        "r" => IoEvent::Read { block, len, aux },
-                        "w" => IoEvent::Write { block, len, aux },
-                        other => return Err(ObsError::Format(format!("unknown op {other:?}"))),
-                    };
-                    trace.push(ev);
-                    occupancy.push(req_u64(&v, "iu")?);
+                Line::Ev {
+                    write,
+                    blk,
+                    len,
+                    aux,
+                    iu,
+                } => {
+                    let block = BlockId(blk);
+                    trace.push(if write {
+                        IoEvent::Write { block, len, aux }
+                    } else {
+                        IoEvent::Read { block, len, aux }
+                    });
+                    occupancy.push(iu);
                 }
-                "phase" => {
-                    let id = req_u64(&v, "id")?;
-                    let parent = match v.get("parent") {
-                        Some(Json::Null) => None,
-                        Some(p) => Some(p.as_u64().ok_or_else(|| {
-                            ObsError::Format("phase parent must be null or uint".into())
-                        })? as usize),
-                        None => return Err(ObsError::Format("phase missing parent".into())),
-                    };
-                    phases.push((
-                        id,
-                        PhaseNode {
-                            name: req_str(&v, "name")?.to_string(),
-                            parent,
-                            cost: Cost::new(req_u64(&v, "reads")?, req_u64(&v, "writes")?),
-                            volume: req_u64(&v, "volume")?,
-                            aux_reads: req_u64(&v, "aux_reads")?,
-                            aux_writes: req_u64(&v, "aux_writes")?,
-                            events: req_u64(&v, "events")?,
-                            high_water: req_u64(&v, "high_water")?,
-                        },
-                    ));
-                }
-                "ctr" => {
-                    metrics.add(req_str(&v, "name")?, req_u64(&v, "value")?);
-                }
-                "gauge" => {
-                    metrics.insert_gauge(
-                        req_str(&v, "name")?,
-                        Gauge {
-                            value: req_u64(&v, "value")?,
-                            high_water: req_u64(&v, "high_water")?,
-                        },
-                    );
-                }
-                "hist" => {
-                    let bounds = req_u64_array(&v, "bounds")?;
-                    let counts = req_u64_array(&v, "counts")?;
-                    if counts.len() != bounds.len() + 1 {
+                Line::Phase { id, node } => phases.push((id, node)),
+                Line::Ctr { name, value } => metrics.add(&name, value),
+                Line::Gauge { name, gauge } => metrics.insert_gauge(&name, gauge),
+                Line::Hist { name, hist } => {
+                    if hist.counts.len() != hist.bounds.len() + 1 {
                         return Err(ObsError::Format(format!(
-                            "histogram {:?}: {} counts for {} bounds",
-                            req_str(&v, "name")?,
-                            counts.len(),
-                            bounds.len()
+                            "histogram {name:?}: {} counts for {} bounds",
+                            hist.counts.len(),
+                            hist.bounds.len()
                         )));
                     }
-                    metrics.insert_histogram(
-                        req_str(&v, "name")?,
-                        Histogram {
-                            bounds,
-                            counts,
-                            count: req_u64(&v, "count")?,
-                            sum: req_u64(&v, "sum")?,
-                            max: req_u64(&v, "max")?,
-                        },
-                    );
+                    metrics.insert_histogram(&name, hist);
                 }
-                other => return Err(ObsError::Format(format!("unknown record type {other:?}"))),
             }
         }
 
@@ -318,44 +218,57 @@ impl RunRecord {
     }
 }
 
-fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ObsError> {
-    v.get(key)
-        .ok_or_else(|| ObsError::Format(format!("missing field {key:?}")))
+crate::json_table! {
+    /// Whether a block transfer read or wrote, as the `op` field spells it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Op: "op" {
+        /// A block read.
+        Read = "r",
+        /// A block write.
+        Write = "w",
+    }
 }
 
-fn req_u64(v: &Json, key: &str) -> Result<u64, ObsError> {
-    req(v, key)?
-        .as_u64()
-        .ok_or_else(|| ObsError::Format(format!("field {key:?} must be a non-negative integer")))
+impl From<bool> for Op {
+    fn from(write: bool) -> Self {
+        [Op::Read, Op::Write][write as usize]
+    }
 }
 
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, ObsError> {
-    req(v, key)?
-        .as_str()
-        .ok_or_else(|| ObsError::Format(format!("field {key:?} must be a string")))
+impl From<Op> for bool {
+    fn from(op: Op) -> Self {
+        op == Op::Write
+    }
 }
 
-fn req_bool(v: &Json, key: &str) -> Result<bool, ObsError> {
-    req(v, key)?
-        .as_bool()
-        .ok_or_else(|| ObsError::Format(format!("field {key:?} must be a boolean")))
+crate::json_table! {
+    /// The `meta` line's fields.
+    struct Meta {
+        version: u64,
+        memory: usize,
+        block: usize,
+        omega: u64,
+        workload: WorkloadMeta = flat,
+        final_iu: u64,
+    }
 }
 
-fn req_u64_array(v: &Json, key: &str) -> Result<Vec<u64>, ObsError> {
-    req(v, key)?
-        .as_array()
-        .ok_or_else(|| ObsError::Format(format!("field {key:?} must be an array")))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| ObsError::Format(format!("field {key:?} must hold integers")))
-        })
-        .collect()
+crate::json_table! {
+    /// One JSONL line, discriminated by `t`.
+    enum Line: "t" {
+        Meta = "meta" (Meta = flat),
+        Ev = "ev" { write: bool = (via Op), blk: usize, len: usize, aux: bool, iu: u64 },
+        Phase = "phase" { id: u64, node: PhaseNode = flat },
+        Ctr = "ctr" { name: String, value: u64 },
+        Gauge = "gauge" { name: String, gauge: Gauge = flat },
+        Hist = "hist" { name: String, hist: Histogram = flat },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aem_machine::Cost;
 
     fn sample_record() -> RunRecord {
         let cfg = AemConfig::new(16, 4, 8).unwrap();

@@ -11,71 +11,50 @@
 //! files no matter how the OS interleaved the connections.
 
 use crate::protocol::JobSpec;
-use aem_obs::json::{obj, Json};
+use aem_obs::json::Field;
+use aem_obs::json_table;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// What the controller decided for one priced job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Budget covers it: debited and dispatched.
-    Accept,
-    /// Budget does not cover it and queueing is off (or the spec was
-    /// invalid, see the entry's reason).
-    Reject,
-    /// Parked until a top-up covers it (FIFO per tenant).
-    Queue,
-    /// A previously queued job admitted by a top-up.
-    Drain,
-}
-
-impl Decision {
-    fn name(self) -> &'static str {
-        match self {
-            Decision::Accept => "accept",
-            Decision::Reject => "reject",
-            Decision::Queue => "queue",
-            Decision::Drain => "drain",
-        }
+json_table! {
+    /// What the controller decided for one priced job.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Decision: "decision" {
+        /// Budget covers it: debited and dispatched.
+        Accept = "accept",
+        /// Budget does not cover it and queueing is off (or the spec was
+        /// invalid, see the entry's reason).
+        Reject = "reject",
+        /// Parked until a top-up covers it (FIFO per tenant).
+        Queue = "queue",
+        /// A previously queued job admitted by a top-up.
+        Drain = "drain",
     }
 }
 
-/// One admission-log record.
-#[derive(Debug, Clone)]
-pub struct LogEntry {
-    /// Tenant name.
-    pub tenant: String,
-    /// Per-tenant decision sequence number (0, 1, 2, ...).
-    pub seq: u64,
-    /// The job id the decision is about (or 0 for hello records).
-    pub job_id: u64,
-    /// `"hello"` or the job kind.
-    pub kind: String,
-    /// Input size (0 for hello records).
-    pub n: u64,
-    /// The decision (hello records use `"accept"`).
-    pub decision: &'static str,
-    /// Why, when not simply affordable (`""`, `"over_budget"`, `"bad_request: ..."`).
-    pub reason: String,
-    /// The priced `Q` (for hello: the budget added).
-    pub q: u64,
-    /// Budget minus spend after this decision.
-    pub remaining: u64,
-}
-
-impl LogEntry {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("tenant", Json::Str(self.tenant.clone())),
-            ("seq", Json::UInt(self.seq)),
-            ("job_id", Json::UInt(self.job_id)),
-            ("kind", Json::Str(self.kind.clone())),
-            ("n", Json::UInt(self.n)),
-            ("decision", Json::Str(self.decision.to_string())),
-            ("reason", Json::Str(self.reason.clone())),
-            ("q", Json::UInt(self.q)),
-            ("remaining", Json::UInt(self.remaining)),
-        ])
+json_table! {
+    /// One admission-log record.
+    #[derive(Debug, Clone)]
+    pub struct LogEntry {
+        /// Tenant name.
+        pub tenant: String,
+        /// Per-tenant decision sequence number (0, 1, 2, ...).
+        pub seq: u64,
+        /// The job id the decision is about (or 0 for hello records).
+        pub job_id: u64,
+        /// `"hello"` or the job kind.
+        pub kind: String,
+        /// Input size (0 for hello records).
+        pub n: u64,
+        /// The decision (hello records use `Accept`).
+        pub decision: Decision = flat,
+        /// Why, when not simply affordable (`""`, `"over_budget"`,
+        /// `"bad_request: ..."`).
+        pub reason: String,
+        /// The priced `Q` (for hello: the budget added).
+        pub q: u64,
+        /// Budget minus spend after this decision.
+        pub remaining: u64,
     }
 }
 
@@ -147,7 +126,7 @@ impl Admission {
             job_id: 0,
             kind: "hello".into(),
             n: 0,
-            decision: Decision::Accept.name(),
+            decision: Decision::Accept,
             reason: String::new(),
             q: budget,
             remaining: st.budget - st.spent.min(st.budget),
@@ -168,7 +147,7 @@ impl Admission {
                 job_id: job.spec.id,
                 kind: job.spec.kind.name().into(),
                 n: job.spec.n as u64,
-                decision: Decision::Drain.name(),
+                decision: Decision::Drain,
                 reason: String::new(),
                 q: job.q,
                 remaining: st.budget - st.spent,
@@ -214,7 +193,7 @@ impl Admission {
             job_id: spec.id,
             kind: spec.kind.name().into(),
             n: spec.n as u64,
-            decision: decision.name(),
+            decision,
             reason: if decision == Decision::Accept {
                 String::new()
             } else if affordable {
@@ -243,7 +222,7 @@ impl Admission {
             job_id: spec.id,
             kind: spec.kind.name().into(),
             n: spec.n as u64,
-            decision: Decision::Reject.name(),
+            decision: Decision::Reject,
             reason: format!("bad_request: {reason}"),
             q: 0,
             remaining,
@@ -354,7 +333,7 @@ mod tests {
             .lines()
             .map(|l| {
                 let j = aem_obs::json::parse(l).unwrap();
-                if j.get("tenant").and_then(Json::as_str) == Some("a") {
+                if j.get("tenant").and_then(aem_obs::json::Json::as_str) == Some("a") {
                     "a"
                 } else {
                     "b"

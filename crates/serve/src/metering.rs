@@ -3,26 +3,29 @@
 //! exposition through [`aem_obs::promtext`].
 
 use aem_machine::Cost;
-use aem_obs::json::{obj, Json};
+use aem_obs::json::{Json, Table};
+use aem_obs::json_table;
 use aem_obs::promtext::PromText;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// One tenant's meters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantMeter {
-    /// Jobs executed to completion.
-    pub jobs_done: u64,
-    /// Jobs whose cost came from compiled-trace replay.
-    pub replays: u64,
-    /// Quotes served.
-    pub quotes: u64,
-    /// Measured read I/Os summed over completed jobs.
-    pub reads: u64,
-    /// Measured write I/Os summed over completed jobs.
-    pub writes: u64,
-    /// Measured `Q` summed under each job's own ω.
-    pub q: u64,
+json_table! {
+    /// One tenant's meters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TenantMeter {
+        /// Jobs executed to completion.
+        pub jobs_done: u64,
+        /// Jobs whose cost came from compiled-trace replay.
+        pub replays: u64,
+        /// Quotes served.
+        pub quotes: u64,
+        /// Measured read I/Os summed over completed jobs.
+        pub reads: u64,
+        /// Measured write I/Os summed over completed jobs.
+        pub writes: u64,
+        /// Measured `Q` summed under each job's own ω.
+        pub q: u64,
+    }
 }
 
 /// The metering registry. Tenant order is canonical (`BTreeMap`), so the
@@ -70,15 +73,7 @@ impl Metering {
         let tenants = self.tenants.lock().expect("metering poisoned");
         let mut out = String::new();
         for (name, t) in tenants.iter() {
-            let rec = obj(vec![
-                ("tenant", Json::Str(name.clone())),
-                ("jobs_done", Json::UInt(t.jobs_done)),
-                ("replays", Json::UInt(t.replays)),
-                ("quotes", Json::UInt(t.quotes)),
-                ("reads", Json::UInt(t.reads)),
-                ("writes", Json::UInt(t.writes)),
-                ("q", Json::UInt(t.q)),
-            ]);
+            let rec = t.to_json_after("tenant", Json::Str(name.clone()));
             out.push_str(&rec.to_string_compact());
             out.push('\n');
         }

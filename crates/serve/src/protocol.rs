@@ -8,7 +8,8 @@
 //! oversize paths are property-testable without sockets.
 
 use aem_machine::Cost;
-use aem_obs::json::{obj, parse, Json};
+use aem_obs::json::{parse, Json};
+use aem_obs::json_table;
 use std::io::{Read, Write};
 
 /// Hard cap on a frame's JSON payload, in bytes.
@@ -19,451 +20,171 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// wire protocol with no change here.
 pub use aem_core::workload::WorkloadKind as JobKind;
 
-/// One job request: what to run, on which machine shape, and whether the
-/// caller wants the payload back or only the metered cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobSpec {
-    /// Caller-chosen id, echoed on every response for this job.
-    pub id: u64,
-    /// Which workload family.
-    pub kind: JobKind,
-    /// Input size in elements (for spmv: columns).
-    pub n: usize,
-    /// Internal memory capacity `M` in elements.
-    pub mem: usize,
-    /// Block size `B` in elements.
-    pub block: usize,
-    /// Write/read cost ratio `ω`.
-    pub omega: u64,
-    /// The kind's second shape parameter (`Workload::delta_name`):
-    /// non-zeros per column for spmv, lookups for search, prefix queries
-    /// for scan, out-degree for bfs; sort, permute, pq and matmul ignore
-    /// it.
-    pub delta: usize,
-    /// Workload seed: equal seeds give equal instances, bit for bit.
-    pub seed: u64,
-    /// `true` if the caller needs the computed payload verified; `false`
-    /// for cost-only queries, which the planner may route to ghost or
-    /// compiled-trace replay.
-    pub payload: bool,
-    /// Force a specific backend by name, or `None` to let the planner pick.
-    pub backend: Option<String>,
-}
-
-impl JobSpec {
-    fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("id", Json::UInt(self.id)),
-            ("kind", Json::Str(self.kind.name().to_string())),
-            ("n", Json::UInt(self.n as u64)),
-            ("mem", Json::UInt(self.mem as u64)),
-            ("block", Json::UInt(self.block as u64)),
-            ("omega", Json::UInt(self.omega)),
-            ("delta", Json::UInt(self.delta as u64)),
-            ("seed", Json::UInt(self.seed)),
-            ("payload", Json::Bool(self.payload)),
-        ];
-        if let Some(b) = &self.backend {
-            members.push(("backend", Json::Str(b.clone())));
-        }
-        obj(members)
-    }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let kind = JobKind::from_name(req_str(j, "kind")?)?;
-        Ok(JobSpec {
-            id: req_u64(j, "id")?,
-            kind,
-            n: req_u64(j, "n")? as usize,
-            mem: req_u64(j, "mem")? as usize,
-            block: req_u64(j, "block")? as usize,
-            omega: req_u64(j, "omega")?,
-            delta: j.get("delta").and_then(Json::as_u64).unwrap_or(0) as usize,
-            seed: j.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            payload: j.get("payload").and_then(Json::as_bool).unwrap_or(false),
-            backend: j.get("backend").and_then(Json::as_str).map(str::to_string),
-        })
+json_table! {
+    /// One job request: what to run, on which machine shape, and whether
+    /// the caller wants the payload back or only the metered cost.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct JobSpec {
+        /// Caller-chosen id, echoed on every response for this job.
+        pub id: u64,
+        /// Which workload family.
+        pub kind: JobKind,
+        /// Input size in elements (for spmv: columns).
+        pub n: usize,
+        /// Internal memory capacity `M` in elements.
+        pub mem: usize,
+        /// Block size `B` in elements.
+        pub block: usize,
+        /// Write/read cost ratio `ω`.
+        pub omega: u64,
+        /// The kind's second shape parameter (`Workload::delta_name`):
+        /// non-zeros per column for spmv, lookups for search, prefix
+        /// queries for scan, out-degree for bfs; sort, permute, pq and
+        /// matmul ignore it.
+        pub delta: usize = 0,
+        /// Workload seed: equal seeds give equal instances, bit for bit.
+        pub seed: u64 = 0,
+        /// `true` if the caller needs the computed payload verified;
+        /// `false` for cost-only queries, which the planner may route to
+        /// ghost or compiled-trace replay.
+        pub payload: bool = false,
+        /// Force a specific backend by name, or `None` to let the planner
+        /// pick.
+        pub backend: Option<String> = omit,
     }
 }
 
-/// A client-to-server message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Register (or top up) a tenant with an additional cost budget.
-    Hello {
-        /// Tenant name; one connection serves one tenant.
-        tenant: String,
-        /// Budget units of `Q = Q_r + ω·Q_w` to add.
-        budget: u64,
-    },
-    /// Price, admit and execute one job.
-    Job(JobSpec),
-    /// Admit sequentially, execute in parallel, reply in order.
-    Batch(Vec<JobSpec>),
-    /// Price a job without executing or debiting the budget.
-    Quote(JobSpec),
-    /// This tenant's metering snapshot.
-    Stats,
-    /// The full Prometheus text exposition.
-    Metrics,
-    /// Ask the server to stop accepting and drain (used by tests; CI
-    /// exercises the SIGTERM path).
-    Shutdown,
-}
-
-impl Request {
-    /// Serialize for the wire.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Hello { tenant, budget } => obj(vec![
-                ("type", Json::Str("hello".into())),
-                ("tenant", Json::Str(tenant.clone())),
-                ("budget", Json::UInt(*budget)),
-            ]),
-            Request::Job(spec) => with_type("job", spec.to_json()),
-            Request::Quote(spec) => with_type("quote", spec.to_json()),
-            Request::Batch(jobs) => obj(vec![
-                ("type", Json::Str("batch".into())),
-                (
-                    "jobs",
-                    Json::Arr(jobs.iter().map(JobSpec::to_json).collect()),
-                ),
-            ]),
-            Request::Stats => obj(vec![("type", Json::Str("stats".into()))]),
-            Request::Metrics => obj(vec![("type", Json::Str("metrics".into()))]),
-            Request::Shutdown => obj(vec![("type", Json::Str("shutdown".into()))]),
-        }
-    }
-
-    /// Parse a wire frame. Unknown or malformed requests are `Err` — the
-    /// server answers those with [`Response::Error`], never a panic.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        match req_str(j, "type")? {
-            "hello" => Ok(Request::Hello {
-                tenant: req_str(j, "tenant")?.to_string(),
-                budget: req_u64(j, "budget")?,
-            }),
-            "job" => Ok(Request::Job(JobSpec::from_json(j)?)),
-            "quote" => Ok(Request::Quote(JobSpec::from_json(j)?)),
-            "batch" => {
-                let jobs = j
-                    .get("jobs")
-                    .and_then(Json::as_array)
-                    .ok_or("batch requires a 'jobs' array")?;
-                Ok(Request::Batch(
-                    jobs.iter()
-                        .map(JobSpec::from_json)
-                        .collect::<Result<_, _>>()?,
-                ))
-            }
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request type '{other}'")),
-        }
+json_table! {
+    /// A client-to-server message. The server answers one that fails to
+    /// decode with [`Response::Error`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request: "type" {
+        /// Register (or top up) a tenant with an additional cost budget.
+        Hello = "hello" {
+            /// Tenant name; one connection serves one tenant.
+            tenant: String,
+            /// Budget units of `Q = Q_r + ω·Q_w` to add.
+            budget: u64,
+        },
+        /// Price, admit and execute one job.
+        Job = "job" (JobSpec = flat),
+        /// Admit sequentially, execute in parallel, reply in order.
+        Batch = "batch" (Vec<JobSpec> as "jobs"),
+        /// Price a job without executing or debiting the budget.
+        Quote = "quote" (JobSpec = flat),
+        /// This tenant's metering snapshot.
+        Stats = "stats",
+        /// The full Prometheus text exposition.
+        Metrics = "metrics",
+        /// Ask the server to stop accepting and drain (used by tests; CI
+        /// exercises the SIGTERM path).
+        Shutdown = "shutdown",
     }
 }
 
-/// The outcome of one executed job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobOutcome {
-    /// Echo of the request id.
-    pub id: u64,
-    /// The algorithm the planner chose (e.g. `"aem"`, `"by-sort"`).
-    pub algo: String,
-    /// The backend it ran on. May differ between identical runs (a
-    /// repeated cost-only config replays its compiled trace); costs may
-    /// not, per the `COST_MODEL.md` replay contract.
-    pub backend: String,
-    /// The predictor's priced cost, fixed at admission.
-    pub predicted: Cost,
-    /// The metered cost of the actual run.
-    pub measured: Cost,
-    /// `measured` collapsed to `Q = Q_r + ω·Q_w`.
-    pub q: u64,
-    /// FNV-1a digest of the verified output payload (0 for cost-only).
-    pub checksum: u64,
-}
-
-/// A server-to-client message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Tenant registered; total budget now as stated. A top-up that
-    /// releases parked jobs carries their in-order outcomes here, so the
-    /// client never has to guess how many extra frames to read.
-    HelloOk {
-        /// The tenant's cumulative budget after this hello.
-        budget: u64,
-        /// Outcomes of jobs drained from the queue by this top-up.
-        drained: Vec<Response>,
-    },
-    /// Job executed.
-    Done(JobOutcome),
-    /// Cost-only quote: what the job *would* cost.
-    Quoted {
+json_table! {
+    /// The outcome of one executed job.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct JobOutcome {
         /// Echo of the request id.
-        id: u64,
-        /// The algorithm the planner would choose.
-        algo: String,
-        /// The predicted component costs.
-        predicted: Cost,
-        /// Predicted `Q` under the job's ω.
-        q: u64,
-    },
-    /// Admission refused the job.
-    Rejected {
-        /// Echo of the request id.
-        id: u64,
-        /// `"over_budget"` or `"bad_request: ..."`.
-        reason: String,
-        /// The priced `Q` (0 when the spec itself was invalid).
-        q: u64,
-        /// Budget remaining after the decision.
-        remaining: u64,
-    },
-    /// Job parked until a future budget top-up covers it.
-    Queued {
-        /// Echo of the request id.
-        id: u64,
-        /// The priced `Q` it is waiting to afford.
-        q: u64,
-    },
-    /// In-order replies for a batch, one per submitted job.
-    Batch(Vec<Response>),
-    /// Per-tenant metering snapshot.
-    Stats {
-        /// Tenant name.
-        tenant: String,
-        /// Cumulative budget granted.
-        budget: u64,
-        /// Predicted `Q` debited by admission so far.
-        spent: u64,
-        /// Jobs accepted (including drained ones).
-        accepted: u64,
-        /// Jobs rejected.
-        rejected: u64,
-        /// Jobs currently parked.
-        queued: u64,
-        /// Quotes served.
-        quotes: u64,
-        /// Measured read I/Os across completed jobs.
-        reads: u64,
-        /// Measured write I/Os across completed jobs.
-        writes: u64,
-    },
-    /// Prometheus text exposition of every tenant's meters.
-    Metrics {
-        /// The exposition body.
-        text: String,
-    },
-    /// Shutdown acknowledged; the server drains and exits.
-    Bye,
-    /// Request-level failure (malformed frame, unknown type, no hello).
-    Error {
-        /// Human-readable cause.
-        message: String,
-    },
-}
-
-fn cost_json(c: Cost) -> Json {
-    obj(vec![
-        ("reads", Json::UInt(c.reads)),
-        ("writes", Json::UInt(c.writes)),
-    ])
-}
-
-fn cost_from(j: &Json, key: &str) -> Result<Cost, String> {
-    let c = j.get(key).ok_or_else(|| format!("missing '{key}'"))?;
-    Ok(Cost::new(req_u64(c, "reads")?, req_u64(c, "writes")?))
-}
-
-impl Response {
-    /// Serialize for the wire.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::HelloOk { budget, drained } => obj(vec![
-                ("type", Json::Str("hello_ok".into())),
-                ("budget", Json::UInt(*budget)),
-                (
-                    "drained",
-                    Json::Arr(drained.iter().map(Response::to_json).collect()),
-                ),
-            ]),
-            Response::Done(o) => obj(vec![
-                ("type", Json::Str("done".into())),
-                ("id", Json::UInt(o.id)),
-                ("algo", Json::Str(o.algo.clone())),
-                ("backend", Json::Str(o.backend.clone())),
-                ("predicted", cost_json(o.predicted)),
-                ("measured", cost_json(o.measured)),
-                ("q", Json::UInt(o.q)),
-                ("checksum", Json::UInt(o.checksum)),
-            ]),
-            Response::Quoted {
-                id,
-                algo,
-                predicted,
-                q,
-            } => obj(vec![
-                ("type", Json::Str("quoted".into())),
-                ("id", Json::UInt(*id)),
-                ("algo", Json::Str(algo.clone())),
-                ("predicted", cost_json(*predicted)),
-                ("q", Json::UInt(*q)),
-            ]),
-            Response::Rejected {
-                id,
-                reason,
-                q,
-                remaining,
-            } => obj(vec![
-                ("type", Json::Str("rejected".into())),
-                ("id", Json::UInt(*id)),
-                ("reason", Json::Str(reason.clone())),
-                ("q", Json::UInt(*q)),
-                ("remaining", Json::UInt(*remaining)),
-            ]),
-            Response::Queued { id, q } => obj(vec![
-                ("type", Json::Str("queued".into())),
-                ("id", Json::UInt(*id)),
-                ("q", Json::UInt(*q)),
-            ]),
-            Response::Batch(rs) => obj(vec![
-                ("type", Json::Str("batch".into())),
-                (
-                    "results",
-                    Json::Arr(rs.iter().map(Response::to_json).collect()),
-                ),
-            ]),
-            Response::Stats {
-                tenant,
-                budget,
-                spent,
-                accepted,
-                rejected,
-                queued,
-                quotes,
-                reads,
-                writes,
-            } => obj(vec![
-                ("type", Json::Str("stats".into())),
-                ("tenant", Json::Str(tenant.clone())),
-                ("budget", Json::UInt(*budget)),
-                ("spent", Json::UInt(*spent)),
-                ("accepted", Json::UInt(*accepted)),
-                ("rejected", Json::UInt(*rejected)),
-                ("queued", Json::UInt(*queued)),
-                ("quotes", Json::UInt(*quotes)),
-                ("reads", Json::UInt(*reads)),
-                ("writes", Json::UInt(*writes)),
-            ]),
-            Response::Metrics { text } => obj(vec![
-                ("type", Json::Str("metrics".into())),
-                ("text", Json::Str(text.clone())),
-            ]),
-            Response::Bye => obj(vec![("type", Json::Str("bye".into()))]),
-            Response::Error { message } => obj(vec![
-                ("type", Json::Str("error".into())),
-                ("message", Json::Str(message.clone())),
-            ]),
-        }
-    }
-
-    /// Parse a wire frame.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        match req_str(j, "type")? {
-            "hello_ok" => {
-                let drained = match j.get("drained").and_then(Json::as_array) {
-                    Some(arr) => arr
-                        .iter()
-                        .map(Response::from_json)
-                        .collect::<Result<_, _>>()?,
-                    None => Vec::new(),
-                };
-                Ok(Response::HelloOk {
-                    budget: req_u64(j, "budget")?,
-                    drained,
-                })
-            }
-            "done" => Ok(Response::Done(JobOutcome {
-                id: req_u64(j, "id")?,
-                algo: req_str(j, "algo")?.to_string(),
-                backend: req_str(j, "backend")?.to_string(),
-                predicted: cost_from(j, "predicted")?,
-                measured: cost_from(j, "measured")?,
-                q: req_u64(j, "q")?,
-                checksum: req_u64(j, "checksum")?,
-            })),
-            "quoted" => Ok(Response::Quoted {
-                id: req_u64(j, "id")?,
-                algo: req_str(j, "algo")?.to_string(),
-                predicted: cost_from(j, "predicted")?,
-                q: req_u64(j, "q")?,
-            }),
-            "rejected" => Ok(Response::Rejected {
-                id: req_u64(j, "id")?,
-                reason: req_str(j, "reason")?.to_string(),
-                q: req_u64(j, "q")?,
-                remaining: req_u64(j, "remaining")?,
-            }),
-            "queued" => Ok(Response::Queued {
-                id: req_u64(j, "id")?,
-                q: req_u64(j, "q")?,
-            }),
-            "batch" => {
-                let rs = j
-                    .get("results")
-                    .and_then(Json::as_array)
-                    .ok_or("batch requires a 'results' array")?;
-                Ok(Response::Batch(
-                    rs.iter()
-                        .map(Response::from_json)
-                        .collect::<Result<_, _>>()?,
-                ))
-            }
-            "stats" => Ok(Response::Stats {
-                tenant: req_str(j, "tenant")?.to_string(),
-                budget: req_u64(j, "budget")?,
-                spent: req_u64(j, "spent")?,
-                accepted: req_u64(j, "accepted")?,
-                rejected: req_u64(j, "rejected")?,
-                queued: req_u64(j, "queued")?,
-                quotes: req_u64(j, "quotes")?,
-                reads: req_u64(j, "reads")?,
-                writes: req_u64(j, "writes")?,
-            }),
-            "metrics" => Ok(Response::Metrics {
-                text: req_str(j, "text")?.to_string(),
-            }),
-            "bye" => Ok(Response::Bye),
-            "error" => Ok(Response::Error {
-                message: req_str(j, "message")?.to_string(),
-            }),
-            other => Err(format!("unknown response type '{other}'")),
-        }
+        pub id: u64,
+        /// The algorithm the planner chose (e.g. `"aem"`, `"by-sort"`).
+        pub algo: String,
+        /// The backend it ran on. May differ between identical runs (a
+        /// repeated cost-only config replays its compiled trace); costs
+        /// may not, per the `COST_MODEL.md` replay contract.
+        pub backend: String,
+        /// The predictor's priced cost, fixed at admission.
+        pub predicted: Cost,
+        /// The metered cost of the actual run.
+        pub measured: Cost,
+        /// `measured` collapsed to `Q = Q_r + ω·Q_w`.
+        pub q: u64,
+        /// FNV-1a digest of the verified output payload (0 for cost-only).
+        pub checksum: u64,
     }
 }
 
-fn with_type(t: &str, j: Json) -> Json {
-    match j {
-        Json::Obj(mut members) => {
-            members.insert(0, ("type".to_string(), Json::Str(t.to_string())));
-            Json::Obj(members)
-        }
-        other => other,
+json_table! {
+    /// A server-to-client message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response: "type" {
+        /// Tenant registered; total budget now as stated. A top-up that
+        /// releases parked jobs carries their in-order outcomes here, so
+        /// the client never has to guess how many extra frames to read.
+        HelloOk = "hello_ok" {
+            /// The tenant's cumulative budget after this hello.
+            budget: u64,
+            /// Outcomes of jobs drained from the queue by this top-up.
+            drained: Vec<Response> = (Vec::new()),
+        },
+        /// Job executed.
+        Done = "done" (JobOutcome = flat),
+        /// Cost-only quote: what the job *would* cost.
+        Quoted = "quoted" {
+            /// Echo of the request id.
+            id: u64,
+            /// The algorithm the planner would choose.
+            algo: String,
+            /// The predicted component costs.
+            predicted: Cost,
+            /// Predicted `Q` under the job's ω.
+            q: u64,
+        },
+        /// Admission refused the job.
+        Rejected = "rejected" {
+            /// Echo of the request id.
+            id: u64,
+            /// `"over_budget"` or `"bad_request: ..."`.
+            reason: String,
+            /// The priced `Q` (0 when the spec itself was invalid).
+            q: u64,
+            /// Budget remaining after the decision.
+            remaining: u64,
+        },
+        /// Job parked until a future budget top-up covers it.
+        Queued = "queued" {
+            /// Echo of the request id.
+            id: u64,
+            /// The priced `Q` it is waiting to afford.
+            q: u64,
+        },
+        /// In-order replies for a batch, one per submitted job.
+        Batch = "batch" (Vec<Response> as "results"),
+        /// Per-tenant metering snapshot.
+        Stats = "stats" {
+            /// Tenant name.
+            tenant: String,
+            /// Cumulative budget granted.
+            budget: u64,
+            /// Predicted `Q` debited by admission so far.
+            spent: u64,
+            /// Jobs accepted (including drained ones).
+            accepted: u64,
+            /// Jobs rejected.
+            rejected: u64,
+            /// Jobs currently parked.
+            queued: u64,
+            /// Quotes served.
+            quotes: u64,
+            /// Measured read I/Os across completed jobs.
+            reads: u64,
+            /// Measured write I/Os across completed jobs.
+            writes: u64,
+        },
+        /// Prometheus text exposition of every tenant's meters.
+        Metrics = "metrics" {
+            /// The exposition body.
+            text: String,
+        },
+        /// Shutdown acknowledged; the server drains and exits.
+        Bye = "bye",
+        /// Request-level failure (malformed frame, unknown type, no hello).
+        Error = "error" {
+            /// Human-readable cause.
+            message: String,
+        },
     }
-}
-
-fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer '{key}'"))
-}
-
-fn req_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string '{key}'"))
 }
 
 /// Encode one JSON value as a length-prefixed frame.

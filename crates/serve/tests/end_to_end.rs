@@ -3,8 +3,11 @@
 //! same-seed load runs produce byte-identical reports and admission logs.
 
 use aem_serve::load::{run_load, LoadOptions};
-use aem_serve::protocol::{exchange, JobKind, JobSpec, Request, Response};
+use aem_serve::protocol::{
+    exchange, read_response, JobKind, JobSpec, Request, Response, MAX_FRAME,
+};
 use aem_serve::server::{serve, ServeOptions};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -268,6 +271,42 @@ fn shutdown_frame_stops_the_server() {
     // stop() then just joins (the flag is already set).
     let summary = h.stop();
     assert!(summary.contains("drained cleanly"));
+}
+
+#[test]
+fn hostile_frames_get_errors_and_other_tenants_keep_being_served() {
+    let mut h = boot("hostile", false);
+
+    // A full-size frame of `[`: the parser's depth cap answers it with an
+    // error instead of overflowing the connection thread's stack.
+    let mut deep = h.connect();
+    let mut frame = (MAX_FRAME as u32).to_be_bytes().to_vec();
+    frame.resize(4 + MAX_FRAME, b'[');
+    deep.write_all(&frame).unwrap();
+    let r = read_response(&mut deep).unwrap();
+    assert!(
+        matches!(&r, Response::Error { message } if message.contains("nesting")),
+        "{r:?}"
+    );
+
+    // A frame that announces 100 bytes, sends 10 and hangs up.
+    let mut torn = h.connect();
+    let mut frame = 100u32.to_be_bytes().to_vec();
+    frame.extend_from_slice(b"{\"type\":\"h");
+    torn.write_all(&frame).unwrap();
+    drop(torn);
+
+    let mut c = h.connect();
+    assert!(matches!(
+        hello(&mut c, "steady", 1 << 40),
+        Response::HelloOk { .. }
+    ));
+    for id in 0..3 {
+        let r = exchange(&mut c, &Request::Job(spec(id, JobKind::Sort, 256, true))).unwrap();
+        assert!(matches!(r, Response::Done(_)), "{r:?}");
+    }
+    let summary = h.stop();
+    assert!(summary.contains("drained cleanly"), "{summary}");
 }
 
 #[test]

@@ -220,3 +220,20 @@ fn back_to_back_frames_decode_in_sequence() {
     assert_eq!(Request::from_json(&j2).unwrap(), Request::Metrics);
     assert_eq!(c1 + c2, buf.len());
 }
+
+#[test]
+fn a_max_frame_of_open_brackets_errors_on_a_default_thread_stack() {
+    // One `[` per byte nests far past the parser's depth cap; before the
+    // cap, this recursed once per byte and overflowed a connection
+    // thread's 2 MiB stack, aborting the whole server.
+    let mut frame = (MAX_FRAME as u32).to_be_bytes().to_vec();
+    frame.resize(4 + MAX_FRAME, b'[');
+    let decoded = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || decode_frame(&frame).map(|f| f.is_some()))
+        .unwrap()
+        .join()
+        .expect("decoding must not overflow the stack");
+    let err = decoded.unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+}
