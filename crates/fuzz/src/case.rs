@@ -8,7 +8,7 @@
 //! check fails — and render to a one-line `aemsim fuzz` replay command.
 
 use aem_machine::{AemConfig, MachineError};
-use aem_obs::json::{self, Json, Table};
+use aem_obs::json::{self, Field, Json, Table};
 use aem_obs::json_table;
 use aem_workloads::KeyDist;
 
@@ -114,6 +114,14 @@ json_table! {
     }
 }
 
+json_table! {
+    /// A seed file: the target to check, then the case.
+    struct SeedFile {
+        target: String,
+        case: FuzzCase = flat,
+    }
+}
+
 impl FuzzCase {
     /// The validated machine configuration of this case.
     pub fn cfg(&self) -> Result<AemConfig, MachineError> {
@@ -137,17 +145,16 @@ impl FuzzCase {
 
     /// Single-line JSON seed-file form (the corpus / repro format).
     pub fn to_json(&self, target: &str) -> String {
-        self.to_json_after("target", Json::Str(target.to_string()))
-            .to_string_compact()
+        let (target, case) = (target.to_string(), self.clone());
+        SeedFile { target, case }.to_json().to_string_compact()
     }
 
     /// Parse a seed file produced by [`FuzzCase::to_json`]; returns the
     /// target name alongside the case.
     pub fn from_json(text: &str) -> Result<(String, FuzzCase), String> {
         let v = json::parse(text).map_err(|e| format!("seed file is not JSON: {e}"))?;
-        let target = json::field(&v, "target", None).map_err(|e| format!("seed file: {e}"))?;
-        let case = FuzzCase::read_fields(&v).map_err(|e| format!("seed file: {e}"))?;
-        Ok((target, case))
+        let seed = SeedFile::from_json(&v).map_err(|e| format!("seed file: {e}"))?;
+        Ok((seed.target, seed.case))
     }
 
     /// The one-line `aemsim` command that replays exactly this case.

@@ -94,7 +94,9 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Json::UInt(v) => Some(v),
-            Json::Num(v) if v >= 0.0 && v.fract() == 0.0 && v < TWO_POW_64 => Some(v as u64),
+            Json::Num(v) if v >= 0.0 && v.fract() == 0.0 && v < 18_446_744_073_709_551_616.0 => {
+                Some(v as u64)
+            }
             _ => None,
         }
     }
@@ -179,9 +181,6 @@ impl Json {
         }
     }
 }
-
-/// 2^64 as an `f64`: the first integral float `as_u64` must refuse.
-const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
@@ -627,7 +626,6 @@ macro_rules! json_table {
             }
         }
 
-        #[allow(dead_code)]
         impl $ty {
             /// Encode as one JSON object, tag first.
             pub fn to_json(&self) -> $crate::json::Json { $crate::json::Field::to_json(self) }

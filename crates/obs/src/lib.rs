@@ -19,8 +19,8 @@
 //!   span stack, with inclusive cost attribution via the
 //!   [`aem_machine::Cost::since`] snapshot-difference pattern.
 //! * **Interchange** — [`RunRecord::to_jsonl`] / [`RunRecord::from_jsonl`],
-//!   a hand-rolled, dependency-free JSON Lines codec (module [`json`])
-//!   whose round-trip is exact, plus text and markdown renderers
+//!   exact-round-trip JSON Lines built on the workspace's one JSON module
+//!   and its field tables ([`json`]), plus text and markdown renderers
 //!   ([`render_text`], [`render_markdown`]).
 //! * **Verification** — the paper-invariant checkers (module [`check`]):
 //!   §3's pointer-rewrite discipline, Lemma 4.1's round structure, and the
