@@ -201,21 +201,23 @@ fn write_escaped(s: &str, out: &mut String) {
 /// Parse one JSON document from `input` (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ObsError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The document; the parser only stops on ASCII bytes, so every
+    /// slice it takes lies on character boundaries.
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -230,7 +232,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -247,7 +249,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ObsError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -320,10 +322,7 @@ impl<'a> Parser<'a> {
             let start = self.pos;
             // Fast path: consume a run of plain bytes.
             while self.eat(|b| b != b'"' && b != b'\\' && b >= 0x20) {}
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            s.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -341,8 +340,7 @@ impl<'a> Parser<'a> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            let hex = (self.text.as_bytes())
                                 .get(self.pos + 1..self.pos + 5)
                                 .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .ok_or_else(|| self.err("\\u needs four hex digits"))?;
@@ -395,8 +393,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err("number needs digits in its exponent"));
             }
         }
-        // The grammar above admits only ASCII.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        let text = &self.text[start..self.pos];
         if !point && !exponent && !negative {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::UInt(v));
@@ -448,7 +445,7 @@ pub trait Table: Sized {
 
 impl<T: Table> Field for T {
     fn to_json(&self) -> Json {
-        let mut members = Vec::new();
+        let mut members = Vec::with_capacity(8);
         self.write_fields(&mut members);
         Json::Obj(members)
     }
@@ -619,7 +616,8 @@ macro_rules! json_table {
                 }
             }
             fn read_fields($j: &$crate::json::Json) -> Result<Self, String> {
-                Ok(match $crate::json::field::<String>($j, $tag, None)?.as_str() {
+                let tag = $j.get($tag).ok_or_else(|| format!("missing field '{}'", $tag))?;
+                Ok(match tag.as_str().ok_or_else(|| format!("field '{}': expected a string", $tag))? {
                     $($dec)*
                     other => return Err(format!("unknown {} {other:?}", $tag)),
                 })
