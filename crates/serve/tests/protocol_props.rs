@@ -223,9 +223,9 @@ fn back_to_back_frames_decode_in_sequence() {
 
 #[test]
 fn a_max_frame_of_open_brackets_errors_on_a_default_thread_stack() {
-    // One `[` per byte nests far past the parser's depth cap; before the
-    // cap, this recursed once per byte and overflowed a connection
-    // thread's 2 MiB stack, aborting the whole server.
+    // One `[` per byte nests far past the parser's depth cap. Without the
+    // cap the parser recurses once per byte and overflows a connection
+    // thread's 2 MiB stack, which aborts the whole server.
     let mut frame = (MAX_FRAME as u32).to_be_bytes().to_vec();
     frame.resize(4 + MAX_FRAME, b'[');
     let decoded = std::thread::Builder::new()
