@@ -132,12 +132,8 @@ fn pq_sort_backend(backend: Backend, cfg: AemConfig, n: usize) -> Measurement {
 /// One full quick-grid sweep run for a backend, timed once (seconds).
 fn quick_sweep_secs(backend: Backend) -> f64 {
     let sweeps = aem_bench::exp::all_sweeps(true, backend);
-    let opts = aem_bench::sweep::RunOptions {
-        backend,
-        ..Default::default()
-    };
     let t0 = Instant::now();
-    let report = aem_bench::sweep::run(&sweeps, &opts).unwrap();
+    let report = aem_bench::sweep::run(&sweeps, &Default::default()).unwrap();
     let secs = t0.elapsed().as_secs_f64();
     assert!(report.executed > 0);
     secs

@@ -1,6 +1,6 @@
 //! Wall-clock throughput of the sorting stack on the simulator.
 //!
-//! The I/O-cost tables are exact and deterministic (see the exp_* bins);
+//! The I/O-cost tables are exact and deterministic (see `run_all`);
 //! these benches cover the orthogonal question of how fast the simulator
 //! itself executes — the number a user adopting the library for
 //! experimentation cares about.

@@ -1,36 +1,49 @@
 //! Regenerate every experiment table (the data behind EXPERIMENTS.md) on
-//! the parallel, resumable sweep engine.
+//! the parallel sweep engine — the one front end over
+//! [`aem_bench::exp::all_sweeps`].
 //!
 //! ```text
 //! cargo run --release -p aem-bench --bin run_all -- [FLAGS]
-//!
-//!   --quick         shrink every grid (the test-suite sizes)
-//!   --csv           emit CSV instead of markdown
-//!   --jobs N        worker threads (default: all cores; 1 = serial)
-//!   --cache FILE    JSONL result cache: finished cells are appended and
-//!                   skipped on the next run (resume after interruption)
-//!   --fresh         truncate the cache before running
-//!   --only IDS      comma-separated experiment-id prefixes (e.g. t1,f5)
-//!   --stats         print the engine's timing/utilization table (stderr)
-//!   --backend NAME  storage backend: vec (default), arena, or ghost
 //! ```
 //!
-//! The markdown/CSV document on stdout is deterministic: byte-identical
-//! for any `--jobs` value and any cache state. Timings, the per-experiment
-//! PASS/FAIL/PANIC summary and engine statistics go to stderr. A cell or
-//! renderer panic is contained to its experiment (the rest still run and
-//! print); the exit code is nonzero if any experiment did not PASS, but
-//! only after all of them have run.
+//! `run_all --help` prints the flag list. The markdown/CSV document on
+//! stdout is deterministic: byte-identical for any `--jobs` value.
+//! Timings, the per-experiment PASS/FAIL/PANIC summary and engine
+//! statistics go to stderr. A cell or renderer panic is contained to its
+//! experiment (the rest still run and print); the exit code is nonzero if
+//! any experiment did not PASS, but only after all of them have run.
 
 use std::process::ExitCode;
 
 use aem_bench::sweep::{self, RunOptions};
+use aem_machine::Backend;
 
-fn parse(args: &[String]) -> Result<(bool, bool, bool, RunOptions), String> {
-    let mut quick = false;
-    let mut csv = false;
-    let mut stats = false;
-    let mut opts = RunOptions::default();
+/// The flag list `--help` prints.
+const USAGE: &str = "\
+usage: run_all [FLAGS]
+
+  --quick         shrink every grid (the test-suite sizes)
+  --csv           emit CSV instead of markdown
+  --jobs N        worker threads (default: all cores; 1 = serial)
+  --only IDS      comma-separated experiment-id prefixes (e.g. t1,f5)
+  --stats         print the engine's timing/utilization table (stderr)
+  --backend NAME  storage backend: vec (default), arena, ghost or trace
+  --help          print this flag list
+";
+
+/// The parsed command line.
+#[derive(Default)]
+struct Flags {
+    quick: bool,
+    csv: bool,
+    stats: bool,
+    help: bool,
+    backend: Backend,
+    opts: RunOptions,
+}
+
+fn parse(args: &[String]) -> Result<Flags, String> {
+    let mut flags = Flags::default();
     let mut i = 0;
     while i < args.len() {
         let (flag, inline) = match args[i].split_once('=') {
@@ -47,23 +60,21 @@ fn parse(args: &[String]) -> Result<(bool, bool, bool, RunOptions), String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match flag {
-            "--quick" => quick = true,
-            "--csv" => csv = true,
-            "--stats" => stats = true,
-            "--fresh" => opts.fresh = true,
+            "--quick" => flags.quick = true,
+            "--csv" => flags.csv = true,
+            "--stats" => flags.stats = true,
+            "--help" | "-h" => flags.help = true,
             "--jobs" => {
-                opts.jobs = value("--jobs")?
+                flags.opts.jobs = value("--jobs")?
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?
             }
-            "--cache" => opts.cache = Some(value("--cache")?.into()),
             "--backend" => {
-                let name = value("--backend")?;
-                opts.backend = aem_machine::Backend::from_name(&name)
-                    .map_err(|e| format!("--backend: {e}"))?;
+                flags.backend = Backend::from_name(&value("--backend")?)
+                    .map_err(|e| format!("--backend: {e}"))?
             }
             "--only" => {
-                opts.only = Some(
+                flags.opts.only = Some(
                     value("--only")?
                         .split(',')
                         .filter(|s| !s.is_empty())
@@ -75,21 +86,25 @@ fn parse(args: &[String]) -> Result<(bool, bool, bool, RunOptions), String> {
         }
         i += 1;
     }
-    Ok((quick, csv, stats, opts))
+    Ok(flags)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (quick, csv, stats, opts) = match parse(&args) {
-        Ok(parsed) => parsed,
+    let flags = match parse(&args) {
+        Ok(flags) => flags,
         Err(e) => {
-            eprintln!("run_all: {e} (see the module docs for the flag list)");
+            eprintln!("run_all: {e} (`run_all --help` lists the flags)");
             return ExitCode::from(2);
         }
     };
+    if flags.help {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
 
-    let sweeps = aem_bench::exp::all_sweeps(quick, opts.backend);
-    let report = match sweep::run(&sweeps, &opts) {
+    let sweeps = aem_bench::exp::all_sweeps(flags.quick, flags.backend);
+    let report = match sweep::run(&sweeps, &flags.opts) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("run_all: {e}");
@@ -97,7 +112,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if csv {
+    if flags.csv {
         for o in &report.outcomes {
             if let Some(t) = &o.table {
                 print!("{}", t.to_csv());
@@ -108,7 +123,7 @@ fn main() -> ExitCode {
         println!("# AEM reproduction — experiment tables\n");
         println!(
             "Generated by `cargo run --release -p aem-bench --bin run_all{}`.\n",
-            if quick { " -- --quick" } else { "" }
+            if flags.quick { " -- --quick" } else { "" }
         );
         for o in &report.outcomes {
             if let Some(t) = &o.table {
@@ -130,13 +145,12 @@ fn main() -> ExitCode {
         .filter(|o| o.verdict() != "PASS")
         .count();
     eprintln!(
-        "run_all: {} experiments, {} cells simulated, {} cached, {} not passing",
+        "run_all: {} experiments, {} cells simulated, {} not passing",
         report.outcomes.len(),
         report.executed,
-        report.cached,
         not_pass
     );
-    if stats {
+    if flags.stats {
         eprint!("{}", report.stats_table().to_markdown());
     }
 

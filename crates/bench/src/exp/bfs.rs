@@ -13,9 +13,10 @@
 //! adjacency payloads), so this family publishes **no ghost sweeps**;
 //! the registry's ghost-soundness flags enforce the same verdict.
 
-use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
-use aem_machine::{AemConfig, Backend, Cost};
+use aem_core::workload::WorkloadKind;
+use aem_machine::{AemConfig, Backend};
 
+use super::{measured, registry_ctx};
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::Table;
 
@@ -27,23 +28,6 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
         return Vec::new();
     }
     vec![t14(quick, backend)]
-}
-
-/// All BFS tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
-/// Run one registered traversal live and return its metered cost. Seed 0
-/// selects the path conformation — the deepest graph the generator
-/// emits, i.e. the rescan traversal's worst case.
-fn measured(backend: Backend, cfg: AemConfig, algo: &str, n: usize, delta: usize) -> Cost {
-    let ctx = RunCtx::new(WorkloadKind::Bfs, algo, cfg, n, delta, 0).expect("valid shape");
-    let (cost, _) = run_workload(&ctx, &mut LiveHarness { backend }).expect("bfs run");
-    cost
 }
 
 /// T14: BFS on the depth-n path graph across the ω sweep, both
@@ -66,7 +50,10 @@ pub fn t14(quick: bool, backend: Backend) -> Sweep {
                 let mut sound = true;
                 let mut best = ("", u64::MAX);
                 for a in w.algos {
-                    let m = measured(backend, cfg, a.name, n, delta);
+                    // Seed 0 selects the path conformation — the deepest graph
+                    // the generator emits, i.e. the rescan traversal's worst case.
+                    let ctx = registry_ctx(WorkloadKind::Bfs, a.name, "seeded", cfg, n, delta, 0);
+                    let m = measured(backend, ctx);
                     let p = (a.predict)(cfg, n, delta).expect("M=64 admits both traversals");
                     // Both predictors are certified bounds: marking's
                     // write term assumes every vertex is reachable,
@@ -136,16 +123,6 @@ pub fn t14(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bfs_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty());
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
 
     #[test]
     fn ghost_gets_no_bfs_sweeps() {

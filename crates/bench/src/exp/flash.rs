@@ -26,14 +26,6 @@ pub fn sweeps(quick: bool, _backend: Backend) -> Vec<Sweep> {
     vec![t4(quick)]
 }
 
-/// All flash tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
 /// T4: volume of the simulated programs vs the Lemma 4.3 bound, for two
 /// program families of opposite read/write profiles.
 pub fn t4(quick: bool) -> Sweep {
@@ -128,18 +120,4 @@ pub fn t4(quick: bool) -> Sweep {
         ));
         t
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn t4_passes() {
-        let t = t4(true).run_serial();
-        assert_eq!(t.rows.len(), 12);
-        for n in &t.notes {
-            assert!(!n.contains("FAIL"), "{}", n);
-        }
-    }
 }

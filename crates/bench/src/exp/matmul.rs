@@ -14,9 +14,10 @@
 //! output. Both schedules are position-routed, so the cost-only ghost
 //! backend runs the grid too.
 
-use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
-use aem_machine::{AemConfig, Backend, Cost};
+use aem_core::workload::WorkloadKind;
+use aem_machine::{AemConfig, Backend};
 
+use super::{measured, registry_ctx};
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::Table;
 
@@ -24,21 +25,6 @@ use crate::table::Table;
 /// grid runs on every backend.
 pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     vec![t13(quick, backend)]
-}
-
-/// All matmul tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
-/// Run one registered tiling live and return its metered cost.
-fn measured(backend: Backend, cfg: AemConfig, algo: &str, n: usize) -> Cost {
-    let ctx = RunCtx::new(WorkloadKind::Matmul, algo, cfg, n, 0, 7).expect("valid shape");
-    let (cost, _) = run_workload(&ctx, &mut LiveHarness { backend }).expect("matmul run");
-    cost
 }
 
 /// T13: d×d multiply across the ω sweep, both tilings from the registry
@@ -59,7 +45,8 @@ pub fn t13(quick: bool, backend: Backend) -> Sweep {
                 let mut out = CellOut::new().with_u64("omega", omega);
                 let mut sound = true;
                 for a in w.algos {
-                    let m = measured(backend, cfg, a.name, n);
+                    let ctx = registry_ctx(WorkloadKind::Matmul, a.name, "seeded", cfg, n, 0, 7);
+                    let m = measured(backend, ctx);
                     let p = (a.predict)(cfg, n, 0).expect("both tilings fit at M=1024");
                     // Both predictors are exact schedules.
                     sound &= m == p;
@@ -119,27 +106,13 @@ pub fn t13(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matmul_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty());
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
+    use crate::exp::tests::markdown;
 
     #[test]
     fn ghost_renders_the_same_matmul_table() {
-        let vec_t: Vec<String> = tables(true, Backend::Vec)
-            .iter()
-            .map(Table::to_markdown)
-            .collect();
-        let ghost_t: Vec<String> = tables(true, Backend::Ghost)
-            .iter()
-            .map(Table::to_markdown)
-            .collect();
-        assert_eq!(vec_t, ghost_t);
+        assert_eq!(
+            markdown(sweeps(true, Backend::Vec)),
+            markdown(sweeps(true, Backend::Ghost))
+        );
     }
 }

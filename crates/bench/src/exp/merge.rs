@@ -46,14 +46,6 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     vec![t2_fan_sweep(quick, backend), t2_omega_sweep(quick, backend)]
 }
 
-/// All merging tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
 /// T2a: merging cost vs the number of runs `k` up to the full fan-in.
 pub fn t2_fan_sweep(quick: bool, backend: Backend) -> Sweep {
     let cfg = AemConfig::new(64, 8, 16).unwrap(); // fan-in = 128
@@ -183,19 +175,4 @@ pub fn t2_omega_sweep(quick: bool, backend: Backend) -> Sweep {
         ));
         t
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_merge_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty());
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
 }

@@ -1,25 +1,30 @@
 //! Experiment implementations — one module per table/figure family.
 //!
-//! Each module exposes two entry points:
+//! Each module exposes `sweeps(quick: bool, backend: Backend) -> Vec<Sweep>`,
+//! the declarative form the engine ([`crate::sweep::run`]) executes;
+//! [`all_sweeps`] concatenates them in DESIGN.md §3 order, and the
+//! `run_all` binary is the one front end over it.
 //!
-//! * `sweeps(quick: bool, backend: Backend) -> Vec<Sweep>` — the
-//!   declarative form consumed by the parallel resumable engine
-//!   ([`crate::sweep::run`]);
-//! * `tables(quick: bool, backend: Backend) -> Vec<Table>` — the serial
-//!   convenience wrapper (`sweeps(quick, backend)` executed via
-//!   [`crate::sweep::Sweep::run_serial`]) used by the per-experiment
-//!   binaries and the test suites.
+//! `quick` shrinks the grids for use inside the test suite; `run_all`
+//! runs the full sizes unless given `--quick`. All workloads are seeded,
+//! all costs exact: tables regenerate bit-for-bit regardless of worker
+//! count.
 //!
-//! `quick` shrinks the grids for use inside the test suite; the binaries
-//! run the full sizes. All workloads are seeded, all costs exact: tables
-//! regenerate bit-for-bit regardless of worker count or cache state.
+//! A cell that runs a registered `(kind, algo)` goes through the workload
+//! registry's [`run_workload`] via [`measured`], so it runs the same
+//! instance, algorithm and oracle check as `aemsim run`, serve and the
+//! fuzzer. Only what the registry does not register is hand-written: the
+//! fan-in and resident-cursor ablations (T1c, T1d), the raw merge (T2),
+//! round-based execution (T3), flash simulation (T4), rotate-by-1 and the
+//! exhaustive search (T8), replacement selection (T9b), the constant-key
+//! PQ grid (T9G), the tiled transpose (F4) and the closed-form map (F5).
 //!
 //! The `backend` axis selects the [`aem_machine::BlockStore`] the machine
 //! runs on. Cost metering is backend-independent, so every sweep a backend
 //! supports renders byte-identically across backends — CI enforces this
 //! for `vec` vs `ghost`. Not every sweep runs on every backend:
 //!
-//! * `vec` / `arena` carry payloads and run **everything**;
+//! * `vec` / `arena` / `trace` carry payloads and run **everything**;
 //! * `ghost` carries no payload, so only *payload-oblivious* workloads are
 //!   sound on it (see `aem_machine::store`): the naive permuter, the tiled
 //!   transpose, and machine-free analyses. Merge-based sorting reads keys
@@ -44,10 +49,45 @@ pub mod search;
 pub mod sorting;
 pub mod spmv;
 
-use aem_machine::Backend;
+use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
+use aem_machine::{AemConfig, Backend, Cost};
 
 use crate::sweep::Sweep;
-use crate::table::Table;
+
+/// The registry context for `(kind, algo)` on the named `input` at this
+/// shape.
+///
+/// # Panics
+///
+/// Panics if the registry rejects the shape, algorithm or input — a sweep
+/// declaring a cell the registry cannot run is a programming error.
+pub fn registry_ctx(
+    kind: WorkloadKind,
+    algo: &str,
+    input: &str,
+    cfg: AemConfig,
+    n: usize,
+    delta: usize,
+    seed: u64,
+) -> RunCtx {
+    RunCtx::new(kind, algo, cfg, n, delta, seed)
+        .and_then(|ctx| ctx.with_input(input))
+        .unwrap_or_else(|e| panic!("{kind}/{algo}: {e}"))
+}
+
+/// Run a registered workload live on `backend` and return its metered
+/// cost.
+///
+/// # Panics
+///
+/// Panics if the run fails: [`run_workload`] checks the output against
+/// the kind's RAM oracle on every payload-carrying backend, so a wrong
+/// answer panics the cell and the engine reports its experiment as PANIC.
+pub fn measured(backend: Backend, ctx: RunCtx) -> Cost {
+    let (cost, _) = run_workload(&ctx, &mut LiveHarness { backend })
+        .unwrap_or_else(|e| panic!("{}/{}: {e}", ctx.kind, ctx.algo.name));
+    cost
+}
 
 /// Every experiment in DESIGN.md §3 order that `backend` supports, in
 /// declarative sweep form.
@@ -69,17 +109,25 @@ pub fn all_sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     out
 }
 
-/// Every experiment in DESIGN.md §3 order, executed serially.
-pub fn all_tables(quick: bool, backend: Backend) -> Vec<Table> {
-    all_sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::sweep::{self, RunOptions};
+
+    /// Run `sweeps` serially and return each table's markdown, in order.
+    pub(crate) fn markdown(sweeps: Vec<Sweep>) -> Vec<String> {
+        let opts = RunOptions {
+            jobs: 1,
+            ..Default::default()
+        };
+        let report = sweep::run(&sweeps, &opts).expect("no --only filter");
+        (report.outcomes.iter())
+            .map(|o| match &o.table {
+                Some(t) => t.to_markdown(),
+                None => panic!("{} panicked: {:?}", o.id, o.panic),
+            })
+            .collect()
+    }
 
     #[test]
     fn backend_sweep_sets_are_consistent() {

@@ -12,15 +12,12 @@
 //! backends.
 
 use aem_core::bounds::permute as pbounds;
-use aem_core::permute::{
-    choose_strategy, permute_by_sort_on, permute_naive_on, transpose_tiled, DestTagged,
-    PermuteStrategy,
-};
-use aem_machine::{
-    with_backend_machine, with_payload_machine, AemAccess, AemConfig, Backend, Cost,
-};
+use aem_core::permute::{choose_strategy, transpose_tiled, PermuteStrategy};
+use aem_core::workload::WorkloadKind;
+use aem_machine::{with_backend_machine, AemAccess, AemConfig, Backend, Cost};
 use aem_workloads::{perm, PermKind};
 
+use super::{measured, registry_ctx};
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::{f, Table};
 
@@ -41,72 +38,37 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     }
 }
 
-/// All permuting tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
+/// The metered cost of the registered permuter `algo` on the named
+/// permutation `input` of `0..n`. The naive permuter is sound on every
+/// backend; by-sort steers on destination tags and needs payloads.
+fn perm_cost(
+    backend: Backend,
+    algo: &str,
+    input: &str,
+    cfg: AemConfig,
+    n: usize,
+    seed: u64,
+) -> Cost {
+    measured(
+        backend,
+        registry_ctx(WorkloadKind::Permute, algo, input, cfg, n, 0, seed),
+    )
 }
 
-/// Run the naive permuter on `backend`. Sound on every backend (the I/O
-/// schedule never depends on payloads); on ghost the returned output holds
-/// placeholder values and only the cost is meaningful.
-pub(crate) fn run_naive(
+/// Run the predicted-cheaper strategy on the random permutation drawn from
+/// `seed` — the registry counterpart of [`aem_core::permute::permute_auto`].
+pub(crate) fn auto_cost(
     backend: Backend,
     cfg: AemConfig,
-    values: &[u64],
-    pi: &[usize],
-) -> (Vec<u64>, Cost) {
-    with_backend_machine!(backend, u64, |M| {
-        let mut m = M::new(cfg);
-        let input = m.install(values);
-        let out = permute_naive_on(&mut m, input, pi).expect("naive");
-        (m.inspect(out), m.cost())
-    })
-}
-
-/// Run the sort-based permuter on `backend` (payload-carrying only: the
-/// merge steers on the destination tags it reads back).
-pub(crate) fn run_by_sort(
-    backend: Backend,
-    cfg: AemConfig,
-    values: &[u64],
-    pi: &[usize],
-) -> (Vec<u64>, Cost) {
-    let tagged: Vec<DestTagged<u64>> = values
-        .iter()
-        .zip(pi.iter())
-        .map(|(v, &d)| DestTagged {
-            dest: d as u64,
-            value: *v,
-        })
-        .collect();
-    with_payload_machine!(backend, DestTagged<u64>, |M| {
-        let mut m = M::new(cfg);
-        let input = m.install(&tagged);
-        let out = permute_by_sort_on(&mut m, input).expect("sort");
-        (
-            m.inspect(out).into_iter().map(|t| t.value).collect(),
-            m.cost(),
-        )
-    }, ghost => unreachable!("sort-based permuting reads tags; not payload-oblivious"))
-}
-
-/// Run the predicted-cheaper strategy on `backend` — the backend-dispatched
-/// counterpart of [`aem_core::permute::permute_auto`].
-pub(crate) fn run_auto(
-    backend: Backend,
-    cfg: AemConfig,
-    values: &[u64],
-    pi: &[usize],
-) -> (Vec<u64>, Cost, PermuteStrategy) {
-    let strategy = choose_strategy(cfg, values.len());
-    let (out, cost) = match strategy {
-        PermuteStrategy::Naive => run_naive(backend, cfg, values, pi),
-        PermuteStrategy::BySort => run_by_sort(backend, cfg, values, pi),
+    n: usize,
+    seed: u64,
+) -> (Cost, PermuteStrategy) {
+    let strategy = choose_strategy(cfg, n);
+    let algo = match strategy {
+        PermuteStrategy::Naive => "naive",
+        PermuteStrategy::BySort => "by-sort",
     };
-    (out, cost, strategy)
+    (perm_cost(backend, algo, "random", cfg, n, seed), strategy)
 }
 
 /// Run the tiled transpose on `backend`. Payload-oblivious (every index is
@@ -137,9 +99,9 @@ pub fn f4_transpose(quick: bool, backend: Backend) -> Sweep {
                 let values: Vec<u64> = (0..n as u64).collect();
                 let (tiled_out, tiled) = run_tiled(backend, cfg, &values, side);
                 let pi = PermKind::Transpose { rows: side }.generate(n);
-                let (naive_out, naive) = run_naive(backend, cfg, &values, &pi);
-                assert_eq!(tiled_out, naive_out);
-                let (_, sort) = run_by_sort(backend, cfg, &values, &pi);
+                assert_eq!(tiled_out, perm::apply(&pi, &values), "must transpose");
+                let naive = perm_cost(backend, "naive", "transpose", cfg, n, 0);
+                let sort = perm_cost(backend, "by-sort", "transpose", cfg, n, 0);
                 let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
                 CellOut::new()
                     .with_u64("omega", omega)
@@ -285,10 +247,7 @@ pub fn t5(quick: bool, backend: Backend) -> Sweep {
         .map(|&(n, omega)| {
             Cell::new(format!("n={n},omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let pi = PermKind::Random { seed: 50 }.generate(n);
-                let values: Vec<u64> = (0..n as u64).collect();
-                let (out, cost, strategy) = run_auto(backend, cfg, &values, &pi);
-                assert_eq!(out, perm::apply(&pi, &values), "must realize pi");
+                let (cost, strategy) = auto_cost(backend, cfg, n, 50);
                 let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
                 let asym = pbounds::permute_lower_bound_asymptotic(n as u64, cfg);
                 CellOut::new()
@@ -366,12 +325,7 @@ pub fn t5n(quick: bool, backend: Backend) -> Sweep {
         .map(|&(n, omega)| {
             Cell::new(format!("n={n},omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let pi = PermKind::Random { seed: 52 }.generate(n);
-                let values: Vec<u64> = (0..n as u64).collect();
-                let (out, cost) = run_naive(backend, cfg, &values, &pi);
-                if backend.carries_payload() {
-                    assert_eq!(out, perm::apply(&pi, &values), "must realize pi");
-                }
+                let cost = perm_cost(backend, "naive", "random", cfg, n, 52);
                 let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
                 CellOut::new()
                     .with_u64("n", n as u64)
@@ -446,9 +400,7 @@ pub fn t5x(quick: bool) -> Sweep {
         .map(|&(n, omega)| {
             Cell::new(format!("n={n},omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let pi = PermKind::Random { seed: 53 }.generate(n);
-                let values: Vec<u64> = (0..n as u64).collect();
-                let (_, cost) = run_naive(Backend::Ghost, cfg, &values, &pi);
+                let cost = perm_cost(Backend::Ghost, "naive", "random", cfg, n, 53);
                 let lb = pbounds::permute_cost_lower_bound(n as u64, cfg);
                 CellOut::new()
                     .with_u64("n", n as u64)
@@ -506,12 +458,10 @@ pub fn f2(quick: bool, backend: Backend) -> Sweep {
         .map(|&(b, omega)| {
             Cell::new(format!("b={b},omega={omega}"), move || {
                 let cfg = AemConfig::new(8 * b, b, omega).unwrap();
-                let pi = PermKind::Random { seed: 51 }.generate(n);
-                let values: Vec<u64> = (0..n as u64).collect();
                 let branch = pbounds::active_branch(n as u64, cfg);
                 let predicted = choose_strategy(cfg, n);
-                let (_, naive) = run_naive(backend, cfg, &values, &pi);
-                let (_, sort) = run_by_sort(backend, cfg, &values, &pi);
+                let naive = perm_cost(backend, "naive", "random", cfg, n, 51);
+                let sort = perm_cost(backend, "by-sort", "random", cfg, n, 51);
                 let measured = if naive.q(omega) <= sort.q(omega) {
                     PermuteStrategy::Naive
                 } else {
@@ -570,36 +520,23 @@ pub fn f2(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn permute_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty());
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
+    use crate::exp::tests::markdown;
 
     #[test]
     fn t5n_is_byte_identical_across_all_backends() {
         // The differential invariant the CI smoke enforces end-to-end,
         // checked here at table granularity: the ghost backend renders the
         // shared payload-oblivious sweep exactly as the copying backends.
-        let vec_t = t5n(true, Backend::Vec).run_serial().to_markdown();
-        let arena_t = t5n(true, Backend::Arena).run_serial().to_markdown();
-        let ghost_t = t5n(true, Backend::Ghost).run_serial().to_markdown();
-        assert_eq!(vec_t, arena_t);
-        assert_eq!(vec_t, ghost_t);
-        assert!(!vec_t.contains("FAIL"));
+        let vec_t = markdown(vec![t5n(true, Backend::Vec)]);
+        assert_eq!(vec_t, markdown(vec![t5n(true, Backend::Arena)]));
+        assert_eq!(vec_t, markdown(vec![t5n(true, Backend::Ghost)]));
+        assert!(!vec_t[0].contains("FAIL"));
     }
 
     #[test]
     fn t5x_frontier_passes_on_ghost() {
-        let t = t5x(true).run_serial();
-        assert!(!t.rows.is_empty());
-        for n in &t.notes {
-            assert!(!n.contains("FAIL"), "{}", n);
-        }
+        let t = &markdown(vec![t5x(true)])[0];
+        assert!(t.contains("| 524288 |"), "{t}");
+        assert!(!t.contains("FAIL"), "{t}");
     }
 }

@@ -23,24 +23,11 @@ use aem_workloads::KeyDist;
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::{ratio, Table};
 
-use super::sorting::run_merge_sort;
-
-/// Run the PQ-backed sorter on a fresh machine; returns the exact cost.
-/// The queue steers on key comparisons, so `backend` must carry payloads.
-pub fn run_pq_sort(backend: Backend, cfg: AemConfig, n: usize, seed: u64) -> Cost {
-    let input = KeyDist::Uniform { seed }.generate(n);
-    with_payload_machine!(backend, u64, |M| {
-        let mut m = M::new(cfg);
-        let r = m.install(&input);
-        let out = sort_via_pq(&mut m, r).expect("sort_via_pq");
-        debug_assert_eq!(m.inspect(out).len(), n);
-        m.cost()
-    }, ghost => unreachable!("pq sorting on random keys steers on comparisons"))
-}
+use super::sorting::sort_cost;
 
 /// Run replacement selection on a fresh machine; returns
 /// `(runs produced, heap capacity h, exact cost)`.
-pub fn run_replacement_select(
+fn run_replacement_select(
     backend: Backend,
     cfg: AemConfig,
     dist: KeyDist,
@@ -83,14 +70,6 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     ]
 }
 
-/// All priority-queue tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
 /// T9: the Theorem 3.2 sandwich for the PQ-backed sorter. Measured cost
 /// must stay under the exact-schedule predictor (component-wise) and
 /// within a constant factor of the §3 mergesort across four orders of
@@ -104,8 +83,8 @@ pub fn t9_sandwich(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let pq = run_pq_sort(backend, cfg, n, 9);
-                let merge = run_merge_sort(backend, cfg, n, 9);
+                let pq = sort_cost(backend, "pq", cfg, n, 9);
+                let merge = sort_cost(backend, "aem", cfg, n, 9);
                 let pred = predict::pq_sort_cost(cfg, n);
                 CellOut::new()
                     .with_u64("omega", omega)
@@ -290,30 +269,14 @@ pub fn t9g_constant_keys(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_pq_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty(), "{} has rows", t.id);
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
+    use crate::exp::tests::markdown;
 
     #[test]
     fn arena_renders_identically_to_vec() {
-        let vec_tables = tables(true, Backend::Vec);
-        let arena_tables = tables(true, Backend::Arena);
-        assert_eq!(vec_tables.len(), arena_tables.len());
-        for (v, a) in vec_tables.iter().zip(&arena_tables) {
-            assert_eq!(
-                v.to_markdown(),
-                a.to_markdown(),
-                "{} diverges on arena",
-                v.id
-            );
-        }
+        assert_eq!(
+            markdown(sweeps(true, Backend::Vec)),
+            markdown(sweeps(true, Backend::Arena))
+        );
     }
 
     #[test]
@@ -329,8 +292,9 @@ mod tests {
     fn ghost_t9g_matches_vec_byte_for_byte() {
         // The constant-key grid is payload-oblivious, so the cost-only
         // ghost store must render the identical table.
-        let vec_t = t9g_constant_keys(true, Backend::Vec).run_serial();
-        let ghost_t = t9g_constant_keys(true, Backend::Ghost).run_serial();
-        assert_eq!(vec_t.to_markdown(), ghost_t.to_markdown());
+        assert_eq!(
+            markdown(vec![t9g_constant_keys(true, Backend::Vec)]),
+            markdown(vec![t9g_constant_keys(true, Backend::Ghost)])
+        );
     }
 }

@@ -27,14 +27,6 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     vec![t3(quick, backend)]
 }
 
-/// All round-based tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
 /// An algorithm runnable on any machine flavour (the polymorphism
 /// Lemma 4.1 needs: the *same* program, two execution disciplines).
 trait Algo {
@@ -235,20 +227,13 @@ pub fn t3(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn t3_passes() {
-        let t = t3(true, Backend::Vec).run_serial();
-        assert_eq!(t.rows.len(), 4);
-        for n in &t.notes {
-            assert!(!n.contains("FAIL"), "{}", n);
-        }
-    }
+    use crate::exp::tests::markdown;
 
     #[test]
     fn t3_arena_matches_vec() {
-        let v = t3(true, Backend::Vec).run_serial();
-        let a = t3(true, Backend::Arena).run_serial();
-        assert_eq!(v.to_markdown(), a.to_markdown());
+        assert_eq!(
+            markdown(vec![t3(true, Backend::Vec)]),
+            markdown(vec![t3(true, Backend::Arena)])
+        );
     }
 }

@@ -12,9 +12,10 @@
 //! is position-routed, so the cost-only ghost backend runs the full
 //! grid too.
 
-use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
-use aem_machine::{AemConfig, Backend, Cost};
+use aem_core::workload::WorkloadKind;
+use aem_machine::{AemConfig, Backend};
 
+use super::{measured, registry_ctx};
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::Table;
 
@@ -22,21 +23,6 @@ use crate::table::Table;
 /// grid runs on every backend.
 pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     vec![t12(quick, backend)]
-}
-
-/// All scan tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
-/// Run one registered scan strategy live and return its metered cost.
-fn measured(backend: Backend, cfg: AemConfig, algo: &str, n: usize, delta: usize) -> Cost {
-    let ctx = RunCtx::new(WorkloadKind::Scan, algo, cfg, n, delta, 7).expect("valid shape");
-    let (cost, _) = run_workload(&ctx, &mut LiveHarness { backend }).expect("scan run");
-    cost
 }
 
 /// T12: scan + δ prefix queries across the (δ, ω) grid, every strategy
@@ -62,7 +48,9 @@ pub fn t12(quick: bool, backend: Backend) -> Sweep {
                         .with_u64("omega", omega);
                     let mut sound = true;
                     for a in w.algos {
-                        let m = measured(backend, cfg, a.name, n, delta);
+                        let ctx =
+                            registry_ctx(WorkloadKind::Scan, a.name, "seeded", cfg, n, delta, 7);
+                        let m = measured(backend, ctx);
                         let p = (a.predict)(cfg, n, delta).expect("predictor accepts this config");
                         // materialize/tree predictors are exact schedules;
                         // rescan's is a certified bound (a query at position
@@ -140,27 +128,13 @@ fn omegas_len(outs: &[CellOut]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scan_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty());
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
+    use crate::exp::tests::markdown;
 
     #[test]
     fn ghost_renders_the_same_scan_table() {
-        let vec_t: Vec<String> = tables(true, Backend::Vec)
-            .iter()
-            .map(Table::to_markdown)
-            .collect();
-        let ghost_t: Vec<String> = tables(true, Backend::Ghost)
-            .iter()
-            .map(Table::to_markdown)
-            .collect();
-        assert_eq!(vec_t, ghost_t);
+        assert_eq!(
+            markdown(sweeps(true, Backend::Vec)),
+            markdown(sweeps(true, Backend::Ghost))
+        );
     }
 }

@@ -9,9 +9,10 @@
 //! batch size) exposes the crossover, and every cell cross-checks the
 //! metered cost against the registry's exact-schedule predictors.
 
-use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
-use aem_machine::{AemConfig, Backend, Cost};
+use aem_core::workload::WorkloadKind;
+use aem_machine::{AemConfig, Backend};
 
+use super::{measured, registry_ctx};
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::Table;
 
@@ -23,21 +24,6 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
         return Vec::new();
     }
     vec![t11(quick, backend)]
-}
-
-/// All search tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
-/// Run one registered search layout live and return its metered cost.
-fn measured(backend: Backend, cfg: AemConfig, algo: &str, n: usize, delta: usize) -> Cost {
-    let ctx = RunCtx::new(WorkloadKind::Search, algo, cfg, n, delta, 7).expect("valid shape");
-    let (cost, _) = run_workload(&ctx, &mut LiveHarness { backend }).expect("search run");
-    cost
 }
 
 /// T11: build + δ lookups across the batch-size sweep, every layout from
@@ -58,7 +44,9 @@ pub fn t11(quick: bool, backend: Backend) -> Sweep {
                 let mut out = CellOut::new().with_u64("delta", delta as u64);
                 let mut sound = true;
                 for a in w.algos {
-                    let m = measured(backend, cfg, a.name, n, delta);
+                    let ctx =
+                        registry_ctx(WorkloadKind::Search, a.name, "seeded", cfg, n, delta, 7);
+                    let m = measured(backend, ctx);
                     let p = (a.predict)(cfg, n, delta).expect("predictor accepts this config");
                     // binary/btree predictors are exact schedules; the
                     // Eytzinger one is a certified upper bound (block
@@ -112,16 +100,6 @@ pub fn t11(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn search_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty());
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
 
     #[test]
     fn ghost_gets_no_search_sweeps() {

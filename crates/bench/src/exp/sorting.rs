@@ -2,53 +2,28 @@
 //! the `ω`-oblivious EM baseline, plus the fan-in ablation.
 //!
 //! Each table is a [`Sweep`]: independent cells over the `(N, ω, d)` grid
-//! plus a pure renderer, so the engine can run cells in parallel and cache
-//! them (see [`crate::sweep`]).
+//! plus a pure renderer, so the engine can run cells in parallel (see
+//! [`crate::sweep`]). The registered sorters run through the workload
+//! registry; the fan-in and pointer-placement ablations (T1c, T1d) drive
+//! kernels the registry does not register.
 
 use aem_core::bounds::predict;
-use aem_core::sort::{
-    distribution_sort, em_merge_sort, heap_sort, merge_sort, merge_sort_with_fan_in,
-};
+use aem_core::sort::merge_sort_with_fan_in;
+use aem_core::workload::{run_workload, WorkloadKind};
 use aem_machine::{with_payload_machine, AemAccess, AemConfig, Backend, Cost};
-use aem_obs::{node_depth, InstrumentedMachine};
+use aem_obs::{node_depth, ProfileHarness};
 use aem_workloads::KeyDist;
 
+use super::{measured, registry_ctx};
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::{f, ratio, Table};
 
-/// Run the §3 mergesort on a fresh machine; returns the exact cost.
-/// Sorting steers on key comparisons, so `backend` must carry payloads.
-pub fn run_merge_sort(backend: Backend, cfg: AemConfig, n: usize, seed: u64) -> Cost {
-    let input = KeyDist::Uniform { seed }.generate(n);
-    with_payload_machine!(backend, u64, |M| {
-        let mut m = M::new(cfg);
-        let r = m.install(&input);
-        let out = merge_sort(&mut m, r).expect("merge_sort");
-        debug_assert_eq!(m.inspect(out).len(), n);
-        m.cost()
-    }, ghost => unreachable!("merge sort reads keys; not payload-oblivious"))
-}
-
-/// Run the EM baseline; returns the exact cost.
-pub fn run_em_sort(backend: Backend, cfg: AemConfig, n: usize, seed: u64) -> Cost {
-    let input = KeyDist::Uniform { seed }.generate(n);
-    with_payload_machine!(backend, u64, |M| {
-        let mut m = M::new(cfg);
-        let r = m.install(&input);
-        em_merge_sort(&mut m, r).expect("em_merge_sort");
-        m.cost()
-    }, ghost => unreachable!("merge sort reads keys; not payload-oblivious"))
-}
-
-/// Run the distribution-sort baseline; returns the exact cost.
-pub fn run_distribution_sort(backend: Backend, cfg: AemConfig, n: usize, seed: u64) -> Cost {
-    let input = KeyDist::Uniform { seed }.generate(n);
-    with_payload_machine!(backend, u64, |M| {
-        let mut m = M::new(cfg);
-        let r = m.install(&input);
-        distribution_sort(&mut m, r).expect("distribution_sort");
-        m.cost()
-    }, ghost => unreachable!("distribution sort reads keys; not payload-oblivious"))
+/// The metered cost of the registered sorter `algo` on `n` uniform keys
+/// drawn from `seed`. Every sorter steers on key comparisons, so `backend`
+/// must carry payloads.
+pub(crate) fn sort_cost(backend: Backend, algo: &str, cfg: AemConfig, n: usize, seed: u64) -> Cost {
+    let ctx = registry_ctx(WorkloadKind::Sort, algo, "uniform", cfg, n, 0, seed);
+    measured(backend, ctx)
 }
 
 /// The normalization denominator of Theorem 3.2: `ω n ⌈log_{ωm} n⌉`.
@@ -74,14 +49,6 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     ]
 }
 
-/// All sorting tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
 /// T1f: where the §3 mergesort's cost goes, phase by phase. An
 /// instrumented run attributes every I/O to the enclosing span; the
 /// top-level spans (base runs, then each merge level) partition the
@@ -90,16 +57,11 @@ pub fn t1_phase_attribution(quick: bool, backend: Backend) -> Sweep {
     let cfg = AemConfig::new(64, 8, 32).unwrap();
     let n = if quick { 1 << 12 } else { 1 << 16 };
     let cells = vec![Cell::new("instrumented", move || {
-        let input = KeyDist::Uniform { seed: 7 }.generate(n);
-        let (total, rec) = with_payload_machine!(backend, u64, |M| {
-            let mut im = InstrumentedMachine::new(M::new(cfg));
-            let r = im.inner_mut().install(&input);
-            merge_sort(&mut im, r).expect("sort");
-            let total = im.inner().cost();
-            let rec = im.into_record(aem_obs::WorkloadMeta::new("sort", "aem", n as u64));
-            (total, rec)
-        }, ghost => unreachable!("sorting sweeps are not built for ghost"));
-        let q_total = total.q(cfg.omega).max(1);
+        let ctx = registry_ctx(WorkloadKind::Sort, "aem", "uniform", cfg, n, 0, 7);
+        let rec = run_workload(&ctx, &mut ProfileHarness { backend })
+            .expect("profiled sort")
+            .record;
+        let total_q = rec.q();
         let mut out = CellOut::new();
         let mut top_level_q = 0u64;
         for (i, p) in rec.phases.iter().enumerate() {
@@ -114,11 +76,14 @@ pub fn t1_phase_attribution(quick: bool, backend: Backend) -> Sweep {
                 p.cost.writes.to_string(),
                 (p.aux_reads + p.aux_writes).to_string(),
                 p.volume.to_string(),
-                format!("{:.1}%", 100.0 * p.q(cfg.omega) as f64 / q_total as f64),
+                format!(
+                    "{:.1}%",
+                    100.0 * p.q(cfg.omega) as f64 / total_q.max(1) as f64
+                ),
             ]);
         }
         out.with_u64("top_level_q", top_level_q)
-            .with_u64("total_q", total.q(cfg.omega))
+            .with_u64("total_q", total_q)
     })];
     Sweep::new("T1f", cells, move |outs| {
         let mut t = Table::new(
@@ -154,26 +119,13 @@ pub fn t1_sorter_zoo(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let input = KeyDist::Uniform { seed: 6 }.generate(n);
-                let run = |which: usize| -> u64 {
-                    with_payload_machine!(backend, u64, |M| {
-                        let mut m = M::new(cfg);
-                        let r = m.install(&input);
-                        match which {
-                            0 => drop(merge_sort(&mut m, r).expect("sort")),
-                            1 => drop(heap_sort(&mut m, r).expect("sort")),
-                            2 => drop(em_merge_sort(&mut m, r).expect("sort")),
-                            _ => drop(distribution_sort(&mut m, r).expect("sort")),
-                        }
-                        m.cost().q(omega)
-                    }, ghost => unreachable!("sorting sweeps are not built for ghost"))
-                };
+                let q = |algo| sort_cost(backend, algo, cfg, n, 6).q(omega);
                 CellOut::new()
                     .with_u64("omega", omega)
-                    .with_u64("q_aem", run(0))
-                    .with_u64("q_heap", run(1))
-                    .with_u64("q_em", run(2))
-                    .with_u64("q_dist", run(3))
+                    .with_u64("q_aem", q("aem"))
+                    .with_u64("q_heap", q("heap"))
+                    .with_u64("q_em", q("em"))
+                    .with_u64("q_dist", q("dist"))
             })
         })
         .collect();
@@ -333,7 +285,7 @@ pub fn t1_n_sweep(quick: bool, backend: Backend) -> Sweep {
         .iter()
         .map(|&n| {
             Cell::new(format!("n={n}"), move || {
-                let c = run_merge_sort(backend, cfg, n, 1);
+                let c = sort_cost(backend, "aem", cfg, n, 1);
                 CellOut::new()
                     .with_u64("n", n as u64)
                     .with_u64("reads", c.reads)
@@ -386,7 +338,7 @@ pub fn t1_omega_sweep(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let c = run_merge_sort(backend, cfg, n, 2);
+                let c = sort_cost(backend, "aem", cfg, n, 2);
                 CellOut::new()
                     .with_u64("omega", omega)
                     .with_u64("reads", c.reads)
@@ -450,9 +402,9 @@ pub fn f1_vs_em(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let aem = run_merge_sort(backend, cfg, n, 3);
-                let em = run_em_sort(backend, cfg, n, 3);
-                let dist = run_distribution_sort(backend, cfg, n, 3);
+                let aem = sort_cost(backend, "aem", cfg, n, 3);
+                let em = sort_cost(backend, "em", cfg, n, 3);
+                let dist = sort_cost(backend, "dist", cfg, n, 3);
                 CellOut::new()
                     .with_u64("omega", omega)
                     .with_u64("aem_reads", aem.reads)
@@ -570,32 +522,16 @@ pub fn ablation_fan_in(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_sorting_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty(), "{} has rows", t.id);
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
+    use crate::exp::tests::markdown;
 
     #[test]
     fn arena_renders_identically_to_vec() {
         // The differential invariant at table granularity: the arena
         // backend reproduces every vec table byte-for-byte.
-        let vec_tables = tables(true, Backend::Vec);
-        let arena_tables = tables(true, Backend::Arena);
-        assert_eq!(vec_tables.len(), arena_tables.len());
-        for (v, a) in vec_tables.iter().zip(&arena_tables) {
-            assert_eq!(
-                v.to_markdown(),
-                a.to_markdown(),
-                "{} diverges on arena",
-                v.id
-            );
-        }
+        assert_eq!(
+            markdown(sweeps(true, Backend::Vec)),
+            markdown(sweeps(true, Backend::Arena))
+        );
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! bound.
 
 use aem_core::bounds::spmv as sbounds;
-use aem_core::spmv::{
-    choose_strategy, install_instance, reference_multiply, spmv_direct_on, spmv_sorted_on,
-    MatEntry, SpmvInstance, SpmvRun, SpmvStrategy, U64Ring,
-};
-use aem_machine::{with_payload_machine, AemAccess, AemConfig, Backend};
-use aem_workloads::{Conformation, MatrixShape};
+use aem_core::spmv::{choose_strategy, SpmvStrategy};
+use aem_core::workload::WorkloadKind;
+use aem_machine::{AemConfig, Backend};
 
+use super::{measured, registry_ctx};
 use crate::sweep::{Cell, CellOut, Sweep};
 use crate::table::{f, Table};
 
@@ -26,39 +24,14 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
     ]
 }
 
-/// All SpMxV tables (serial execution of [`sweeps`]).
-pub fn tables(quick: bool, backend: Backend) -> Vec<Table> {
-    sweeps(quick, backend)
-        .iter()
-        .map(Sweep::run_serial)
-        .collect()
-}
-
-/// Run one SpMxV strategy on the selected payload-carrying backend.
-fn run_spmv(
-    backend: Backend,
-    cfg: AemConfig,
-    conf: &Conformation,
-    a: &[U64Ring],
-    x: &[U64Ring],
-    strategy: SpmvStrategy,
-) -> SpmvRun<U64Ring> {
-    let inst = SpmvInstance { conf, a_vals: a, x };
-    inst.validate().expect("instance dimensions");
-    with_payload_machine!(backend, MatEntry<U64Ring>, |M| {
-        let mut m = M::new(cfg);
-        let (ra, rx) = install_instance(&mut m, &inst);
-        let y = match strategy {
-            SpmvStrategy::Direct => spmv_direct_on(&mut m, conf, ra, rx).expect("direct"),
-            SpmvStrategy::Sorted => spmv_sorted_on(&mut m, conf, ra, rx).expect("sorted"),
-        };
-        let output = m.inspect(y).into_iter().map(|e| e.val).collect();
-        SpmvRun {
-            output,
-            cost: m.cost(),
-            cfg,
-        }
-    }, ghost => unreachable!("SpMxV sweeps are not built for ghost"))
+/// The metered `Q` of the registered SpMxV `algo` on the random
+/// conformation drawn from `seed`, `delta` non-zeros per column. The
+/// registry verifies `y` against the reference product; its matrix entries
+/// order by row alone, so `Q` depends only on the conformation, not on the
+/// values.
+fn spmv_q(backend: Backend, algo: &str, cfg: AemConfig, n: usize, delta: usize, seed: u64) -> u64 {
+    let ctx = registry_ctx(WorkloadKind::Spmv, algo, "random", cfg, n, delta, seed);
+    measured(backend, ctx).q(cfg.omega)
 }
 
 /// T6c: the sorting-based algorithm's home turf — large blocks, mild
@@ -74,13 +47,10 @@ pub fn t6_big_blocks(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let (conf, a, x) = instance(n, delta, 63);
-                let d = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Direct);
-                let s = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Sorted);
                 CellOut::new()
                     .with_u64("omega", omega)
-                    .with_u64("q_direct", d.q())
-                    .with_u64("q_sorted", s.q())
+                    .with_u64("q_direct", spmv_q(backend, "direct", cfg, n, delta, 63))
+                    .with_u64("q_sorted", spmv_q(backend, "sorted", cfg, n, delta, 63))
                     .with_str("predicted", format!("{:?}", choose_strategy(cfg, n, delta)))
             })
         })
@@ -123,15 +93,6 @@ pub fn t6_big_blocks(quick: bool, backend: Backend) -> Sweep {
     })
 }
 
-fn instance(n: usize, delta: usize, seed: u64) -> (Conformation, Vec<U64Ring>, Vec<U64Ring>) {
-    let conf = Conformation::generate(MatrixShape::Random { seed }, n, delta);
-    let a: Vec<U64Ring> = (0..conf.nnz())
-        .map(|i| U64Ring((i as u64 * 23 + 11) % 127))
-        .collect();
-    let x: Vec<U64Ring> = (0..n).map(|j| U64Ring((j as u64 * 7 + 1) % 31)).collect();
-    (conf, a, x)
-}
-
 /// T6a: direct vs sorting-based cost across the density sweep.
 pub fn t6_delta_sweep(quick: bool, backend: Backend) -> Sweep {
     let cfg = AemConfig::new(64, 8, 8).unwrap();
@@ -145,17 +106,12 @@ pub fn t6_delta_sweep(quick: bool, backend: Backend) -> Sweep {
         .iter()
         .map(|&delta| {
             Cell::new(format!("delta={delta}"), move || {
-                let (conf, a, x) = instance(n, delta, 60 + delta as u64);
-                let want = reference_multiply(&conf, &a, &x);
-                let d = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Direct);
-                let s = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Sorted);
-                assert_eq!(d.output, want);
-                assert_eq!(s.output, want);
+                let seed = 60 + delta as u64;
                 CellOut::new()
                     .with_u64("delta", delta as u64)
-                    .with_u64("h", conf.nnz() as u64)
-                    .with_u64("q_direct", d.q())
-                    .with_u64("q_sorted", s.q())
+                    .with_u64("h", (n * delta) as u64)
+                    .with_u64("q_direct", spmv_q(backend, "direct", cfg, n, delta, seed))
+                    .with_u64("q_sorted", spmv_q(backend, "sorted", cfg, n, delta, seed))
                     .with_str("predicted", format!("{:?}", choose_strategy(cfg, n, delta)))
             })
         })
@@ -210,13 +166,10 @@ pub fn t6_omega_sweep(quick: bool, backend: Backend) -> Sweep {
         .map(|&omega| {
             Cell::new(format!("omega={omega}"), move || {
                 let cfg = AemConfig::new(mem, b, omega).unwrap();
-                let (conf, a, x) = instance(n, delta, 61);
-                let d = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Direct);
-                let s = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Sorted);
                 CellOut::new()
                     .with_u64("omega", omega)
-                    .with_u64("q_direct", d.q())
-                    .with_u64("q_sorted", s.q())
+                    .with_u64("q_direct", spmv_q(backend, "direct", cfg, n, delta, 61))
+                    .with_u64("q_sorted", spmv_q(backend, "sorted", cfg, n, delta, 61))
             })
         })
         .collect();
@@ -264,9 +217,7 @@ pub fn t7(quick: bool, backend: Backend) -> Sweep {
         .iter()
         .map(|&delta| {
             Cell::new(format!("delta={delta}"), move || {
-                let (conf, a, x) = instance(n, delta, 62 + delta as u64);
-                let d = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Direct);
-                let s = run_spmv(backend, cfg, &conf, &a, &x, SpmvStrategy::Sorted);
+                let seed = 62 + delta as u64;
                 let lb = sbounds::spmv_cost_lower_bound(n as u64, delta as u64, cfg);
                 let asym = sbounds::spmv_lower_bound_asymptotic(n as u64, delta as u64, cfg);
                 let applies = sbounds::theorem_applies(n as u64, delta as u64, cfg, 0.05);
@@ -275,8 +226,8 @@ pub fn t7(quick: bool, backend: Backend) -> Sweep {
                     .with_bool("applies", applies)
                     .with_f64("lb", lb)
                     .with_f64("asym", asym)
-                    .with_u64("q_direct", d.q())
-                    .with_u64("q_sorted", s.q())
+                    .with_u64("q_direct", spmv_q(backend, "direct", cfg, n, delta, seed))
+                    .with_u64("q_sorted", spmv_q(backend, "sorted", cfg, n, delta, seed))
             })
         })
         .collect();
@@ -322,19 +273,4 @@ pub fn t7(quick: bool, backend: Backend) -> Sweep {
         ));
         t
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spmv_tables_pass() {
-        for t in tables(true, Backend::Vec) {
-            assert!(!t.rows.is_empty());
-            for n in &t.notes {
-                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
-            }
-        }
-    }
 }

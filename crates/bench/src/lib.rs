@@ -7,22 +7,28 @@
 //! | Id | Claim | Module |
 //! |----|-------|--------|
 //! | T1/F1 | Thm 3.2 sorting cost; AEM vs EM separation | [`exp::sorting`] |
+//! | T9 | §3.2 buffered PQ and replacement selection | [`exp::pq`] |
 //! | T2 | Thm 3.2 merging cost | [`exp::merge`] |
 //! | T3 | Lemma 4.1 round-based overhead | [`exp::rounds`] |
 //! | T4 | Lemma 4.3 flash simulation volume | [`exp::flash`] |
-//! | T5/F2 | Thm 4.5 permuting bound & branch crossover | [`exp::permute`] |
+//! | T5/T8/F2/F4 | Thm 4.5 permuting bound & branch crossover | [`exp::permute`] |
 //! | T6/T7 | §5 SpMxV upper bounds & Thm 5.1 | [`exp::spmv`] |
+//! | T11 | static search layouts: build vs lookups | [`exp::search`] |
+//! | T12 | prefix scans: materialize vs tree vs rescan | [`exp::scan`] |
+//! | T13 | dense matmul tilings | [`exp::matmul`] |
+//! | T14 | BFS traversals | [`exp::bfs`] |
 //! | F3 | ARAM ≡ (M,1,ω)-AEM | [`exp::model`] |
+//! | F5 | §1.1 optimality map | [`exp::optimality`] |
 //!
 //! Every experiment is deterministic (seeded workloads, exact I/O
-//! metering), so the emitted tables are reproducible bit-for-bit. Each
-//! also has a binary (`cargo run --release --bin exp_*`) and `run_all`
-//! regenerates the data behind `EXPERIMENTS.md`.
+//! metering), so the emitted tables are reproducible bit-for-bit. The
+//! `run_all` binary is the one front end: it regenerates the data behind
+//! `EXPERIMENTS.md` (`--only IDS` picks experiments, `--help` lists the
+//! flags).
 //!
-//! Experiments are declared as [`sweep::Sweep`]s — grids of independent,
-//! cached, keyed cells — and executed either serially
-//! ([`sweep::Sweep::run_serial`]) or on the parallel resumable engine
-//! ([`sweep::run`]); `run_all --jobs N --cache FILE` drives the latter.
+//! Experiments are declared as [`sweep::Sweep`]s — grids of independent
+//! keyed cells — and executed on the parallel engine ([`sweep::run`]),
+//! whose output does not depend on the worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,31 +41,3 @@ pub mod table;
 pub mod timing;
 
 pub use table::Table;
-
-/// Parse `--backend NAME` / `--backend=NAME` from a CLI argument list
-/// (shared by the `exp_*` binaries and `run_all`). Defaults to the vec
-/// backend; exits with a diagnostic on an unknown name.
-pub fn backend_from_args(args: &[String]) -> aem_machine::Backend {
-    let mut i = 0;
-    while i < args.len() {
-        let name = if let Some(v) = args[i].strip_prefix("--backend=") {
-            Some(v.to_string())
-        } else if args[i] == "--backend" {
-            i += 1;
-            args.get(i).cloned()
-        } else {
-            None
-        };
-        if let Some(name) = name {
-            match aem_machine::Backend::from_name(&name) {
-                Ok(b) => return b,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        i += 1;
-    }
-    aem_machine::Backend::Vec
-}

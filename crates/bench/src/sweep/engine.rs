@@ -1,49 +1,42 @@
-//! The parallel, resumable sweep executor.
+//! The parallel sweep executor.
 //!
-//! Takes a list of [`Sweep`]s, flattens them into independent cells,
-//! subtracts the cells already present in the result cache, and executes
-//! the remainder on the workspace's worker pool, [`aem_obs::pool`]: scoped
+//! Takes a list of [`Sweep`]s, flattens them into independent cells and
+//! executes them on the workspace's worker pool, [`aem_obs::pool`]: scoped
 //! workers pulling from one shared queue (work stealing at cell
 //! granularity — no static partitioning, so one slow table cannot idle the
 //! other workers).
 //!
 //! Determinism: execution order is whatever the pool produces, but results
-//! are reassembled **in cell-declaration order** (each cell is keyed, and
-//! the per-sweep `render` always sees the sorted sequence), so the tables
-//! a parallel run prints are byte-identical to a `--jobs 1` run — and to a
-//! fully cached run. Wall-clock timings never enter a table cell; they are
-//! reported separately via [`RunReport::stats_table`] and the
-//! [`aem_obs::Metrics`] registry.
+//! are reassembled **in cell-declaration order** (the per-sweep `render`
+//! always sees the declared sequence), so the tables a parallel run prints
+//! are byte-identical to a `--jobs 1` run. Wall-clock timings never enter a
+//! table cell; they are reported separately via [`RunReport::stats_table`]
+//! and the [`aem_obs::Metrics`] registry.
 
-use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use aem_machine::Backend;
 use aem_obs::pool::{self, Handle};
 use aem_obs::Metrics;
 
-use super::cache::{self, Cache, CacheWriter};
-use super::value::CellOut;
 use super::Sweep;
 use crate::table::Table;
 
-/// Options controlling one engine run (the `run_all` / `aemsim exp`
-/// flags, in struct form).
+/// Options controlling one engine run (the `run_all` flags, in struct
+/// form).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Worker threads; `0` means one per available core.
     pub jobs: usize,
-    /// Result-cache file (JSONL). `None` disables caching.
-    pub cache: Option<PathBuf>,
-    /// Truncate the cache before running (`--fresh`).
-    pub fresh: bool,
     /// Restrict to experiments whose id matches one of these patterns
     /// (case-insensitive exact match or prefix, so `t1` selects T1a–T1f).
     pub only: Option<Vec<String>>,
-    /// Storage backend the sweeps were built for; part of every cache key
-    /// so runs on different backends never share cached cells.
-    pub backend: Backend,
+}
+
+/// `true` if the `--only` pattern selects experiment `id`: a
+/// case-insensitive prefix match.
+fn matches(pattern: &str, id: &str) -> bool {
+    id.get(..pattern.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(pattern))
 }
 
 impl RunOptions {
@@ -52,9 +45,7 @@ impl RunOptions {
     pub fn selects(&self, id: &str) -> bool {
         match &self.only {
             None => true,
-            Some(pats) => pats
-                .iter()
-                .any(|p| id.len() >= p.len() && id[..p.len()].eq_ignore_ascii_case(p)),
+            Some(pats) => pats.iter().any(|p| matches(p, id)),
         }
     }
 
@@ -79,13 +70,9 @@ pub struct SweepOutcome {
     pub table: Option<Table>,
     /// First panic message observed, if any.
     pub panic: Option<String>,
-    /// Total cells in the sweep's grid.
+    /// Cells in the sweep's grid, all simulated in this run.
     pub cells: usize,
-    /// Cells simulated in this run.
-    pub executed: usize,
-    /// Cells served from the result cache.
-    pub cached: usize,
-    /// Summed wall time of this sweep's executed cells.
+    /// Summed wall time of this sweep's cells.
     pub cell_nanos: u128,
 }
 
@@ -115,8 +102,6 @@ pub struct RunReport {
     pub outcomes: Vec<SweepOutcome>,
     /// Total cells simulated.
     pub executed: usize,
-    /// Total cells served from cache.
-    pub cached: usize,
     /// Worker threads used.
     pub jobs: usize,
     /// Wall-clock time of the execution phase.
@@ -142,33 +127,24 @@ impl RunReport {
         (self.busy_nanos as f64 / denom).min(1.0)
     }
 
-    /// The engine's own report: per-experiment cell counts, cache hits and
-    /// wall time, plus pool totals. Timings are wall-clock, so this table
+    /// The engine's own report: per-experiment cell counts and wall time,
+    /// plus pool totals. Timings are wall-clock, so this table
     /// is diagnostic output (stderr), never part of the deterministic
     /// experiment document.
     pub fn stats_table(&self) -> Table {
         let mut t = Table::new(
             "SWEEP",
             &format!(
-                "sweep engine — {} workers, {} cells simulated, {} cached",
-                self.jobs, self.executed, self.cached
+                "sweep engine — {} workers, {} cells simulated",
+                self.jobs, self.executed
             ),
-            &[
-                "experiment",
-                "verdict",
-                "cells",
-                "executed",
-                "cached",
-                "cell time (ms)",
-            ],
+            &["experiment", "verdict", "cells", "cell time (ms)"],
         );
         for o in &self.outcomes {
             t.row(vec![
                 o.id.clone(),
                 o.verdict().to_string(),
                 o.cells.to_string(),
-                o.executed.to_string(),
-                o.cached.to_string(),
                 format!("{:.1}", o.cell_nanos as f64 / 1e6),
             ]);
         }
@@ -189,25 +165,19 @@ impl RunReport {
     }
 }
 
-/// Execute `sweeps` under `opts`: subtract cached cells, run the rest on
-/// the worker pool (appending each completed cell to the cache), then
-/// render every table from results in declaration order.
+/// Execute `sweeps` under `opts`: run every selected cell on the worker
+/// pool, then render every table from results in declaration order.
 ///
 /// # Errors
 ///
-/// Returns `Err` for cache-file I/O failures and for `--only` patterns
-/// that match no experiment (listing the valid ids); cell and renderer
-/// panics are captured per experiment in the report instead.
+/// Returns `Err` for `--only` patterns that match no experiment (listing
+/// the valid ids); cell and renderer panics are captured per experiment in
+/// the report instead.
 pub fn run(sweeps: &[Sweep], opts: &RunOptions) -> Result<RunReport, String> {
-    let salt = cache::code_salt();
     if let Some(pats) = &opts.only {
         let unmatched: Vec<&str> = pats
             .iter()
-            .filter(|p| {
-                !sweeps
-                    .iter()
-                    .any(|s| s.id.len() >= p.len() && s.id[..p.len()].eq_ignore_ascii_case(p))
-            })
+            .filter(|p| !sweeps.iter().any(|s| matches(p, &s.id)))
             .map(String::as_str)
             .collect();
         if !unmatched.is_empty() {
@@ -220,50 +190,12 @@ pub fn run(sweeps: &[Sweep], opts: &RunOptions) -> Result<RunReport, String> {
         }
     }
     let selected: Vec<&Sweep> = sweeps.iter().filter(|s| opts.selects(&s.id)).collect();
-
-    let cache_map = match (&opts.cache, opts.fresh) {
-        (Some(path), false) => Cache::load(path),
-        _ => Cache::new(),
-    };
-    let writer = match &opts.cache {
-        Some(path) => Some(
-            CacheWriter::open(path, opts.fresh)
-                .map_err(|e| format!("cannot open cache {}: {e}", path.display()))?,
-        ),
-        None => None,
-    };
-
-    // Cache hit (or miss) per cell; the misses are the pool's tasks.
-    let hits: Vec<Vec<Option<&CellOut>>> = selected
-        .iter()
-        .map(|sw| {
-            (sw.cells.iter())
-                .map(|c| cache_map.get(&cache::cell_hash(&sw.id, &c.key, opts.backend, salt)))
-                .collect()
-        })
-        .collect();
-    let tasks: Vec<(usize, usize)> = hits
-        .iter()
-        .enumerate()
-        .flat_map(|(si, row)| {
-            let misses = row.iter().enumerate().filter(|(_, hit)| hit.is_none());
-            misses.map(move |(ci, _)| (si, ci))
-        })
+    let tasks: Vec<(usize, usize)> = (selected.iter().enumerate())
+        .flat_map(|(si, sw)| (0..sw.cells.len()).map(move |ci| (si, ci)))
         .collect();
 
     let jobs = opts.effective_jobs();
-    let writer = Mutex::new(writer);
-    let run_cell = |(si, ci): (usize, usize)| {
-        let cell = &selected[si].cells[ci];
-        let out = (cell.run)();
-        if let Some(w) = writer.lock().expect("cache writer").as_mut() {
-            // A failed append degrades resumability, not correctness; the
-            // in-memory result survives.
-            let _ = w.append(&selected[si].id, &cell.key, opts.backend, salt, &out);
-        }
-        out
-    };
-
+    let run_cell = |(si, ci): (usize, usize)| (selected[si].cells[ci].run)();
     let t0 = Instant::now();
     let finished: Vec<_> = pool::scope(jobs.min(tasks.len()), run_cell, |pool| {
         let handles: Vec<_> = tasks.iter().map(|&task| pool.submit(task)).collect();
@@ -280,21 +212,13 @@ pub fn run(sweeps: &[Sweep], opts: &RunOptions) -> Result<RunReport, String> {
     let mut finished = finished.into_iter();
     let mut busy_nanos = 0u128;
     let mut outcomes = Vec::with_capacity(selected.len());
-    for (sweep, row) in selected.iter().zip(hits) {
-        let (mut outs, mut panic) = (Vec::with_capacity(row.len()), None);
-        let (mut executed, mut cell_nanos) = (0, 0u128);
-        for hit in row {
-            let result = match hit {
-                Some(out) => Ok(out.clone()),
-                None => {
-                    let (result, nanos) = finished.next().expect("one result per task");
-                    // Panicked cells count too: their time was spent all the same.
-                    metrics.observe("sweep.cell.micros", nanos / 1_000);
-                    cell_nanos += u128::from(nanos);
-                    executed += 1;
-                    result
-                }
-            };
+    for sweep in &selected {
+        let (mut outs, mut panic) = (Vec::with_capacity(sweep.cells.len()), None);
+        let mut cell_nanos = 0u128;
+        for (result, nanos) in finished.by_ref().take(sweep.cells.len()) {
+            // Panicked cells count too: their time was spent all the same.
+            metrics.observe("sweep.cell.micros", nanos / 1_000);
+            cell_nanos += u128::from(nanos);
             match result {
                 Ok(out) => outs.push(out),
                 Err(msg) => {
@@ -316,20 +240,15 @@ pub fn run(sweeps: &[Sweep], opts: &RunOptions) -> Result<RunReport, String> {
             table,
             panic,
             cells: sweep.cells.len(),
-            executed,
-            cached: sweep.cells.len() - executed,
             cell_nanos,
         });
     }
-    let cached_total: usize = outcomes.iter().map(|o| o.cached).sum();
 
     metrics.add("sweep.cells.executed", tasks.len() as u64);
-    metrics.add("sweep.cells.cached", cached_total as u64);
     metrics.gauge_set("sweep.jobs", jobs as u64);
     let mut report = RunReport {
         outcomes,
         executed: tasks.len(),
-        cached: cached_total,
         jobs,
         wall,
         busy_nanos,

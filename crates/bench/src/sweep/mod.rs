@@ -1,31 +1,24 @@
 //! # The experiment sweep engine
 //!
 //! Every EXPERIMENTS.md table is a grid over `(N, M, B, ω, …)` whose
-//! points are **independent deterministic simulations** — embarrassingly
-//! parallel work that the original harness executed serially per table.
-//! This module turns each experiment into a declarative [`Sweep`]:
+//! points are **independent deterministic simulations**. This module
+//! turns each experiment into a declarative [`Sweep`]:
 //!
 //! * a list of [`Cell`]s — one per grid point, each a keyed closure
 //!   returning a typed [`CellOut`];
 //! * a `render` function assembling the cells' outputs (always presented
 //!   in declaration order) into the final [`Table`].
 //!
-//! Splitting *compute* from *render* buys three things at once:
+//! Splitting *compute* from *render* buys two things:
 //!
 //! 1. **Parallelism** — [`engine::run`] executes all cells of all tables
 //!    on one work-stealing pool ([`engine::RunOptions::jobs`] workers), so
 //!    a wide `ω`-sweep in T1b can overlap with T5's big-`N` rows instead
 //!    of queueing behind them.
-//! 2. **Resumability** — each finished cell is appended to a JSONL
-//!    [`cache`] keyed by `(experiment id, cell key, code-version salt)`;
-//!    an interrupted or repeated run skips completed cells, `--fresh`
-//!    invalidates, and editing any experiment changes the build-time salt
-//!    (see `build.rs`) so stale results can never leak into a table.
-//! 3. **Determinism** — rendering never sees execution order or timing,
-//!    so `--jobs N` output is byte-identical to `--jobs 1` and to a fully
-//!    cached replay. (Wall-clock goes to [`engine::RunReport`] instead.)
+//! 2. **Determinism** — rendering never sees execution order or timing,
+//!    so `--jobs N` output is byte-identical to `--jobs 1`. (Wall-clock
+//!    goes to [`engine::RunReport`] instead.)
 
-pub mod cache;
 pub mod engine;
 pub mod value;
 
@@ -37,11 +30,11 @@ use crate::table::Table;
 /// One grid point of a sweep: a stable key plus the deterministic
 /// simulation producing its output.
 pub struct Cell {
-    /// Unique (within the sweep), stable identifier of the grid point —
-    /// the cache key component, e.g. `"n=4096"` or `"omega=64,two_pass"`.
+    /// Unique (within the sweep), stable identifier of the grid point,
+    /// e.g. `"n=4096"` or `"omega=64,two_pass"`.
     pub key: String,
-    /// The simulation. Must be deterministic: the cache replays its
-    /// output verbatim on later runs.
+    /// The simulation. Must be deterministic, so the rendered table does
+    /// not depend on the worker count.
     pub run: Box<dyn Fn() -> CellOut + Send + Sync>,
 }
 
@@ -67,13 +60,13 @@ pub type RenderFn = Box<dyn Fn(&[CellOut]) -> Table + Send + Sync>;
 
 /// A declarative experiment: independent cells plus a pure renderer.
 pub struct Sweep {
-    /// Experiment id ("T1a", "F5", …) — names the table and scopes the
-    /// cells' cache keys.
+    /// Experiment id ("T1a", "F5", …) — names the table and is what
+    /// `--only` matches.
     pub id: String,
     /// The grid, in presentation order.
     pub cells: Vec<Cell>,
     /// Assembles cell outputs (given in declaration order) into the
-    /// table. Must be pure: it runs on cached outputs too.
+    /// table. Must be pure.
     pub render: RenderFn,
 }
 
@@ -97,14 +90,6 @@ impl Sweep {
             cells,
             render: Box::new(render),
         }
-    }
-
-    /// Execute every cell inline (no pool, no cache) and render — the
-    /// serial baseline the parallel engine must reproduce byte-for-byte,
-    /// and the path `exp::*::tables` uses for the quick test suites.
-    pub fn run_serial(&self) -> Table {
-        let outs: Vec<CellOut> = self.cells.iter().map(|c| (c.run)()).collect();
-        (self.render)(&outs)
     }
 }
 
@@ -138,9 +123,18 @@ mod tests {
         })
     }
 
+    fn markdown(report: &RunReport) -> String {
+        report.outcomes[0].table.as_ref().unwrap().to_markdown()
+    }
+
     #[test]
     fn serial_run_renders_in_declaration_order() {
-        let t = demo_sweep().run_serial();
+        let opts = RunOptions {
+            jobs: 1,
+            ..Default::default()
+        };
+        let report = run(&[demo_sweep()], &opts).unwrap();
+        let t = report.outcomes[0].table.as_ref().unwrap();
         assert_eq!(t.rows[3], vec!["3".to_string(), "9".to_string()]);
     }
 
@@ -155,58 +149,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_serial_and_cache_hits_skip_execution() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        let path = std::env::temp_dir().join(format!(
-            "aem-sweep-engine-{}-unit.jsonl",
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
-        let runs = Arc::new(AtomicUsize::new(0));
-        let make = |runs: Arc<AtomicUsize>| {
-            let cells = (0..8u64)
-                .map(|i| {
-                    let runs = runs.clone();
-                    Cell::new(format!("i={i}"), move || {
-                        runs.fetch_add(1, Ordering::SeqCst);
-                        CellOut::new().with_u64("v", i * 7)
-                    })
-                })
-                .collect();
-            Sweep::new("D3", cells, |outs| {
-                let mut t = Table::new("D3", "sevens", &["v"]);
-                for o in outs {
-                    t.row(vec![o.u64("v").to_string()]);
-                }
-                t
-            })
-        };
-
-        let serial = make(runs.clone()).run_serial().to_markdown();
-        let opts = RunOptions {
-            jobs: 4,
-            cache: Some(path.clone()),
-            ..Default::default()
-        };
-        let report = run(&[make(runs.clone())], &opts).unwrap();
-        assert_eq!(report.executed, 8);
-        assert_eq!(
-            report.outcomes[0].table.as_ref().unwrap().to_markdown(),
-            serial
-        );
-
-        let before = runs.load(Ordering::SeqCst);
-        let report = run(&[make(runs.clone())], &opts).unwrap();
-        assert_eq!(report.executed, 0, "warm cache must skip every cell");
-        assert_eq!(report.cached, 8);
-        assert_eq!(runs.load(Ordering::SeqCst), before);
-        assert_eq!(
-            report.outcomes[0].table.as_ref().unwrap().to_markdown(),
-            serial
-        );
-        std::fs::remove_file(&path).ok();
+    fn parallel_equals_serial() {
+        let serial = run(
+            &[demo_sweep()],
+            &RunOptions {
+                jobs: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let parallel = run(
+            &[demo_sweep()],
+            &RunOptions {
+                jobs: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(parallel.executed, 4);
+        assert_eq!(markdown(&parallel), markdown(&serial));
     }
 
     #[test]

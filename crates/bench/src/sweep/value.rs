@@ -1,27 +1,20 @@
-//! Typed cell outputs with an exact JSONL round-trip.
+//! Typed cell outputs.
 //!
-//! A sweep cell returns a [`CellOut`]: an ordered list of named JSON
+//! A sweep cell returns a [`CellOut`]: an ordered list of named typed
 //! fields plus (optionally) pre-rendered table rows, for experiments whose
 //! per-cell row count is only known at run time (e.g. the T1f phase
-//! attribution). The representation is deliberately flat so that a cell's
-//! result can be cached as one JSONL record and replayed later with
-//! bit-identical rendering: `u64` survives as a JSON integer, and `f64` is
-//! stored as its shortest round-tripping decimal string (Rust's `{:?}`
-//! float formatting), so `2.0` stays distinct from `2`, non-finite values
-//! survive, and a cache hit reproduces *exactly* the bytes a fresh
-//! simulation would have produced.
+//! attribution). Each field keeps the type it was written with, so a
+//! renderer reading a field as the wrong type fails loudly instead of
+//! printing a silently converted number.
 
 use aem_obs::json::Json;
-use aem_obs::json_table;
 
-json_table! {
-    /// The result of one sweep cell: ordered named fields plus optional
-    /// pre-rendered rows.
-    #[derive(Debug, Clone, Default, PartialEq)]
-    pub struct CellOut {
-        fields: Vec<(String, Json)>,
-        rows: Vec<Vec<String>>,
-    }
+/// The result of one sweep cell: ordered named fields plus optional
+/// pre-rendered rows.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CellOut {
+    fields: Vec<(String, Json)>,
+    rows: Vec<Vec<String>>,
 }
 
 impl CellOut {
@@ -42,7 +35,7 @@ impl CellOut {
 
     /// Append a float field (builder style).
     pub fn with_f64(self, name: &str, v: f64) -> Self {
-        self.with(name, Json::Str(format!("{v:?}")))
+        self.with(name, Json::Num(v))
     }
 
     /// Append a boolean field (builder style).
@@ -84,12 +77,18 @@ impl CellOut {
     /// `render` reading a field its own cells never wrote is a programming
     /// error, not a runtime condition.
     pub fn u64(&self, name: &str) -> u64 {
-        self.field(name, "u64", Json::as_u64)
+        self.field(name, "u64", |v| match *v {
+            Json::UInt(x) => Some(x),
+            _ => None,
+        })
     }
 
     /// Read back an `f64` field (see [`CellOut::u64`] for panics).
     pub fn f64(&self, name: &str) -> f64 {
-        self.field(name, "f64", |v| v.as_str()?.parse().ok())
+        self.field(name, "f64", |v| match *v {
+            Json::Num(x) => Some(x),
+            _ => None,
+        })
     }
 
     /// Read back a boolean field (see [`CellOut::u64`] for panics).
@@ -106,26 +105,22 @@ impl CellOut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aem_obs::json::{parse, Field};
 
     #[test]
     fn round_trips_all_types_exactly() {
         let out = CellOut::new()
             .with_u64("n", u64::MAX)
             .with_f64("ratio", 0.1 + 0.2) // not exactly 0.3
-            .with_f64("whole", 2.0) // would collide with u64 in naive JSON
+            .with_f64("whole", 2.0)
             .with_bool("ok", true)
             .with_str("label", "ωm — \"quoted\"")
             .with_row(vec!["a".into(), "b".into()]);
-        let text = out.to_json().to_string_compact();
-        let back = CellOut::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back, out);
-        assert_eq!(back.u64("n"), u64::MAX);
-        assert_eq!(back.f64("ratio"), 0.1 + 0.2);
-        assert_eq!(back.f64("whole"), 2.0);
-        assert!(back.bool("ok"));
-        assert_eq!(back.str("label"), "ωm — \"quoted\"");
-        assert_eq!(back.rows().len(), 1);
+        assert_eq!(out.u64("n"), u64::MAX);
+        assert_eq!(out.f64("ratio"), 0.1 + 0.2);
+        assert_eq!(out.f64("whole"), 2.0);
+        assert!(out.bool("ok"));
+        assert_eq!(out.str("label"), "ωm — \"quoted\"");
+        assert_eq!(out.rows().len(), 1);
     }
 
     #[test]
@@ -138,17 +133,5 @@ mod tests {
     #[should_panic(expected = "not u64")]
     fn wrong_type_panics() {
         CellOut::new().with_f64("x", 1.0).u64("x");
-    }
-
-    #[test]
-    fn rejects_malformed_json() {
-        for bad in [
-            "{}",
-            "{\"fields\":[[\"a\",\"u\",1]],\"rows\":[]}",
-            "{\"fields\":{},\"rows\":{}}",
-            "{\"fields\":{},\"rows\":[[1]]}",
-        ] {
-            assert!(CellOut::from_json(&parse(bad).unwrap()).is_err(), "{bad}");
-        }
     }
 }

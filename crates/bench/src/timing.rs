@@ -6,8 +6,8 @@
 //! fixed measurement window, report mean time per iteration and optional
 //! element throughput. Results print as one aligned line per benchmark —
 //! good enough to spot order-of-magnitude regressions, which is all the
-//! simulator benches are for (the I/O-cost *tables* are exact and live in
-//! the `exp_*` binaries).
+//! simulator benches are for (the I/O-cost *tables* are exact and come from
+//! the `run_all` binary).
 
 use std::time::{Duration, Instant};
 

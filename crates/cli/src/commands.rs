@@ -193,57 +193,6 @@ fn parse_backend(args: &Args) -> Result<Backend, String> {
     }
 }
 
-/// `aemsim exp` — run EXPERIMENTS.md experiments on the parallel,
-/// resumable sweep engine (`aem_bench::sweep`).
-pub fn cmd_exp(args: &Args) -> Result<String, String> {
-    let backend = parse_backend(args)?;
-    let opts = aem_bench::sweep::RunOptions {
-        jobs: args.get_or("jobs", 0usize)?,
-        cache: args.get("cache").map(std::path::PathBuf::from),
-        fresh: args.flag("fresh"),
-        only: args.get("only").map(|s| {
-            s.split(',')
-                .filter(|p| !p.is_empty())
-                .map(str::to_string)
-                .collect()
-        }),
-        backend,
-    };
-    let quick = args.flag("quick");
-    let stats = args.flag("stats");
-    reject_unread(args)?;
-    let sweeps = aem_bench::exp::all_sweeps(quick, backend);
-    let report = aem_bench::sweep::run(&sweeps, &opts)?;
-
-    let mut out = String::new();
-    for o in &report.outcomes {
-        if let Some(t) = &o.table {
-            out.push_str(&t.to_markdown());
-        }
-    }
-    for o in &report.outcomes {
-        match &o.panic {
-            Some(msg) => out.push_str(&format!("{:5} PANIC  {}\n", o.id, msg)),
-            None => out.push_str(&format!("{:5} {}\n", o.id, o.verdict())),
-        }
-    }
-    out.push_str(&format!(
-        "{} experiments, {} cells simulated, {} cached\n",
-        report.outcomes.len(),
-        report.executed,
-        report.cached
-    ));
-    if stats {
-        out.push('\n');
-        out.push_str(&report.stats_table().to_markdown());
-    }
-    if report.all_pass() {
-        Ok(out)
-    } else {
-        Err(format!("{out}\nsome experiments did not PASS"))
-    }
-}
-
 /// Render the result of replaying one fuzz case.
 fn render_fuzz_replay(
     target: &str,
@@ -656,10 +605,6 @@ COMMANDS
                                 --seed S]
                                deterministic synthetic tenants; same seed
                                ⇒ byte-identical report
-  exp       run experiments    [--quick --jobs N --cache FILE --fresh
-                                --only IDS --stats --backend {backends}]
-                               (parallel sweep engine; --cache resumes
-                               interrupted runs)
   fuzz      differential fuzz  [--seed S --iters N --target NAMES
                                 --time-budget-secs T --repro-out FILE
                                 --backend {backends}]
@@ -704,7 +649,6 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
         Some("profile") => cmd_profile(args),
         Some("serve") => cmd_serve(args),
         Some("serve-load") => cmd_serve_load(args),
-        Some("exp") => cmd_exp(args),
         Some("fuzz") => cmd_fuzz(args),
         Some(other) => Err(format!("unknown command '{other}'\n\n{}", usage())),
         None => Ok(usage()),
@@ -949,10 +893,10 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("serve does not take --adress"), "{err}");
         assert!(!addr_file.exists());
-        // Flags count too, and the check runs before any work: `exp`
-        // simulates nothing, `report` opens no file.
-        let err = run("exp --quick --only t2 --quik").unwrap_err();
-        assert_eq!(err, "exp does not take --quik");
+        // Flags count too, and the check runs before any work: `fuzz`
+        // runs no case, `report` opens no file.
+        let err = run("fuzz --seed 1 --iters 1 --quik").unwrap_err();
+        assert_eq!(err, "fuzz does not take --quik");
         let err = run("report --in /nonexistent.jsonl --fromat md").unwrap_err();
         assert_eq!(err, "report does not take --fromat");
         // Options a command reads only in another mode are refused too.
@@ -1156,32 +1100,6 @@ mod tests {
         let out = run("lemma43 --n 512 --mem 64 --block 16 --omega 4").unwrap();
         assert!(out.contains("layout verified"));
         assert!(out.contains("% of bound"));
-    }
-
-    #[test]
-    fn exp_quick_only_runs_selected_and_caches() {
-        let path = tmp_path("exp-cache.jsonl");
-        let p = path.to_str().unwrap();
-        let out = run(&format!("exp --quick --only t2 --jobs 2 --cache {p}")).unwrap();
-        assert!(out.contains("### T2a"), "{out}");
-        assert!(out.contains("### T2b"), "{out}");
-        assert!(!out.contains("### T1a"), "{out}");
-        assert!(
-            out.contains("2 experiments, 8 cells simulated, 0 cached"),
-            "{out}"
-        );
-
-        let warm = run(&format!("exp --quick --only t2 --jobs 2 --cache {p}")).unwrap();
-        assert!(
-            warm.contains("2 experiments, 0 cells simulated, 8 cached"),
-            "{warm}"
-        );
-        // The rendered document must be identical from cache.
-        assert_eq!(
-            out.split("experiments,").next(),
-            warm.split("experiments,").next()
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

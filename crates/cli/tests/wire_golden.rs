@@ -2,16 +2,14 @@
 //!
 //! Each string below is the exact encoding of one value of a wire or log
 //! type: serve requests and responses, the admission log, the metering
-//! report, flight-recorder lines, a full `RunRecord` JSONL, a fuzz seed
-//! file and a sweep-cache line. Each test pins the encoder's bytes and
+//! report, flight-recorder lines, a full `RunRecord` JSONL and a fuzz
+//! seed file. Each test pins the encoder's bytes and
 //! then checks that decoding the string and encoding it again gives the
 //! same bytes, so a codec change that moves a key, drops a field or
 //! changes a default shows up here as a diff.
 
-use aem_bench::sweep::cache::{record_line, Cache};
-use aem_bench::sweep::CellOut;
 use aem_fuzz::{DistKind, FuzzCase};
-use aem_machine::{AemConfig, Backend, BlockId, Cost, IoEvent, Trace};
+use aem_machine::{AemConfig, BlockId, Cost, IoEvent, Trace};
 use aem_obs::json::parse;
 use aem_obs::{FlightEvent, Metrics, PhaseNode, RunRecord, WorkloadMeta};
 use aem_serve::admission::Admission;
@@ -320,37 +318,4 @@ fn fuzz_seed_line_is_golden() {
     let (target, back) = FuzzCase::from_json(SEED).unwrap();
     assert_eq!(back, case);
     assert_eq!(back.to_json(&target), SEED);
-}
-
-/// Cache format 1, as written before cell fields became one JSON object:
-/// the loader must skip it rather than misread it.
-const CACHE_LINE_V1: &str = r#"{"v":1,"key":"7559089a2ba3d8d7","exp":"T1a","cell":"n=4096","backend":"vec","salt":"salt-1","out":{"fields":[["n","u",4096],["whole","f","2.0"],["ratio","f","0.30000000000000004"],["slope","f","inf"],["ok","b",true],["label","s","ωm \"q\""]],"rows":[["a","b"]]}}"#;
-
-const CACHE_LINE: &str = r#"{"v":2,"key":"7559089a2ba3d8d7","exp":"T1a","cell":"n=4096","backend":"vec","salt":"salt-1","out":{"fields":{"n":4096,"whole":"2.0","ratio":"0.30000000000000004","slope":"inf","ok":true,"label":"ωm \"q\""},"rows":[["a","b"]]}}"#;
-
-#[test]
-fn sweep_cache_line_is_golden_and_replays() {
-    let out = CellOut::new()
-        .with_u64("n", 4096)
-        .with_f64("whole", 2.0)
-        .with_f64("ratio", 0.1 + 0.2)
-        .with_f64("slope", f64::INFINITY)
-        .with_bool("ok", true)
-        .with_str("label", "ωm \"q\"")
-        .with_row(vec!["a".into(), "b".into()]);
-    let line = record_line("T1a", "n=4096", Backend::Vec, "salt-1", &out);
-    assert_eq!(line, CACHE_LINE);
-    let key = "7559089a2ba3d8d7";
-
-    let path = std::env::temp_dir().join(format!("aem-wire-golden-{}.jsonl", std::process::id()));
-    std::fs::write(&path, format!("{CACHE_LINE_V1}\n{line}\n")).unwrap();
-    let cache = Cache::load(&path);
-    std::fs::remove_file(&path).unwrap();
-    assert_eq!(cache.len(), 1, "the version-1 line is skipped");
-    let back = cache.get(key).expect("cache line reloads");
-    assert_eq!(back, &out);
-    assert_eq!(
-        record_line("T1a", "n=4096", Backend::Vec, "salt-1", back),
-        line
-    );
 }

@@ -79,7 +79,8 @@ struct Active<T> {
 /// alongside it).
 ///
 /// Cost (Theorem 3.2): `O(ω(n + m))` reads and `O(n + m)` writes, with
-/// small explicit constants — the experiment `exp_merge` measures them.
+/// small explicit constants — experiment T2 (`run_all --only T2`) measures
+/// them.
 pub fn merge_runs<T, A>(machine: &mut A, runs: &[Region]) -> Result<(Region, MergeStats)>
 where
     T: Ord + Clone,

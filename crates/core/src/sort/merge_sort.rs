@@ -24,7 +24,7 @@ use super::small::small_sort;
 ///
 /// Cost: `O(ω n log_{ωm} n)` reads and `O(n log_{ωm} n)` writes — verified
 /// against the closed-form predictor in the test suite and measured by
-/// `exp_sorting`. The write term has no `ω` factor: that is Theorem 3.2's
+/// experiments T1a and T1b. The write term has no `ω` factor: that is Theorem 3.2's
 /// point, and what the `ωm`-way merge of §3.1 buys over the classical
 /// `m`-way EM mergesort.
 ///
@@ -57,7 +57,7 @@ where
 
 /// [`merge_sort`] with an explicit merge fan-in `d` (clamped to `[2, ωm]`).
 ///
-/// Exists for the fan-in ablation (`exp_sorting --ablation fanin`): the
+/// Exists for the fan-in ablation (T1c, `run_all --only T1c`): the
 /// paper's choice `d = ωm` against the classical `d = m` and intermediate
 /// values, exhibiting the `log_d n` level count directly.
 pub fn merge_sort_with_fan_in<T, A>(machine: &mut A, input: Region, fan_in: usize) -> Result<Region>

@@ -11,7 +11,7 @@
 //! demonstration of why §3.1 moves the pointers to external memory.
 //!
 //! Where it does fit, it saves the pointer I/O and the activation re-scan,
-//! so the `exp_sorting --ablation pointers` table also quantifies what the
+//! so the T1d table (`run_all --only T1d`) also quantifies what the
 //! external-pointer machinery costs when it is *not* needed.
 
 use aem_machine::{AemAccess, MachineError, Region, Result};

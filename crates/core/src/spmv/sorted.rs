@@ -25,7 +25,7 @@
 //! `O(ωn')` cost), so our level count is `log_{ωm}(N/(ωM/2))` — never
 //! more, since `ωM/2 ≥ max{δ, B}` whenever the base case is reachable. The
 //! measured cost therefore sits *below* the paper's upper-bound expression,
-//! which `exp_spmv` confirms.
+//! which experiments T6 and T7 confirm.
 
 use aem_machine::{AemAccess, Machine, MachineError, Region, Result};
 use aem_workloads::Conformation;

@@ -24,7 +24,8 @@
 //!
 //! A replayed cost equals a live re-run's cost iff the workload's I/O
 //! schedule is a function of `(cfg, input shape, seed)` alone — the same
-//! determinism contract the sweep cache already relies on. Replay prices
+//! determinism contract that makes the experiment tables reproducible
+//! byte for byte. Replay prices
 //! *the recorded schedule*; it cannot notice that a different input
 //! would have scheduled different I/O. `docs/COST_MODEL.md` states the
 //! contract precisely; [`TraceMachine::verify_replay`] (and a

@@ -3,7 +3,7 @@
 //! The workspace has no external dependencies, so every JSON document it
 //! reads or writes goes through this module: `aem-serve`'s wire frames,
 //! admission log and metering report, `RunRecord` JSONL traces, fuzz seed
-//! files, the sweep result cache, `COSTS.json` and the hostbench reports.
+//! files, `COSTS.json` and the hostbench reports.
 //!
 //! # Parser
 //!
