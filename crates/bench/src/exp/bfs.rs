@@ -123,6 +123,12 @@ pub fn t14(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::tests::passing_tables;
+
+    #[test]
+    fn bfs_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
 
     #[test]
     fn ghost_gets_no_bfs_sweeps() {

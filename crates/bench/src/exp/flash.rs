@@ -121,3 +121,14 @@ pub fn t4(quick: bool) -> Sweep {
         t
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exp::tests::passing_tables;
+
+    #[test]
+    fn t4_passes() {
+        assert_eq!(passing_tables(vec![t4(true)])[0].rows.len(), 12);
+    }
+}

@@ -106,7 +106,12 @@ pub fn t13(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::tests::markdown;
+    use crate::exp::tests::{markdown, passing_tables};
+
+    #[test]
+    fn matmul_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
 
     #[test]
     fn ghost_renders_the_same_matmul_table() {

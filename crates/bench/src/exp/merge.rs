@@ -176,3 +176,14 @@ pub fn t2_omega_sweep(quick: bool, backend: Backend) -> Sweep {
         t
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exp::tests::passing_tables;
+
+    #[test]
+    fn all_merge_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
+}

@@ -113,20 +113,39 @@ pub fn all_sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
 pub(crate) mod tests {
     use super::*;
     use crate::sweep::{self, RunOptions};
+    use crate::table::Table;
 
-    /// Run `sweeps` serially and return each table's markdown, in order.
-    pub(crate) fn markdown(sweeps: Vec<Sweep>) -> Vec<String> {
+    /// Run `sweeps` serially and return each table, in order.
+    pub(crate) fn tables(sweeps: Vec<Sweep>) -> Vec<Table> {
         let opts = RunOptions {
             jobs: 1,
             ..Default::default()
         };
         let report = sweep::run(&sweeps, &opts).expect("no --only filter");
-        (report.outcomes.iter())
-            .map(|o| match &o.table {
-                Some(t) => t.to_markdown(),
+        (report.outcomes.into_iter())
+            .map(|o| match o.table {
+                Some(t) => t,
                 None => panic!("{} panicked: {:?}", o.id, o.panic),
             })
             .collect()
+    }
+
+    /// Run `sweeps` serially and return each table's markdown, in order.
+    pub(crate) fn markdown(sweeps: Vec<Sweep>) -> Vec<String> {
+        tables(sweeps).iter().map(Table::to_markdown).collect()
+    }
+
+    /// Run `sweeps` serially, assert every table has rows and no `FAIL`
+    /// note, and return the tables.
+    pub(crate) fn passing_tables(sweeps: Vec<Sweep>) -> Vec<Table> {
+        let tables = tables(sweeps);
+        for t in &tables {
+            assert!(!t.rows.is_empty(), "{} has rows", t.id);
+            for n in &t.notes {
+                assert!(!n.contains("FAIL"), "{}: {}", t.id, n);
+            }
+        }
+        tables
     }
 
     #[test]

@@ -82,6 +82,12 @@ pub fn f3(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::tests::passing_tables;
+
+    #[test]
+    fn f3_passes() {
+        passing_tables(vec![f3(true, Backend::Vec)]);
+    }
 
     #[test]
     fn ghost_runs_no_model_sweeps() {

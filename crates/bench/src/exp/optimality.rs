@@ -129,6 +129,12 @@ pub fn f5(quick: bool) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::tests::passing_tables;
+
+    #[test]
+    fn f5_passes() {
+        passing_tables(vec![f5(true)]);
+    }
 
     #[test]
     fn gap_stays_in_a_flat_band_across_n() {

@@ -520,7 +520,12 @@ pub fn f2(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::tests::markdown;
+    use crate::exp::tests::{markdown, passing_tables};
+
+    #[test]
+    fn permute_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
 
     #[test]
     fn t5n_is_byte_identical_across_all_backends() {

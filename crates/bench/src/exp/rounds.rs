@@ -227,7 +227,15 @@ pub fn t3(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::tests::markdown;
+    use crate::exp::tests::{markdown, passing_tables};
+
+    #[test]
+    fn t3_passes() {
+        assert_eq!(
+            passing_tables(vec![t3(true, Backend::Vec)])[0].rows.len(),
+            4
+        );
+    }
 
     #[test]
     fn t3_arena_matches_vec() {

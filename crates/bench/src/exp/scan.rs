@@ -128,7 +128,12 @@ fn omegas_len(outs: &[CellOut]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::tests::markdown;
+    use crate::exp::tests::{markdown, passing_tables};
+
+    #[test]
+    fn scan_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
 
     #[test]
     fn ghost_renders_the_same_scan_table() {

@@ -100,6 +100,12 @@ pub fn t11(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::tests::passing_tables;
+
+    #[test]
+    fn search_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
 
     #[test]
     fn ghost_gets_no_search_sweeps() {

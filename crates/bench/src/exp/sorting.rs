@@ -522,7 +522,12 @@ pub fn ablation_fan_in(quick: bool, backend: Backend) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp::tests::markdown;
+    use crate::exp::tests::{markdown, passing_tables};
+
+    #[test]
+    fn all_sorting_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
 
     #[test]
     fn arena_renders_identically_to_vec() {

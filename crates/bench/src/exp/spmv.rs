@@ -274,3 +274,14 @@ pub fn t7(quick: bool, backend: Backend) -> Sweep {
         t
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exp::tests::passing_tables;
+
+    #[test]
+    fn spmv_tables_pass() {
+        passing_tables(sweeps(true, Backend::Vec));
+    }
+}
