@@ -1,12 +1,16 @@
 //! Schedule identity: host-side work may change, the metered program may
 //! not.
 //!
-//! Two families are pinned:
+//! Three families are pinned:
 //!
 //! * the §3 sort family — `small_sort`, `merge_runs`, the resident-cursor
 //!   merge ablation, `merge_sort` and the buffered priority queue (through
 //!   `sort_via_pq`) — whose hashes were recorded before the round buffers
 //!   were rewritten;
+//! * the streaming `k`-way merges — `em_merge_sort` and spmv `sorted`
+//!   (whose merge-add phase is one) on the random, banded and
+//!   block-diagonal matrices — whose hashes were recorded while both
+//!   picked the next head by a linear scan;
 //! * the probe-and-discard kernels — bfs mark and rescan (path, random and
 //!   star graphs), search binary, btree and eytzinger (build plus lookups)
 //!   and the three scan strategies — whose hashes were recorded while
@@ -22,13 +26,18 @@
 
 use aem_core::oracle::{bfs_reference, lookup_reference, prefix_reference};
 use aem_core::sort::{
-    merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq, MergeStats,
+    em_merge_sort, merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq, MergeStats,
+};
+use aem_core::spmv::{
+    install_instance, reference_multiply, spmv_sorted_on, MatEntry, SpmvInstance, U64Ring,
 };
 use aem_core::workload::fnv1a;
 use aem_core::{bfs, scan, search};
 use aem_machine::{AemConfig, IoEvent, Machine, Region, Result};
 use aem_obs::{InstrumentedMachine, WorkloadMeta};
-use aem_workloads::{graph_instance, scan_instance, search_instance, KeyDist, SplitMix64};
+use aem_workloads::{
+    graph_instance, scan_instance, search_instance, Conformation, KeyDist, MatrixShape, SplitMix64,
+};
 
 type Im = InstrumentedMachine<u64, Machine<u64>>;
 type Merger = fn(&mut Im, &[Region]) -> Result<(Region, MergeStats)>;
@@ -67,7 +76,7 @@ fn keys(dist: &str, n: usize, seed: u64) -> Vec<u64> {
 
 /// Hash of one run's I/O program and occupancy profile, plus `extra`
 /// (per-algorithm statistics that must not move either).
-fn program_hash(im: Im, extra: &[u64]) -> u64 {
+fn program_hash<T: Clone>(im: InstrumentedMachine<T, Machine<T>>, extra: &[u64]) -> u64 {
     let rec = im.into_record(WorkloadMeta::new("schedule", "identity", 0));
     let events = rec.trace.events().iter().zip(&rec.occupancy);
     let words = events.flat_map(|(ev, &iu)| {
@@ -90,7 +99,7 @@ fn program_hash(im: Im, extra: &[u64]) -> u64 {
     )
 }
 
-fn machine(shape: (&str, usize, usize, u64)) -> Im {
+fn machine<T: Clone>(shape: (&str, usize, usize, u64)) -> InstrumentedMachine<T, Machine<T>> {
     let (_, mem, b, omega) = shape;
     InstrumentedMachine::new(Machine::new(AemConfig::new(mem, b, omega).unwrap()))
 }
@@ -277,6 +286,89 @@ const PINNED: &[(&str, u64)] = &[
     ("merge_sort/M=4B/all-equal", 0x58cbafb1ea3fbdd8),
 ];
 
+/// Every streaming-merge case's hash, keyed `algorithm/shape/input`.
+fn stream_merge_hashes() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (si, &shape) in SHAPES.iter().enumerate() {
+        let name = shape.0;
+        // em_merge_sort on merge_sort's inputs: at least one merge level
+        // on every shape.
+        for (di, &dist) in DISTS.iter().enumerate() {
+            let input = keys(dist, 1500, 0x5c4e_d000 + (si * 16 + di) as u64);
+            let hash = checked_sort(shape, &input, em_merge_sort);
+            out.push((format!("em_merge_sort/{name}/{dist}"), hash));
+        }
+        // spmv sorted: δ = 16 meta-columns take two merge-add levels at
+        // fan-in m − 2 = 6 and four at M = 4B (fan-in 2).
+        let (n, delta) = (128, 16);
+        for input in ["random", "banded", "block-diagonal"] {
+            let seed = 0x5b_a77e + si as u64;
+            let conf = Conformation::generate(
+                MatrixShape::from_label(input, n, delta, seed).unwrap(),
+                n,
+                delta,
+            );
+            let a: Vec<U64Ring> = (0..conf.nnz())
+                .map(|i| U64Ring((i as u64 * 37 + 1) % 97))
+                .collect();
+            let x: Vec<U64Ring> = (0..n).map(|j| U64Ring((j as u64 * 13 + 5) % 89)).collect();
+            let inst = SpmvInstance {
+                conf: &conf,
+                a_vals: &a,
+                x: &x,
+            };
+            let mut im = machine::<MatEntry<U64Ring>>(shape);
+            let (ar, xr) = install_instance(im.inner_mut(), &inst);
+            let y = spmv_sorted_on(&mut im, &conf, ar, xr).unwrap();
+            let got: Vec<U64Ring> = im.inner().inspect(y).into_iter().map(|e| e.val).collect();
+            assert_eq!(
+                got,
+                reference_multiply(&conf, &a, &x),
+                "spmv/{name}/{input}"
+            );
+            out.push((format!("spmv_sorted/{name}/{input}"), program_hash(im, &[])));
+        }
+    }
+    out
+}
+
+/// Hashes recorded while `em_merge_sort` and spmv's merge-add scanned
+/// every head for the smallest.
+const PINNED_STREAM_MERGES: &[(&str, u64)] = &[
+    ("em_merge_sort/plain/uniform", 0xa2d37bc69ab836fd),
+    ("em_merge_sort/plain/sorted", 0xe859a9ff51f59d3d),
+    ("em_merge_sort/plain/reversed", 0x9f8ccaee665f5231),
+    ("em_merge_sort/plain/few-distinct", 0x5669dca13666c369),
+    ("em_merge_sort/plain/all-equal", 0xe859a9ff51f59d3d),
+    ("spmv_sorted/plain/random", 0x89abf9195d82fa13),
+    ("spmv_sorted/plain/banded", 0xda67786f02c2b078),
+    ("spmv_sorted/plain/block-diagonal", 0x5fe5ffa86446952a),
+    ("em_merge_sort/omega>B/uniform", 0x946e6ded0ba299ed),
+    ("em_merge_sort/omega>B/sorted", 0xe859a9ff51f59d3d),
+    ("em_merge_sort/omega>B/reversed", 0x9f8ccaee665f5231),
+    ("em_merge_sort/omega>B/few-distinct", 0x0ca80ac6a746b02d),
+    ("em_merge_sort/omega>B/all-equal", 0xe859a9ff51f59d3d),
+    ("spmv_sorted/omega>B/random", 0x673e431194f3ff24),
+    ("spmv_sorted/omega>B/banded", 0xf0cb9ef45c2e0913),
+    ("spmv_sorted/omega>B/block-diagonal", 0x0ade4d556368b4e3),
+    ("em_merge_sort/B=1/uniform", 0xa1fc579f3111caa7),
+    ("em_merge_sort/B=1/sorted", 0xdaf8871f362cb79b),
+    ("em_merge_sort/B=1/reversed", 0x0a32d8c414ffafe3),
+    ("em_merge_sort/B=1/few-distinct", 0xa6ecbf67cad208a7),
+    ("em_merge_sort/B=1/all-equal", 0xdaf8871f362cb79b),
+    ("spmv_sorted/B=1/random", 0x9dbbf6619932c034),
+    ("spmv_sorted/B=1/banded", 0xbeab92bd612fb6ee),
+    ("spmv_sorted/B=1/block-diagonal", 0x8892607e22721b3e),
+    ("em_merge_sort/M=4B/uniform", 0xa280bd423e3477b1),
+    ("em_merge_sort/M=4B/sorted", 0x3b2673d755416f09),
+    ("em_merge_sort/M=4B/reversed", 0x7335bbc7eedc1089),
+    ("em_merge_sort/M=4B/few-distinct", 0xae0304f06b01b409),
+    ("em_merge_sort/M=4B/all-equal", 0x3b2673d755416f09),
+    ("spmv_sorted/M=4B/random", 0x1eb4c90a898c3879),
+    ("spmv_sorted/M=4B/banded", 0xb38a80cb52576351),
+    ("spmv_sorted/M=4B/block-diagonal", 0xa190876753714c74),
+];
+
 /// Every probe-kernel case's hash, keyed `kind/algorithm/shape/instance`.
 /// Each run is checked against its RAM-model oracle before it is hashed.
 fn probe_hashes() -> Vec<(String, u64)> {
@@ -419,6 +511,11 @@ fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
 #[test]
 fn sort_family_schedules_are_pinned() {
     assert_pinned(&all_hashes(), PINNED);
+}
+
+#[test]
+fn stream_merge_schedules_are_pinned() {
+    assert_pinned(&stream_merge_hashes(), PINNED_STREAM_MERGES);
 }
 
 #[test]
