@@ -2,8 +2,10 @@
 //!
 //! [`BufferedPq`] batches both directions of the queue:
 //!
-//! * **Inserts** accumulate in an internal buffer of `M/4` elements and are
-//!   flushed as one sorted run (plus the current delete buffer — see below).
+//! * **Inserts** accumulate in an internal buffer of `M/4` elements — a
+//!   min-heap, so a pop finds the buffer's minimum without a scan — and
+//!   are flushed as one sorted run (plus the current delete buffer — see
+//!   below).
 //! * **Deletes** are served from an internal *delete buffer* holding the
 //!   `M/4` globally smallest external elements. When it drains, one
 //!   **refill round** — structured like a round of the §3.1 merge — scans
@@ -40,7 +42,8 @@
 //! Budget contract: as for [`crate::pq::ExternalPq`] — `push` charges one
 //! internal slot, `pop` returns the element still charged.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use aem_machine::{AemAccess, AemConfig, MachineError, Region, Result};
 
@@ -128,7 +131,8 @@ struct PqRun<T> {
 /// ```
 #[derive(Debug)]
 pub struct BufferedPq<T> {
-    insert_buf: Vec<T>,
+    /// Min-heap of the pushed elements not yet flushed.
+    insert_buf: BinaryHeap<Reverse<T>>,
     /// Sorted ascending; always a prefix of the global external order.
     delete_buf: VecDeque<T>,
     runs: Vec<PqRun<T>>,
@@ -147,7 +151,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
     pub fn new(cfg: AemConfig) -> Result<Self> {
         let params = PqParams::for_config(cfg)?;
         Ok(Self {
-            insert_buf: Vec::new(),
+            insert_buf: BinaryHeap::new(),
             delete_buf: VecDeque::new(),
             runs: Vec::new(),
             ptrs: None,
@@ -181,7 +185,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
     /// Insert an element (charges one internal slot until flushed).
     pub fn push<A: AemAccess<T>>(&mut self, machine: &mut A, x: T) -> Result<()> {
         machine.reserve(1)?;
-        self.insert_buf.push(x);
+        self.insert_buf.push(Reverse(x));
         self.len += 1;
         if self.insert_buf.len() >= self.params.insert_cap {
             self.flush(machine)?;
@@ -198,24 +202,15 @@ impl<T: Ord + Clone> BufferedPq<T> {
         if self.delete_buf.is_empty() && self.external_remaining() > 0 {
             self.refill(machine)?;
         }
-        let insert_min = self
-            .insert_buf
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.cmp(b))
-            .map(|(i, _)| i);
-        let take_insert = match (
-            insert_min.map(|i| &self.insert_buf[i]),
-            self.delete_buf.front(),
-        ) {
-            (Some(im), Some(dm)) => im <= dm,
+        let take_insert = match (self.insert_buf.peek(), self.delete_buf.front()) {
+            (Some(Reverse(im)), Some(dm)) => im <= dm,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => unreachable!("len > 0 but both buffers empty after refill"),
         };
         let x = if take_insert {
             // Charged at push time; the slot moves to the caller.
-            self.insert_buf.swap_remove(insert_min.expect("non-empty"))
+            self.insert_buf.pop().expect("non-empty").0
         } else {
             // Charged since its refill round; the slot moves to the caller.
             self.delete_buf.pop_front().expect("non-empty")
@@ -232,7 +227,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
     /// Flush the insert buffer — folded with the delete buffer, preserving
     /// the prefix invariant — into a fresh level-0 run, then restructure.
     fn flush<A: AemAccess<T>>(&mut self, machine: &mut A) -> Result<()> {
-        let mut data: Vec<T> = self.insert_buf.drain(..).collect();
+        let mut data: Vec<T> = self.insert_buf.drain().map(|Reverse(x)| x).collect();
         data.extend(self.delete_buf.drain(..));
         if data.is_empty() {
             return Ok(());
@@ -420,15 +415,20 @@ impl<T: Ord + Clone> BufferedPq<T> {
             Some(r) => r,
             None => return Ok(()),
         };
+        // The live run holding each pointer slot, if any.
+        let mut at_slot: Vec<Option<usize>> = vec![None; self.slots.len()];
+        for (i, run) in self.runs.iter().enumerate() {
+            if run.remaining > 0 {
+                at_slot[run.slot] = Some(i);
+            }
+        }
         let mut sel: Selector<Tagged<T>> = Selector::new(cap);
         for pb in 0..ptrs.blocks {
             let words = machine.read_aux_block(ptrs.block(pb))?;
-            for (off, &p) in words.iter().enumerate() {
-                let slot = pb * b + off;
-                let Some(run) = self.runs.iter().find(|r| r.slot == slot && r.remaining > 0) else {
-                    continue;
-                };
-                scan_run(machine, run, p as usize, &mut sel)?;
+            for (&p, at) in words.iter().zip(&at_slot[pb * b..]) {
+                if let Some(i) = *at {
+                    scan_run(machine, &self.runs[i], p as usize, &mut sel)?;
+                }
             }
             machine.discard(words.len())?;
         }
@@ -440,19 +440,28 @@ impl<T: Ord + Clone> BufferedPq<T> {
         // Per-run consumption: the batch's elements of run i form a prefix
         // of its unconsumed elements (the selection keeps the globally
         // smallest, and runs are sorted), so the last one fixes the new
-        // boundary and block pointer.
-        let mut last_of: HashMap<u32, Tagged<T>> = HashMap::new();
-        let mut count_of: HashMap<u32, usize> = HashMap::new();
-        for t in &batch {
-            last_of.insert(t.1, t.clone()); // batch is sorted: later wins
-            *count_of.entry(t.1).or_insert(0) += 1;
+        // boundary and block pointer. Runs are found by id through a
+        // sorted index; `last_at[i]` is the batch index of run i's last
+        // element.
+        let mut by_id: Vec<(u32, usize)> = self.runs.iter().map(|r| r.id).zip(0..).collect();
+        by_id.sort_unstable();
+        let mut count = vec![0usize; self.runs.len()];
+        let mut last_at = vec![None; self.runs.len()];
+        for (at, t) in batch.iter().enumerate() {
+            let k = by_id
+                .binary_search_by_key(&t.1, |&(id, _)| id)
+                .expect("batch elements come from live runs");
+            let i = by_id[k].1;
+            count[i] += 1;
+            last_at[i] = Some(at); // batch is sorted: later wins
         }
-        let mut ptr_updates: HashMap<usize, u64> = HashMap::new();
-        for run in &mut self.runs {
-            let Some(last) = last_of.get(&run.id) else {
+        let mut ptr_updates: Vec<(usize, u64)> = Vec::new();
+        for (i, run) in self.runs.iter_mut().enumerate() {
+            let Some(at) = last_at[i] else {
                 continue;
             };
-            run.remaining -= count_of[&run.id];
+            let last = &batch[at];
+            run.remaining -= count[i];
             let pos = last.2 as usize;
             let consumed_block = pos + 1 == run.region.elems || (pos + 1) % b == 0;
             let new_ptr = if consumed_block { pos / b + 1 } else { pos / b } as u64;
@@ -460,23 +469,26 @@ impl<T: Ord + Clone> BufferedPq<T> {
             if run.remaining > 0 {
                 // Exhausted runs are dropped below; their pointer word is
                 // left stale and reset when the slot is reused.
-                ptr_updates.insert(run.slot, new_ptr);
+                ptr_updates.push((run.slot, new_ptr));
             }
         }
-        // Rewrite dirty pointer blocks only; a pointer advances only when a
-        // block of its run was consumed, keeping pointer writes O(n).
-        let mut touched: Vec<usize> = ptr_updates.keys().map(|s| s / b).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for pb in touched {
+        // Rewrite dirty pointer blocks only, in block order; a pointer
+        // advances only when a block of its run was consumed, keeping
+        // pointer writes O(n).
+        ptr_updates.sort_unstable();
+        let mut rest = &ptr_updates[..];
+        while let Some(&(slot, _)) = rest.first() {
+            let pb = slot / b;
+            let in_block = rest.iter().take_while(|(s, _)| s / b == pb).count();
+            let (group, tail) = rest.split_at(in_block);
+            rest = tail;
             let mut words = machine.read_aux_block(ptrs.block(pb))?;
             let mut dirty = false;
-            for (off, w) in words.iter_mut().enumerate() {
-                if let Some(&np) = ptr_updates.get(&(pb * b + off)) {
-                    if np > *w {
-                        *w = np;
-                        dirty = true;
-                    }
+            for &(slot, np) in group {
+                let w = &mut words[slot % b];
+                if np > *w {
+                    *w = np;
+                    dirty = true;
                 }
             }
             let len = words.len();

@@ -14,13 +14,7 @@
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
-/// One input cursor of the streaming merge: the resident block of a run.
-struct Head<T> {
-    run: usize,
-    blk: usize,
-    off: usize,
-    data: Vec<T>,
-}
+use crate::sort::heads::MergeHeads;
 
 /// Sort `input` with the classical `ω`-oblivious EM mergesort. Returns the
 /// sorted region.
@@ -97,46 +91,13 @@ where
     let total: usize = runs.iter().map(|r| r.elems).sum();
     let out = machine.alloc_region(total);
 
-    let mut heads: Vec<Head<T>> = Vec::with_capacity(runs.len());
-    for (i, r) in runs.iter().enumerate() {
-        if r.blocks > 0 {
-            let data = machine.read_block(r.block(0))?;
-            heads.push(Head {
-                run: i,
-                blk: 0,
-                off: 0,
-                data,
-            });
-        }
-    }
-
+    let mut heads = MergeHeads::open(machine, runs, T::cmp)?;
     let mut out_buf: Vec<T> = Vec::with_capacity(b);
     let mut out_blk = 0usize;
-    while !heads.is_empty() {
-        // Select the head with the smallest current element (ties by run
-        // index: stable). Linear scan — internal computation is free in the
-        // model, and k ≤ m − 1 is small.
-        let mut best = 0usize;
-        for i in 1..heads.len() {
-            let (hb, hi) = (&heads[best], &heads[i]);
-            if (&hi.data[hi.off], hi.run) < (&hb.data[hb.off], hb.run) {
-                best = i;
-            }
-        }
-        let h = &mut heads[best];
-        out_buf.push(h.data[h.off].clone());
-        h.off += 1;
-        if h.off == h.data.len() {
-            // Advance to the run's next block or retire the head.
-            let r = runs[h.run];
-            h.blk += 1;
-            h.off = 0;
-            if h.blk < r.blocks {
-                h.data = machine.read_block(r.block(h.blk))?;
-            } else {
-                heads.swap_remove(best);
-            }
-        }
+    while let Some(x) = heads.pop(machine)? {
+        out_buf.push(x);
+        // The run's next block is read before a full output block leaves.
+        heads.advance(machine)?;
         if out_buf.len() == b {
             machine.write_block(out.block(out_blk), std::mem::take(&mut out_buf))?;
             out_buf.reserve(b);

@@ -37,8 +37,6 @@
 //! every comparison strict. The tags are the constant per-element auxiliary
 //! words §3.1 allows.
 
-use std::collections::HashMap;
-
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
 use crate::sort::Selector;
@@ -116,6 +114,13 @@ where
         machine.reserve(words)?;
         machine.write_aux_block(ptr_region.block(pb), vec![0u64; words])?;
     }
+
+    // Per-round scratch indexed by run: a contributing run's first member
+    // position, member count (0 = none) and offset in the ordered round.
+    let mut first = vec![0u64; k];
+    let mut count = vec![0usize; k];
+    let mut base = vec![0usize; k];
+    let mut contributing: Vec<usize> = Vec::new();
 
     // Boundary: largest element written out so far.
     let mut boundary: Option<Tagged<T>> = None;
@@ -216,24 +221,24 @@ where
         }
 
         // --- Output: write the round buffer in sorted order. -----------
-        let batch = sel.into_sorted();
+        // A run's members are consecutive positions (see `in_order`):
+        // note where each contributing run's members start and how many
+        // there are.
+        let members = sel.into_members();
+        for (_, run_u32, pos) in &members {
+            let r = *run_u32 as usize;
+            if count[r] == 0 {
+                contributing.push(r);
+                first[r] = *pos;
+            }
+            first[r] = first[r].min(*pos);
+            count[r] += 1;
+        }
+        contributing.sort_unstable();
+        let batch = in_order(members, &contributing, &first, &count, &mut base);
         debug_assert!(!batch.is_empty(), "progress while written < total");
         boundary = batch.last().cloned();
         written += batch.len();
-
-        // New pointer value per contributing run: the block of its last
-        // output element, advanced by one when that block was fully
-        // consumed (then the element was the block's last).
-        let mut ptr_updates: HashMap<usize, u64> = HashMap::new();
-        for (_, run_u32, pos) in &batch {
-            let run_idx = *run_u32 as usize;
-            let run = &runs[run_idx];
-            let pos = *pos as usize;
-            let consumed_block = pos + 1 == run.elems || (pos + 1) % b == 0;
-            let new_ptr = if consumed_block { pos / b + 1 } else { pos / b } as u64;
-            let e = ptr_updates.entry(run_idx).or_insert(0);
-            *e = (*e).max(new_ptr);
-        }
 
         // One bulk write for the whole round buffer: identical cost and
         // occupancies to the former per-block loop (chunks of exactly
@@ -241,32 +246,38 @@ where
         let round_out: Vec<T> = batch.into_iter().map(|(x, _, _)| x).collect();
         out_blk += machine.write_run(out.block(out_blk), &round_out)?;
 
-        // Apply pointer updates, rewriting only dirty pointer blocks. A
-        // pointer changes only when a block of its run was consumed, so
-        // these writes total O(n) over the whole merge.
-        if !ptr_updates.is_empty() {
-            let mut touched: Vec<usize> = ptr_updates.keys().map(|r| r / b).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            for pb in touched {
-                let mut ptrs = machine.read_aux_block(ptr_region.block(pb))?;
-                let mut dirty = false;
-                for (off, p) in ptrs.iter_mut().enumerate() {
-                    if let Some(&np) = ptr_updates.get(&(pb * b + off)) {
-                        if np > *p {
-                            *p = np;
-                            dirty = true;
-                        }
-                    }
-                }
-                let len = ptrs.len();
-                if dirty {
-                    machine.write_aux_block(ptr_region.block(pb), ptrs)?;
-                } else {
-                    machine.discard(len)?;
+        // Pointer updates, in ascending pointer-block order: every block
+        // holding a contributing run's pointer is re-read and rewritten
+        // only if dirty. A run's new pointer is the block of its last
+        // output element, advanced by one when that block was fully
+        // consumed (then the element was the block's last). A pointer
+        // changes only when a block of its run was consumed, so these
+        // writes total O(n) over the whole merge.
+        let mut rest = &contributing[..];
+        while let Some(&r0) = rest.first() {
+            let pb = r0 / b;
+            let in_block = rest.iter().take_while(|&&r| r / b == pb).count();
+            let mut ptrs = machine.read_aux_block(ptr_region.block(pb))?;
+            let mut dirty = false;
+            for &r in &rest[..in_block] {
+                let last = first[r] as usize + count[r] - 1;
+                count[r] = 0;
+                let consumed_block = last + 1 == runs[r].elems || (last + 1) % b == 0;
+                let np = (last / b + usize::from(consumed_block)) as u64;
+                if np > ptrs[r % b] {
+                    ptrs[r % b] = np;
+                    dirty = true;
                 }
             }
+            rest = &rest[in_block..];
+            let len = ptrs.len();
+            if dirty {
+                machine.write_aux_block(ptr_region.block(pb), ptrs)?;
+            } else {
+                machine.discard(len)?;
+            }
         }
+        contributing.clear();
     }
 
     Ok((
@@ -278,6 +289,45 @@ where
             active_bound: mhat / b,
         },
     ))
+}
+
+/// A round's members in ascending order.
+///
+/// Run `r`'s members are the `count[r]` positions from `first[r]` on: the
+/// buffer keeps the smallest candidates, a run's candidates are its
+/// unconsumed elements in position order, and tags ascend with position
+/// within a run. One pass therefore places every member at its run's
+/// offset plus its distance from the run's first member, leaving one
+/// ascending stretch per contributing run. The standard library's stable
+/// sort finds long ascending stretches and merges them, so a round fed by
+/// few runs — the buffered queue's two-way merges — costs about
+/// `M̂·log₂ k'` comparisons for `k'` contributing runs instead of the
+/// `M̂·log₂ M̂` of sorting the buffer from scratch; many short stretches
+/// cost no more than that.
+fn in_order<T: Ord>(
+    members: Vec<Tagged<T>>,
+    contributing: &[usize],
+    first: &[u64],
+    count: &[usize],
+    base: &mut [usize],
+) -> Vec<Tagged<T>> {
+    let mut next = 0;
+    for &r in contributing {
+        base[r] = next;
+        next += count[r];
+    }
+    let mut slots: Vec<Option<Tagged<T>>> = (0..members.len()).map(|_| None).collect();
+    for t in members {
+        let r = t.1 as usize;
+        let slot = base[r] + (t.2 - first[r]) as usize;
+        slots[slot] = Some(t);
+    }
+    let mut batch: Vec<Tagged<T>> = slots
+        .into_iter()
+        .map(|t| t.expect("a run's members are consecutive positions"))
+        .collect();
+    batch.sort();
+    batch
 }
 
 /// Tag an element with `(run, global position within run)`.

@@ -24,8 +24,12 @@
 //! * [`em_sort`] — the classical `m`-way EM mergesort baseline, oblivious
 //!   to `ω`: it pays `(1 + ω)·n` per level over `log_m n` levels, which is
 //!   how the experiments exhibit the `log m` vs `log ωm` separation.
+//! * `heads` — the loser tree over resident run blocks that picks the next
+//!   element of the streaming merges (the baseline's and spmv's
+//!   merge-add) in `⌈log₂ k⌉` comparisons.
 
 pub mod em_sort;
+pub(crate) mod heads;
 pub mod heap;
 pub mod merge;
 pub mod merge_sort;

@@ -20,15 +20,19 @@
 //!   `select_nth_unstable`, which lowers the cut. `O(1)` amortised work
 //!   per element.
 //! * [`offer_sorted`](Selector::offer_sorted) — for blocks of sorted runs.
-//!   The prefix at or below the boundary is skipped by binary search,
-//!   better candidates replace the maximum of a capped max-heap in place,
-//!   and the scan stops at the first candidate that cannot enter a full
+//!   The prefix at or below the boundary is skipped by binary search.
+//!   Until the buffer is full its members are collected unordered (nothing
+//!   reads the order before then: [`full_max`](Selector::full_max) is
+//!   `None`), and the `cap`-th member heapifies them once. From then on
+//!   better candidates replace the maximum of the capped max-heap in place,
+//!   and the scan stops at the first candidate that cannot enter the
 //!   buffer: every later element of the block is larger still. Only
-//!   elements that enter the buffer cost a heap operation.
+//!   elements that enter a full buffer cost a heap operation.
 //!
 //! A selector is fed through one path only. [`into_sorted`](Selector::into_sorted)
 //! drains it with `sort_unstable`; tags are distinct, so the order equals
-//! a stable sort's.
+//! a stable sort's. [`into_members`](Selector::into_members) drains it
+//! unordered, for the §3.1 merge, which orders its round by run.
 
 use std::collections::BinaryHeap;
 
@@ -39,7 +43,9 @@ pub(crate) struct Selector<K> {
     cap: usize,
     /// Candidates above the boundary offered so far.
     seen: usize,
-    /// Sorted path: exactly the `min(cap, seen)` smallest, as a max-heap.
+    /// Sorted path: the members while fewer than `cap`, in arrival order.
+    filling: Vec<K>,
+    /// Sorted path: the `cap` smallest, as a max-heap, once full.
     heap: BinaryHeap<K>,
     /// Unsorted path: every candidate below `cut` (a superset of the kept
     /// set), at most `2·cap` long.
@@ -55,6 +61,7 @@ impl<K: Ord + Clone> Selector<K> {
         Self {
             cap,
             seen: 0,
+            filling: Vec::new(),
             heap: BinaryHeap::new(),
             pool: Vec::new(),
             cut: None,
@@ -70,11 +77,7 @@ impl<K: Ord + Clone> Selector<K> {
     /// Sorted path only.
     pub(crate) fn full_max(&self) -> Option<&K> {
         debug_assert!(self.pool.is_empty(), "full_max needs the sorted path");
-        if self.heap.len() == self.cap {
-            self.heap.peek()
-        } else {
-            None
-        }
+        self.heap.peek()
     }
 
     /// Offer one block whose elements arrive in no particular order.
@@ -87,7 +90,10 @@ impl<K: Ord + Clone> Selector<K> {
         boundary: Option<&K>,
         mut tag: impl FnMut(usize, T) -> K,
     ) -> usize {
-        debug_assert!(self.heap.is_empty(), "a selector is fed one way");
+        debug_assert!(
+            self.heap.is_empty() && self.filling.is_empty(),
+            "a selector is fed one way"
+        );
         let before = self.len();
         for (i, x) in block.into_iter().enumerate() {
             let t = tag(i, x);
@@ -136,13 +142,20 @@ impl<K: Ord + Clone> Selector<K> {
             }
         }
         self.seen += n - start;
-        for (i, x) in block.into_iter().enumerate().skip(start) {
-            let t = tag(i, x);
-            if self.heap.len() < self.cap {
-                self.heap.push(t);
-                continue;
+        let mut rest = block.into_iter().enumerate().skip(start);
+        if self.heap.is_empty() {
+            for (i, x) in rest.by_ref() {
+                self.filling.push(tag(i, x));
+                if self.filling.len() == self.cap {
+                    self.heap = BinaryHeap::from(std::mem::take(&mut self.filling));
+                    break;
+                }
             }
-            let mut top = self.heap.peek_mut().expect("cap >= 1");
+        }
+        // Anything left is offered to a full buffer.
+        for (i, x) in rest {
+            let t = tag(i, x);
+            let mut top = self.heap.peek_mut().expect("the buffer is full");
             if t >= *top {
                 break; // the rest of the block is larger still
             }
@@ -152,15 +165,23 @@ impl<K: Ord + Clone> Selector<K> {
     }
 
     /// The kept candidates in ascending order.
-    pub(crate) fn into_sorted(mut self) -> Vec<K> {
-        let mut kept = if self.pool.is_empty() {
-            self.heap.into_vec()
-        } else {
-            self.compact();
-            self.pool
-        };
+    pub(crate) fn into_sorted(self) -> Vec<K> {
+        let mut kept = self.into_members();
         kept.sort_unstable();
         kept
+    }
+
+    /// The kept candidates in no particular order, for callers that know
+    /// more about their structure than `Ord` does.
+    pub(crate) fn into_members(mut self) -> Vec<K> {
+        if !self.pool.is_empty() {
+            self.compact();
+            self.pool
+        } else if self.heap.is_empty() {
+            self.filling
+        } else {
+            self.heap.into_vec()
+        }
     }
 
     /// Shrink the pool to its `cap` smallest and lower the cut to their
@@ -219,12 +240,14 @@ mod tests {
     }
 
     /// Feed every case through `offer`, checking the invariants after each
-    /// block; returns the number of cases run.
-    fn check_path(sorted: bool) -> usize {
+    /// block; returns the number of cases run and the number of blocks
+    /// that filled a buffer of more than `B` with candidates to spare.
+    fn check_path(sorted: bool) -> (usize, usize) {
         let mut rng = SplitMix64::seed_from_u64(if sorted { 0x5e1 } else { 0x5e2 });
-        let mut cases = 0;
+        let (mut cases, mut mid_block_fills) = (0, 0);
         for distinct in [1u64, 3, 1 << 40] {
-            for cap in [1, B, 1000] {
+            // 37 = 4B + 5 fills the buffer part-way through a block.
+            for cap in [1, B, 37, 1000] {
                 for _ in 0..6 {
                     let runs = 1 + rng.next_below(6) as u32;
                     let blocks = stream(&mut rng, runs, 24, distinct);
@@ -237,6 +260,10 @@ mod tests {
                     let mut offered: Vec<Tag> = Vec::new();
                     for block in blocks {
                         let before = sel.len();
+                        let fresh = reference(&block, boundary.as_ref(), B).len();
+                        if cap > B && before < cap && before + fresh > cap {
+                            mid_block_fills += 1;
+                        }
                         offered.extend(&block);
                         let want = reference(&offered, boundary.as_ref(), cap);
                         let retag = |_: usize, t: Tag| t;
@@ -261,17 +288,21 @@ mod tests {
                 }
             }
         }
-        cases
+        (cases, mid_block_fills)
     }
 
     #[test]
     fn sorted_path_keeps_the_cap_smallest() {
-        assert_eq!(check_path(true), 54);
+        let (cases, mid_block_fills) = check_path(true);
+        assert_eq!(cases, 72);
+        // The fill-to-heap switch happens inside a block, not only at a
+        // block boundary.
+        assert!(mid_block_fills > 0);
     }
 
     #[test]
     fn unsorted_path_keeps_the_cap_smallest() {
-        assert_eq!(check_path(false), 54);
+        assert_eq!(check_path(false).0, 72);
     }
 
     #[test]

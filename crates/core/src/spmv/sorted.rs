@@ -33,6 +33,7 @@ use aem_workloads::Conformation;
 use super::layout::{install_instance, MatEntry, SpmvInstance};
 use super::semiring::Semiring;
 use super::SpmvRun;
+use crate::sort::heads::MergeHeads;
 use crate::sort::merge_sort;
 
 /// Run the sorting-based algorithm on an existing machine. `a` and `x` are
@@ -237,41 +238,17 @@ where
     let total: usize = lists.iter().map(|r| r.elems).sum();
     let out = machine.alloc_region(total);
 
-    struct Head<S> {
-        list: usize,
-        blk: usize,
-        off: usize,
-        data: Vec<MatEntry<S>>,
-    }
-    let mut heads: Vec<Head<S>> = Vec::with_capacity(lists.len());
-    for (i, r) in lists.iter().enumerate() {
-        if r.blocks > 0 && r.elems > 0 {
-            let data = machine.read_block(r.block(0))?;
-            heads.push(Head {
-                list: i,
-                blk: 0,
-                off: 0,
-                data,
-            });
-        }
-    }
-
+    let mut heads = MergeHeads::open(machine, lists, |x: &MatEntry<S>, y: &MatEntry<S>| {
+        x.row.cmp(&y.row)
+    })?;
     let mut acc: Option<MatEntry<S>> = None;
     let mut out_buf: Vec<MatEntry<S>> = Vec::with_capacity(b);
     let mut out_blk = 0usize;
     let mut written = 0usize;
 
-    while !heads.is_empty() {
-        let mut best = 0usize;
-        for i in 1..heads.len() {
-            let (hb, hi) = (&heads[best], &heads[i]);
-            if (hi.data[hi.off].row, hi.list) < (hb.data[hb.off].row, hb.list) {
-                best = i;
-            }
-        }
-        let h = &mut heads[best];
-        let entry = h.data[h.off].clone();
-        h.off += 1;
+    // A full output block leaves before the list's next block is read:
+    // the next `pop` does that read.
+    while let Some(entry) = heads.pop(machine)? {
         match &mut acc {
             Some(a) if a.row == entry.row => {
                 // Two atoms of the same row combine into one: the model's
@@ -289,16 +266,6 @@ where
                 }
             }
             None => acc = Some(entry),
-        }
-        if h.off == h.data.len() {
-            let r = lists[h.list];
-            h.blk += 1;
-            h.off = 0;
-            if h.blk < r.blocks {
-                h.data = machine.read_block(r.block(h.blk))?;
-            } else {
-                heads.swap_remove(best);
-            }
         }
     }
     if let Some(a) = acc.take() {
