@@ -47,6 +47,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use aem_machine::{AemAccess, AemConfig, MachineError, Region, Result};
 
+use crate::sort::merge::{advance_pointers, pointer_after};
 use crate::sort::{merge_runs, Selector};
 
 /// Tagged element `(key, run id, position within run)`: a strict total
@@ -462,9 +463,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
             };
             let last = &batch[at];
             run.remaining -= count[i];
-            let pos = last.2 as usize;
-            let consumed_block = pos + 1 == run.region.elems || (pos + 1) % b == 0;
-            let new_ptr = if consumed_block { pos / b + 1 } else { pos / b } as u64;
+            let new_ptr = pointer_after(last.2 as usize, run.region.elems, b);
             run.boundary = Some(last.clone());
             if run.remaining > 0 {
                 // Exhausted runs are dropped below; their pointer word is
@@ -472,32 +471,8 @@ impl<T: Ord + Clone> BufferedPq<T> {
                 ptr_updates.push((run.slot, new_ptr));
             }
         }
-        // Rewrite dirty pointer blocks only, in block order; a pointer
-        // advances only when a block of its run was consumed, keeping
-        // pointer writes O(n).
         ptr_updates.sort_unstable();
-        let mut rest = &ptr_updates[..];
-        while let Some(&(slot, _)) = rest.first() {
-            let pb = slot / b;
-            let in_block = rest.iter().take_while(|(s, _)| s / b == pb).count();
-            let (group, tail) = rest.split_at(in_block);
-            rest = tail;
-            let mut words = machine.read_aux_block(ptrs.block(pb))?;
-            let mut dirty = false;
-            for &(slot, np) in group {
-                let w = &mut words[slot % b];
-                if np > *w {
-                    *w = np;
-                    dirty = true;
-                }
-            }
-            let len = words.len();
-            if dirty {
-                machine.write_aux_block(ptrs.block(pb), words)?;
-            } else {
-                machine.discard(len)?;
-            }
-        }
+        advance_pointers(machine, ptrs, &ptr_updates)?;
         // Drop exhausted runs (their external blocks are simply abandoned;
         // external memory is unbounded in the model).
         let slots = &mut self.slots;

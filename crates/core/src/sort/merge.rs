@@ -246,37 +246,16 @@ where
         let round_out: Vec<T> = batch.into_iter().map(|(x, _, _)| x).collect();
         out_blk += machine.write_run(out.block(out_blk), &round_out)?;
 
-        // Pointer updates, in ascending pointer-block order: every block
-        // holding a contributing run's pointer is re-read and rewritten
-        // only if dirty. A run's new pointer is the block of its last
-        // output element, advanced by one when that block was fully
-        // consumed (then the element was the block's last). A pointer
-        // changes only when a block of its run was consumed, so these
-        // writes total O(n) over the whole merge.
-        let mut rest = &contributing[..];
-        while let Some(&r0) = rest.first() {
-            let pb = r0 / b;
-            let in_block = rest.iter().take_while(|&&r| r / b == pb).count();
-            let mut ptrs = machine.read_aux_block(ptr_region.block(pb))?;
-            let mut dirty = false;
-            for &r in &rest[..in_block] {
-                let last = first[r] as usize + count[r] - 1;
-                count[r] = 0;
-                let consumed_block = last + 1 == runs[r].elems || (last + 1) % b == 0;
-                let np = (last / b + usize::from(consumed_block)) as u64;
-                if np > ptrs[r % b] {
-                    ptrs[r % b] = np;
-                    dirty = true;
-                }
-            }
-            rest = &rest[in_block..];
-            let len = ptrs.len();
-            if dirty {
-                machine.write_aux_block(ptr_region.block(pb), ptrs)?;
-            } else {
-                machine.discard(len)?;
-            }
-        }
+        // Each contributing run's pointer moves to the block of its last
+        // output element.
+        let updates: Vec<(usize, u64)> = contributing
+            .iter()
+            .map(|&r| {
+                let last = first[r] as usize + std::mem::take(&mut count[r]) - 1;
+                (r, pointer_after(last, runs[r].elems, b))
+            })
+            .collect();
+        advance_pointers(machine, ptr_region, &updates)?;
         contributing.clear();
     }
 
@@ -289,6 +268,50 @@ where
             active_bound: mhat / b,
         },
     ))
+}
+
+/// The block pointer of a run whose last consumed element sits at
+/// position `last`: that element's block, or the next one when the
+/// element ended its block (the block is then fully consumed).
+pub(crate) fn pointer_after(last: usize, run_elems: usize, b: usize) -> u64 {
+    let consumed_block = last + 1 == run_elems || (last + 1) % b == 0;
+    (last / b + usize::from(consumed_block)) as u64
+}
+
+/// Move external block pointers forward: `updates` holds `(slot, new
+/// pointer)` pairs sorted by slot. Each pointer block an update falls in
+/// is read once, in ascending order, and written back only when one of
+/// its pointers advanced. A pointer changes only when a block of its run
+/// was consumed, so these writes total O(n) over a merge (§3.1).
+pub(crate) fn advance_pointers<T, A: AemAccess<T>>(
+    machine: &mut A,
+    ptrs: Region,
+    updates: &[(usize, u64)],
+) -> Result<()> {
+    let b = machine.cfg().block;
+    let mut rest = updates;
+    while let Some(&(slot, _)) = rest.first() {
+        let pb = slot / b;
+        let in_block = rest.iter().take_while(|(s, _)| s / b == pb).count();
+        let (group, tail) = rest.split_at(in_block);
+        rest = tail;
+        let mut words = machine.read_aux_block(ptrs.block(pb))?;
+        let mut dirty = false;
+        for &(slot, np) in group {
+            let w = &mut words[slot % b];
+            if np > *w {
+                *w = np;
+                dirty = true;
+            }
+        }
+        let len = words.len();
+        if dirty {
+            machine.write_aux_block(ptrs.block(pb), words)?;
+        } else {
+            machine.discard(len)?;
+        }
+    }
+    Ok(())
 }
 
 /// A round's members in ascending order.

@@ -16,7 +16,7 @@
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
-use super::merge::MergeStats;
+use super::merge::{pointer_after, MergeStats};
 use super::Selector;
 
 /// Cursor of one run, resident in internal memory (charged 2 words ≈ 1
@@ -133,9 +133,7 @@ where
         // Advance cursors past fully consumed blocks.
         for (_, run_u32, pos) in &batch {
             let i = *run_u32 as usize;
-            let pos = *pos as usize;
-            let consumed = pos + 1 == runs[i].elems || (pos + 1) % b == 0;
-            let new_next = if consumed { pos / b + 1 } else { pos / b };
+            let new_next = pointer_after(*pos as usize, runs[i].elems, b) as usize;
             cursors[i].next_blk = cursors[i].next_blk.max(new_next);
             if cursors[i].next_blk >= runs[i].blocks {
                 cursors[i].exhausted = true;
