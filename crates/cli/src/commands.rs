@@ -2,17 +2,16 @@
 //! `String` so the handlers are unit-testable without capturing stdout.
 
 use aem_core::bounds::{flash as fbounds, permute as pbounds, spmv as sbounds};
-use aem_core::relational::{group_aggregate, sort_merge_join, Tuple};
 use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
 use aem_flash::driver::naive_atom_permutation;
 use aem_flash::verify_lemma_4_3;
 use aem_fuzz::{DistKind, FuzzCase, FuzzOptions};
-use aem_machine::{AemAccess, AemConfig, Backend, Machine};
+use aem_machine::{AemConfig, Backend};
 use aem_obs::{
     render_markdown, render_text, run_all, tail_from_record, Profile, ProfileHarness, RunRecord,
 };
 use aem_serve::{install_shutdown_signals, run_load, serve, LoadOptions, ServeOptions};
-use aem_workloads::{KeyDist, PermKind};
+use aem_workloads::PermKind;
 
 use crate::args::Args;
 
@@ -129,59 +128,6 @@ pub fn cmd_lemma43(args: &Args) -> Result<String, String> {
         report.flash_volume,
         report.volume_bound,
         100.0 * report.flash_volume as f64 / report.volume_bound as f64,
-    ))
-}
-
-/// `aemsim join` — sort-merge join two generated relations and aggregate.
-pub fn cmd_join(args: &Args) -> Result<String, String> {
-    let cfg = machine_config(args)?;
-    let n_left = args.get_or("left", 20_000usize)?;
-    let n_right = args.get_or("right", 5_000usize)?;
-    let keys = args.get_or("keys", 1_000u64)?;
-    let seed = args.get_or("seed", 1u64)?;
-    reject_unread(args)?;
-
-    let left: Vec<Tuple<u64>> = KeyDist::Zipf {
-        distinct: keys,
-        s_x10: 11,
-        seed,
-    }
-    .generate(n_left)
-    .into_iter()
-    .enumerate()
-    .map(|(i, k)| Tuple {
-        key: k,
-        payload: i as u64,
-    })
-    .collect();
-    let right: Vec<Tuple<u64>> = (0..n_right as u64)
-        .map(|i| Tuple {
-            key: i % keys,
-            payload: i,
-        })
-        .collect();
-
-    let mut m: Machine<Tuple<u64>> = Machine::new(cfg);
-    let (lr, rr) = (m.install(&right), m.install(&left));
-    // Unique-ish side left (buffered per key); skewed side streamed.
-    let joined =
-        sort_merge_join(&mut m, lr, rr, |a: &u64, b: &u64| a ^ b).map_err(|e| e.to_string())?;
-    let join_cost = m.cost();
-    let grouped =
-        group_aggregate(&mut m, joined, |acc: u64, _x: &u64| acc + 1).map_err(|e| e.to_string())?;
-    let groups = grouped.elems;
-    let cost = m.cost();
-
-    Ok(format!(
-        "machine: {cfg}\n\
-         workload: {n_left} zipf tuples ⋈ {n_right} tuples on {keys} keys, then COUNT(*) GROUP BY key\n\n\
-         join:  {} reads, {} writes, Q = {}\n\
-         total (join+group): Q = {} across {groups} groups\n\
-         (write-lean: both operators sort with the §3 mergesort)\n",
-        join_cost.reads,
-        join_cost.writes,
-        join_cost.q(cfg.omega),
-        cost.q(cfg.omega),
     ))
 }
 
@@ -396,7 +342,8 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
     if let Some(lb) = w.lower_bound(ctx.cfg, ctx.n) {
         out.push_str(&format!(
             "Thm 4.5 lower bound: {lb:.0} (measured/bound = {:.2})\n",
-            cost.q(omega) as f64 / lb.max(1.0)
+            // In f64, so a Q that saturates u64 still compares truthfully.
+            (cost.reads as f64 + omega as f64 * cost.writes as f64) / lb.max(1.0)
         ));
     }
     if backend.carries_payload() {
@@ -592,7 +539,6 @@ COMMANDS
                                (exits nonzero if a paper-invariant
                                checker fails, with the I/O tail)
   bounds    evaluate bounds    --n --delta
-  join      relational ops     --left --right --keys
   lemma43   flash reduction    --n
   serve     job service        [--addr HOST:PORT --workers N --no-queue
                                 --admission-log FILE --metering-out FILE
@@ -617,7 +563,7 @@ WORKLOADS (the registry behind run, profile, serve and fuzz)
 FUZZ TARGETS (--target takes exact names, prefixes, or comma lists)
   {targets}
 
-MACHINE OPTIONS (run, profile, bounds, join, lemma43)
+MACHINE OPTIONS (run, profile, bounds, lemma43)
   --mem M      internal memory in elements   (default 1024)
   --block B    block size in elements        (default 64)
   --omega W    write/read cost ratio         (default 16)
@@ -642,7 +588,6 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
     }
     match args.command.as_deref() {
         Some("bounds") => cmd_bounds(args),
-        Some("join") => cmd_join(args),
         Some("lemma43") => cmd_lemma43(args),
         Some("report") => cmd_report(args),
         Some("run") => cmd_run(args),
@@ -662,6 +607,47 @@ mod tests {
     fn run(line: &str) -> Result<String, String> {
         let args = Args::parse(line.split_whitespace().map(String::from)).expect("parse");
         dispatch(&args)
+    }
+
+    #[test]
+    fn huge_omega_keeps_menus_and_bounds_ordered() {
+        // Any ω ≥ 1 is a valid machine. Up to u64::MAX, every menu's
+        // `cheapest` mark must sit on its smallest shown price (Q
+        // saturates rather than wraps), and the Thm 4.5 bound must not
+        // fall as ω rises along powers of two.
+        let omegas: Vec<u64> = (0..64).step_by(7).map(|k| 1u64 << k).collect();
+        let omegas = omegas.into_iter().chain([1 << 63, u64::MAX]);
+        for (kind, n) in [
+            ("sort", 8192),
+            ("sort", 20000),
+            ("permute", 8192),
+            ("pq", 8192),
+        ] {
+            let mut last_bound = 0.0f64;
+            for omega in omegas.clone() {
+                let out = run(&format!("run {kind} --n {n} --omega {omega}")).unwrap();
+                let field = |line: &str, key: &str| {
+                    let rest = &line[line.find(key).unwrap() + key.len()..];
+                    rest.split_whitespace().next().unwrap().to_string()
+                };
+                let bound: f64 = out
+                    .lines()
+                    .find(|l| l.starts_with("Thm 4.5 lower bound: "))
+                    .map(|l| field(l, "bound: ").parse().unwrap())
+                    .unwrap();
+                assert!(bound >= last_bound, "{kind} n={n} ω={omega}: {out}");
+                last_bound = bound;
+                let menu: Vec<(u64, bool)> = out
+                    .lines()
+                    .skip_while(|l| !l.starts_with("candidate menu"))
+                    .filter(|l| l.contains(" Q = "))
+                    .map(|l| (field(l, " Q = ").parse().unwrap(), l.contains("(cheapest)")))
+                    .collect();
+                let min = menu.iter().map(|m| m.0).min().unwrap();
+                let marked: Vec<u64> = menu.iter().filter(|m| m.1).map(|m| m.0).collect();
+                assert_eq!(marked, [min], "{kind} n={n} ω={omega}: {out}");
+            }
+        }
     }
 
     #[test]
@@ -1065,13 +1051,6 @@ mod tests {
         let out = run("bounds --n 1048576 --mem 1024 --block 64 --omega 32").unwrap();
         assert!(out.contains("counting rounds"));
         assert!(out.contains("Thm 5.1"));
-    }
-
-    #[test]
-    fn join_report() {
-        let out = run("join --left 2000 --right 500 --keys 100 --mem 256 --block 16").unwrap();
-        assert!(out.contains("groups"));
-        assert!(out.contains("Q ="));
     }
 
     #[test]

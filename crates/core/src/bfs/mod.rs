@@ -368,16 +368,10 @@ mod tests {
         let (_, mark, _) = run("mark", c, 256, 3, 0);
         let (_, rescan, _) = run("rescan", c, 256, 3, 0);
         for omega in [1u64, 4] {
-            assert!(
-                mark.q_saturating(omega) < rescan.q_saturating(omega),
-                "w={omega}"
-            );
+            assert!(mark.q(omega) < rescan.q(omega), "w={omega}");
         }
         for omega in [64u64, 256] {
-            assert!(
-                rescan.q_saturating(omega) < mark.q_saturating(omega),
-                "w={omega}"
-            );
+            assert!(rescan.q(omega) < mark.q(omega), "w={omega}");
         }
     }
 }

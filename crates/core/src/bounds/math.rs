@@ -57,12 +57,22 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
-/// `ln C(n, k)` rounded up (capability side).
+/// `ln C(n, k)` rounded up (capability side). For huge `n` the relative
+/// slack on `ln n!` would swamp the difference of factorials, so the
+/// result is capped by [`ln_binomial_cap`].
 pub fn ln_binomial_up(n: u64, k: u64) -> f64 {
     if k == 0 || k >= n {
         return 0.0;
     }
-    ln_factorial_up(n) - ln_factorial_down(k) - ln_factorial_down(n - k)
+    let up = ln_factorial_up(n) - ln_factorial_down(k) - ln_factorial_down(n - k);
+    up.min(ln_binomial_cap(n as f64, k))
+}
+
+/// `ln (e·n/k)^k`, an upper bound on `ln C(n, k)` for `1 ≤ k ≤ n` that
+/// stays accurate for any `n`, including pool sizes beyond `u64`.
+pub fn ln_binomial_cap(n: f64, k: u64) -> f64 {
+    let k = k as f64;
+    k * (1.0 + (n / k).ln())
 }
 
 /// `log2` of a positive quantity given its natural log.
@@ -118,7 +128,12 @@ mod tests {
     fn binomial_up_dominates() {
         for (n, k) in [(100u64, 7u64), (100_000, 50_000), (1 << 20, 1 << 10)] {
             assert!(ln_binomial_up(n, k) >= ln_binomial(n, k));
+            assert!(ln_binomial_cap(n as f64, k) >= ln_binomial(n, k));
         }
+        // At n = 2^62 the factorial slack alone is ~1e11; the cap keeps
+        // ln C(n, 2048) near its true ~2048·(1 + ln(n/2048)) ≈ 8.3e4.
+        let huge = ln_binomial_up(1 << 62, 2048);
+        assert!(huge < 1e5, "{huge}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use aem_machine::AemConfig;
 
-use super::math::{ln_binomial_up, ln_factorial_down, ln_factorial_up};
+use super::math::{ln_binomial_cap, ln_binomial_up, ln_factorial_down, ln_factorial_up};
 
 /// Result of evaluating the counting argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,9 +55,12 @@ pub fn counting_rounds(n_elems: u64, cfg: AemConfig) -> CountingBound {
     let target_ln = (ln_factorial_down(n) - (n as f64 / b as f64) * ln_factorial_up(b)).max(0.0);
 
     // Capability: the five factors of (1), rounded up.
-    let read_blocks = (omega * m).min(n); // ωM/B block choices, ≤ N non-empty
+    let read_blocks = omega.saturating_mul(m).min(n); // ωM/B block choices, ≤ N non-empty
     let f_blocks = ln_binomial_up(n, read_blocks);
-    let f_keep = ln_binomial_up(omega.saturating_mul(mem), mem);
+    let f_keep = match omega.checked_mul(mem) {
+        Some(pool) => ln_binomial_up(pool, mem),
+        None => ln_binomial_cap(omega as f64 * mem as f64, mem),
+    };
     let f_drop = mem as f64 * std::f64::consts::LN_2;
     let f_arrange = ln_factorial_up(mem) - (mem as f64 / b as f64) * ln_factorial_down(b);
     let f_dest = (mem as f64 / b as f64) * (3.0 * n as f64).max(2.0).ln();
@@ -86,12 +89,31 @@ pub fn counting_rounds(n_elems: u64, cfg: AemConfig) -> CountingBound {
 /// conversion adds, per interior round of cost ≥ `ω(m₂−1)`, at most `m₂`
 /// snapshot writes and `m₂` restore reads. Hence
 /// `Q ≥ counting_rounds(N, 2M-config).cost / 4`.
+///
+/// A program's cost `Q_r + ω·Q_w` never falls as `ω` rises, so a bound
+/// at any `ω' < ω` also holds at `ω`. Once a single round can generate
+/// every permutation (`R ≤ 2`), the count collapses towards 0 as `ω`
+/// grows; the bound then takes the best value over the powers of two
+/// below `ω`, so along `ω = 2^k` it never falls.
 pub fn permute_cost_lower_bound(n_elems: u64, cfg: AemConfig) -> f64 {
-    let doubled = AemConfig {
-        memory: cfg.memory * 2,
-        ..cfg
+    let at = |omega: u64| {
+        let doubled = AemConfig {
+            memory: cfg.memory * 2,
+            omega,
+            ..cfg
+        };
+        counting_rounds(n_elems, doubled)
     };
-    counting_rounds(n_elems, doubled).cost / 4.0
+    let here = at(cfg.omega);
+    if here.rounds > 2 {
+        return here.cost / 4.0;
+    }
+    (0..u64::BITS)
+        .map(|k| 1u64 << k)
+        .take_while(|&w| w < cfg.omega)
+        .map(|w| at(w).cost)
+        .fold(here.cost, f64::max)
+        / 4.0
 }
 
 /// The asymptotic form of Theorem 4.5: `min{N, ω n log_{ωm} n}` (the raw

@@ -522,12 +522,8 @@ mod tests {
             for (kind, n, delta) in [("sort", 5000, 0), ("permute", 5000, 0), ("spmv", 512, 4)] {
                 let (algo, cost) = cheapest(kind, c, n, delta).unwrap();
                 let menu = candidates(kind, c, n, delta).unwrap();
-                let best = menu
-                    .iter()
-                    .map(|(_, c2)| c2.q_saturating(omega))
-                    .min()
-                    .unwrap();
-                assert_eq!(cost.q_saturating(omega), best, "{kind} ω={omega}");
+                let best = menu.iter().map(|(_, c2)| c2.q(omega)).min().unwrap();
+                assert_eq!(cost.q(omega), best, "{kind} ω={omega}");
                 assert!(menu.iter().any(|&(a, _)| a == algo));
             }
         }

@@ -303,9 +303,7 @@ mod tests {
         // 270 blocks) but writes more (56 vs 45). The Q lines cross
         // near ω* ≈ 14.4.
         let q = |k: fn(AemConfig, usize, usize) -> Option<Cost>, omega: u64| {
-            k(cfg(1024, 64, omega), 1764, 0)
-                .unwrap()
-                .q_saturating(omega)
+            k(cfg(1024, 64, omega), 1764, 0).unwrap().q(omega)
         };
         assert!(q(stream_cost, 1) < q(tiled_cost, 1));
         assert!(q(stream_cost, 8) < q(tiled_cost, 8));

@@ -348,7 +348,7 @@ mod tests {
         // ω=16 (the crossover sits near ω ≈ 14). Small batches (δ=8) at
         // high ω: rescan's zero writes beat even the tree.
         let q = |k: fn(AemConfig, usize, usize) -> Cost, omega: u64, delta: usize| {
-            k(cfg(64, 8, omega), 2048, delta).q_saturating(omega)
+            k(cfg(64, 8, omega), 2048, delta).q(omega)
         };
         assert!(q(materialize_cost, 1, 1024) < q(tree_cost, 1, 1024));
         assert!(q(tree_cost, 16, 1024) < q(materialize_cost, 16, 1024));

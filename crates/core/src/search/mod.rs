@@ -492,8 +492,8 @@ mod tests {
     #[test]
     fn btree_beats_binary_only_when_lookups_amortize_the_build() {
         let c = cfg(1024, 64, 16);
-        let few = |k: fn(AemConfig, usize, usize) -> Cost| k(c, 2048, 3).q_saturating(16);
-        let many = |k: fn(AemConfig, usize, usize) -> Cost| k(c, 2048, 1024).q_saturating(16);
+        let few = |k: fn(AemConfig, usize, usize) -> Cost| k(c, 2048, 3).q(16);
+        let many = |k: fn(AemConfig, usize, usize) -> Cost| k(c, 2048, 1024).q(16);
         assert!(few(binary_cost) < few(btree_cost));
         assert!(many(btree_cost) < many(binary_cost));
     }

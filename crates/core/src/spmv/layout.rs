@@ -124,18 +124,13 @@ impl<T, A: InstallExt<T> + ?Sized> InstallExt<T> for &mut A {
     }
 }
 
-impl<T, S, A> InstallExt<T> for aem_machine::MachineCore<T, S, A>
+impl<T, S, A, K> InstallExt<T> for aem_machine::MachineCore<T, S, A, K>
 where
     T: Clone,
     S: aem_machine::BlockStore<T>,
     A: aem_machine::BlockStore<u64>,
+    K: aem_machine::Observer,
 {
-    fn install_atoms(&mut self, data: &[T]) -> Region {
-        self.install(data)
-    }
-}
-
-impl<T: Clone> InstallExt<T> for aem_machine::TraceMachine<T> {
     fn install_atoms(&mut self, data: &[T]) -> Region {
         self.install(data)
     }

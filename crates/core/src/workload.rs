@@ -26,7 +26,7 @@ use std::fmt;
 
 use aem_machine::{
     AemAccess, AemConfig, ArenaMachine, Backend, BlockStore, Cost, GhostMachine, Machine,
-    MachineCore, MachineError, Region, TraceMachine,
+    MachineCore, MachineError, Observer, Region, TraceMachine,
 };
 use aem_workloads::{
     graph_instance, matmul_instance, perm, scan_instance, search_instance, Conformation, KeyDist,
@@ -216,7 +216,7 @@ impl Workload {
     pub fn cheapest(&self, cfg: AemConfig, n: usize, delta: usize) -> Option<(&'static str, Cost)> {
         self.menu(cfg, n, delta)
             .into_iter()
-            .min_by_key(|(_, c)| c.q_saturating(cfg.omega))
+            .min_by_key(|(_, c)| c.q(cfg.omega))
     }
 
     /// Theorem 4.5's lower bound on the cost `Q` of any program for this
@@ -597,26 +597,18 @@ pub trait WorkloadMachine<T>: AemAccess<T> + InstallExt<T> {
     fn payload_real(&self) -> bool;
 }
 
-impl<T, S, A> WorkloadMachine<T> for MachineCore<T, S, A>
+impl<T, S, A, K> WorkloadMachine<T> for MachineCore<T, S, A, K>
 where
     T: Clone,
     S: BlockStore<T>,
     A: BlockStore<u64>,
+    K: Observer,
 {
     fn inspect_region(&self, r: Region) -> Vec<T> {
         self.inspect(r)
     }
     fn payload_real(&self) -> bool {
         S::BACKEND.carries_payload()
-    }
-}
-
-impl<T: Clone + Default> WorkloadMachine<T> for TraceMachine<T> {
-    fn inspect_region(&self, r: Region) -> Vec<T> {
-        self.inspect(r)
-    }
-    fn payload_real(&self) -> bool {
-        true
     }
 }
 
@@ -1299,13 +1291,13 @@ mod tests {
                             let (wl, wh) = (pair[0], pair[1]);
                             if let (Some(lo), Some(hi)) = (at(wl, n), at(wh, n)) {
                                 assert!(
-                                    lo.q_saturating(wh) >= lo.q_saturating(wl),
+                                    lo.q(wh) >= lo.q(wl),
                                     "{kind}/{}: repricing at higher omega got cheaper",
                                     a.name,
                                 );
                                 if lo == hi {
                                     assert!(
-                                        hi.q_saturating(wh) >= lo.q_saturating(wl),
+                                        hi.q(wh) >= lo.q(wl),
                                         "{kind}/{}: Q must be monotone in omega for an \
                                          omega-oblivious schedule",
                                         a.name,
@@ -1315,7 +1307,7 @@ mod tests {
                         }
                         if let (Some(small), Some(big)) = (at(16, n), at(16, 2 * n)) {
                             assert!(
-                                big.q_saturating(16) >= small.q_saturating(16),
+                                big.q(16) >= small.q(16),
                                 "{kind}/{}: Q must be monotone in n",
                                 a.name,
                             );

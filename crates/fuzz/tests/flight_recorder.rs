@@ -3,15 +3,16 @@
 //! phase attribution — must reach the panic sink during the unwind.
 //!
 //! The fault is the fuzz crate's own [`OffByOneMachine`] with a tiny
-//! read budget: its budget assertion fires deterministically on the
-//! (budget+1)-th read, deep inside the §3 mergesort's phase tree.
+//! read budget, wrapped around a machine carrying the recorder sink: its
+//! budget assertion fires deterministically on the (budget+1)-th read,
+//! deep inside the §3 mergesort's phase tree.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use aem_core::sort::merge_sort;
 use aem_fuzz::fault::OffByOneMachine;
-use aem_machine::{AemConfig, Machine};
+use aem_machine::AemConfig;
 use aem_obs::InstrumentedMachine;
 
 const CAPACITY: usize = 8;
@@ -28,14 +29,15 @@ fn flight_recorder_dump_survives_a_mid_phase_panic() {
         let cfg = AemConfig::new(64, 8, 2).unwrap();
         // Stride 1 redirects every read; the budget assertion panics on
         // read 33, mid-phase.
-        let faulty = OffByOneMachine::with_read_budget(Machine::<u64>::new(cfg), 1, BUDGET);
-        let mut im = InstrumentedMachine::new(faulty);
-        im.flight_mut().set_capacity(CAPACITY);
-        im.flight_mut().set_label("sort/aem faulted");
-        im.flight_mut().set_panic_sink(sink_in);
+        let mut im: InstrumentedMachine<u64> = InstrumentedMachine::new(cfg);
+        let flight = im.sink_mut().flight_mut();
+        flight.set_capacity(CAPACITY);
+        flight.set_label("sort/aem faulted");
+        flight.set_panic_sink(sink_in);
+        let mut faulty = OffByOneMachine::with_read_budget(im, 1, BUDGET);
         let input: Vec<u64> = (0..256u64).rev().collect();
-        let region = im.inner_mut().inner_mut().install(&input);
-        let _ = merge_sort(&mut im, region);
+        let region = faulty.inner_mut().install(&input);
+        let _ = merge_sort(&mut faulty, region);
         unreachable!("the read budget must fire before the sort finishes");
     }));
     assert!(result.is_err(), "the fault must panic");
@@ -69,12 +71,12 @@ fn no_dump_without_a_panic() {
     {
         let cfg = AemConfig::new(64, 8, 2).unwrap();
         // A generous budget: the run completes, nothing panics.
-        let faulty = OffByOneMachine::with_read_budget(Machine::<u64>::new(cfg), u64::MAX, 1 << 40);
-        let mut im = InstrumentedMachine::new(faulty);
-        im.flight_mut().set_panic_sink(sink.clone());
+        let mut im: InstrumentedMachine<u64> = InstrumentedMachine::new(cfg);
+        im.sink_mut().flight_mut().set_panic_sink(sink.clone());
+        let mut faulty = OffByOneMachine::with_read_budget(im, u64::MAX, 1 << 40);
         let input: Vec<u64> = (0..64u64).rev().collect();
-        let region = im.inner_mut().inner_mut().install(&input);
-        merge_sort(&mut im, region).unwrap();
+        let region = faulty.inner_mut().install(&input);
+        merge_sort(&mut faulty, region).unwrap();
     }
     assert!(
         sink.lock().unwrap().is_empty(),

@@ -8,8 +8,8 @@
 //! makes that observation executable:
 //!
 //! * [`TraceMachine`] — a recording machine (the `--backend trace`
-//!   selector): a copy-semantics [`Machine`] that additionally compiles
-//!   every *metered* operation into a [`TraceOp`]. Bulk ops
+//!   selector): a copy-semantics [`Machine`] whose [`CompiledTrace`] sink
+//!   compiles every *metered* operation into a [`TraceOp`]. Bulk ops
 //!   ([`AemAccess::read_run`] / [`AemAccess::write_run`]) compile to a
 //!   **single** op covering the whole run, so the recording is typically
 //!   much shorter than the event-level [`crate::Trace`].
@@ -28,20 +28,21 @@
 //! byte for byte. Replay prices
 //! *the recorded schedule*; it cannot notice that a different input
 //! would have scheduled different I/O. `docs/COST_MODEL.md` states the
-//! contract precisely; [`TraceMachine::verify_replay`] (and a
-//! `debug_assert` in [`TraceMachine::into_schedule`]) checks the
+//! contract precisely; [`MachineCore::verify_replay`] (and a
+//! `debug_assert` in [`MachineCore::into_schedule`]) checks the
 //! arithmetic against the live meter.
 //!
 //! [`replay`]: CompiledTrace::replay
 //! [`AemAccess::read_run`]: crate::AemAccess::read_run
 //! [`AemAccess::write_run`]: crate::AemAccess::write_run
 
-use crate::block::{BlockId, Region};
+use crate::block::BlockId;
 use crate::config::AemConfig;
-use crate::cost::{Cost, IoCounter};
-use crate::error::Result;
-use crate::machine::{AemAccess, Machine};
-use crate::store::Backend;
+use crate::cost::Cost;
+use crate::machine::{AemAccess, Machine, MachineCore};
+use crate::observer::{IoRun, Observer};
+use crate::store::BlockStore;
+use crate::trace::IoEvent;
 
 /// One metered operation of a recorded schedule: a contiguous run of
 /// `blocks` block transfers in one direction. Single-block operations
@@ -133,13 +134,47 @@ impl CompiledTrace {
     }
 }
 
-/// The recording machine behind `--backend trace`: a copy-semantics
-/// [`Machine`] that compiles its metered I/O into a [`CompiledTrace`].
+impl Observer for CompiledTrace {
+    fn new_sink(cfg: AemConfig) -> Self {
+        CompiledTrace::new(cfg)
+    }
+
+    fn on_io(&mut self, ev: &IoEvent, _: usize) {
+        let aux = matches!(
+            ev,
+            IoEvent::Read { aux: true, .. } | IoEvent::Write { aux: true, .. }
+        );
+        self.push(TraceOp {
+            write: ev.is_write(),
+            aux,
+            first: ev.block(),
+            blocks: 1,
+            elems: ev.len() as u64,
+        });
+    }
+
+    fn on_run(&mut self, run: &IoRun<'_>) {
+        self.push(TraceOp {
+            write: run.write,
+            aux: false,
+            first: run.first,
+            blocks: run.blocks as u64,
+            elems: run.elems as u64,
+        });
+    }
+
+    fn on_reset(&mut self) {
+        self.ops.clear();
+    }
+}
+
+/// The recording machine behind `--backend trace`: the copy-semantics
+/// [`Machine`] with a [`CompiledTrace`] sink.
 ///
 /// Payloads, costs, the ledger and every error path are exactly the vec
-/// machine's (the inner machine *is* one); recording adds one `Vec` push
-/// per successful metered operation. Failed operations record nothing —
-/// the schedule holds exactly the I/O the meter charged.
+/// machine's; recording adds one `Vec` push per successful metered
+/// operation. Failed operations record nothing — the schedule holds
+/// exactly the I/O the meter charged.
 ///
 /// ```
 /// use aem_machine::{AemAccess, AemConfig, TraceMachine};
@@ -154,99 +189,21 @@ impl CompiledTrace {
 /// assert_eq!(schedule.len(), 1);
 /// assert_eq!(schedule.replay().reads, 4);
 /// ```
-#[derive(Debug)]
-pub struct TraceMachine<T> {
-    inner: Machine<T>,
-    schedule: CompiledTrace,
-}
+pub type TraceMachine<T> = Machine<T, CompiledTrace>;
 
-impl<T: Clone> TraceMachine<T> {
-    /// A fresh recording machine.
-    pub fn new(cfg: AemConfig) -> Self {
-        Self::with_counter(cfg, IoCounter::new())
-    }
-
-    /// A fresh recording machine charging an existing (possibly shared)
-    /// cost meter. Note [`TraceMachine::verify_replay`] compares the
-    /// replayed schedule against that shared meter, so it only holds when
-    /// this machine is the meter's sole writer.
-    pub fn with_counter(cfg: AemConfig, counter: IoCounter) -> Self {
-        TraceMachine {
-            inner: Machine::with_counter(cfg, counter),
-            schedule: CompiledTrace::new(cfg),
-        }
-    }
-
-    /// The storage backend selector this machine answers to.
-    pub fn backend() -> Backend {
-        Backend::Trace
-    }
-
-    /// Install an input array without charging I/O (and without recording:
-    /// setup is outside the metered computation).
-    pub fn install(&mut self, data: &[T]) -> Region {
-        self.inner.install(data)
-    }
-
-    /// Inspect a region's contents, free of charge.
-    pub fn inspect(&self, region: Region) -> Vec<T> {
-        self.inner.inspect(region)
-    }
-
-    /// Inspect a single block, free of charge.
-    pub fn inspect_block(&self, id: BlockId) -> Result<Vec<T>> {
-        self.inner.inspect_block(id)
-    }
-
-    /// Occupancy of a single data block, free of charge.
-    pub fn block_len(&self, id: BlockId) -> Result<usize> {
-        self.inner.block_len(id)
-    }
-
-    /// Occupancy of a single auxiliary block, free of charge.
-    pub fn aux_block_len(&self, id: BlockId) -> Result<usize> {
-        self.inner.aux_block_len(id)
-    }
-
-    /// Number of data blocks allocated so far.
-    pub fn allocated_blocks(&self) -> usize {
-        self.inner.allocated_blocks()
-    }
-
-    /// Handle to the machine's cost meter.
-    pub fn counter(&self) -> IoCounter {
-        self.inner.counter()
-    }
-
-    /// Begin recording an event-level [`crate::Trace`] on the inner
-    /// machine (independent of the always-on compiled schedule).
-    pub fn start_trace(&mut self) {
-        self.inner.start_trace();
-    }
-
-    /// Stop event-level recording and return the trace, if any.
-    pub fn take_trace(&mut self) -> Option<crate::Trace> {
-        self.inner.take_trace()
-    }
-
-    /// The schedule compiled so far.
-    pub fn schedule(&self) -> &CompiledTrace {
-        &self.schedule
-    }
-
-    /// Reset the inner machine ([`crate::MachineCore::reset`], recycling
-    /// store buffers) and discard the schedule compiled so far — the next
-    /// recording starts from an empty machine and an empty schedule.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.schedule = CompiledTrace::new(self.schedule.cfg());
-    }
-
+impl<T, S, A> MachineCore<T, S, A, CompiledTrace>
+where
+    T: Clone,
+    S: BlockStore<T>,
+    A: BlockStore<u64>,
+{
     /// `true` iff replaying the compiled schedule reproduces the live
     /// meter exactly — the `(Q_r, Q_w)` tuple, and therefore `Q` for any
-    /// `ω`. This is the debug-assert behind [`TraceMachine::into_schedule`].
+    /// `ω`. It compares against the machine's (possibly shared) meter, so
+    /// it only holds when this machine is the meter's sole writer. This is
+    /// the debug-assert behind [`MachineCore::into_schedule`].
     pub fn verify_replay(&self) -> bool {
-        self.schedule.replay() == self.inner.cost()
+        self.sink().replay() == self.cost()
     }
 
     /// Consume the machine and return the compiled schedule, asserting
@@ -256,122 +213,17 @@ impl<T: Clone> TraceMachine<T> {
         debug_assert!(
             self.verify_replay(),
             "compiled schedule replays to {:?} but the live meter read {:?}",
-            self.schedule.replay(),
-            self.inner.cost()
+            self.sink().replay(),
+            self.cost()
         );
-        self.schedule
-    }
-
-    fn rec(&mut self, write: bool, aux: bool, first: BlockId, blocks: u64, elems: u64) {
-        self.schedule.push(TraceOp {
-            write,
-            aux,
-            first,
-            blocks,
-            elems,
-        });
-    }
-}
-
-impl<T: Clone> AemAccess<T> for TraceMachine<T> {
-    fn cfg(&self) -> AemConfig {
-        self.inner.cfg()
-    }
-
-    fn read_block(&mut self, id: BlockId) -> Result<Vec<T>> {
-        let data = self.inner.read_block(id)?;
-        self.rec(false, false, id, 1, data.len() as u64);
-        Ok(data)
-    }
-
-    fn read_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
-        let len = self.inner.read_block_into(id, buf)?;
-        self.rec(false, false, id, 1, len as u64);
-        Ok(len)
-    }
-
-    fn read_block_with(&mut self, id: BlockId, f: &mut dyn FnMut(&[T])) -> Result<usize> {
-        let len = self.inner.read_block_with(id, f)?;
-        self.rec(false, false, id, 1, len as u64);
-        Ok(len)
-    }
-
-    fn exchange_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
-        // The discard half is unmetered, so the compiled op is just the
-        // read — identical to what the decomposed pair would record.
-        let len = self.inner.exchange_block_into(id, buf)?;
-        self.rec(false, false, id, 1, len as u64);
-        Ok(len)
-    }
-
-    fn write_block(&mut self, id: BlockId, data: Vec<T>) -> Result<()> {
-        let len = data.len() as u64;
-        self.inner.write_block(id, data)?;
-        self.rec(true, false, id, 1, len);
-        Ok(())
-    }
-
-    fn read_run(&mut self, first: BlockId, count: usize, buf: &mut Vec<T>) -> Result<usize> {
-        let total = self.inner.read_run(first, count, buf)?;
-        self.rec(false, false, first, count as u64, total as u64);
-        Ok(total)
-    }
-
-    fn write_run(&mut self, first: BlockId, data: &[T]) -> Result<usize>
-    where
-        T: Clone,
-    {
-        let elems = data.len() as u64;
-        let blocks = self.inner.write_run(first, data)?;
-        self.rec(true, false, first, blocks as u64, elems);
-        Ok(blocks)
-    }
-
-    fn alloc_block(&mut self) -> BlockId {
-        self.inner.alloc_block()
-    }
-
-    fn alloc_region(&mut self, elems: usize) -> Region {
-        self.inner.alloc_region(elems)
-    }
-
-    fn discard(&mut self, k: usize) -> Result<()> {
-        self.inner.discard(k)
-    }
-
-    fn reserve(&mut self, k: usize) -> Result<()> {
-        self.inner.reserve(k)
-    }
-
-    fn read_aux_block(&mut self, id: BlockId) -> Result<Vec<u64>> {
-        let data = self.inner.read_aux_block(id)?;
-        self.rec(false, true, id, 1, data.len() as u64);
-        Ok(data)
-    }
-
-    fn write_aux_block(&mut self, id: BlockId, data: Vec<u64>) -> Result<()> {
-        let len = data.len() as u64;
-        self.inner.write_aux_block(id, data)?;
-        self.rec(true, true, id, 1, len);
-        Ok(())
-    }
-
-    fn alloc_aux_region(&mut self, words: usize) -> Region {
-        self.inner.alloc_aux_region(words)
-    }
-
-    fn internal_used(&self) -> usize {
-        self.inner.internal_used()
-    }
-
-    fn cost(&self) -> Cost {
-        self.inner.cost()
+        self.into_sink()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Region;
     use crate::error::MachineError;
 
     fn cfg() -> AemConfig {
@@ -412,7 +264,7 @@ mod tests {
         assert!(m.write_block(r.block(0), vec![0; 5]).is_err());
         let mut buf = Vec::new();
         assert!(m.read_run(r.block(0), 3, &mut buf).is_err());
-        assert!(m.schedule().is_empty());
+        assert!(m.sink().is_empty());
         assert_eq!(m.cost(), Cost::ZERO);
         assert!(m.verify_replay());
     }

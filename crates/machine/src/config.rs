@@ -82,10 +82,10 @@ impl AemConfig {
 
     /// The round budget `ωm` of §4: a round is a maximal sequence of
     /// operations of cost at most `ωm` (and, for all but the last round, at
-    /// least `ω(m − 1)`).
+    /// least `ω(m − 1)`). Saturates at `u64::MAX` for absurd `ω`.
     #[inline]
     pub fn round_budget(&self) -> u64 {
-        self.omega * self.m() as u64
+        self.omega.saturating_mul(self.m() as u64)
     }
 
     /// The merge/recursion fan-in `d = ωm` used by the §3 mergesort.
@@ -143,6 +143,8 @@ mod tests {
         assert_eq!(cfg.round_budget(), 128);
         assert_eq!(cfg.fan_in(), 128);
         assert_eq!(cfg.small_sort_threshold(), 1024);
+        let huge = AemConfig::new(64, 8, u64::MAX).unwrap();
+        assert_eq!(huge.round_budget(), u64::MAX);
     }
 
     #[test]

@@ -30,10 +30,12 @@ impl Cost {
         Self { reads, writes }
     }
 
-    /// The AEM cost `Q = Q_r + ω·Q_w`.
+    /// The AEM cost `Q = Q_r + ω·Q_w`, saturating at `u64::MAX`: a huge
+    /// `ω` (any `ω ≥ 1` is a valid configuration) or a huge hypothetical
+    /// write count prices as "unaffordable", never as a wrapped small Q.
     #[inline]
     pub fn q(&self, omega: u64) -> u64 {
-        self.reads + omega * self.writes
+        self.reads.saturating_add(omega.saturating_mul(self.writes))
     }
 
     /// Total number of I/Os regardless of direction (the symmetric EM cost).
@@ -42,13 +44,10 @@ impl Cost {
         self.reads + self.writes
     }
 
-    /// `Q = Q_r + ω·Q_w` without overflow: saturates at `u64::MAX`. The
-    /// serving planner prices astronomically large *hypothetical* jobs
-    /// (quote mode) whose predicted write counts, multiplied by ω, can
-    /// exceed `u64`; admission arithmetic must reject them, not wrap.
+    /// Alias of [`Cost::q`], which saturates.
     #[inline]
     pub fn q_saturating(&self, omega: u64) -> u64 {
-        self.reads.saturating_add(omega.saturating_mul(self.writes))
+        self.q(omega)
     }
 
     /// Component-wise difference; saturates at zero (used to attribute cost
@@ -173,6 +172,8 @@ mod tests {
         let huge = Cost::new(7, u64::MAX / 2);
         assert_eq!(huge.q_saturating(u64::MAX), u64::MAX);
         assert_eq!(Cost::new(u64::MAX, 1).q_saturating(2), u64::MAX);
+        assert_eq!(huge.q(u64::MAX), u64::MAX);
+        assert_eq!(Cost::new(u64::MAX, 1).q(2), u64::MAX);
     }
 
     #[test]

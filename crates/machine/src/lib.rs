@@ -25,14 +25,18 @@
 //!   quantities the paper uses (`m = ⌈M/B⌉`, `n = ⌈N/B⌉`, round budget `ωm`).
 //! * [`Machine`] — the *copy-semantics* machine used to run algorithms:
 //!   block-granular I/O, enforced internal-memory capacity, exact metering of
-//!   reads/writes, optional trace recording. Algorithms access it through the
-//!   [`AemAccess`] trait so they run unmodified on instrumentation wrappers.
+//!   reads/writes. Algorithms access it through the [`AemAccess`] trait so
+//!   they run unmodified on wrappers that change behaviour.
 //! * [`MachineCore`] / [`BlockStore`] — the meter behind [`Machine`],
 //!   generic over pluggable storage backends: the copying [`VecStore`]
 //!   (default), the buffer-recycling [`ArenaStore`] ([`ArenaMachine`]) and
 //!   the cost-only [`GhostStore`] ([`GhostMachine`]), which carries no data
 //!   payload and lets pure cost sweeps scale `N` by two orders of
 //!   magnitude. See [`store`] for when each backend is sound.
+//! * [`Observer`] — the one I/O event sink. A [`MachineCore`] calls its
+//!   sink after every successful metered operation and on the phase
+//!   hooks; the default `()` sink costs nothing, and every recorder
+//!   ([`Trace`], [`CompiledTrace`], `aem-obs`'s run recorder) is a sink.
 //! * [`AtomMachine`] — the *move-semantics* machine of §4.2 of the paper,
 //!   used for the lower-bound machinery: elements are indivisible **atoms**,
 //!   a read chooses the subset of atoms to keep (destroying their external
@@ -47,7 +51,7 @@
 //! * [`Trace`] — recorded straight-line I/O programs (the paper's notion of
 //!   *program* as opposed to *algorithm*), replayable and analyzable.
 //! * [`TraceMachine`] / [`CompiledTrace`] — schedule recording and
-//!   arithmetic replay: a vec-semantics run compiles its metered I/O
+//!   arithmetic replay: a vec machine whose sink compiles its metered I/O
 //!   (bulk runs as single ops) into a schedule whose cost re-evaluates
 //!   as one pass of integer additions — see [`compiled`].
 //!
@@ -94,6 +98,7 @@ pub mod cost;
 pub mod error;
 pub mod external;
 pub mod machine;
+pub mod observer;
 pub mod rounds;
 pub mod store;
 pub mod trace;
@@ -105,6 +110,7 @@ pub use config::AemConfig;
 pub use cost::{Cost, IoCounter};
 pub use error::{MachineError, Result};
 pub use machine::{AemAccess, ArenaMachine, GhostMachine, Machine, MachineCore};
+pub use observer::{IoRun, Observer};
 pub use rounds::RoundBasedMachine;
 pub use store::{ArenaStore, Backend, BlockStore, GhostStore, VecStore};
 pub use trace::{IoEvent, Trace, TraceStats};

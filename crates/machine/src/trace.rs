@@ -9,7 +9,9 @@
 //! [`crate::rounds`] and in the `aem-flash` crate.
 
 use crate::block::BlockId;
+use crate::config::AemConfig;
 use crate::cost::Cost;
+use crate::observer::Observer;
 
 /// One I/O operation of a recorded program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,10 +79,23 @@ impl IoEvent {
 }
 
 /// A straight-line I/O program: the sequence of I/Os one algorithm execution
-/// performed, in order.
+/// performed, in order. As a machine's sink (`Machine<T, Trace>`) it
+/// records one event per block transfer, bulk runs included.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<IoEvent>,
+}
+
+impl Observer for Trace {
+    fn new_sink(_: AemConfig) -> Self {
+        Trace::new()
+    }
+    fn on_io(&mut self, ev: &IoEvent, _: usize) {
+        self.events.push(ev.clone());
+    }
+    fn on_reset(&mut self) {
+        self.events.clear();
+    }
 }
 
 impl Trace {

@@ -276,15 +276,16 @@ mod tests {
     use super::*;
     use crate::instrument::InstrumentedMachine;
     use crate::record::WorkloadMeta;
-    use aem_machine::{AemConfig, BlockId, IoEvent, Machine, Trace};
+    use aem_machine::{AemConfig, BlockId, IoEvent, Trace};
 
     fn sorted_run(n: usize, cfg: AemConfig) -> RunRecord {
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
+        let mut im: InstrumentedMachine<u64> = InstrumentedMachine::new(cfg);
         let input: Vec<u64> = (0..n as u64).rev().collect();
-        let region = im.inner_mut().install(&input);
+        let region = im.install(&input);
         let out = aem_core::sort::merge_sort(&mut im, region).unwrap();
-        assert!(im.inner().inspect(out).windows(2).all(|w| w[0] <= w[1]));
-        im.into_record(WorkloadMeta::new("sort", "aem", n as u64))
+        assert!(im.inspect(out).windows(2).all(|w| w[0] <= w[1]));
+        im.into_sink()
+            .into_record(WorkloadMeta::new("sort", "aem", n as u64))
     }
 
     #[test]
@@ -418,13 +419,15 @@ mod tests {
     #[test]
     fn em_sort_passes_with_its_own_predictor() {
         let cfg = AemConfig::new(64, 8, 16).unwrap();
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
+        let mut im: InstrumentedMachine<u64> = InstrumentedMachine::new(cfg);
         let n = 256usize;
         let input: Vec<u64> = (0..n as u64).rev().collect();
-        let region = im.inner_mut().install(&input);
+        let region = im.install(&input);
         let out = aem_core::sort::em_merge_sort(&mut im, region).unwrap();
-        assert!(im.inner().inspect(out).windows(2).all(|w| w[0] <= w[1]));
-        let rec = im.into_record(WorkloadMeta::new("sort", "em", n as u64));
+        assert!(im.inspect(out).windows(2).all(|w| w[0] <= w[1]));
+        let rec = im
+            .into_sink()
+            .into_record(WorkloadMeta::new("sort", "em", n as u64));
         for check in run_all(&rec) {
             assert!(check.passed, "{}: {}", check.name, check.detail);
         }
@@ -436,13 +439,15 @@ mod tests {
         // three checkers — including the sandwich against its own
         // predictor — must hold on a real run.
         let cfg = AemConfig::new(64, 8, 16).unwrap();
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
+        let mut im: InstrumentedMachine<u64> = InstrumentedMachine::new(cfg);
         let n = 700usize;
         let input: Vec<u64> = (0..n as u64).rev().collect();
-        let region = im.inner_mut().install(&input);
+        let region = im.install(&input);
         let out = aem_core::sort::sort_via_pq(&mut im, region).unwrap();
-        assert!(im.inner().inspect(out).windows(2).all(|w| w[0] <= w[1]));
-        let rec = im.into_record(WorkloadMeta::new("sort", "pq", n as u64));
+        assert!(im.inspect(out).windows(2).all(|w| w[0] <= w[1]));
+        let rec = im
+            .into_sink()
+            .into_record(WorkloadMeta::new("sort", "pq", n as u64));
         assert!(
             rec.phases.iter().any(|p| p.name == "pq-build")
                 && rec.phases.iter().any(|p| p.name == "pq-drain"),

@@ -4,7 +4,7 @@
 //! A full [`aem_machine::Trace`] can hold millions of events; the flight
 //! recorder keeps only the last `K` (default
 //! [`DEFAULT_FLIGHT_CAPACITY`]), each tagged with the innermost open
-//! phase and its ω-weighted cost contribution. [`InstrumentedMachine`]
+//! phase and its ω-weighted cost contribution. The [`RunRecorder`] sink
 //! feeds it on every I/O, so when an algorithm panics mid-phase —
 //! fuzz-injected fault, checker-violating schedule, plain bug — the tail
 //! of the I/O program that led up to the fault survives the unwind:
@@ -13,7 +13,7 @@
 //! [`panic sink`](FlightRecorder::set_panic_sink), which is how the
 //! dump-on-panic test observes it through `catch_unwind`).
 //!
-//! [`InstrumentedMachine`]: crate::InstrumentedMachine
+//! [`RunRecorder`]: crate::RunRecorder
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

@@ -4,40 +4,21 @@
 //! `aem-core`'s [`run_workload`](aem_core::workload::run_workload)
 //! dispatches a kind to its seeded instance + algorithm body; a
 //! [`Harness`] decides what machine that body runs on and what the run
-//! yields. This module contributes the observability variant: wrap the
-//! chosen backend's machine in an [`InstrumentedMachine`], label the
-//! flight recorder, run the body, and hand back the full [`RunRecord`]
-//! (plus the output digest and the flight tail, which only exist
-//! machine-side). `aemsim profile` is one `run_workload` call away from
-//! any registered workload — including kinds registered after this file
-//! was last touched.
+//! yields. This module contributes the observability variant: give the
+//! chosen backend's machine a labelled [`RunRecorder`] sink, run the body,
+//! and hand back the full [`RunRecord`] (plus the output digest and the
+//! flight tail). On the trace backend the recorder rides beside the
+//! compiled schedule as a sink pair. `aemsim profile` is one
+//! `run_workload` call away from any registered workload — including
+//! kinds registered after this file was last touched.
 
-use aem_core::spmv::InstallExt;
 use aem_core::workload::{
-    visit_backend, Body, Harness, MachineVisitor, Payload, RunCtx, WorkloadError, WorkloadMachine,
+    Body, Harness, Payload, RunCtx, Verified, WorkloadError, WorkloadMachine,
 };
-use aem_machine::{AemAccess, Backend, Region};
+use aem_machine::{ArenaMachine, Backend, CompiledTrace, GhostMachine, Machine, Observer};
 
-use crate::instrument::InstrumentedMachine;
+use crate::instrument::RunRecorder;
 use crate::record::{RunRecord, WorkloadMeta};
-
-// Installation and inspection are free (un-metered) by contract, so they
-// bypass instrumentation by construction: the wrapper only observes
-// `AemAccess` traffic.
-impl<T, A: AemAccess<T> + InstallExt<T>> InstallExt<T> for InstrumentedMachine<T, A> {
-    fn install_atoms(&mut self, data: &[T]) -> Region {
-        self.inner_mut().install_atoms(data)
-    }
-}
-
-impl<T, A: WorkloadMachine<T>> WorkloadMachine<T> for InstrumentedMachine<T, A> {
-    fn inspect_region(&self, r: Region) -> Vec<T> {
-        self.inner().inspect_region(r)
-    }
-    fn payload_real(&self) -> bool {
-        self.inner().payload_real()
-    }
-}
 
 /// Everything one instrumented workload run produces.
 #[derive(Debug, Clone)]
@@ -46,8 +27,8 @@ pub struct ProfiledRun {
     pub record: RunRecord,
     /// FNV-1a digest of the verified output (0 when unverified).
     pub checksum: u64,
-    /// Flight-recorder tail as JSONL — captured before the machine is
-    /// consumed, since it exists only machine-side.
+    /// Flight-recorder tail as JSONL — captured before the recorder is
+    /// consumed, since it is not part of the record.
     pub flight_jsonl: String,
 }
 
@@ -63,6 +44,16 @@ pub struct ProfileHarness {
     pub backend: Backend,
 }
 
+/// Run `body` on `m`, then take the recorder out of the machine.
+fn recorded<T, M: WorkloadMachine<T>>(
+    mut m: M,
+    body: Body<'_, T>,
+    recorder: fn(M) -> RunRecorder,
+) -> Result<(Verified, RunRecorder), WorkloadError> {
+    let v = body(&mut m)?;
+    Ok((v, recorder(m)))
+}
+
 impl Harness for ProfileHarness {
     type Out = ProfiledRun;
 
@@ -71,46 +62,36 @@ impl Harness for ProfileHarness {
         ctx: &RunCtx,
         body: Body<'_, T>,
     ) -> Result<Self::Out, WorkloadError> {
-        struct Visit<'a, 'b, T> {
-            ctx: &'b RunCtx,
-            backend: Backend,
-            body: Body<'a, T>,
-        }
-        impl<T: Payload> MachineVisitor<T> for Visit<'_, '_, T> {
-            type Out = Result<ProfiledRun, WorkloadError>;
-            fn visit<M: WorkloadMachine<T>>(self, m: M) -> Self::Out {
-                let mut im = InstrumentedMachine::new(m);
-                im.flight_mut().set_label(&format!(
-                    "{}/{} n={} backend={}",
-                    self.ctx.kind.name(),
-                    self.ctx.algo.name,
-                    self.ctx.n,
-                    self.backend.name()
-                ));
-                let v = (self.body)(&mut im)?;
-                let flight_jsonl = im.flight().to_jsonl();
-                let record = im.into_record(WorkloadMeta::with_delta(
-                    self.ctx.kind.name(),
-                    self.ctx.algo.name,
-                    self.ctx.n as u64,
-                    self.ctx.delta as u64,
-                ));
-                Ok(ProfiledRun {
-                    record,
-                    checksum: v.checksum,
-                    flight_jsonl,
-                })
+        let cfg = ctx.cfg;
+        let mut rec = RunRecorder::new_sink(cfg);
+        rec.flight_mut().set_label(&format!(
+            "{}/{} n={} backend={}",
+            ctx.kind.name(),
+            ctx.algo.name,
+            ctx.n,
+            self.backend.name()
+        ));
+        let (v, rec) = match self.backend {
+            Backend::Vec => recorded(Machine::with_sink(cfg, rec), body, |m| m.into_sink()),
+            Backend::Arena => recorded(ArenaMachine::with_sink(cfg, rec), body, |m| m.into_sink()),
+            Backend::Ghost => recorded(GhostMachine::with_sink(cfg, rec), body, |m| m.into_sink()),
+            Backend::Trace => {
+                let sinks = (CompiledTrace::new(cfg), rec);
+                recorded(Machine::with_sink(cfg, sinks), body, |m| m.into_sink().1)
             }
-        }
-        visit_backend(
-            self.backend,
-            ctx.cfg,
-            Visit {
-                ctx,
-                backend: self.backend,
-                body,
-            },
-        )
+        }?;
+        let flight_jsonl = rec.flight().to_jsonl();
+        let record = rec.into_record(WorkloadMeta::with_delta(
+            ctx.kind.name(),
+            ctx.algo.name,
+            ctx.n as u64,
+            ctx.delta as u64,
+        ));
+        Ok(ProfiledRun {
+            record,
+            checksum: v.checksum,
+            flight_jsonl,
+        })
     }
 }
 

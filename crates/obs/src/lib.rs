@@ -1,19 +1,19 @@
 //! # `aem-obs` — the observability layer
 //!
-//! Everything needed to *watch* an AEM algorithm run: wrap a machine in an
-//! [`InstrumentedMachine`], execute any `aem-core` algorithm against it, and
+//! Everything needed to *watch* an AEM algorithm run: give a machine a
+//! [`RunRecorder`] sink (the vec machine with one is
+//! [`InstrumentedMachine`]), execute any `aem-core` algorithm on it, and
 //! get back a [`RunRecord`] containing the full I/O trace, per-event
 //! internal-memory occupancy, a phase-attributed cost tree, and a metrics
-//! registry — all serializable to a line-oriented JSONL format and checkable
-//! against the paper's invariants.
+//! registry — all serializable to a line-oriented JSONL format and
+//! checkable against the paper's invariants.
 //!
 //! The crate has four layers, each usable on its own:
 //!
-//! * **Collection** — [`InstrumentedMachine`] interposes on every
-//!   [`aem_machine::AemAccess`] operation; algorithms annotate structure
-//!   through the `phase_enter`/`phase_exit` hooks (or
-//!   [`InstrumentedMachine::enter`]/[`exit`](InstrumentedMachine::exit)
-//!   directly), and external consumers can attach [`Observer`]s.
+//! * **Collection** — [`RunRecorder`] is an [`aem_machine::Observer`]: the
+//!   machine hands it every metered operation, and algorithms annotate
+//!   structure through the `phase_enter`/`phase_exit` hooks, which the
+//!   machine forwards to it. Other sinks compose with it as a pair.
 //! * **Aggregation** — [`Metrics`] (counters, high-water [`Gauge`]s,
 //!   fixed-bucket [`Histogram`]s) and the [`PhaseNode`] tree built by the
 //!   span stack, with inclusive cost attribution via the
@@ -31,9 +31,9 @@
 //! decoder ([`pool::catch`]).
 //!
 //! Dependency direction: `aem-core` never depends on this crate — its
-//! algorithms only call the no-op phase hooks on `AemAccess`. The CLI, the
-//! benches and the integration tests wrap machines in instrumentation when
-//! they want the data.
+//! algorithms only call the phase hooks on `AemAccess`. The CLI, the
+//! benches and the integration tests attach a recorder when they want the
+//! data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,6 @@ pub mod harness;
 pub mod instrument;
 pub mod json;
 pub mod metrics;
-pub mod observer;
 pub mod phase;
 pub mod pool;
 pub mod profile;
@@ -60,9 +59,8 @@ pub use check::{
 pub use error::ObsError;
 pub use flight::{tail_from_record, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use harness::{ProfileHarness, ProfiledRun};
-pub use instrument::InstrumentedMachine;
+pub use instrument::{InstrumentedMachine, RunRecorder};
 pub use metrics::{Gauge, Histogram, Metrics};
-pub use observer::Observer;
 pub use phase::{node_depth, PhaseNode, PhaseStack};
 pub use profile::{Heatmap, Profile, Residual};
 pub use promtext::{prom_label_value, prom_name, PromText};

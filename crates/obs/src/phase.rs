@@ -1,8 +1,8 @@
 //! Phase spans: attributing cost to named, nested sections of an algorithm.
 //!
-//! Algorithms annotate their structure via [`crate::InstrumentedMachine::enter`]
-//! / `exit` (or the `phase_enter`/`phase_exit` hooks on `AemAccess`). Each
-//! entered span snapshots the machine's cumulative counters; on exit the
+//! Algorithms annotate their structure via the `phase_enter`/`phase_exit`
+//! hooks on `AemAccess`, which the machine hands to a
+//! [`crate::RunRecorder`] sink. Each entered span snapshots the machine's cumulative counters; on exit the
 //! difference (the [`aem_machine::Cost::since`] pattern) is attributed to the
 //! span, producing a tree of [`PhaseNode`]s whose costs are *inclusive* —
 //! a parent's cost covers its children's.

@@ -442,16 +442,17 @@ mod tests {
     use super::*;
     use crate::instrument::InstrumentedMachine;
     use crate::record::WorkloadMeta;
-    use aem_machine::{AemConfig, Machine};
+    use aem_machine::AemConfig;
 
     fn sorted_record(n: usize) -> RunRecord {
         let cfg = AemConfig::new(64, 8, 16).unwrap();
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
+        let mut im: InstrumentedMachine<u64> = InstrumentedMachine::new(cfg);
         let input: Vec<u64> = (0..n as u64).rev().collect();
-        let region = im.inner_mut().install(&input);
+        let region = im.install(&input);
         let out = aem_core::sort::merge_sort(&mut im, region).unwrap();
-        assert!(im.inner().inspect(out).windows(2).all(|w| w[0] <= w[1]));
-        im.into_record(WorkloadMeta::new("sort", "aem", n as u64))
+        assert!(im.inspect(out).windows(2).all(|w| w[0] <= w[1]));
+        im.into_sink()
+            .into_record(WorkloadMeta::new("sort", "aem", n as u64))
     }
 
     #[test]

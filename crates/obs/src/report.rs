@@ -241,17 +241,18 @@ mod tests {
     use crate::check::run_all;
     use crate::instrument::InstrumentedMachine;
     use crate::record::WorkloadMeta;
-    use aem_machine::{AemConfig, Machine};
+    use aem_machine::{AemAccess, AemConfig};
 
     fn sample() -> RunRecord {
         let cfg = AemConfig::new(64, 8, 16).unwrap();
-        let mut im = InstrumentedMachine::new(Machine::<u64>::new(cfg));
+        let mut im: InstrumentedMachine<u64> = InstrumentedMachine::new(cfg);
         let input: Vec<u64> = (0..128u64).rev().collect();
-        let region = im.inner_mut().install(&input);
-        im.enter("whole-sort");
+        let region = im.install(&input);
+        im.phase_enter("whole-sort");
         let _ = aem_core::sort::merge_sort(&mut im, region).unwrap();
-        im.exit();
-        im.into_record(WorkloadMeta::new("sort", "aem", 128))
+        im.phase_exit();
+        im.into_sink()
+            .into_record(WorkloadMeta::new("sort", "aem", 128))
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn plan(spec: &JobSpec) -> Result<Plan, String> {
     let (cfg, menu) = price(spec)?;
     let (algo, predicted) = menu
         .into_iter()
-        .min_by_key(|(_, c)| c.q_saturating(spec.omega))
+        .min_by_key(|(_, c)| c.q(spec.omega))
         .expect("menu is non-empty");
     let backend = match spec.backend.as_deref() {
         Some(name) => {
@@ -93,7 +93,7 @@ pub fn plan(spec: &JobSpec) -> Result<Plan, String> {
         algo,
         backend,
         predicted,
-        q: predicted.q_saturating(spec.omega),
+        q: predicted.q(spec.omega),
     })
 }
 
@@ -134,10 +134,7 @@ mod tests {
         let p2 = plan(&s).unwrap();
         assert_eq!(p1, p2);
         let (_, menu) = price(&s).unwrap();
-        assert_eq!(
-            p1.q,
-            menu.iter().map(|(_, c)| c.q_saturating(16)).min().unwrap()
-        );
+        assert_eq!(p1.q, menu.iter().map(|(_, c)| c.q(16)).min().unwrap());
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn finish(
         .and_then(|r| r);
     match result {
         Ok(r) => {
-            let q = r.measured.q_saturating(spec.omega);
+            let q = r.measured.q(spec.omega);
             state
                 .metering
                 .record_done(tenant, r.measured, q, r.via_replay);

@@ -141,7 +141,7 @@ fn basic_session_prices_admits_and_meters() {
         }
         other => panic!("expected done, got {other:?}"),
     };
-    assert_eq!(predicted.q_saturating(16), quoted_q);
+    assert_eq!(predicted.q(16), quoted_q);
     assert!(measured.total_ios() > 0);
 
     let r = exchange(&mut c, &Request::Stats).unwrap();

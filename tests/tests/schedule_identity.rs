@@ -17,7 +17,7 @@
 //!   every probe still copied its block (`read_block_into`), before the
 //!   kernels moved to borrowed reads (`read_block_with`).
 //!
-//! Every case runs on a seeded input under an `InstrumentedMachine`. Each
+//! Every case runs on a seeded input on an `InstrumentedMachine`. Each
 //! run's I/O program — every event's `(op, block, len, aux)` plus the
 //! internal-memory occupancy after it — is folded into one FNV-1a hash and
 //! compared with the pinned hash. Any change to a read, a write, the order
@@ -33,13 +33,13 @@ use aem_core::spmv::{
 };
 use aem_core::workload::fnv1a;
 use aem_core::{bfs, scan, search};
-use aem_machine::{AemConfig, IoEvent, Machine, Region, Result};
+use aem_machine::{AemConfig, IoEvent, Region, Result};
 use aem_obs::{InstrumentedMachine, WorkloadMeta};
 use aem_workloads::{
     graph_instance, scan_instance, search_instance, Conformation, KeyDist, MatrixShape, SplitMix64,
 };
 
-type Im = InstrumentedMachine<u64, Machine<u64>>;
+type Im = InstrumentedMachine<u64>;
 type Merger = fn(&mut Im, &[Region]) -> Result<(Region, MergeStats)>;
 
 /// The machine shapes: a plain one, `ω > B`, `B = 1` and `M = 4B`.
@@ -76,8 +76,10 @@ fn keys(dist: &str, n: usize, seed: u64) -> Vec<u64> {
 
 /// Hash of one run's I/O program and occupancy profile, plus `extra`
 /// (per-algorithm statistics that must not move either).
-fn program_hash<T: Clone>(im: InstrumentedMachine<T, Machine<T>>, extra: &[u64]) -> u64 {
-    let rec = im.into_record(WorkloadMeta::new("schedule", "identity", 0));
+fn program_hash<T: Clone>(im: InstrumentedMachine<T>, extra: &[u64]) -> u64 {
+    let rec = im
+        .into_sink()
+        .into_record(WorkloadMeta::new("schedule", "identity", 0));
     let events = rec.trace.events().iter().zip(&rec.occupancy);
     let words = events.flat_map(|(ev, &iu)| {
         let (op, aux) = match *ev {
@@ -99,9 +101,9 @@ fn program_hash<T: Clone>(im: InstrumentedMachine<T, Machine<T>>, extra: &[u64])
     )
 }
 
-fn machine<T: Clone>(shape: (&str, usize, usize, u64)) -> InstrumentedMachine<T, Machine<T>> {
+fn machine<T: Clone>(shape: (&str, usize, usize, u64)) -> InstrumentedMachine<T> {
     let (_, mem, b, omega) = shape;
-    InstrumentedMachine::new(Machine::new(AemConfig::new(mem, b, omega).unwrap()))
+    InstrumentedMachine::new(AemConfig::new(mem, b, omega).unwrap())
 }
 
 fn checked_sort(
@@ -110,21 +112,21 @@ fn checked_sort(
     sorter: fn(&mut Im, Region) -> Result<Region>,
 ) -> u64 {
     let mut im = machine(shape);
-    let r = im.inner_mut().install(input);
+    let r = im.install(input);
     let out = sorter(&mut im, r).unwrap();
     let mut want = input.to_vec();
     want.sort();
-    assert_eq!(im.inner().inspect(out), want);
+    assert_eq!(im.inspect(out), want);
     program_hash(im, &[])
 }
 
 fn checked_merge(shape: (&str, usize, usize, u64), runs: &[Vec<u64>], merger: Merger) -> u64 {
     let mut im = machine(shape);
-    let regions: Vec<Region> = runs.iter().map(|r| im.inner_mut().install(r)).collect();
+    let regions: Vec<Region> = runs.iter().map(|r| im.install(r)).collect();
     let (merged, stats) = merger(&mut im, &regions).unwrap();
     let mut want: Vec<u64> = runs.concat();
     want.sort();
-    assert_eq!(im.inner().inspect(merged), want);
+    assert_eq!(im.inspect(merged), want);
     let extra = [
         stats.rounds,
         stats.elems as u64,
@@ -318,9 +320,9 @@ fn stream_merge_hashes() -> Vec<(String, u64)> {
                 x: &x,
             };
             let mut im = machine::<MatEntry<U64Ring>>(shape);
-            let (ar, xr) = install_instance(im.inner_mut(), &inst);
+            let (ar, xr) = install_instance(&mut im, &inst);
             let y = spmv_sorted_on(&mut im, &conf, ar, xr).unwrap();
-            let got: Vec<U64Ring> = im.inner().inspect(y).into_iter().map(|e| e.val).collect();
+            let got: Vec<U64Ring> = im.inspect(y).into_iter().map(|e| e.val).collect();
             assert_eq!(
                 got,
                 reference_multiply(&conf, &a, &x),
@@ -389,7 +391,7 @@ fn probe_hashes() -> Vec<(String, u64)> {
             for (algo, run) in algos {
                 let mut im = machine(shape);
                 let dist = run(&mut im, n, &g.offs, &g.adj).unwrap();
-                assert_eq!(im.inner().inspect(dist), want, "bfs/{algo}/{name}/{graph}");
+                assert_eq!(im.inspect(dist), want, "bfs/{algo}/{name}/{graph}");
                 out.push((format!("bfs/{algo}/{name}/{graph}"), program_hash(im, &[])));
             }
         }
@@ -424,7 +426,7 @@ fn probe_hashes() -> Vec<(String, u64)> {
                 continue;
             }
             let mut im = machine(shape);
-            let r = im.inner_mut().install(&inst.values);
+            let r = im.install(&inst.values);
             let got = match algo {
                 "materialize" => scan::scan_materialize(&mut im, r, &inst.queries),
                 "rescan" => scan::scan_rescan(&mut im, r, &inst.queries),

@@ -9,12 +9,11 @@ use aem_workloads::{KeyDist, SplitMix64};
 
 fn record_merge_sort(cfg: AemConfig, n: usize) -> (aem_machine::Trace, u64) {
     let input = KeyDist::Uniform { seed: 11 }.generate(n);
-    let mut m: Machine<u64> = Machine::new(cfg);
+    let mut m: Machine<u64, Trace> = Machine::new(cfg);
     let r = m.install(&input);
-    m.start_trace();
     merge_sort(&mut m, r).unwrap();
-    let trace = m.take_trace().unwrap();
-    (trace, m.cost().q(cfg.omega))
+    let q = m.cost().q(cfg.omega);
+    (m.into_sink(), q)
 }
 
 #[test]
@@ -94,11 +93,10 @@ fn lemma_4_1_trace_conversion_bounded_on_real_programs() {
 fn em_sort_trace_has_no_aux_io_and_no_rereads_within_level() {
     let cfg = AemConfig::new(64, 8, 4).unwrap();
     let input = KeyDist::Uniform { seed: 12 }.generate(4096);
-    let mut m: Machine<u64> = Machine::new(cfg);
+    let mut m: Machine<u64, Trace> = Machine::new(cfg);
     let r = m.install(&input);
-    m.start_trace();
     em_merge_sort(&mut m, r).unwrap();
-    let s = m.take_trace().unwrap().stats();
+    let s = m.sink().stats();
     assert_eq!(
         s.aux_reads + s.aux_writes,
         0,
