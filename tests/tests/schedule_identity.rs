@@ -15,7 +15,11 @@
 //!   star graphs), search binary, btree and eytzinger (build plus lookups)
 //!   and the three scan strategies — whose hashes were recorded while
 //!   every probe still copied its block (`read_block_into`), before the
-//!   kernels moved to borrowed reads (`read_block_with`).
+//!   kernels moved to borrowed reads (`read_block_with`);
+//! * the dense kernels — matmul tiled and stream, on shapes whose tile
+//!   sides cover every residue mod 4, and permute by-sort — whose hashes
+//!   were recorded while the tile product indexed both tiles per
+//!   multiply-add and `small_sort` copied every block it scanned.
 //!
 //! Every case runs on a seeded input on an `InstrumentedMachine`. Each
 //! run's I/O program — every event's `(op, block, len, aux)` plus the
@@ -24,7 +28,9 @@
 //! of I/Os or a single ledger charge moves the hash. See
 //! `docs/COST_MODEL.md` §7 for the clauses this test enforces.
 
-use aem_core::oracle::{bfs_reference, lookup_reference, prefix_reference};
+use aem_core::matmul::{extract, matmul_stream, matmul_tiled, tile_side};
+use aem_core::oracle::{bfs_reference, lookup_reference, matmul_reference, prefix_reference};
+use aem_core::permute::{permute_by_sort_on, DestTagged};
 use aem_core::sort::{
     em_merge_sort, merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq, MergeStats,
 };
@@ -35,8 +41,10 @@ use aem_core::workload::fnv1a;
 use aem_core::{bfs, scan, search};
 use aem_machine::{AemConfig, IoEvent, Region, Result};
 use aem_obs::{InstrumentedMachine, WorkloadMeta};
+use aem_workloads::perm::{self, PermKind};
 use aem_workloads::{
-    graph_instance, scan_instance, search_instance, Conformation, KeyDist, MatrixShape, SplitMix64,
+    graph_instance, matmul_instance, scan_instance, search_instance, Conformation, KeyDist,
+    MatrixShape, SplitMix64,
 };
 
 type Im = InstrumentedMachine<u64>;
@@ -492,6 +500,128 @@ const PINNED_PROBES: &[(&str, u64)] = &[
     ("scan/rescan/M=4B", 0xe2de6ab7ee33bd4f),
 ];
 
+/// The dense kernels' shapes: the two `cost_gate` configs and `M = 3B`
+/// ones. The write-avoiding tile sides are 17, 4, 2, 3, 6 and 7 (every
+/// residue mod 4, and sides below 4); the streaming ones 21, 4, 2, 3, 6
+/// and 7.
+const DENSE_SHAPES: [(&str, usize, usize, u64); 6] = [
+    ("gate", 1024, 64, 16),
+    ("gate-small", 64, 8, 16),
+    ("M=3B", 24, 8, 16),
+    ("M=3B,B=9", 27, 9, 16),
+    ("M=3B,B=36", 108, 36, 16),
+    ("M=3B,B=49", 147, 49, 16),
+];
+
+/// Every dense-kernel case's hash, keyed `algorithm/shape/size/instance`.
+fn dense_hashes() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for &shape in &DENSE_SHAPES {
+        let (name, mem, b, omega) = shape;
+        let cfg = AemConfig::new(mem, b, omega).unwrap();
+
+        // matmul at the gate's n = 1764 (d = 42): a dense instance and
+        // one whose A rows are all zero but one.
+        type Tiling = fn(&mut Im, usize, &[u64], &[u64]) -> Result<(Region, usize)>;
+        let tilings: [(&str, Tiling, usize, usize); 2] = [
+            ("tiled", |m, d, a, b| matmul_tiled(m, d, a, b), 3, 0),
+            ("stream", |m, d, a, b| matmul_stream(m, d, a, b), 2, b),
+        ];
+        for (algo, run, ways, extra) in tilings {
+            let side = tile_side(cfg, ways, extra).unwrap().min(42);
+            for (seed, input) in [(1u64, "dense"), (2, "zero-rows")] {
+                let inst = matmul_instance(1764, seed);
+                let mut im = machine(shape);
+                let (cr, t) = run(&mut im, inst.d, &inst.a, &inst.b).unwrap();
+                assert_eq!(t, side, "matmul/{algo}/{name}");
+                let got = extract(inst.d, t, b, &im.inspect(cr));
+                let want = matmul_reference(inst.d, &inst.a, &inst.b);
+                assert_eq!(got, want, "matmul/{algo}/{name}/{input}");
+                let key = format!("{algo}/{name}/t={t}/{input}");
+                out.push((key, program_hash(im, &[t as u64])));
+            }
+        }
+
+        // permute by-sort at the gate's n = 2048; the merge needs
+        // M >= 4B, so the M = 3B shapes sort one base run of
+        // ω·max(M/2, B) elements, in `small_sort` alone.
+        let n = if mem >= 4 * b {
+            2048
+        } else {
+            omega as usize * (mem / 2).max(b)
+        };
+        for input in ["random", "reverse", "transpose"] {
+            let pi = PermKind::from_label(input, n, 1).unwrap().generate(n);
+            let values: Vec<u64> = (0..n as u64).collect();
+            let tagged: Vec<DestTagged<u64>> = values
+                .iter()
+                .zip(&pi)
+                .map(|(&value, &d)| DestTagged {
+                    dest: d as u64,
+                    value,
+                })
+                .collect();
+            let mut im = machine::<DestTagged<u64>>(shape);
+            let r = im.install(&tagged);
+            let out_r = permute_by_sort_on(&mut im, r).unwrap();
+            let got: Vec<u64> = im.inspect(out_r).into_iter().map(|t| t.value).collect();
+            assert_eq!(got, perm::apply(&pi, &values), "by-sort/{name}/{input}");
+            out.push((
+                format!("by-sort/{name}/n={n}/{input}"),
+                program_hash(im, &[]),
+            ));
+        }
+    }
+    out
+}
+
+/// Hashes recorded while the tile product indexed both tiles per
+/// multiply-add and `small_sort` scanned owned copies of its blocks.
+const PINNED_DENSE: &[(&str, u64)] = &[
+    ("tiled/gate/t=17/dense", 0x2692ea18737a4433),
+    ("tiled/gate/t=17/zero-rows", 0x2692ea18737a4433),
+    ("stream/gate/t=21/dense", 0xecc8aafae436bdf1),
+    ("stream/gate/t=21/zero-rows", 0xecc8aafae436bdf1),
+    ("by-sort/gate/n=2048/random", 0x3d87a16883e9fadf),
+    ("by-sort/gate/n=2048/reverse", 0x34368c1c42eda841),
+    ("by-sort/gate/n=2048/transpose", 0xda50705772ac2cb7),
+    ("tiled/gate-small/t=4/dense", 0xef7055be9ea59ef8),
+    ("tiled/gate-small/t=4/zero-rows", 0xef7055be9ea59ef8),
+    ("stream/gate-small/t=4/dense", 0x0805cb3fc49f6e98),
+    ("stream/gate-small/t=4/zero-rows", 0x0805cb3fc49f6e98),
+    ("by-sort/gate-small/n=2048/random", 0x8efb793576dee0a0),
+    ("by-sort/gate-small/n=2048/reverse", 0x1988ff4226c9a201),
+    ("by-sort/gate-small/n=2048/transpose", 0x00fc65397d060731),
+    ("tiled/M=3B/t=2/dense", 0x112f41a6d5ce1dca),
+    ("tiled/M=3B/t=2/zero-rows", 0x112f41a6d5ce1dca),
+    ("stream/M=3B/t=2/dense", 0xcd0e05e7be3a336e),
+    ("stream/M=3B/t=2/zero-rows", 0xcd0e05e7be3a336e),
+    ("by-sort/M=3B/n=192/random", 0xaa0ba662a2c435ed),
+    ("by-sort/M=3B/n=192/reverse", 0x8fa88f38da645cc5),
+    ("by-sort/M=3B/n=192/transpose", 0x8ec1508da5c177b3),
+    ("tiled/M=3B,B=9/t=3/dense", 0xecf3635af8de500f),
+    ("tiled/M=3B,B=9/t=3/zero-rows", 0xecf3635af8de500f),
+    ("stream/M=3B,B=9/t=3/dense", 0xbb22f96cff8c2845),
+    ("stream/M=3B,B=9/t=3/zero-rows", 0xbb22f96cff8c2845),
+    ("by-sort/M=3B,B=9/n=208/random", 0x4cb2f01924181c8f),
+    ("by-sort/M=3B,B=9/n=208/reverse", 0x887d58b67a0677d5),
+    ("by-sort/M=3B,B=9/n=208/transpose", 0xa371404624cde51f),
+    ("tiled/M=3B,B=36/t=6/dense", 0xc407fb2794281159),
+    ("tiled/M=3B,B=36/t=6/zero-rows", 0xc407fb2794281159),
+    ("stream/M=3B,B=36/t=6/dense", 0xeab6d9b6e0221eb1),
+    ("stream/M=3B,B=36/t=6/zero-rows", 0xeab6d9b6e0221eb1),
+    ("by-sort/M=3B,B=36/n=864/random", 0xd740e52c4cb9a59b),
+    ("by-sort/M=3B,B=36/n=864/reverse", 0x79e0ea432441fcc5),
+    ("by-sort/M=3B,B=36/n=864/transpose", 0x7fa380d525cdd6a1),
+    ("tiled/M=3B,B=49/t=7/dense", 0x641dd1438c77a4f3),
+    ("tiled/M=3B,B=49/t=7/zero-rows", 0x641dd1438c77a4f3),
+    ("stream/M=3B,B=49/t=7/dense", 0xca12036d21a04751),
+    ("stream/M=3B,B=49/t=7/zero-rows", 0xca12036d21a04751),
+    ("by-sort/M=3B,B=49/n=1168/random", 0xf0953f127c447c64),
+    ("by-sort/M=3B,B=49/n=1168/reverse", 0x094e8992a0a58255),
+    ("by-sort/M=3B,B=49/n=1168/transpose", 0xd940c7db78cd31bd),
+];
+
 fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String = got
         .iter()
@@ -523,4 +653,9 @@ fn stream_merge_schedules_are_pinned() {
 #[test]
 fn probe_kernel_schedules_are_pinned() {
     assert_pinned(&probe_hashes(), PINNED_PROBES);
+}
+
+#[test]
+fn dense_kernel_schedules_are_pinned() {
+    assert_pinned(&dense_hashes(), PINNED_DENSE);
 }
