@@ -617,6 +617,7 @@ mod tests {
         // fall as ω rises along powers of two.
         let omegas: Vec<u64> = (0..64).step_by(7).map(|k| 1u64 << k).collect();
         let omegas = omegas.into_iter().chain([1 << 63, u64::MAX]);
+        let mut first_listed_loses = false;
         for (kind, n) in [
             ("sort", 8192),
             ("sort", 20000),
@@ -637,17 +638,38 @@ mod tests {
                     .unwrap();
                 assert!(bound >= last_bound, "{kind} n={n} ω={omega}: {out}");
                 last_bound = bound;
-                let menu: Vec<(u64, bool)> = out
+                let menu: Vec<(&str, u64, bool)> = out
                     .lines()
                     .skip_while(|l| !l.starts_with("candidate menu"))
                     .filter(|l| l.contains(" Q = "))
-                    .map(|l| (field(l, " Q = ").parse().unwrap(), l.contains("(cheapest)")))
+                    .map(|l| {
+                        let name = l.split_whitespace().next().unwrap();
+                        let q = field(l, " Q = ").parse().unwrap();
+                        (name, q, l.contains("(cheapest)"))
+                    })
                     .collect();
-                let min = menu.iter().map(|m| m.0).min().unwrap();
-                let marked: Vec<u64> = menu.iter().filter(|m| m.1).map(|m| m.0).collect();
+                let min = menu.iter().map(|m| m.1).min().unwrap();
+                let marked: Vec<u64> = menu.iter().filter(|m| m.2).map(|m| m.1).collect();
                 assert_eq!(marked, [min], "{kind} n={n} ω={omega}: {out}");
+                if omega == u64::MAX {
+                    // Every price saturates here, so the mark must fall
+                    // on the fewest writes (then the fewest reads), not on
+                    // the first entry listed.
+                    let cfg = AemConfig::new(1024, 64, omega).unwrap();
+                    let w = WorkloadKind::from_name(kind).unwrap().descriptor();
+                    let priced = w.menu(cfg, n, 0);
+                    let fewest = priced.iter().min_by_key(|(_, c)| (c.writes, c.reads));
+                    let fewest = fewest.unwrap().0;
+                    let marked: Vec<&str> = menu.iter().filter(|m| m.2).map(|m| m.0).collect();
+                    assert_eq!(marked, [fewest], "{kind} n={n}: {out}");
+                    first_listed_loses |= fewest != priced[0].0;
+                }
             }
         }
+        assert!(
+            first_listed_loses,
+            "no case tells the true minimum from the first entry"
+        );
     }
 
     #[test]

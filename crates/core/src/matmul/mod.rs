@@ -96,6 +96,48 @@ where
     Ok(())
 }
 
+/// `c += a·b` for row-major `t×t` tiles in wrapping `u64` arithmetic;
+/// each slice holds at least `t²` elements and any padding after them is
+/// left alone. Row `x` of `c` takes four rank-1 updates per pass, one per
+/// row of `b` in the group `z..z+4`, so each `c` element is loaded and
+/// stored once per four multiply-adds; a group whose four `a[x][z]` are
+/// all zero is skipped (ghost tiles are all zeros). Wrapping arithmetic
+/// is exact mod 2^64, so the grouping does not change the product.
+fn tile_product(t: usize, a: &[u64], b: &[u64], c: &mut [u64]) {
+    let (a, b, c) = (&a[..t * t], &b[..t * t], &mut c[..t * t]);
+    // Rows of `b` in groups of four, and the `t mod 4` rows left over.
+    let quads = b.chunks_exact(4 * t);
+    let tail = quads.remainder();
+    for (arow, crow) in a.chunks_exact(t).zip(c.chunks_exact_mut(t)) {
+        let agroups = arow.chunks_exact(4);
+        let arest = agroups.remainder();
+        for (ag, brows) in agroups.zip(quads.clone()) {
+            let (a0, a1, a2, a3) = (ag[0], ag[1], ag[2], ag[3]);
+            if a0 | a1 | a2 | a3 == 0 {
+                continue;
+            }
+            let (b0, rest) = brows.split_at(t);
+            let (b1, rest) = rest.split_at(t);
+            let (b2, b3) = rest.split_at(t);
+            let rows = b0.iter().zip(b1).zip(b2).zip(b3);
+            for (cv, (((&x0, &x1), &x2), &x3)) in crow.iter_mut().zip(rows) {
+                *cv = cv
+                    .wrapping_add(a0.wrapping_mul(x0))
+                    .wrapping_add(a1.wrapping_mul(x1))
+                    .wrapping_add(a2.wrapping_mul(x2))
+                    .wrapping_add(a3.wrapping_mul(x3));
+            }
+        }
+        for (&av, brow) in arest.iter().zip(tail.chunks_exact(t)) {
+            if av != 0 {
+                for (cv, &x) in crow.iter_mut().zip(brow) {
+                    *cv = cv.wrapping_add(av.wrapping_mul(x));
+                }
+            }
+        }
+    }
+}
+
 /// The write-avoiding tiling: `C(i,j)` stays resident across the `k`
 /// loop and is written exactly once. Returns the padded tile-major
 /// product region and the tile side used (feed it to [`extract`]).
@@ -123,17 +165,7 @@ where
             for k in 0..h {
                 load_tile(m, ar, i * h + k, bt, &mut abuf)?;
                 load_tile(m, br, k * h + j, bt, &mut bbuf)?;
-                for x in 0..t {
-                    for z in 0..t {
-                        let av = abuf[x * t + z];
-                        if av != 0 {
-                            for y in 0..t {
-                                let c = &mut ctile[x * t + y];
-                                *c = c.wrapping_add(av.wrapping_mul(bbuf[z * t + y]));
-                            }
-                        }
-                    }
-                }
+                tile_product(t, &abuf, &bbuf, &mut ctile);
             }
             m.write_run(cr.block((i * h + j) * bt), &ctile)?;
         }
@@ -246,9 +278,59 @@ mod tests {
     }
 
     #[test]
+    fn tile_product_matches_a_triple_loop() {
+        let mut rng = aem_workloads::SplitMix64::seed_from_u64(0x711e);
+        for t in 1..=13usize {
+            // Padding after t² must survive untouched.
+            let pad = 3;
+            let mut tile = |zeros: bool| -> Vec<u64> {
+                (0..t * t + pad)
+                    .map(|i| {
+                        if zeros && (i / t) % 3 == 1 {
+                            0
+                        } else {
+                            rng.next_u64()
+                        }
+                    })
+                    .collect()
+            };
+            for zeros in [false, true] {
+                let (a, b, c0) = (tile(zeros), tile(false), tile(false));
+                let mut want = c0.clone();
+                for x in 0..t {
+                    for y in 0..t {
+                        for z in 0..t {
+                            let p = a[x * t + z].wrapping_mul(b[z * t + y]);
+                            want[x * t + y] = want[x * t + y].wrapping_add(p);
+                        }
+                    }
+                }
+                let mut got = c0;
+                tile_product(t, &a, &b, &mut got);
+                assert_eq!(got, want, "t={t} zeros={zeros}");
+            }
+        }
+    }
+
+    #[test]
     fn both_tilings_match_the_oracle() {
+        // Tile sides (tiled / stream): 17/17 (capped at d), 4/4 and 1/1,
+        // then 2/2, 3/3, 6/6 and 7/7 at M = 3B, and 19/24 on the larger
+        // matrix. Seeds 2 and 5 give instances whose A rows are all zero
+        // but one.
+        let shapes = [
+            (1024usize, 64usize, 300usize),
+            (64, 8, 300),
+            (64, 8, 1),
+            (24, 8, 300),
+            (27, 9, 300),
+            (108, 36, 300),
+            (147, 49, 300),
+            (1216, 64, 1764),
+        ];
+        let (mut residues, mut small) = ([[false; 4]; 2], [false; 2]);
         for seed in [0u64, 1, 2, 5] {
-            for &(mem, block, n) in &[(1024usize, 64usize, 300usize), (64, 8, 300), (64, 8, 1)] {
+            for &(mem, block, n) in &shapes {
                 let inst = matmul_instance(n, seed);
                 let want = matmul_reference(inst.d, &inst.a, &inst.b);
                 for stream in [false, true] {
@@ -262,9 +344,13 @@ mod tests {
                     let got = extract(inst.d, t, c.block, &m.inspect(cr));
                     assert_eq!(got, want, "stream={stream} n={n} seed={seed}");
                     assert_eq!(m.internal_used(), 0, "leaked budget");
+                    residues[usize::from(stream)][t % 4] = true;
+                    small[usize::from(stream)] |= t < 4;
                 }
             }
         }
+        assert_eq!(residues, [[true; 4]; 2], "every tile side mod 4");
+        assert_eq!(small, [true; 2], "a tile side below 4");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! In-memory reference oracles for differential testing.
 //!
 //! Every algorithm in this crate computes something that also has a
-//! trivial RAM-model implementation: sorting is `slice::sort`, permuting
+//! trivial RAM-model implementation: sorting is `sort_unstable`, permuting
 //! is an index gather, SpMxV is a dense accumulation loop
 //! ([`crate::spmv::reference_multiply`]). The fuzzing and property-test
 //! harnesses run the external-memory algorithms *differentially* against
@@ -16,9 +16,11 @@ pub use crate::spmv::reference_multiply;
 
 /// The sorted copy of `input` — the oracle for every sorter in
 /// [`crate::sort`].
-pub fn sorted_reference<T: Ord + Clone>(input: &[T]) -> Vec<T> {
+pub fn sorted_reference(input: &[u64]) -> Vec<u64> {
+    // Equal `u64`s are indistinguishable, so the unstable sort's output
+    // is the stable sort's.
     let mut out = input.to_vec();
-    out.sort();
+    out.sort_unstable();
     out
 }
 
@@ -71,11 +73,34 @@ pub fn matmul_reference(d: usize, a: &[u64], b: &[u64]) -> Vec<u64> {
     assert_eq!(a.len(), d * d);
     assert_eq!(b.len(), d * d);
     let mut c = vec![0u64; d * d];
-    for i in 0..d {
-        for k in 0..d {
-            let aik = a[i * d + k];
-            for j in 0..d {
-                c[i * d + j] = c[i * d + j].wrapping_add(aik.wrapping_mul(b[k * d + j]));
+    if d == 0 {
+        return c;
+    }
+    // Row i of C gathers four rank-1 updates per pass, rows k..k+4 of B,
+    // then one per leftover row. Wrapping sums are exact mod 2^64, so
+    // the grouping gives the same product as the plain i-k-j loop.
+    let fours = b.chunks_exact(4 * d);
+    let rest = fours.remainder();
+    for (ai, ci) in a.chunks_exact(d).zip(c.chunks_exact_mut(d)) {
+        let a4 = ai.chunks_exact(4);
+        let a1 = a4.remainder();
+        for (wxyz, bk) in a4.zip(fours.clone()) {
+            let (w, x, y, z) = (wxyz[0], wxyz[1], wxyz[2], wxyz[3]);
+            let (b0, bk) = bk.split_at(d);
+            let (b1, bk) = bk.split_at(d);
+            let (b2, b3) = bk.split_at(d);
+            let cols = b0.iter().zip(b1).zip(b2).zip(b3);
+            for (cij, (((&p, &q), &r), &s)) in ci.iter_mut().zip(cols) {
+                *cij = cij
+                    .wrapping_add(w.wrapping_mul(p))
+                    .wrapping_add(x.wrapping_mul(q))
+                    .wrapping_add(y.wrapping_mul(r))
+                    .wrapping_add(z.wrapping_mul(s));
+            }
+        }
+        for (&aik, bk) in a1.iter().zip(rest.chunks_exact(d)) {
+            for (cij, &bkj) in ci.iter_mut().zip(bk) {
+                *cij = cij.wrapping_add(aik.wrapping_mul(bkj));
             }
         }
     }
@@ -138,7 +163,7 @@ mod tests {
     #[test]
     fn sorted_reference_sorts() {
         assert_eq!(sorted_reference(&[3u64, 1, 2]), vec![1, 2, 3]);
-        assert_eq!(sorted_reference::<u64>(&[]), Vec::<u64>::new());
+        assert_eq!(sorted_reference(&[]), Vec::<u64>::new());
     }
 
     #[test]
@@ -206,6 +231,26 @@ mod tests {
         // [[1,0],[0,1]] * [[5,6],[7,8]]
         let c = matmul_reference(2, &[1, 0, 0, 1], &[5, 6, 7, 8]);
         assert_eq!(c, vec![5, 6, 7, 8]);
+        assert_eq!(matmul_reference(0, &[], &[]), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn matmul_reference_matches_the_naive_triple_loop() {
+        let mut rng = aem_workloads::SplitMix64::seed_from_u64(0x3a7);
+        for d in 1..=11usize {
+            let a: Vec<u64> = (0..d * d).map(|_| rng.next_u64()).collect();
+            let b: Vec<u64> = (0..d * d).map(|_| rng.next_u64()).collect();
+            let mut want = vec![0u64; d * d];
+            for i in 0..d {
+                for j in 0..d {
+                    for k in 0..d {
+                        let p = a[i * d + k].wrapping_mul(b[k * d + j]);
+                        want[i * d + j] = want[i * d + j].wrapping_add(p);
+                    }
+                }
+            }
+            assert_eq!(matmul_reference(d, &a, &b), want, "d={d}");
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   every live run and moves the next `M/4` smallest elements in. The
 //!   round buffer is the merge's `Selector` on its sorted path; a run's
 //!   scan stops once the buffer is full and a block's last element lies
-//!   above the buffer maximum.
+//!   above the buffer maximum. As in the merge, each run's members are
+//!   consecutive positions, so the batch is ordered by run before one
+//!   run-merging sort instead of being sorted from scratch.
 //!
 //! The per-run consumption state follows the §3 mergesort discipline
 //! exactly:
@@ -47,7 +49,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use aem_machine::{AemAccess, AemConfig, MachineError, Region, Result};
 
-use crate::sort::merge::{advance_pointers, pointer_after};
+use crate::sort::merge::{advance_pointers, in_order, pointer_after};
 use crate::sort::{merge_runs, Selector};
 
 /// Tagged element `(key, run id, position within run)`: a strict total
@@ -433,44 +435,61 @@ impl<T: Ord + Clone> BufferedPq<T> {
             }
             machine.discard(words.len())?;
         }
-        let batch = sel.into_sorted();
+        let members = sel.into_members();
         debug_assert!(
-            batch.is_empty() == (self.external_remaining() == 0),
+            members.is_empty() == (self.external_remaining() == 0),
             "a refill makes progress whenever external elements remain"
         );
-        // Per-run consumption: the batch's elements of run i form a prefix
-        // of its unconsumed elements (the selection keeps the globally
-        // smallest, and runs are sorted), so the last one fixes the new
-        // boundary and block pointer. Runs are found by id through a
-        // sorted index; `last_at[i]` is the batch index of run i's last
-        // element.
+        // Per-run consumption: the round's members of run i are the
+        // `count[i]` consecutive positions from `first[i]` on (the
+        // selection keeps the globally smallest, and runs are sorted), so
+        // the last one, `members[last_at[i]]`, fixes the new boundary and
+        // block pointer. Runs are found by id through a sorted index.
         let mut by_id: Vec<(u32, usize)> = self.runs.iter().map(|r| r.id).zip(0..).collect();
         by_id.sort_unstable();
-        let mut count = vec![0usize; self.runs.len()];
-        let mut last_at = vec![None; self.runs.len()];
-        for (at, t) in batch.iter().enumerate() {
+        let run_of = |id: u32| {
             let k = by_id
-                .binary_search_by_key(&t.1, |&(id, _)| id)
-                .expect("batch elements come from live runs");
-            let i = by_id[k].1;
+                .binary_search_by_key(&id, |&(id, _)| id)
+                .expect("round members come from live runs");
+            by_id[k].1
+        };
+        let live = self.runs.len();
+        let (mut first, mut count, mut last_at) =
+            (vec![0u64; live], vec![0usize; live], vec![0; live]);
+        let mut contributing = Vec::new();
+        for (at, (_, id, pos)) in members.iter().enumerate() {
+            let i = run_of(*id);
+            if count[i] == 0 {
+                contributing.push(i);
+                (first[i], last_at[i]) = (*pos, at);
+            } else if *pos < first[i] {
+                first[i] = *pos;
+            } else if *pos > members[last_at[i]].2 {
+                last_at[i] = at;
+            }
             count[i] += 1;
-            last_at[i] = Some(at); // batch is sorted: later wins
         }
         let mut ptr_updates: Vec<(usize, u64)> = Vec::new();
-        for (i, run) in self.runs.iter_mut().enumerate() {
-            let Some(at) = last_at[i] else {
-                continue;
-            };
-            let last = &batch[at];
+        for &i in &contributing {
+            let run = &mut self.runs[i];
+            let last = members[last_at[i]].clone();
             run.remaining -= count[i];
             let new_ptr = pointer_after(last.2 as usize, run.region.elems, b);
-            run.boundary = Some(last.clone());
+            run.boundary = Some(last);
             if run.remaining > 0 {
                 // Exhausted runs are dropped below; their pointer word is
                 // left stale and reset when the slot is reused.
                 ptr_updates.push((run.slot, new_ptr));
             }
         }
+        let batch = in_order(
+            members,
+            |t| run_of(t.1),
+            &contributing,
+            &first,
+            &count,
+            &mut vec![0; live],
+        );
         ptr_updates.sort_unstable();
         advance_pointers(machine, ptrs, &ptr_updates)?;
         // Drop exhausted runs (their external blocks are simply abandoned;

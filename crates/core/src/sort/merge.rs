@@ -235,7 +235,14 @@ where
             count[r] += 1;
         }
         contributing.sort_unstable();
-        let batch = in_order(members, &contributing, &first, &count, &mut base);
+        let batch = in_order(
+            members,
+            |t| t.1 as usize,
+            &contributing,
+            &first,
+            &count,
+            &mut base,
+        );
         debug_assert!(!batch.is_empty(), "progress while written < total");
         boundary = batch.last().cloned();
         written += batch.len();
@@ -316,7 +323,9 @@ pub(crate) fn advance_pointers<T, A: AemAccess<T>>(
 
 /// A round's members in ascending order.
 ///
-/// Run `r`'s members are the `count[r]` positions from `first[r]` on: the
+/// Member `t` belongs to run `run_of(t)`, an index into `first`, `count`
+/// and `base`. Run `r`'s members are the `count[r]` positions from
+/// `first[r]` on: the
 /// buffer keeps the smallest candidates, a run's candidates are its
 /// unconsumed elements in position order, and tags ascend with position
 /// within a run. One pass therefore places every member at its run's
@@ -327,8 +336,9 @@ pub(crate) fn advance_pointers<T, A: AemAccess<T>>(
 /// `M̂·log₂ k'` comparisons for `k'` contributing runs instead of the
 /// `M̂·log₂ M̂` of sorting the buffer from scratch; many short stretches
 /// cost no more than that.
-fn in_order<T: Ord>(
+pub(crate) fn in_order<T: Ord>(
     members: Vec<Tagged<T>>,
+    run_of: impl Fn(&Tagged<T>) -> usize,
     contributing: &[usize],
     first: &[u64],
     count: &[usize],
@@ -341,7 +351,7 @@ fn in_order<T: Ord>(
     }
     let mut slots: Vec<Option<Tagged<T>>> = (0..members.len()).map(|_| None).collect();
     for t in members {
-        let r = t.1 as usize;
+        let r = run_of(&t);
         let slot = base[r] + (t.2 - first[r]) as usize;
         slots[slot] = Some(t);
     }

@@ -15,10 +15,11 @@
 //! ingest paths:
 //!
 //! * [`offer_unsorted`](Selector::offer_unsorted) — for blocks in no
-//!   particular order. Candidates below a running cut are appended; when
-//!   the pool reaches `2·cap` it is compacted to the `cap` smallest with
+//!   particular order, lent by the machine and tagged by position.
+//!   Candidates below a running cut are cloned and appended; when the
+//!   pool reaches `2·cap` it is compacted to the `cap` smallest with
 //!   `select_nth_unstable`, which lowers the cut. `O(1)` amortised work
-//!   per element.
+//!   per element, and no copy of an element that is not a candidate.
 //! * [`offer_sorted`](Selector::offer_sorted) — for blocks of sorted runs.
 //!   The prefix at or below the boundary is skipped by binary search.
 //!   Until the buffer is full its members are collected unordered (nothing
@@ -78,37 +79,6 @@ impl<K: Ord + Clone> Selector<K> {
     pub(crate) fn full_max(&self) -> Option<&K> {
         debug_assert!(self.pool.is_empty(), "full_max needs the sorted path");
         self.heap.peek()
-    }
-
-    /// Offer one block whose elements arrive in no particular order.
-    /// `tag(i, x)` tags the block's `i`-th element; tags at or below
-    /// `boundary` are not candidates. Returns how many members the buffer
-    /// gained (`len()` after minus before).
-    pub(crate) fn offer_unsorted<T>(
-        &mut self,
-        block: Vec<T>,
-        boundary: Option<&K>,
-        mut tag: impl FnMut(usize, T) -> K,
-    ) -> usize {
-        debug_assert!(
-            self.heap.is_empty() && self.filling.is_empty(),
-            "a selector is fed one way"
-        );
-        let before = self.len();
-        for (i, x) in block.into_iter().enumerate() {
-            let t = tag(i, x);
-            if boundary.is_some_and(|bd| t <= *bd) {
-                continue;
-            }
-            self.seen += 1;
-            if self.cut.as_ref().map_or(true, |c| t < *c) {
-                self.pool.push(t);
-                if self.pool.len() >= 2 * self.cap {
-                    self.compact();
-                }
-            }
-        }
-        self.len() - before
     }
 
     /// Offer one block of a sorted run: `tag(i, x)` must ascend strictly
@@ -196,13 +166,53 @@ impl<K: Ord + Clone> Selector<K> {
     }
 }
 
+impl<T: Ord + Clone> Selector<(T, u64)> {
+    /// Offer one block whose elements arrive in no particular order,
+    /// borrowed from the machine: the block's `i`-th element `x` is the
+    /// candidate `(x, first + i)`. Tags at or below `boundary` are not
+    /// candidates. Both tests compare through references, so an element
+    /// is cloned only when it enters the pool. Returns how many members
+    /// the buffer gained (`len()` after minus before).
+    pub(crate) fn offer_unsorted(
+        &mut self,
+        block: &[T],
+        first: u64,
+        boundary: Option<&(T, u64)>,
+    ) -> usize {
+        debug_assert!(
+            self.heap.is_empty() && self.filling.is_empty(),
+            "a selector is fed one way"
+        );
+        let before = self.len();
+        for (x, pos) in block.iter().zip(first..) {
+            if boundary.is_some_and(|(bx, bp)| (x, pos) <= (bx, *bp)) {
+                continue;
+            }
+            self.seen += 1;
+            if self
+                .cut
+                .as_ref()
+                .map_or(true, |(cx, cp)| (x, pos) < (cx, *cp))
+            {
+                self.pool.push((x.clone(), pos));
+                if self.pool.len() >= 2 * self.cap {
+                    self.compact();
+                }
+            }
+        }
+        self.len() - before
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use aem_workloads::SplitMix64;
 
-    /// Tag `(key, run, position)`, as the merge and the queue use.
-    type Tag = (u64, u32, u64);
+    /// Tag `((key, run), position)`: ordered as the `(key, run, position)`
+    /// tags of the merge and the queue, and shaped as the unsorted path's
+    /// `(element, position)` candidates.
+    type Tag = ((u64, u32), u64);
 
     const B: usize = 8;
 
@@ -218,7 +228,7 @@ mod tests {
                 let block = chunk
                     .iter()
                     .enumerate()
-                    .map(|(off, &k)| (k, run, (blk * B + off) as u64))
+                    .map(|(off, &k)| ((k, run), (blk * B + off) as u64))
                     .collect();
                 out.push(block);
             }
@@ -266,14 +276,16 @@ mod tests {
                         }
                         offered.extend(&block);
                         let want = reference(&offered, boundary.as_ref(), cap);
-                        let retag = |_: usize, t: Tag| t;
                         let gained = if sorted {
                             let last = block.last().copied();
-                            let (gained, max) = sel.offer_sorted(block, boundary.as_ref(), retag);
+                            let (gained, max) =
+                                sel.offer_sorted(block, boundary.as_ref(), |_, t| t);
                             assert_eq!(max, last, "block maximum is its last element");
                             gained
                         } else {
-                            sel.offer_unsorted(block, boundary.as_ref(), retag)
+                            // A block's positions are consecutive.
+                            let elems: Vec<(u64, u32)> = block.iter().map(|t| t.0).collect();
+                            sel.offer_unsorted(&elems, block[0].1, boundary.as_ref())
                         };
                         assert_eq!(sel.len(), want.len(), "len == min(cap, seen)");
                         assert_eq!(gained, sel.len() - before);
@@ -322,7 +334,7 @@ mod tests {
         let mut sel = Selector::new(4);
         let (gained, max) = sel.offer_sorted(vec![1u64, 2, 3, 4, 5], Some(&3), |_, x| x);
         assert_eq!((gained, max), (2, Some(5)));
-        let gained = Selector::new(4).offer_unsorted(vec![5u64, 1, 4, 2, 3], Some(&3), |_, x| x);
+        let gained = Selector::new(4).offer_unsorted(&[5u64, 1, 4, 2, 3], 0, Some(&(3, 9)));
         assert_eq!(gained, 2);
     }
 

@@ -11,11 +11,13 @@
 //! dear, so trading `ω` scans for a single output write is exactly the
 //! asymmetric-memory bargain.
 //!
-//! Each scan feeds its blocks to a `Selector` through the unsorted path:
-//! candidates below a running cut are appended and compacted with
-//! `select_nth_unstable` whenever the host pool reaches `2C`, so the scan
-//! costs `O(1)` amortised host work per element, not a heap operation. The
-//! ledger still holds exactly `min(C, candidates seen)` after every block
+//! Each scan reads its blocks borrowed (`read_block_with`, metered exactly
+//! as a copying read) and feeds them to a `Selector` through the unsorted
+//! path: candidates below a running cut are cloned, appended and compacted
+//! with `select_nth_unstable` whenever the host pool reaches `2C`, so the
+//! scan costs `O(1)` amortised host work per element, not a heap operation,
+//! and copies only the elements that enter the pool. The ledger still
+//! holds exactly `min(C, candidates seen)` after every block
 //! (`docs/COST_MODEL.md` §7).
 //!
 //! Ties are broken by input position, making the sort stable and the
@@ -73,10 +75,10 @@ where
         // The ledger holds `min(cap, seen)` of each block; the rest leaves.
         let mut sel = Selector::new(cap);
         for blk in 0..input.blocks {
-            let data = machine.read_block(input.block(blk))?;
-            let len = data.len();
-            let kept =
-                sel.offer_unsorted(data, last.as_ref(), |off, x| (x, (blk * b + off) as u64));
+            let mut kept = 0;
+            let len = machine.read_block_with(input.block(blk), &mut |data| {
+                kept = sel.offer_unsorted(data, (blk * b) as u64, last.as_ref());
+            })?;
             machine.discard(len - kept)?;
         }
 

@@ -211,12 +211,14 @@ impl Workload {
             .collect()
     }
 
-    /// The cheapest menu entry under `Q = Q_r + ω·Q_w` (ties resolve to
-    /// the earliest candidate, keeping planner output deterministic).
+    /// The cheapest menu entry under the exact `Q = Q_r + ω·Q_w` (ties
+    /// resolve to the earliest candidate, keeping planner output
+    /// deterministic). Prices compare unsaturated, so at a huge `ω` the
+    /// fewest-writes entry wins even where every `Cost::q` is `u64::MAX`.
     pub fn cheapest(&self, cfg: AemConfig, n: usize, delta: usize) -> Option<(&'static str, Cost)> {
         self.menu(cfg, n, delta)
             .into_iter()
-            .min_by_key(|(_, c)| c.q(cfg.omega))
+            .min_by_key(|(_, c)| c.q_exact(cfg.omega))
     }
 
     /// Theorem 4.5's lower bound on the cost `Q` of any program for this

@@ -38,6 +38,14 @@ impl Cost {
         self.reads.saturating_add(omega.saturating_mul(self.writes))
     }
 
+    /// The AEM cost `Q = Q_r + ω·Q_w` exactly: `u128` holds it for every
+    /// `u64` count and `ω`, so prices that [`Cost::q`] saturates to the
+    /// same `u64::MAX` still compare by their true size.
+    #[inline]
+    pub fn q_exact(&self, omega: u64) -> u128 {
+        self.reads as u128 + omega as u128 * self.writes as u128
+    }
+
     /// Total number of I/Os regardless of direction (the symmetric EM cost).
     #[inline]
     pub fn total_ios(&self) -> u64 {
@@ -174,6 +182,16 @@ mod tests {
         assert_eq!(Cost::new(u64::MAX, 1).q_saturating(2), u64::MAX);
         assert_eq!(huge.q(u64::MAX), u64::MAX);
         assert_eq!(Cost::new(u64::MAX, 1).q(2), u64::MAX);
+    }
+
+    #[test]
+    fn q_exact_orders_prices_that_saturate() {
+        assert_eq!(Cost::new(10, 3).q_exact(16), 58);
+        let (few_writes, many_writes) = (Cost::new(1000, 2), Cost::new(0, 3));
+        assert_eq!(few_writes.q(u64::MAX), many_writes.q(u64::MAX));
+        assert!(few_writes.q_exact(u64::MAX) < many_writes.q_exact(u64::MAX));
+        let max = Cost::new(u64::MAX, u64::MAX).q_exact(u64::MAX);
+        assert_eq!(max, u128::from(u64::MAX) << 64);
     }
 
     #[test]

@@ -68,9 +68,10 @@ pub fn ghost_sound(kind: JobKind, algo: &str) -> bool {
 /// Pick the cheapest eligible algorithm and a sound backend for `spec`.
 pub fn plan(spec: &JobSpec) -> Result<Plan, String> {
     let (cfg, menu) = price(spec)?;
+    // Exact prices, earliest entry on ties, as `Workload::cheapest`.
     let (algo, predicted) = menu
         .into_iter()
-        .min_by_key(|(_, c)| c.q(spec.omega))
+        .min_by_key(|(_, c)| c.q_exact(spec.omega))
         .expect("menu is non-empty");
     let backend = match spec.backend.as_deref() {
         Some(name) => {

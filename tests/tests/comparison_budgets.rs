@@ -13,24 +13,37 @@
 //! key first, so each tuple comparison counts once, whether or not the
 //! tags decide it. Debug builds also count the kernels' `debug_assert!`
 //! sortedness checks; the budgets hold in both profiles.
+//!
+//! Copies are host work too: every `Clone` of a [`Counted`] bumps a second
+//! counter, the machine's copying reads and writes included. An element
+//! crosses the host boundary about once per element of each block moved,
+//! so copy budgets are `c′·(Q_r + Q_w)·B` for the run's own metered cost.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 
 use aem_core::sort::{em_merge_sort, merge_sort, sort_via_pq};
-use aem_machine::{AemConfig, Machine, Region, Result};
+use aem_machine::{AemAccess, AemConfig, Cost, Machine, Region, Result};
 use aem_workloads::KeyDist;
 
 thread_local! {
     static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+    static CLONES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A key that counts the comparisons made on it.
-#[derive(Debug, Clone)]
+/// A key that counts the comparisons and copies made of it.
+#[derive(Debug)]
 struct Counted<T>(T);
 
 fn tick() {
     COMPARISONS.with(|c| c.set(c.get() + 1));
+}
+
+impl<T: Clone> Clone for Counted<T> {
+    fn clone(&self) -> Self {
+        CLONES.with(|c| c.set(c.get() + 1));
+        Counted(self.0.clone())
+    }
 }
 
 impl<T: PartialEq> PartialEq for Counted<T> {
@@ -57,26 +70,33 @@ impl<T: Ord> Ord for Counted<T> {
 
 type Sorter = fn(&mut Machine<Counted<u64>>, Region) -> Result<Region>;
 
-/// Sort `n` keys of `dist` on `(mem, b, omega)`, check the output and
-/// return the comparisons made by the sort alone.
-fn comparisons(
-    sorter: Sorter,
-    (mem, b, omega): (usize, usize, u64),
-    dist: KeyDist,
-    n: usize,
-) -> u64 {
-    let keys = dist.generate(n);
+/// The host work of one sort: comparisons, clones and the metered cost.
+struct Work {
+    comparisons: u64,
+    clones: u64,
+    cost: Cost,
+}
+
+/// Sort `n` uniform keys on `(mem, b, omega)`, check the output and
+/// return the work done by the sort alone.
+fn work(sorter: Sorter, (mem, b, omega): (usize, usize, u64), n: usize) -> Work {
+    let keys = KeyDist::Uniform { seed: 7 }.generate(n);
     let mut m: Machine<Counted<u64>> = Machine::new(AemConfig::new(mem, b, omega).unwrap());
     let input: Vec<Counted<u64>> = keys.iter().copied().map(Counted).collect();
     let r = m.install(&input);
-    let before = COMPARISONS.with(Cell::get);
+    let before = (COMPARISONS.with(Cell::get), CLONES.with(Cell::get));
     let out = sorter(&mut m, r).unwrap();
-    let count = COMPARISONS.with(Cell::get) - before;
+    let comparisons = COMPARISONS.with(Cell::get) - before.0;
+    let clones = CLONES.with(Cell::get) - before.1;
     let got: Vec<u64> = m.inspect(out).into_iter().map(|c| c.0).collect();
     let mut want = keys;
     want.sort_unstable();
     assert!(got == want, "output is not the sorted input");
-    count
+    Work {
+        comparisons,
+        clones,
+        cost: m.cost(),
+    }
 }
 
 /// The gate machine of `cost_gate` with room for two merge levels.
@@ -95,7 +115,7 @@ type Budget = ((usize, usize, u64), usize, f64);
 fn check_budgets(name: &str, sorter: Sorter, rows: &[Budget]) {
     let mut over = Vec::new();
     for &(shape, n, c) in rows {
-        let count = comparisons(sorter, shape, KeyDist::Uniform { seed: 7 }, n);
+        let count = work(sorter, shape, n).comparisons;
         let nlogn = n as f64 * (n as f64).log2();
         let budget = (c * nlogn) as u64;
         eprintln!(
@@ -143,6 +163,67 @@ fn sort_via_pq_within_comparison_budget() {
             (GATE, 2047, 5.5),           // was 7.62
             (LARGE, 1 << 16, 3.05),      // was 6.11
             (LARGE, (1 << 16) - 1, 2.6), // was 517: every pop scanned the insert buffer
+        ],
+    );
+}
+
+/// One copy-budget row `(machine, n, c′)`: at most `c′·(Q_r + Q_w)·B`
+/// clones on `n` uniform keys. Each `c′` sits within 10% above the
+/// measured count; the comments give the count before `small_sort`
+/// scanned borrowed blocks and cloned only the elements entering its pool.
+type CloneBudget = ((usize, usize, u64), usize, f64);
+
+fn check_clone_budgets(name: &str, sorter: Sorter, rows: &[CloneBudget]) {
+    let mut over = Vec::new();
+    for &(shape, n, c) in rows {
+        let w = work(sorter, shape, n);
+        let moved = (w.cost.reads + w.cost.writes) as f64 * shape.1 as f64;
+        let budget = (c * moved) as u64;
+        eprintln!(
+            "{name} {shape:?} n={n}: {} clones = {:.3}·(Q_r + Q_w)·B (budget c′ = {c})",
+            w.clones,
+            w.clones as f64 / moved
+        );
+        if w.clones > budget {
+            over.push(format!("{name} {shape:?} n={n}: {} > {budget}", w.clones));
+        }
+    }
+    assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
+}
+
+#[test]
+fn em_merge_sort_within_clone_budget() {
+    check_clone_budgets(
+        "em_merge_sort",
+        em_merge_sort,
+        &[
+            (GATE, 2048, 0.55),     // was 0.500
+            (LARGE, 1 << 20, 0.55), // was 0.500
+        ],
+    );
+}
+
+#[test]
+fn merge_sort_within_clone_budget() {
+    // The base runs are `small_sort`'s scans.
+    check_clone_budgets(
+        "merge_sort",
+        merge_sort,
+        &[
+            (GATE, 2048, 0.52),     // was 0.903
+            (LARGE, 1 << 20, 0.45), // was 0.916
+        ],
+    );
+}
+
+#[test]
+fn sort_via_pq_within_clone_budget() {
+    check_clone_budgets(
+        "sort_via_pq",
+        sort_via_pq,
+        &[
+            (GATE, 2048, 0.82),     // was 0.743
+            (LARGE, 1 << 16, 0.95), // was 0.859
         ],
     );
 }
