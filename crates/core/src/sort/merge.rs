@@ -325,14 +325,14 @@ pub(crate) fn advance_pointers<T, A: AemAccess<T>>(
 ///
 /// Member `t` belongs to run `run_of(t)`, an index into `first`, `count`
 /// and `base`. Run `r`'s members are the `count[r]` positions from
-/// `first[r]` on: the
-/// buffer keeps the smallest candidates, a run's candidates are its
-/// unconsumed elements in position order, and tags ascend with position
-/// within a run. One pass therefore places every member at its run's
-/// offset plus its distance from the run's first member, leaving one
-/// ascending stretch per contributing run. The standard library's stable
-/// sort finds long ascending stretches and merges them, so a round fed by
-/// few runs — the buffered queue's two-way merges — costs about
+/// `first[r]` on: the buffer keeps the smallest candidates, a run's
+/// candidates are its unconsumed elements in position order, and tags
+/// ascend with position within a run. One pass therefore places every
+/// member at its run's offset plus its distance from the run's first
+/// member, leaving one ascending stretch per contributing run. The
+/// standard library's stable sort finds long ascending stretches and
+/// merges them, so a round fed by few runs — the buffered queue's
+/// two-way merges — costs about
 /// `M̂·log₂ k'` comparisons for `k'` contributing runs instead of the
 /// `M̂·log₂ M̂` of sorting the buffer from scratch; many short stretches
 /// cost no more than that.

@@ -170,8 +170,8 @@ impl<T: Ord + Clone> Selector<(T, u64)> {
     /// Offer one block whose elements arrive in no particular order,
     /// borrowed from the machine: the block's `i`-th element `x` is the
     /// candidate `(x, first + i)`. Tags at or below `boundary` are not
-    /// candidates. Both tests compare through references, so an element
-    /// is cloned only when it enters the pool. Returns how many members
+    /// candidates. The boundary and cut tests compare through references,
+    /// so an element is cloned only when it enters the pool. Returns how many members
     /// the buffer gained (`len()` after minus before).
     pub(crate) fn offer_unsorted(
         &mut self,

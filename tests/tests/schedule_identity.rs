@@ -520,8 +520,7 @@ fn dense_hashes() -> Vec<(String, u64)> {
         let (name, mem, b, omega) = shape;
         let cfg = AemConfig::new(mem, b, omega).unwrap();
 
-        // matmul at the gate's n = 1764 (d = 42): a dense instance and
-        // one whose A rows are all zero but one.
+        // matmul at the gate's n = 1764 (d = 42).
         type Tiling = fn(&mut Im, usize, &[u64], &[u64]) -> Result<(Region, usize)>;
         let tilings: [(&str, Tiling, usize, usize); 2] = [
             ("tiled", |m, d, a, b| matmul_tiled(m, d, a, b), 3, 0),
@@ -529,17 +528,17 @@ fn dense_hashes() -> Vec<(String, u64)> {
         ];
         for (algo, run, ways, extra) in tilings {
             let side = tile_side(cfg, ways, extra).unwrap().min(42);
-            for (seed, input) in [(1u64, "dense"), (2, "zero-rows")] {
-                let inst = matmul_instance(1764, seed);
-                let mut im = machine(shape);
-                let (cr, t) = run(&mut im, inst.d, &inst.a, &inst.b).unwrap();
-                assert_eq!(t, side, "matmul/{algo}/{name}");
-                let got = extract(inst.d, t, b, &im.inspect(cr));
-                let want = matmul_reference(inst.d, &inst.a, &inst.b);
-                assert_eq!(got, want, "matmul/{algo}/{name}/{input}");
-                let key = format!("{algo}/{name}/t={t}/{input}");
-                out.push((key, program_hash(im, &[t as u64])));
-            }
+            let inst = matmul_instance(1764, 1);
+            let mut im = machine(shape);
+            let (cr, t) = run(&mut im, inst.d, &inst.a, &inst.b).unwrap();
+            assert_eq!(t, side, "matmul/{algo}/{name}");
+            let got = extract(inst.d, t, b, &im.inspect(cr));
+            let want = matmul_reference(inst.d, &inst.a, &inst.b);
+            assert_eq!(got, want, "matmul/{algo}/{name}");
+            out.push((
+                format!("{algo}/{name}/t={t}"),
+                program_hash(im, &[t as u64]),
+            ));
         }
 
         // permute by-sort at the gate's n = 2048; the merge needs
@@ -578,45 +577,33 @@ fn dense_hashes() -> Vec<(String, u64)> {
 /// Hashes recorded while the tile product indexed both tiles per
 /// multiply-add and `small_sort` scanned owned copies of its blocks.
 const PINNED_DENSE: &[(&str, u64)] = &[
-    ("tiled/gate/t=17/dense", 0x2692ea18737a4433),
-    ("tiled/gate/t=17/zero-rows", 0x2692ea18737a4433),
-    ("stream/gate/t=21/dense", 0xecc8aafae436bdf1),
-    ("stream/gate/t=21/zero-rows", 0xecc8aafae436bdf1),
+    ("tiled/gate/t=17", 0x2692ea18737a4433),
+    ("stream/gate/t=21", 0xecc8aafae436bdf1),
     ("by-sort/gate/n=2048/random", 0x3d87a16883e9fadf),
     ("by-sort/gate/n=2048/reverse", 0x34368c1c42eda841),
     ("by-sort/gate/n=2048/transpose", 0xda50705772ac2cb7),
-    ("tiled/gate-small/t=4/dense", 0xef7055be9ea59ef8),
-    ("tiled/gate-small/t=4/zero-rows", 0xef7055be9ea59ef8),
-    ("stream/gate-small/t=4/dense", 0x0805cb3fc49f6e98),
-    ("stream/gate-small/t=4/zero-rows", 0x0805cb3fc49f6e98),
+    ("tiled/gate-small/t=4", 0xef7055be9ea59ef8),
+    ("stream/gate-small/t=4", 0x0805cb3fc49f6e98),
     ("by-sort/gate-small/n=2048/random", 0x8efb793576dee0a0),
     ("by-sort/gate-small/n=2048/reverse", 0x1988ff4226c9a201),
     ("by-sort/gate-small/n=2048/transpose", 0x00fc65397d060731),
-    ("tiled/M=3B/t=2/dense", 0x112f41a6d5ce1dca),
-    ("tiled/M=3B/t=2/zero-rows", 0x112f41a6d5ce1dca),
-    ("stream/M=3B/t=2/dense", 0xcd0e05e7be3a336e),
-    ("stream/M=3B/t=2/zero-rows", 0xcd0e05e7be3a336e),
+    ("tiled/M=3B/t=2", 0x112f41a6d5ce1dca),
+    ("stream/M=3B/t=2", 0xcd0e05e7be3a336e),
     ("by-sort/M=3B/n=192/random", 0xaa0ba662a2c435ed),
     ("by-sort/M=3B/n=192/reverse", 0x8fa88f38da645cc5),
     ("by-sort/M=3B/n=192/transpose", 0x8ec1508da5c177b3),
-    ("tiled/M=3B,B=9/t=3/dense", 0xecf3635af8de500f),
-    ("tiled/M=3B,B=9/t=3/zero-rows", 0xecf3635af8de500f),
-    ("stream/M=3B,B=9/t=3/dense", 0xbb22f96cff8c2845),
-    ("stream/M=3B,B=9/t=3/zero-rows", 0xbb22f96cff8c2845),
+    ("tiled/M=3B,B=9/t=3", 0xecf3635af8de500f),
+    ("stream/M=3B,B=9/t=3", 0xbb22f96cff8c2845),
     ("by-sort/M=3B,B=9/n=208/random", 0x4cb2f01924181c8f),
     ("by-sort/M=3B,B=9/n=208/reverse", 0x887d58b67a0677d5),
     ("by-sort/M=3B,B=9/n=208/transpose", 0xa371404624cde51f),
-    ("tiled/M=3B,B=36/t=6/dense", 0xc407fb2794281159),
-    ("tiled/M=3B,B=36/t=6/zero-rows", 0xc407fb2794281159),
-    ("stream/M=3B,B=36/t=6/dense", 0xeab6d9b6e0221eb1),
-    ("stream/M=3B,B=36/t=6/zero-rows", 0xeab6d9b6e0221eb1),
+    ("tiled/M=3B,B=36/t=6", 0xc407fb2794281159),
+    ("stream/M=3B,B=36/t=6", 0xeab6d9b6e0221eb1),
     ("by-sort/M=3B,B=36/n=864/random", 0xd740e52c4cb9a59b),
     ("by-sort/M=3B,B=36/n=864/reverse", 0x79e0ea432441fcc5),
     ("by-sort/M=3B,B=36/n=864/transpose", 0x7fa380d525cdd6a1),
-    ("tiled/M=3B,B=49/t=7/dense", 0x641dd1438c77a4f3),
-    ("tiled/M=3B,B=49/t=7/zero-rows", 0x641dd1438c77a4f3),
-    ("stream/M=3B,B=49/t=7/dense", 0xca12036d21a04751),
-    ("stream/M=3B,B=49/t=7/zero-rows", 0xca12036d21a04751),
+    ("tiled/M=3B,B=49/t=7", 0x641dd1438c77a4f3),
+    ("stream/M=3B,B=49/t=7", 0xca12036d21a04751),
     ("by-sort/M=3B,B=49/n=1168/random", 0xf0953f127c447c64),
     ("by-sort/M=3B,B=49/n=1168/reverse", 0x094e8992a0a58255),
     ("by-sort/M=3B,B=49/n=1168/transpose", 0xd940c7db78cd31bd),
