@@ -546,7 +546,10 @@ COMMANDS
                                long-lived TCP server; every job is priced
                                by the predictor before it runs, per-tenant
                                budgets gate admission, SIGTERM drains and
-                               writes the admission log + metering reports
+                               writes the admission log + metering reports;
+                               --workers caps payload runs and first-time
+                               trace compiles (cost-only replay hits and
+                               ghost jobs run on the connection's thread)
   serve-load seeded load gen   [--addr HOST:PORT --tenants N --jobs N
                                 --seed S]
                                deterministic synthetic tenants; same seed

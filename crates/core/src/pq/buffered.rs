@@ -523,16 +523,18 @@ where
 {
     let b = machine.cfg().block;
     for blk in first_blk..run.region.blocks {
-        let data = machine.read_block(run.region.block(blk))?;
-        let len = data.len();
-        let (kept, block_max) = sel.offer_sorted(data, run.boundary.as_ref(), |off, x| {
-            (x, run.id, (blk * b + off) as u64)
-        });
-        machine.discard(len - kept)?;
-        if let (Some(mx), Some(top)) = (&block_max, sel.full_max()) {
-            if mx > top {
-                break;
+        let first = (blk * b) as u64;
+        let (mut kept, mut past_cut) = (0, false);
+        let len = machine.read_block_with(run.region.block(blk), &mut |data| {
+            kept = sel.offer_sorted(data, run.id, first, run.boundary.as_ref());
+            // The block's maximum is its last element.
+            if let (Some(x), Some((tx, tr, tp))) = (data.last(), sel.full_max()) {
+                past_cut = (x, run.id, first + data.len() as u64 - 1) > (tx, *tr, *tp);
             }
+        })?;
+        machine.discard(len - kept)?;
+        if past_cut {
+            break;
         }
     }
     Ok(())

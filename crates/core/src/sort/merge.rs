@@ -383,11 +383,13 @@ where
     A: AemAccess<T>,
 {
     let b = machine.cfg().block;
-    let data = machine.read_block(run.block(blk))?;
-    let len = data.len();
-    let (kept, max) = sel.offer_sorted(data, boundary.as_ref(), |off, x| {
-        tag(x, run_idx, blk, off, b)
-    });
+    let (mut kept, mut max) = (0, None);
+    let len = machine.read_block_with(run.block(blk), &mut |data| {
+        kept = sel.offer_sorted(data, run_idx as u32, (blk * b) as u64, boundary.as_ref());
+        max = data
+            .last()
+            .map(|x| tag(x.clone(), run_idx, blk, data.len() - 1, b));
+    })?;
     // Everything read but not net-retained leaves internal memory.
     machine.discard(len - kept)?;
     Ok(max)

@@ -176,11 +176,14 @@ where
     A: AemAccess<T>,
 {
     let b = machine.cfg().block;
-    let data = machine.read_block(runs[i].block(blk))?;
-    let len = data.len();
-    let (kept, max) = sel.offer_sorted(data, boundary.as_ref(), |off, x| {
-        (x, i as u32, (blk * b + off) as u64)
-    });
+    let first = (blk * b) as u64;
+    let (mut kept, mut max) = (0, None);
+    let len = machine.read_block_with(runs[i].block(blk), &mut |data| {
+        kept = sel.offer_sorted(data, i as u32, first, boundary.as_ref());
+        max = data
+            .last()
+            .map(|x| (x.clone(), i as u32, first + data.len() as u64 - 1));
+    })?;
     machine.discard(len - kept)?;
     Ok(max)
 }

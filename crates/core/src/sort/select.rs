@@ -20,8 +20,10 @@
 //!   pool reaches `2·cap` it is compacted to the `cap` smallest with
 //!   `select_nth_unstable`, which lowers the cut. `O(1)` amortised work
 //!   per element, and no copy of an element that is not a candidate.
-//! * [`offer_sorted`](Selector::offer_sorted) — for blocks of sorted runs.
-//!   The prefix at or below the boundary is skipped by binary search.
+//! * [`offer_sorted`](Selector::offer_sorted) — for blocks of sorted runs,
+//!   lent by the machine and tagged by run and position. The prefix at or
+//!   below the boundary is skipped by binary search, and every test
+//!   compares borrowed tags, so only an element that enters is cloned.
 //!   Until the buffer is full its members are collected unordered (nothing
 //!   reads the order before then: [`full_max`](Selector::full_max) is
 //!   `None`), and the `cap`-th member heapifies them once. From then on
@@ -81,59 +83,6 @@ impl<K: Ord + Clone> Selector<K> {
         self.heap.peek()
     }
 
-    /// Offer one block of a sorted run: `tag(i, x)` must ascend strictly
-    /// with `i`. Tags at or below `boundary` are not candidates. Returns
-    /// how many members the buffer gained and the tag of the block's last
-    /// element (its maximum), `None` for an empty block.
-    pub(crate) fn offer_sorted<T: Ord + Clone>(
-        &mut self,
-        block: Vec<T>,
-        boundary: Option<&K>,
-        mut tag: impl FnMut(usize, T) -> K,
-    ) -> (usize, Option<K>) {
-        debug_assert!(self.pool.is_empty(), "a selector is fed one way");
-        debug_assert!(
-            block.windows(2).all(|w| w[0] <= w[1]),
-            "offer_sorted needs a sorted block"
-        );
-        let before = self.len();
-        let n = block.len();
-        let last = block.last().map(|x| tag(n - 1, x.clone()));
-        // Candidates start after the prefix at or below the boundary.
-        let (mut start, mut hi) = (0, n);
-        if let Some(bd) = boundary {
-            while start < hi {
-                let mid = (start + hi) / 2;
-                if tag(mid, block[mid].clone()) <= *bd {
-                    start = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-        }
-        self.seen += n - start;
-        let mut rest = block.into_iter().enumerate().skip(start);
-        if self.heap.is_empty() {
-            for (i, x) in rest.by_ref() {
-                self.filling.push(tag(i, x));
-                if self.filling.len() == self.cap {
-                    self.heap = BinaryHeap::from(std::mem::take(&mut self.filling));
-                    break;
-                }
-            }
-        }
-        // Anything left is offered to a full buffer.
-        for (i, x) in rest {
-            let t = tag(i, x);
-            let mut top = self.heap.peek_mut().expect("the buffer is full");
-            if t >= *top {
-                break; // the rest of the block is larger still
-            }
-            *top = t;
-        }
-        (self.len() - before, last)
-    }
-
     /// The kept candidates in ascending order.
     pub(crate) fn into_sorted(self) -> Vec<K> {
         let mut kept = self.into_members();
@@ -163,6 +112,61 @@ impl<K: Ord + Clone> Selector<K> {
             // `select_nth_unstable` left the largest survivor at the end.
             self.cut = self.pool.last().cloned();
         }
+    }
+}
+
+impl<T: Ord + Clone> Selector<(T, u32, u64)> {
+    /// Offer one block of sorted run `run`, borrowed from the machine: the
+    /// block's `i`-th element `x` is the candidate `(x, run, first + i)`.
+    /// Tags at or below `boundary` are not candidates. Every test compares
+    /// through references, so an element is cloned only when it enters
+    /// the buffer. Returns how many members the buffer gained.
+    pub(crate) fn offer_sorted(
+        &mut self,
+        block: &[T],
+        run: u32,
+        first: u64,
+        boundary: Option<&(T, u32, u64)>,
+    ) -> usize {
+        debug_assert!(self.pool.is_empty(), "a selector is fed one way");
+        debug_assert!(
+            block.windows(2).all(|w| w[0] <= w[1]),
+            "offer_sorted needs a sorted block"
+        );
+        let before = self.len();
+        let tag = |i: usize| (&block[i], run, first + i as u64);
+        // Candidates start after the prefix at or below the boundary.
+        let (mut start, mut hi) = (0, block.len());
+        if let Some((bx, br, bp)) = boundary {
+            while start < hi {
+                let mid = (start + hi) / 2;
+                if tag(mid) <= (bx, *br, *bp) {
+                    start = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+        self.seen += block.len() - start;
+        let mut rest = start..block.len();
+        if self.heap.is_empty() {
+            for i in rest.by_ref() {
+                self.filling.push((block[i].clone(), run, first + i as u64));
+                if self.filling.len() == self.cap {
+                    self.heap = BinaryHeap::from(std::mem::take(&mut self.filling));
+                    break;
+                }
+            }
+        }
+        // Anything left is offered to a full buffer.
+        for i in rest {
+            let mut top = self.heap.peek_mut().expect("the buffer is full");
+            if tag(i) >= (&top.0, top.1, top.2) {
+                break; // the rest of the block is larger still
+            }
+            *top = (block[i].clone(), run, first + i as u64);
+        }
+        self.len() - before
     }
 }
 
@@ -209,10 +213,14 @@ mod tests {
     use super::*;
     use aem_workloads::SplitMix64;
 
-    /// Tag `((key, run), position)`: ordered as the `(key, run, position)`
-    /// tags of the merge and the queue, and shaped as the unsorted path's
-    /// `(element, position)` candidates.
-    type Tag = ((u64, u32), u64);
+    /// Tag `(key, run, position)`, as in the merge and the queue.
+    type Tag = (u64, u32, u64);
+
+    /// The same tag shaped as the unsorted path's `(element, position)`
+    /// candidates, which orders the same way.
+    fn nest((k, run, pos): Tag) -> ((u64, u32), u64) {
+        ((k, run), pos)
+    }
 
     const B: usize = 8;
 
@@ -228,7 +236,7 @@ mod tests {
                 let block = chunk
                     .iter()
                     .enumerate()
-                    .map(|(off, &k)| ((k, run), (blk * B + off) as u64))
+                    .map(|(off, &k)| (k, run, (blk * B + off) as u64))
                     .collect();
                 out.push(block);
             }
@@ -266,36 +274,52 @@ mod tests {
                         0 => None,
                         _ => Some(all[rng.next_below_usize(all.len())]),
                     };
-                    let mut sel = Selector::new(cap);
+                    // A case feeds one of the two.
+                    let mut sel = Selector::<Tag>::new(cap);
+                    let mut pos_sel = Selector::new(cap);
+                    let len = |sel: &Selector<_>, pos_sel: &Selector<_>| {
+                        if sorted {
+                            sel.len()
+                        } else {
+                            pos_sel.len()
+                        }
+                    };
                     let mut offered: Vec<Tag> = Vec::new();
                     for block in blocks {
-                        let before = sel.len();
+                        let before = len(&sel, &pos_sel);
                         let fresh = reference(&block, boundary.as_ref(), B).len();
                         if cap > B && before < cap && before + fresh > cap {
                             mid_block_fills += 1;
                         }
                         offered.extend(&block);
                         let want = reference(&offered, boundary.as_ref(), cap);
+                        // A block holds one run at consecutive positions.
+                        let (run, first) = (block[0].1, block[0].2);
                         let gained = if sorted {
-                            let last = block.last().copied();
-                            let (gained, max) =
-                                sel.offer_sorted(block, boundary.as_ref(), |_, t| t);
-                            assert_eq!(max, last, "block maximum is its last element");
-                            gained
+                            let keys: Vec<u64> = block.iter().map(|t| t.0).collect();
+                            sel.offer_sorted(&keys, run, first, boundary.as_ref())
                         } else {
-                            // A block's positions are consecutive.
-                            let elems: Vec<(u64, u32)> = block.iter().map(|t| t.0).collect();
-                            sel.offer_unsorted(&elems, block[0].1, boundary.as_ref())
+                            let elems: Vec<(u64, u32)> = block.iter().map(|t| (t.0, t.1)).collect();
+                            pos_sel.offer_unsorted(&elems, first, boundary.map(nest).as_ref())
                         };
-                        assert_eq!(sel.len(), want.len(), "len == min(cap, seen)");
-                        assert_eq!(gained, sel.len() - before);
+                        let after = len(&sel, &pos_sel);
+                        assert_eq!(after, want.len(), "len == min(cap, seen)");
+                        assert_eq!(gained, after - before);
                         if sorted {
                             let full = want.len() == cap;
                             assert_eq!(sel.full_max(), want.last().filter(|_| full));
                         }
                     }
                     let want = reference(&offered, boundary.as_ref(), cap);
-                    assert_eq!(sel.into_sorted(), want, "kept set is the cap smallest");
+                    let kept = if sorted {
+                        sel.into_sorted()
+                    } else {
+                        let kept = pos_sel.into_sorted();
+                        kept.into_iter()
+                            .map(|((k, run), pos)| (k, run, pos))
+                            .collect()
+                    };
+                    assert_eq!(kept, want, "kept set is the cap smallest");
                     cases += 1;
                 }
             }
@@ -322,18 +346,17 @@ mod tests {
         // A full buffer {1, 2}; the block's 0 enters, its 5 stops the scan
         // and the 3 behind it would not have entered either.
         let mut sel = Selector::new(2);
-        sel.offer_sorted(vec![1u64, 2], None, |_, x| x);
-        let (gained, max) = sel.offer_sorted(vec![0u64, 5, 9], None, |_, x| x);
-        assert_eq!((gained, max), (0, Some(9)));
-        assert_eq!(sel.full_max(), Some(&1));
-        assert_eq!(sel.into_sorted(), vec![0, 1]);
+        sel.offer_sorted(&[1u64, 2], 0, 0, None);
+        assert_eq!(sel.offer_sorted(&[0u64, 5, 9], 1, 0, None), 0);
+        assert_eq!(sel.full_max(), Some(&(1, 0, 0)));
+        assert_eq!(sel.into_sorted(), vec![(0, 1, 0), (1, 0, 0)]);
     }
 
     #[test]
     fn boundary_prefix_is_not_counted() {
         let mut sel = Selector::new(4);
-        let (gained, max) = sel.offer_sorted(vec![1u64, 2, 3, 4, 5], Some(&3), |_, x| x);
-        assert_eq!((gained, max), (2, Some(5)));
+        let gained = sel.offer_sorted(&[1u64, 2, 3, 4, 5], 0, 0, Some(&(3, 0, 2)));
+        assert_eq!(gained, 2);
         let gained = Selector::new(4).offer_unsorted(&[5u64, 1, 4, 2, 3], 0, Some(&(3, 9)));
         assert_eq!(gained, 2);
     }
@@ -342,6 +365,6 @@ mod tests {
     #[should_panic(expected = "sorted block")]
     #[cfg(debug_assertions)]
     fn sorted_path_rejects_unsorted_blocks() {
-        Selector::new(2).offer_sorted(vec![2u64, 1], None, |_, x| x);
+        Selector::new(2).offer_sorted(&[2u64, 1], 0, 0, None);
     }
 }

@@ -11,7 +11,13 @@
 //! re-price by [`CompiledTrace::replay`], which equals the live cost by
 //! the `docs/COST_MODEL.md` contract. That equality is what lets the
 //! cache stay metering-neutral: whether a concurrent tenant beat you to
-//! the first run changes the wall-clock, never the reported cost.
+//! the first run changes the wall-clock, never the reported cost. Payload
+//! jobs never touch the cache, on any backend: a replay prices a schedule
+//! but cannot produce the output a payload job's checksum digests.
+//!
+//! [`prepare`] routes a job with one cache lookup and says whether it
+//! [runs inline](Prepared::runs_inline): a cost-only replay hit or ghost
+//! run costs microseconds, less than a hand-off to a worker thread.
 
 use crate::planner::Plan;
 use crate::protocol::{JobKind, JobSpec};
@@ -87,58 +93,112 @@ fn ctx_of(spec: &JobSpec, plan: &Plan) -> Result<RunCtx, String> {
     )
 }
 
-/// Execute `spec` under `plan`, consulting (and feeding) the replay cache
-/// when the plan landed on the trace backend.
-pub fn execute(spec: &JobSpec, plan: &Plan, cache: &TraceCache) -> Result<ExecResult, String> {
-    crate::planner::executable(spec)?;
-    if plan.backend == Backend::Trace {
+/// What running an admitted job takes, decided by one replay-cache lookup
+/// (see [`prepare`]).
+enum Route {
+    /// A cost-only cell whose schedule is cached: re-price it.
+    Replay(Arc<CompiledTrace>),
+    /// A cost-only trace cell seen for the first time: compile and cache
+    /// its schedule.
+    Compile(CellKey),
+    /// A run on the plan's backend that leaves the cache alone.
+    Live,
+}
+
+/// An admitted job, routed: run it with [`Prepared::run`].
+pub struct Prepared {
+    route: Route,
+    inline: bool,
+}
+
+/// Route `spec` under `plan` with a single cache lookup. Only cost-only
+/// jobs on the trace backend consult or fill the cache: a payload job
+/// must compute its checksum, which a replayed schedule cannot give.
+pub fn prepare(spec: &JobSpec, plan: &Plan, cache: &TraceCache) -> Prepared {
+    let route = if plan.backend == Backend::Trace && !spec.payload {
         let key = cell_key(spec, plan);
-        if let Some(tr) = cache.get(&key) {
-            return Ok(ExecResult {
+        match cache.get(&key) {
+            Some(tr) => Route::Replay(tr),
+            None => Route::Compile(key),
+        }
+    } else {
+        Route::Live
+    };
+    let inline =
+        !spec.payload && (matches!(route, Route::Replay(_)) || plan.backend == Backend::Ghost);
+    Prepared { route, inline }
+}
+
+impl Prepared {
+    /// `true` when the job moves no payload and compiles nothing (a replay
+    /// hit or a ghost run), so it is cheaper to run where it was admitted
+    /// than to hand it to a worker.
+    pub fn runs_inline(&self) -> bool {
+        self.inline
+    }
+
+    /// Run the job `spec` under `plan` that [`prepare`] routed.
+    pub fn run(
+        self,
+        spec: &JobSpec,
+        plan: &Plan,
+        cache: &TraceCache,
+    ) -> Result<ExecResult, String> {
+        crate::planner::executable(spec)?;
+        let ctx = || ctx_of(spec, plan);
+        match self.route {
+            Route::Replay(tr) => Ok(ExecResult {
                 measured: tr.replay(),
                 checksum: 0,
                 via_replay: true,
-            });
+            }),
+            Route::Compile(key) => {
+                let (measured, schedule) = run_workload(&ctx()?, &mut TraceHarness)
+                    .map_err(|e: WorkloadError| e.to_string())?;
+                cache.insert(key, schedule);
+                Ok(ExecResult {
+                    measured,
+                    checksum: 0,
+                    via_replay: false,
+                })
+            }
+            Route::Live => {
+                let (measured, checksum) = run_workload(
+                    &ctx()?,
+                    &mut LiveHarness {
+                        backend: plan.backend,
+                    },
+                )
+                .map_err(|e| e.to_string())?;
+                Ok(ExecResult {
+                    measured,
+                    checksum: if spec.payload { checksum } else { 0 },
+                    via_replay: false,
+                })
+            }
         }
-        let ctx = ctx_of(spec, plan)?;
-        let (measured, checksum, schedule) =
-            run_workload(&ctx, &mut TraceHarness).map_err(|e: WorkloadError| e.to_string())?;
-        cache.insert(key, schedule);
-        return Ok(ExecResult {
-            measured,
-            checksum: if spec.payload { checksum } else { 0 },
-            via_replay: false,
-        });
     }
-    let ctx = ctx_of(spec, plan)?;
-    let (measured, checksum) = run_workload(
-        &ctx,
-        &mut LiveHarness {
-            backend: plan.backend,
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    Ok(ExecResult {
-        measured,
-        checksum: if spec.payload { checksum } else { 0 },
-        via_replay: false,
-    })
+}
+
+/// Execute `spec` under `plan`: [`prepare`], then [`Prepared::run`].
+pub fn execute(spec: &JobSpec, plan: &Plan, cache: &TraceCache) -> Result<ExecResult, String> {
+    prepare(spec, plan, cache).run(spec, plan, cache)
 }
 
 /// Runs on a concrete [`TraceMachine`] so the compiled schedule survives.
 struct TraceHarness;
 
 impl Harness for TraceHarness {
-    type Out = (Cost, u64, CompiledTrace);
+    type Out = (Cost, CompiledTrace);
     fn run<T: Payload>(
         &mut self,
         ctx: &RunCtx,
         body: Body<'_, T>,
     ) -> Result<Self::Out, WorkloadError> {
         let mut m = TraceMachine::<T>::new(ctx.cfg);
-        let v = body(&mut m)?;
+        body(&mut m)?;
         let cost = m.counter().snapshot();
-        Ok((cost, v.checksum, m.into_schedule()))
+        Ok((cost, m.into_schedule()))
     }
 }
 
@@ -193,6 +253,43 @@ mod tests {
         let other = execute(&s2, &plan(&s2).unwrap(), &cache).unwrap();
         assert!(!other.via_replay);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn payload_trace_jobs_never_use_the_replay_cache() {
+        let mut s = spec(JobKind::Sort, 512, true, Some("trace"));
+        let p = plan(&s).unwrap();
+        assert_eq!(p.backend, Backend::Trace);
+        let fresh = execute(&s, &p, &TraceCache::new()).unwrap();
+        assert!(!fresh.via_replay);
+        assert_ne!(fresh.checksum, 0);
+        // A cost-only run compiles the same cell first; the payload job
+        // still runs, neither replaying nor filling the cache.
+        let cache = TraceCache::new();
+        s.payload = false;
+        execute(&s, &plan(&s).unwrap(), &cache).unwrap();
+        s.payload = true;
+        assert!(!prepare(&s, &p, &cache).runs_inline());
+        assert_eq!(execute(&s, &p, &cache).unwrap(), fresh);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(execute(&s, &p, &TraceCache::new()).unwrap(), fresh);
+    }
+
+    #[test]
+    fn only_cost_only_replay_hits_and_ghost_runs_route_inline() {
+        let cache = TraceCache::new();
+        let inline = |s: &JobSpec| prepare(s, &plan(s).unwrap(), &cache).runs_inline();
+        let trace = spec(JobKind::Sort, 512, false, None);
+        assert!(!inline(&trace), "a first-time compile takes the pool");
+        execute(&trace, &plan(&trace).unwrap(), &cache).unwrap();
+        assert!(inline(&trace), "a replay hit runs inline");
+        let ghost = spec(JobKind::Search, 512, false, None);
+        assert_eq!(plan(&ghost).unwrap().backend, Backend::Ghost);
+        assert!(inline(&ghost));
+        for backend in ["vec", "arena", "trace"] {
+            let payload = spec(JobKind::Sort, 512, true, Some(backend));
+            assert!(!inline(&payload), "{backend}");
+        }
     }
 
     #[test]

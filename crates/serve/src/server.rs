@@ -8,9 +8,14 @@
 //!
 //! Every job takes one path in two steps. `admit` prices the job,
 //! checks that it can run and debits the tenant's budget, or settles it
-//! with a `rejected`/`queued` response. A connection submits each admitted
-//! job to the pool as soon as it is admitted, then `finish`es them in
-//! declaration order, metering each completed job. A single `job` is a
+//! with a `rejected`/`queued` response. A connection starts each admitted
+//! job as soon as it is admitted, then `finish`es them in declaration
+//! order, metering each completed job. A job that moves no payload and
+//! compiles nothing — a cost-only replay-cache hit or a ghost run — runs
+//! right there on the connection thread, since it takes less time than a
+//! hand-off to a worker; every other job (payload runs, first-time trace
+//! compiles) is submitted to the pool, so `--workers` caps those alone.
+//! Both kinds run under [`aem_obs::pool::catch`]. A single `job` is a
 //! batch of one; the jobs a top-up `hello` drains take the same path.
 //!
 //! Shutdown is cooperative: SIGTERM (or a `shutdown` frame) flips one
@@ -20,7 +25,7 @@
 //! before `serve` returns.
 
 use crate::admission::{Admission, Decision};
-use crate::exec::{execute, ExecResult, TraceCache};
+use crate::exec::{prepare, ExecResult, Prepared, TraceCache};
 use crate::metering::Metering;
 use crate::planner::{self, Plan};
 use crate::protocol::{
@@ -37,7 +42,9 @@ use std::time::Duration;
 pub struct ServeOptions {
     /// Bind address; port 0 picks a free port (written to `addr_file`).
     pub addr: String,
-    /// Execution-pool size.
+    /// Execution-pool size: how many payload runs and first-time trace
+    /// compiles execute at once (cost-only replay hits and ghost runs
+    /// execute on their connection's thread).
     pub workers: usize,
     /// Park over-budget jobs instead of rejecting them.
     pub queue_over_budget: bool,
@@ -65,7 +72,16 @@ impl Default for ServeOptions {
     }
 }
 
-type Pool = pool::Pool<(JobSpec, Plan), Result<ExecResult, String>>;
+type Pool = pool::Pool<(JobSpec, Plan, Prepared), Result<ExecResult, String>>;
+
+/// An admitted job's result, or its panic message.
+type Outcome = Result<Result<ExecResult, String>, String>;
+
+/// An admitted job once started: run already, or queued on the pool.
+enum Started {
+    Inline(Outcome),
+    Pooled(pool::Handle<Result<ExecResult, String>>),
+}
 
 struct State {
     admission: Admission,
@@ -93,7 +109,7 @@ pub fn serve(opts: &ServeOptions, shutdown: &AtomicBool) -> Result<String, Strin
         metering: Metering::new(),
         cache: TraceCache::new(),
     };
-    let run = |(spec, plan): (JobSpec, Plan)| execute(&spec, &plan, &state.cache);
+    let run = |(spec, plan, job): (JobSpec, Plan, Prepared)| job.run(&spec, &plan, &state.cache);
     pool::scope(opts.workers, run, |jobs| {
         // The scope joins every connection thread at its end, so no handle
         // is kept per connection; a panicking connection downs only itself.
@@ -170,15 +186,9 @@ fn admit(state: &State, tenant: &str, spec: &JobSpec) -> Result<Plan, Response> 
     }
 }
 
-/// Turn one pool result into a metered `done`, or an `error` naming the
+/// Turn one job's outcome into a metered `done`, or an `error` naming the
 /// job.
-fn finish(
-    state: &State,
-    tenant: &str,
-    spec: &JobSpec,
-    plan: &Plan,
-    result: Result<Result<ExecResult, String>, String>,
-) -> Response {
+fn finish(state: &State, tenant: &str, spec: &JobSpec, plan: &Plan, result: Outcome) -> Response {
     let result = result
         .map_err(|panic| format!("job panicked during execution: {panic}"))
         .and_then(|r| r);
@@ -204,9 +214,10 @@ fn finish(
     }
 }
 
-/// Submit each admitted job as its slot is produced (so admission order is
-/// slot order), then finish every job in slot order: a settled slot is
-/// already its response.
+/// Start each admitted job as its slot is produced (so admission order is
+/// slot order): run it on this thread if [`Prepared::runs_inline`], else
+/// submit it to the pool. Then finish every job in slot order: a settled
+/// slot is already its response.
 fn execute_all<'a>(
     state: &State,
     pool: &Pool,
@@ -217,8 +228,13 @@ fn execute_all<'a>(
         .into_iter()
         .map(|(spec, slot)| {
             let slot = slot.map(|plan| {
-                let handle = pool.submit((spec.clone(), plan.clone()));
-                (plan, handle)
+                let job = prepare(spec, &plan, &state.cache);
+                let started = if job.runs_inline() {
+                    Started::Inline(pool::catch(|| job.run(spec, &plan, &state.cache)))
+                } else {
+                    Started::Pooled(pool.submit((spec.clone(), plan.clone(), job)))
+                };
+                (plan, started)
             });
             (spec, slot)
         })
@@ -226,7 +242,13 @@ fn execute_all<'a>(
     running
         .into_iter()
         .map(|(spec, slot)| match slot {
-            Ok((plan, handle)) => finish(state, tenant, spec, &plan, handle.wait().0),
+            Ok((plan, started)) => {
+                let result = match started {
+                    Started::Inline(result) => result,
+                    Started::Pooled(handle) => handle.wait().0,
+                };
+                finish(state, tenant, spec, &plan, result)
+            }
             Err(settled) => settled,
         })
         .collect()
@@ -361,5 +383,77 @@ fn handle_conn(mut stream: TcpStream, state: &State, pool: &Pool, shutdown: &Ato
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::JobKind;
+    use std::sync::Mutex;
+
+    fn spec(id: u64, kind: JobKind, payload: bool, backend: Option<&str>) -> JobSpec {
+        JobSpec {
+            id,
+            kind,
+            n: 512,
+            mem: 64,
+            block: 8,
+            omega: 16,
+            delta: 3,
+            seed: 42,
+            payload,
+            backend: backend.map(str::to_string),
+        }
+    }
+
+    #[test]
+    fn only_payload_runs_and_first_compiles_take_the_pool() {
+        let state = State {
+            admission: Admission::new(false),
+            metering: Metering::new(),
+            cache: TraceCache::new(),
+        };
+        state.admission.hello("t", u64::MAX / 2);
+        let pooled = Mutex::new(Vec::new());
+        let run = |(spec, plan, job): (JobSpec, Plan, Prepared)| {
+            pooled.lock().unwrap().push(spec.id);
+            job.run(&spec, &plan, &state.cache)
+        };
+        let batch = |pool: &Pool, jobs: &[JobSpec]| {
+            let slots = jobs.iter().map(|s| (s, admit(&state, "t", s)));
+            let done = execute_all(&state, pool, "t", slots);
+            let ids: Vec<u64> = done
+                .iter()
+                .map(|r| match r {
+                    Response::Done(o) => o.id,
+                    other => panic!("expected done, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(ids, jobs.iter().map(|s| s.id).collect::<Vec<_>>());
+        };
+        pool::scope(1, run, |pool| {
+            batch(
+                pool,
+                &[
+                    spec(1, JobKind::Sort, true, Some("vec")),
+                    spec(2, JobKind::Sort, false, None), // compiles on trace
+                    spec(3, JobKind::Search, false, None), // ghost
+                    spec(4, JobKind::Sort, true, Some("trace")),
+                ],
+            );
+            assert_eq!(*pooled.lock().unwrap(), [1, 2, 4]);
+            // Job 2's cell is cached now: its repeat replays inline.
+            batch(
+                pool,
+                &[
+                    spec(5, JobKind::Sort, false, None),
+                    spec(6, JobKind::Search, false, None),
+                ],
+            );
+            assert_eq!(*pooled.lock().unwrap(), [1, 2, 4]);
+        });
+        let meter = state.metering.snapshot("t");
+        assert_eq!((meter.jobs_done, meter.replays), (6, 1));
     }
 }

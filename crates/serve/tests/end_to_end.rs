@@ -2,7 +2,9 @@
 //! real clients, and assert the determinism contract CI relies on — two
 //! same-seed load runs produce byte-identical reports and admission logs.
 
+use aem_serve::exec::{execute, TraceCache};
 use aem_serve::load::{run_load, LoadOptions};
+use aem_serve::planner::plan;
 use aem_serve::protocol::{
     exchange, read_response, JobKind, JobSpec, Request, Response, MAX_FRAME,
 };
@@ -26,12 +28,16 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn boot(tag: &str, queue_over_budget: bool) -> Harness {
+    boot_with_workers(tag, queue_over_budget, 4)
+}
+
+fn boot_with_workers(tag: &str, queue_over_budget: bool, workers: usize) -> Harness {
     let dir = tmp_dir(tag);
     let addr_file = dir.join("addr");
     let _ = std::fs::remove_file(&addr_file);
     let opts = ServeOptions {
         addr: "127.0.0.1:0".into(),
-        workers: 4,
+        workers,
         queue_over_budget,
         admission_log: Some(dir.join("admission.jsonl").to_str().unwrap().into()),
         metering_out: Some(dir.join("metering.jsonl").to_str().unwrap().into()),
@@ -259,6 +265,70 @@ fn a_job_answers_as_a_batch_of_one() {
         "{singles:?}"
     );
     h.stop();
+}
+
+/// The unsigned field `name` of one JSON report line.
+fn field(line: &str, name: &str) -> u64 {
+    let record = aem_obs::json::parse(line).expect("a JSON line");
+    record.get(name).and_then(|v| v.as_u64()).expect(name)
+}
+
+#[test]
+fn inline_and_pooled_jobs_answer_like_in_process_execution() {
+    // One worker: the payload run and the first compile take the pool;
+    // the ghost job and the compiled cell's repeat run on the connection.
+    let mut h = boot_with_workers("inline", false, 1);
+    let mut c = h.connect();
+    hello(&mut c, "carol", 1 << 40);
+    let payload = JobSpec {
+        backend: Some("vec".into()),
+        ..spec(1, JobKind::Sort, 512, true)
+    };
+    let compile = spec(2, JobKind::Sort, 512, false);
+    let ghost = spec(3, JobKind::Search, 512, false);
+    assert_eq!(plan(&ghost).unwrap().backend.name(), "ghost");
+    let repeat = JobSpec {
+        id: 4,
+        ..compile.clone()
+    };
+    let mut answers = Vec::new();
+    match exchange(
+        &mut c,
+        &Request::Batch(vec![payload.clone(), compile.clone(), ghost.clone()]),
+    ) {
+        Ok(Response::Batch(rs)) => answers.extend(rs),
+        other => panic!("expected batch, got {other:?}"),
+    }
+    // Within one batch the repeat would be produced before the compile
+    // finishes (a miss by construction), so it follows in its own request.
+    answers.push(exchange(&mut c, &Request::Job(repeat.clone())).unwrap());
+    for (s, r) in [payload, compile, ghost, repeat].iter().zip(&answers) {
+        let p = plan(s).unwrap();
+        let want = execute(s, &p, &TraceCache::new()).unwrap();
+        let Response::Done(o) = r else {
+            panic!("job {}: expected done, got {r:?}", s.id)
+        };
+        assert_eq!(o.id, s.id);
+        assert_eq!(o.backend, p.backend.name());
+        assert_eq!(
+            (o.measured, o.q, o.checksum),
+            (want.measured, want.measured.q(s.omega), want.checksum),
+            "job {}",
+            s.id
+        );
+    }
+    h.stop();
+
+    let metering = h.file("metering.jsonl");
+    let carol = metering.lines().find(|l| l.contains("\"carol\"")).unwrap();
+    assert_eq!((field(carol, "jobs_done"), field(carol, "replays")), (4, 1));
+    // Admission order is slot order: the hello, then jobs 1..=4.
+    let log = h.file("admission.jsonl");
+    let order: Vec<(u64, u64)> = log
+        .lines()
+        .map(|l| (field(l, "seq"), field(l, "job_id")))
+        .collect();
+    assert_eq!(order, [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
 }
 
 #[test]

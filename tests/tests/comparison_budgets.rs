@@ -170,7 +170,9 @@ fn sort_via_pq_within_comparison_budget() {
 /// One copy-budget row `(machine, n, c′)`: at most `c′·(Q_r + Q_w)·B`
 /// clones on `n` uniform keys. Each `c′` sits within 10% above the
 /// measured count; the comments give the count before `small_sort`
-/// scanned borrowed blocks and cloned only the elements entering its pool.
+/// scanned borrowed blocks and cloned only the elements entering its pool,
+/// then (second figure) before the §3.1 merge and the queue's refill scans
+/// did the same.
 type CloneBudget = ((usize, usize, u64), usize, f64);
 
 fn check_clone_budgets(name: &str, sorter: Sorter, rows: &[CloneBudget]) {
@@ -210,8 +212,8 @@ fn merge_sort_within_clone_budget() {
         "merge_sort",
         merge_sort,
         &[
-            (GATE, 2048, 0.52),     // was 0.903
-            (LARGE, 1 << 20, 0.45), // was 0.916
+            (GATE, 2048, 0.40),     // was 0.903, 0.470
+            (LARGE, 1 << 20, 0.44), // was 0.916, 0.409
         ],
     );
 }
@@ -222,8 +224,8 @@ fn sort_via_pq_within_clone_budget() {
         "sort_via_pq",
         sort_via_pq,
         &[
-            (GATE, 2048, 0.82),     // was 0.743
-            (LARGE, 1 << 16, 0.95), // was 0.859
+            (GATE, 2048, 0.61),     // was 0.743, 0.743
+            (LARGE, 1 << 16, 0.93), // was 0.859, 0.859
         ],
     );
 }
