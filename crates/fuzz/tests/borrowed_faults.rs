@@ -8,19 +8,40 @@
 //! included, and the registry's own output check rejected the run. A
 //! wrapper that later overrides `read_block_with` without faulting it
 //! makes the first check fail.
+//!
+//! The runs at `n ≥ 2^16` take the registry's other verification path,
+//! with the oracle on a helper thread beside the kernel: a fault there is
+//! still rejected, and a kernel that fails mid-run (an error, or the
+//! wrapper's read-budget panic) still comes back to the caller.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use aem_core::workload::{
     run_workload, Body, Harness, Payload, RunCtx, Verified, WorkloadError, WorkloadKind,
 };
-use aem_fuzz::fault::OffByOneMachine;
-use aem_machine::{AemAccess, AemConfig, Machine};
+use aem_fuzz::fault::{OffByOneMachine, READ_BUDGET};
+use aem_machine::{AemAccess, AemConfig, Machine, MachineError};
 
 /// Runs each body on a fresh [`OffByOneMachine`] over the vec machine and
-/// remembers how many reads it metered and how many it redirected.
+/// remembers how many reads it metered and how many it redirected. A body
+/// that panics (the wrapper's read budget ran out) comes back as a
+/// `Check` error naming the panic, as the fuzz runner reports it.
 struct Faulty {
     stride: u64,
+    budget: u64,
     reads: u64,
     faults: u64,
+}
+
+impl Faulty {
+    fn new(stride: u64) -> Faulty {
+        Faulty {
+            stride,
+            budget: READ_BUDGET,
+            reads: 0,
+            faults: 0,
+        }
+    }
 }
 
 impl Harness for Faulty {
@@ -30,32 +51,38 @@ impl Harness for Faulty {
         ctx: &RunCtx,
         body: Body<'_, T>,
     ) -> Result<Verified, WorkloadError> {
-        let mut m = OffByOneMachine::new(Machine::<T>::new(ctx.cfg), self.stride);
-        let out = body(&mut m);
+        let mut m =
+            OffByOneMachine::with_read_budget(Machine::<T>::new(ctx.cfg), self.stride, self.budget);
+        let out = catch_unwind(AssertUnwindSafe(|| body(&mut m)));
         self.reads = m.cost().reads;
         self.faults = m.faults_injected;
-        out
+        out.unwrap_or_else(|p| {
+            let msg = p
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| p.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            Err(WorkloadError::Check(format!("panicked: {msg}")))
+        })
     }
 }
 
-fn faulted_run(kind: WorkloadKind, algo: &str, n: usize, delta: usize, stride: u64) {
-    let cfg = AemConfig::new(64, 8, 4).unwrap();
+fn faulted_run(
+    cfg: AemConfig,
+    kind: WorkloadKind,
+    algo: &str,
+    n: usize,
+    delta: usize,
+    stride: u64,
+) {
     let ctx = RunCtx::new(kind, algo, cfg, n, delta, 1).unwrap();
 
     // The same run on an unfaulted machine passes its check.
-    let mut clean = Faulty {
-        stride: u64::MAX,
-        reads: 0,
-        faults: 0,
-    };
+    let mut clean = Faulty::new(u64::MAX);
     assert!(run_workload(&ctx, &mut clean).unwrap().verified);
     assert_eq!(clean.faults, 0);
 
-    let mut h = Faulty {
-        stride,
-        reads: 0,
-        faults: 0,
-    };
+    let mut h = Faulty::new(stride);
     let res = run_workload(&ctx, &mut h);
     // Every `stride`-th read is redirected unless it would fall off the
     // end of storage; most of these kernels' reads are borrowed, so a
@@ -80,10 +107,55 @@ fn bfs_mark_faults_are_caught_by_the_output_check() {
     // end the traversal before any borrowed read; many other strides let
     // the traversal index past a corrupted block and panic before the
     // check runs. Stride 9 reaches the check on this instance.
-    faulted_run(WorkloadKind::Bfs, "mark", 200, 3, 9);
+    faulted_run(small(), WorkloadKind::Bfs, "mark", 200, 3, 9);
 }
 
 #[test]
 fn search_btree_faults_are_caught_by_the_output_check() {
-    faulted_run(WorkloadKind::Search, "btree", 700, 60, 5);
+    faulted_run(small(), WorkloadKind::Search, "btree", 700, 60, 5);
+}
+
+fn small() -> AemConfig {
+    AemConfig::new(64, 8, 4).unwrap()
+}
+
+fn large() -> AemConfig {
+    AemConfig::new(1024, 64, 16).unwrap()
+}
+
+#[test]
+fn faults_beside_the_oracle_thread_are_caught_by_the_output_check() {
+    // As on the small instances, these strides let the corrupted
+    // traversal and lookups run to the check rather than panic first.
+    faulted_run(large(), WorkloadKind::Search, "btree", 1 << 16, 256, 3);
+    faulted_run(large(), WorkloadKind::Bfs, "mark", 1 << 16, 3, 9);
+}
+
+#[test]
+fn kernel_failures_beside_the_oracle_thread_come_back_as_err() {
+    // A kernel error: marking BFS refuses M < 4B before its first I/O,
+    // while the oracle traverses 2^16 vertices.
+    let cfg = AemConfig::new(16, 8, 4).unwrap();
+    let ctx = RunCtx::new(WorkloadKind::Bfs, "mark", cfg, 1 << 16, 3, 1).unwrap();
+    let res = run_workload(&ctx, &mut Faulty::new(u64::MAX));
+    assert!(
+        matches!(
+            res,
+            Err(WorkloadError::Machine(MachineError::InvalidConfig(_)))
+        ),
+        "{res:?}"
+    );
+
+    // A kernel that dies mid-run: the read budget runs out partway
+    // through the sort, and the panic reaches the harness.
+    let ctx = RunCtx::new(WorkloadKind::Sort, "aem", large(), 1 << 16, 0, 1).unwrap();
+    let mut h = Faulty {
+        budget: 1000,
+        ..Faulty::new(u64::MAX)
+    };
+    match run_workload(&ctx, &mut h) {
+        Err(WorkloadError::Check(msg)) => assert!(msg.contains("read budget"), "{msg}"),
+        other => panic!("the read-budget panic must come back as Err, got {other:?}"),
+    }
+    assert_eq!(h.reads, 1000);
 }

@@ -299,6 +299,53 @@ mod tests {
     }
 
     #[test]
+    fn generated_triples_are_pinned() {
+        // FNV-1a over every (row, col), recorded while each column's rows
+        // were drawn through a `HashSet`. Banded with bandwidth 4δ and
+        // block-diagonal at δ = 1 rejection-sample; block-diagonal at
+        // δ ≥ 4, the narrow band and random at 4δ ≥ n shuffle.
+        let fnv = |c: &Conformation| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for t in &c.triples {
+                for v in [t.row as u64, t.col as u64] {
+                    for b in v.to_le_bytes() {
+                        h ^= b as u64;
+                        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+            h
+        };
+        let cases: [(&str, usize, usize, u64, u64); 10] = [
+            ("random", 1000, 3, 1, 0xaa8ebfa6a8f5035f),
+            ("random", 4096, 4, 7, 0xffdbc6f459285ea8),
+            ("random", 200, 60, 2, 0x2f8c59ae1bd0de88),
+            ("random", 64, 64, 3, 0x450dbbf97864a325),
+            ("banded", 1000, 3, 1, 0xe7d87354bfdb33b3),
+            ("banded", 4096, 4, 7, 0x25699ca2b156aa95),
+            ("block-diagonal", 1000, 4, 1, 0x7127d09d3d7a8ed1),
+            ("block-diagonal", 4096, 1, 7, 0xb47e2da7136589b2),
+            ("block-diagonal", 1008, 16, 5, 0x11fa3f06a716c843),
+            ("narrow-band", 500, 5, 3, 0xc7cc1773cbc8f5fe),
+        ];
+        let got: Vec<u64> = cases
+            .iter()
+            .map(|&(label, n, delta, seed, _)| {
+                let shape = match label {
+                    "narrow-band" => MatrixShape::Banded {
+                        bandwidth: delta,
+                        seed,
+                    },
+                    _ => MatrixShape::from_label(label, n, delta, seed).unwrap(),
+                };
+                fnv(&Conformation::generate(shape, n, delta))
+            })
+            .collect();
+        let want: Vec<u64> = cases.iter().map(|c| c.4).collect();
+        assert_eq!(got, want, "got {got:#018x?}");
+    }
+
+    #[test]
     fn validate_catches_corruption() {
         let mut c = Conformation::generate(MatrixShape::Random { seed: 6 }, 16, 2);
         c.triples.swap(0, 1);
