@@ -33,7 +33,7 @@
 //! same verdict as the Eytzinger lookup but for a stronger reason: the
 //! control flow itself is data-routed.
 
-use aem_machine::{AemAccess, AemConfig, Cost, Region, Result};
+use aem_machine::{AemAccess, AemConfig, BlockId, Cost, Region, Result};
 
 use crate::search::MISS;
 use crate::spmv::InstallExt;
@@ -93,13 +93,13 @@ where
         m.write_block(dist.block(i), block)?;
     }
     m.phase_exit();
-    // The queue can never need more blocks than one per enqueued vertex
-    // plus one partial flush per level (both ≤ n), plus the seed block.
-    let queue = m.alloc_region((2 * n + 1) * b);
+    // Queue blocks are allocated as they are flushed, the seed block
+    // first; `queue[i]` is the queue's `i`-th block.
+    let mut queue = Vec::new();
     m.phase_enter("traverse");
     m.reserve(1)?;
-    m.write_block(queue.block(0), vec![0u64])?;
-    let mut cursor = 1usize;
+    let seed = next_queue_block(m, &mut queue);
+    m.write_block(seed, vec![0u64])?;
     let (mut cur_start, mut cur_len) = (0usize, 1usize);
     let mut level = 0u64;
     // `frontier` holds the resident queue block; `buf` receives a
@@ -107,11 +107,11 @@ where
     let (mut frontier, mut buf) = (Vec::new(), Vec::new());
     loop {
         level += 1;
-        let next_start = cursor;
+        let next_start = queue.len();
         let mut next_len = 0usize;
         let mut batch: Vec<u64> = Vec::with_capacity(b);
         for qb in 0..cur_len.div_ceil(b) {
-            let flen = m.read_block_into(queue.block(cur_start + qb), &mut frontier)?;
+            let flen = m.read_block_into(queue[cur_start + qb], &mut frontier)?;
             for &v in &frontier {
                 let (o0, o1) = read_offsets(m, offs_r, v as usize, b)?;
                 for e in o0..o1 {
@@ -137,9 +137,9 @@ where
                         batch.push(w as u64);
                         next_len += 1;
                         if batch.len() == b {
-                            m.write_run(queue.block(cursor), &batch)?;
+                            let id = next_queue_block(m, &mut queue);
+                            m.write_run(id, &batch)?;
                             batch.clear();
-                            cursor += 1;
                         }
                     } else {
                         m.discard(dlen)?;
@@ -149,8 +149,8 @@ where
             m.discard(flen)?;
         }
         if !batch.is_empty() {
-            m.write_block(queue.block(cursor), batch)?;
-            cursor += 1;
+            let id = next_queue_block(m, &mut queue);
+            m.write_block(id, batch)?;
         }
         if next_len == 0 {
             break;
@@ -160,6 +160,19 @@ where
     }
     m.phase_exit();
     Ok(dist)
+}
+
+/// Allocate the queue's next block and append it to `queue`. Nothing
+/// else allocates during the traversal, so the ids are consecutive, the
+/// ones a single region of queue blocks would have.
+fn next_queue_block<A>(m: &mut A, queue: &mut Vec<BlockId>) -> BlockId
+where
+    A: AemAccess<u64> + ?Sized,
+{
+    let id = m.alloc_block();
+    debug_assert!(queue.first().map_or(true, |q| id.0 == q.0 + queue.len()));
+    queue.push(id);
+    id
 }
 
 /// Advance a sequential cursor to `blk` of `region` (no-op when already

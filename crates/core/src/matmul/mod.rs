@@ -138,6 +138,52 @@ fn tile_product(t: usize, a: &[u64], b: &[u64], c: &mut [u64]) {
     }
 }
 
+/// Accumulate `A·B` into `c`, the run of the row-major `t × t` product
+/// tile that starts at element `lo`. The run is cut into row segments,
+/// and each segment adds the matching slices of `b`'s rows, four at a
+/// time, scaled by its row of `a`, as [`tile_product`] does for whole
+/// rows. Wrapping sums do not depend on order, so the result equals the
+/// per-element dot product.
+fn segment_product(t: usize, lo: usize, a: &[u64], b: &[u64], c: &mut [u64]) {
+    let (mut idx, mut rest) = (lo, c);
+    while !rest.is_empty() {
+        let (x, y) = (idx / t, idx % t);
+        let len = (t - y).min(rest.len());
+        let (seg, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        let brow = |z: usize| &b[z * t + y..z * t + y + len];
+        let arow = &a[x * t..(x + 1) * t];
+        let quads = arow.chunks_exact(4);
+        let arest = quads.remainder();
+        for (q, ag) in quads.enumerate() {
+            let (a0, a1, a2, a3) = (ag[0], ag[1], ag[2], ag[3]);
+            if a0 | a1 | a2 | a3 == 0 {
+                continue;
+            }
+            let z = 4 * q;
+            let rows = brow(z)
+                .iter()
+                .zip(brow(z + 1))
+                .zip(brow(z + 2))
+                .zip(brow(z + 3));
+            for (cv, (((&x0, &x1), &x2), &x3)) in seg.iter_mut().zip(rows) {
+                *cv = cv
+                    .wrapping_add(a0.wrapping_mul(x0))
+                    .wrapping_add(a1.wrapping_mul(x1))
+                    .wrapping_add(a2.wrapping_mul(x2))
+                    .wrapping_add(a3.wrapping_mul(x3));
+            }
+        }
+        for (z, &av) in (t - arest.len()..t).zip(arest) {
+            if av != 0 {
+                for (cv, &bv) in seg.iter_mut().zip(brow(z)) {
+                    *cv = cv.wrapping_add(av.wrapping_mul(bv));
+                }
+            }
+        }
+        (idx, rest) = (idx + len, tail);
+    }
+}
+
 /// The write-avoiding tiling: `C(i,j)` stays resident across the `k`
 /// loop and is written exactly once. Returns the padded tile-major
 /// product region and the tile side used (feed it to [`extract`]).
@@ -209,14 +255,8 @@ where
                     } else {
                         m.read_block_into(cr.block(base + cb), &mut cbuf)?;
                     }
-                    for idx in cb * blk..((cb + 1) * blk).min(t * t) {
-                        let (x, y) = (idx / t, idx % t);
-                        let mut s = cbuf[idx - cb * blk];
-                        for z in 0..t {
-                            s = s.wrapping_add(abuf[x * t + z].wrapping_mul(bbuf[z * t + y]));
-                        }
-                        cbuf[idx - cb * blk] = s;
-                    }
+                    let (lo, hi) = (cb * blk, ((cb + 1) * blk).min(t * t));
+                    segment_product(t, lo, &abuf, &bbuf, &mut cbuf[..hi - lo]);
                     m.write_block(cr.block(base + cb), std::mem::take(&mut cbuf))?;
                 }
             }
@@ -278,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_product_matches_a_triple_loop() {
+    fn tile_and_segment_products_match_a_triple_loop() {
         let mut rng = aem_workloads::SplitMix64::seed_from_u64(0x711e);
         for t in 1..=13usize {
             // Padding after t² must survive untouched.
@@ -305,9 +345,18 @@ mod tests {
                         }
                     }
                 }
-                let mut got = c0;
+                let mut got = c0.clone();
                 tile_product(t, &a, &b, &mut got);
                 assert_eq!(got, want, "t={t} zeros={zeros}");
+                // The streaming kernel's runs of one block: whole rows,
+                // rows split across runs, and runs spanning rows.
+                for blk in [1, 3, 4, t, t + 5] {
+                    let mut got = c0.clone();
+                    for (cb, run) in got[..t * t].chunks_mut(blk).enumerate() {
+                        segment_product(t, cb * blk, &a, &b, run);
+                    }
+                    assert_eq!(got, want, "t={t} zeros={zeros} blk={blk}");
+                }
             }
         }
     }

@@ -825,11 +825,65 @@ fn run_sorter(
     }
 }
 
+/// Smallest `n` at which [`run_workload`] runs a body's RAM oracle on a
+/// helper thread beside the metered kernel instead of after it. A scoped
+/// spawn and join costs ~70–80 µs on a 2-vCPU host: at `2^16` elements
+/// that is under 1% of any registered run (sort at `(1024, 64, 16)` takes
+/// ~20 ms there), while below it the spawn is a visible share of a small
+/// job, and a server whose workers already fill every core lost 8% of its
+/// request rate to it. The cut-off keeps every serve-sized job on one
+/// thread.
+pub const ORACLE_BESIDE_MIN_N: usize = 1 << 16;
+
+/// Run `kernel` on `m`, read its answer back with `output`, and check it
+/// against `oracle`; `what` names the failure. On a real payload at
+/// `n ≥` [`ORACLE_BESIDE_MIN_N`] the oracle and the FNV-1a of its answer
+/// run on a scoped helper thread while the kernel and `output` run on the
+/// calling thread; the digest is then the oracle's, which equals the
+/// output's once the two compare equal. Otherwise everything runs on the
+/// calling thread in order — kernel, oracle, compare, hash — and a ghost
+/// run never computes the oracle. A kernel error waits for the helper and
+/// wins over anything the oracle did; an oracle panic is re-raised.
+fn verify<T, R>(
+    m: &mut dyn WorkloadMachine<T>,
+    n: usize,
+    kernel: impl FnOnce(&mut dyn WorkloadMachine<T>) -> Result<R, MachineError>,
+    output: impl FnOnce(&dyn WorkloadMachine<T>, R) -> Vec<u64>,
+    oracle: impl FnOnce() -> Vec<u64> + Send,
+    what: &str,
+) -> Result<Verified, WorkloadError> {
+    if m.payload_real() && n >= ORACLE_BESIDE_MIN_N {
+        return std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                let want = oracle();
+                let hash = fnv1a(want.iter().copied());
+                (want, hash)
+            });
+            let got = kernel(&mut *m).map(|r| output(&*m, r));
+            let joined = helper.join();
+            let got = got?;
+            let (want, hash) = joined.unwrap_or_else(|p| std::panic::resume_unwind(p));
+            check(got == want, what)?;
+            Ok(Verified::hashed(hash))
+        });
+    }
+    let r = kernel(&mut *m)?;
+    if !m.payload_real() {
+        return Ok(Verified::unverified());
+    }
+    let got = output(&*m, r);
+    let want = oracle();
+    check(got == want, what)?;
+    Ok(Verified::hashed(fnv1a(got)))
+}
+
 /// Generate this kind's instance of `ctx.input` and run it under `h`. The single
 /// place that matches on [`WorkloadKind`] to pick payload types, oracle,
 /// and verification — every executor (serve live/trace, fuzz, profile,
-/// the cost gate) goes through here. Each body computes its oracle only
-/// after the run, and only when the payload is real: ghost runs return
+/// the cost gate) goes through here. Every body verifies through one
+/// helper: from [`ORACLE_BESIDE_MIN_N`] elements up its RAM oracle runs on
+/// a helper thread beside the metered run, below that after the run on
+/// the calling thread. Only real payloads are checked: ghost runs return
 /// unverified without paying for a reference they would throw away.
 pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, WorkloadError> {
     let algo = ctx.algo.name;
@@ -840,15 +894,17 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
-                    let r = m.install_atoms(&input);
-                    let out = run_sorter(algo, m, r)?;
-                    if !m.payload_real() {
-                        return Ok(Verified::unverified());
-                    }
-                    let got = m.inspect_region(out);
-                    let want = oracle::sorted_reference(&input);
-                    check(got == want, "sort: output diverges from the oracle")?;
-                    Ok(Verified::hashed(fnv1a(got)))
+                    verify(
+                        m,
+                        n,
+                        |m| {
+                            let r = m.install_atoms(&input);
+                            run_sorter(algo, m, r)
+                        },
+                        |m, out| m.inspect_region(out),
+                        || oracle::sorted_reference(&input),
+                        "sort: output diverges from the oracle",
+                    )
                 }),
             )
         }
@@ -861,18 +917,17 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                 "naive" => h.run::<u64>(
                     ctx,
                     Box::new(move |m| {
-                        let r = m.install_atoms(&values);
-                        let out = {
-                            let mut m2: &mut dyn WorkloadMachine<u64> = m;
-                            permute_naive_on(&mut m2, r, &pi)?
-                        };
-                        if !m.payload_real() {
-                            return Ok(Verified::unverified());
-                        }
-                        let got = m.inspect_region(out);
-                        let want = perm::apply(&pi, &values);
-                        check(got == want, "naive permute: verification failed")?;
-                        Ok(Verified::hashed(fnv1a(got)))
+                        verify(
+                            m,
+                            n,
+                            |mut m| {
+                                let r = m.install_atoms(&values);
+                                permute_naive_on(&mut m, r, &pi)
+                            },
+                            |m, out| m.inspect_region(out),
+                            || perm::apply(&pi, &values),
+                            "naive permute: verification failed",
+                        )
                     }),
                 ),
                 _ => {
@@ -887,19 +942,19 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     h.run::<DestTagged<u64>>(
                         ctx,
                         Box::new(move |m| {
-                            let r = m.install_atoms(&tagged);
-                            let out = {
-                                let mut m2: &mut dyn WorkloadMachine<DestTagged<u64>> = m;
-                                permute_by_sort_on(&mut m2, r)?
-                            };
-                            if !m.payload_real() {
-                                return Ok(Verified::unverified());
-                            }
-                            let got: Vec<u64> =
-                                m.inspect_region(out).into_iter().map(|t| t.value).collect();
-                            let want = perm::apply(&pi, &values);
-                            check(got == want, "by-sort permute: verification failed")?;
-                            Ok(Verified::hashed(fnv1a(got)))
+                            verify(
+                                m,
+                                n,
+                                |mut m| {
+                                    let r = m.install_atoms(&tagged);
+                                    permute_by_sort_on(&mut m, r)
+                                },
+                                |m, out| {
+                                    m.inspect_region(out).into_iter().map(|t| t.value).collect()
+                                },
+                                || perm::apply(&pi, &values),
+                                "by-sort permute: verification failed",
+                            )
                         }),
                     )
                 }
@@ -916,29 +971,30 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
             h.run::<MatEntry<U64Ring>>(
                 ctx,
                 Box::new(move |m| {
-                    let mut m2: &mut dyn WorkloadMachine<MatEntry<U64Ring>> = m;
-                    let (ar, xr) = install_instance(
-                        &mut m2,
-                        &SpmvInstance {
-                            conf: &conf,
-                            a_vals: &a,
-                            x: &x,
+                    verify(
+                        m,
+                        n,
+                        |mut m| {
+                            let inst = SpmvInstance {
+                                conf: &conf,
+                                a_vals: &a,
+                                x: &x,
+                            };
+                            let (ar, xr) = install_instance(&mut m, &inst);
+                            match algo {
+                                "direct" => spmv_direct_on(&mut m, &conf, ar, xr),
+                                _ => spmv_sorted_on(&mut m, &conf, ar, xr),
+                            }
                         },
-                    );
-                    let y = match algo {
-                        "direct" => spmv_direct_on(&mut m2, &conf, ar, xr)?,
-                        _ => spmv_sorted_on(&mut m2, &conf, ar, xr)?,
-                    };
-                    if !m.payload_real() {
-                        return Ok(Verified::unverified());
-                    }
-                    let got: Vec<u64> = m.inspect_region(y).into_iter().map(|e| e.val.0).collect();
-                    let want: Vec<u64> = reference_multiply(&conf, &a, &x)
-                        .into_iter()
-                        .map(|v| v.0)
-                        .collect();
-                    check(got == want, "spmv: verification failed")?;
-                    Ok(Verified::hashed(fnv1a(got)))
+                        |m, y| m.inspect_region(y).into_iter().map(|e| e.val.0).collect(),
+                        || {
+                            reference_multiply(&conf, &a, &x)
+                                .into_iter()
+                                .map(|v| v.0)
+                                .collect()
+                        },
+                        "spmv: verification failed",
+                    )
                 }),
             )
         }
@@ -947,19 +1003,21 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
-                    let mut m2: &mut dyn WorkloadMachine<u64> = m;
-                    let idx = match algo {
-                        "binary" => search::build_binary(&mut m2, &inst.keys)?,
-                        "eytzinger" => search::build_eytzinger(&mut m2, &inst.keys)?,
-                        _ => search::build_btree(&mut m2, &inst.keys)?,
-                    };
-                    let got = search::lookup_batch(&mut m2, &idx, &inst.queries)?;
-                    if !m.payload_real() {
-                        return Ok(Verified::unverified());
-                    }
-                    let want = oracle::lookup_reference(&inst.keys, &inst.queries);
-                    check(got == want, "search: lookup verification failed")?;
-                    Ok(Verified::hashed(fnv1a(got)))
+                    verify(
+                        m,
+                        n,
+                        |mut m| {
+                            let idx = match algo {
+                                "binary" => search::build_binary(&mut m, &inst.keys)?,
+                                "eytzinger" => search::build_eytzinger(&mut m, &inst.keys)?,
+                                _ => search::build_btree(&mut m, &inst.keys)?,
+                            };
+                            search::lookup_batch(&mut m, &idx, &inst.queries)
+                        },
+                        |_, got| got,
+                        || oracle::lookup_reference(&inst.keys, &inst.queries),
+                        "search: lookup verification failed",
+                    )
                 }),
             )
         }
@@ -968,22 +1026,24 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
-                    let mut m2: &mut dyn WorkloadMachine<u64> = m;
-                    let r = m2.install_atoms(&inst.values);
-                    let got = match algo {
-                        "materialize" => scan::scan_materialize(&mut m2, r, &inst.queries)?,
-                        "rescan" => scan::scan_rescan(&mut m2, r, &inst.queries)?,
-                        _ => {
-                            let t = scan::build_sum_tree(&mut m2, r)?;
-                            scan::query_tree(&mut m2, &t, &inst.queries)?
-                        }
-                    };
-                    if !m.payload_real() {
-                        return Ok(Verified::unverified());
-                    }
-                    let want = oracle::prefix_reference(&inst.values, &inst.queries);
-                    check(got == want, "scan: prefix verification failed")?;
-                    Ok(Verified::hashed(fnv1a(got)))
+                    verify(
+                        m,
+                        n,
+                        |mut m| {
+                            let r = m.install_atoms(&inst.values);
+                            match algo {
+                                "materialize" => scan::scan_materialize(&mut m, r, &inst.queries),
+                                "rescan" => scan::scan_rescan(&mut m, r, &inst.queries),
+                                _ => {
+                                    let t = scan::build_sum_tree(&mut m, r)?;
+                                    scan::query_tree(&mut m, &t, &inst.queries)
+                                }
+                            }
+                        },
+                        |_, got| got,
+                        || oracle::prefix_reference(&inst.values, &inst.queries),
+                        "scan: prefix verification failed",
+                    )
                 }),
             )
         }
@@ -992,18 +1052,19 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
-                    let mut m2: &mut dyn WorkloadMachine<u64> = m;
-                    let (cr, t) = match algo {
-                        "stream" => matmul::matmul_stream(&mut m2, inst.d, &inst.a, &inst.b)?,
-                        _ => matmul::matmul_tiled(&mut m2, inst.d, &inst.a, &inst.b)?,
-                    };
-                    if !m.payload_real() {
-                        return Ok(Verified::unverified());
-                    }
-                    let got = matmul::extract(inst.d, t, m.cfg().block, &m.inspect_region(cr));
-                    let want = oracle::matmul_reference(inst.d, &inst.a, &inst.b);
-                    check(got == want, "matmul: verification failed")?;
-                    Ok(Verified::hashed(fnv1a(got)))
+                    verify(
+                        m,
+                        n,
+                        |mut m| match algo {
+                            "stream" => matmul::matmul_stream(&mut m, inst.d, &inst.a, &inst.b),
+                            _ => matmul::matmul_tiled(&mut m, inst.d, &inst.a, &inst.b),
+                        },
+                        |m, (cr, t)| {
+                            matmul::extract(inst.d, t, m.cfg().block, &m.inspect_region(cr))
+                        },
+                        || oracle::matmul_reference(inst.d, &inst.a, &inst.b),
+                        "matmul: verification failed",
+                    )
                 }),
             )
         }
@@ -1012,18 +1073,17 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
             h.run::<u64>(
                 ctx,
                 Box::new(move |m| {
-                    let mut m2: &mut dyn WorkloadMachine<u64> = m;
-                    let dist = match algo {
-                        "rescan" => bfs::bfs_rescan(&mut m2, n, &g.offs, &g.adj)?,
-                        _ => bfs::bfs_mark(&mut m2, n, &g.offs, &g.adj)?,
-                    };
-                    if !m.payload_real() {
-                        return Ok(Verified::unverified());
-                    }
-                    let got = m.inspect_region(dist);
-                    let want = oracle::bfs_reference(n, &g.offs, &g.adj);
-                    check(got == want, "bfs: distance verification failed")?;
-                    Ok(Verified::hashed(fnv1a(got)))
+                    verify(
+                        m,
+                        n,
+                        |mut m| match algo {
+                            "rescan" => bfs::bfs_rescan(&mut m, n, &g.offs, &g.adj),
+                            _ => bfs::bfs_mark(&mut m, n, &g.offs, &g.adj),
+                        },
+                        |m, dist| m.inspect_region(dist),
+                        || oracle::bfs_reference(n, &g.offs, &g.adj),
+                        "bfs: distance verification failed",
+                    )
                 }),
             )
         }
@@ -1186,6 +1246,94 @@ mod tests {
             let (cost, checksum) = run_workload(&ctx, &mut h).unwrap();
             assert!(cost.total_ios() > 0, "{kind}");
             assert_ne!(checksum, 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn the_oracle_runs_beside_the_kernel_from_the_cut_off_up_and_never_on_ghost() {
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+        let cfg = AemConfig::new(64, 8, 16).unwrap();
+        let here = thread::current().id();
+        // The outcome, and the thread the oracle ran on (`None`: never).
+        let probe = |m: &mut dyn WorkloadMachine<u64>, n: usize| {
+            let ran: Mutex<Option<ThreadId>> = Mutex::new(None);
+            let res = verify(
+                m,
+                n,
+                |m| Ok(m.install_atoms(&[1, 2, 3])),
+                |m, r| m.inspect_region(r),
+                || {
+                    *ran.lock().unwrap() = Some(thread::current().id());
+                    vec![1, 2, 3]
+                },
+                "probe",
+            );
+            (res.unwrap(), ran.into_inner().unwrap())
+        };
+        let hashed = Verified::hashed(fnv1a([1, 2, 3]));
+        for n in [1, ORACLE_BESIDE_MIN_N - 1] {
+            let (v, ran) = probe(&mut Machine::<u64>::new(cfg), n);
+            assert_eq!((v, ran), (hashed, Some(here)), "n = {n}");
+        }
+        for n in [ORACLE_BESIDE_MIN_N, 1 << 20] {
+            let (v, ran) = probe(&mut Machine::<u64>::new(cfg), n);
+            assert_eq!(v, hashed, "n = {n}");
+            assert!(ran.is_some() && ran != Some(here), "n = {n}: {ran:?}");
+        }
+        for n in [1, ORACLE_BESIDE_MIN_N] {
+            let (v, ran) = probe(&mut GhostMachine::<u64>::new(cfg), n);
+            assert_eq!((v, ran), (Verified::unverified(), None), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn both_verify_paths_fail_alike() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cfg = AemConfig::new(64, 8, 16).unwrap();
+        for n in [1, ORACLE_BESIDE_MIN_N] {
+            let mut m = Machine::<u64>::new(cfg);
+            // A kernel error wins, even over an oracle that panicked
+            // beside it.
+            let res = verify(
+                &mut m,
+                n,
+                |_| Err::<Region, _>(MachineError::InvalidConfig("probe")),
+                |m, r| m.inspect_region(r),
+                || panic!("oracle beside a failed kernel"),
+                "probe",
+            );
+            assert!(
+                matches!(
+                    res,
+                    Err(WorkloadError::Machine(MachineError::InvalidConfig("probe")))
+                ),
+                "n = {n}: {res:?}"
+            );
+            let res = verify(
+                &mut m,
+                n,
+                |m| Ok(m.install_atoms(&[1])),
+                |m, r| m.inspect_region(r),
+                || vec![2],
+                "probe: mismatch",
+            );
+            assert!(
+                matches!(&res, Err(WorkloadError::Check(msg)) if msg == "probe: mismatch"),
+                "n = {n}: {res:?}"
+            );
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                verify(
+                    &mut m,
+                    n,
+                    |m| Ok(m.install_atoms(&[1])),
+                    |m, r| m.inspect_region(r),
+                    || panic!("oracle probe"),
+                    "probe",
+                )
+            }))
+            .unwrap_err();
+            assert_eq!(panicked.downcast_ref::<&str>(), Some(&"oracle probe"));
         }
     }
 

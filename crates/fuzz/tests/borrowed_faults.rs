@@ -125,10 +125,10 @@ fn large() -> AemConfig {
 
 #[test]
 fn faults_beside_the_oracle_thread_are_caught_by_the_output_check() {
-    // As on the small instances, these strides let the corrupted
-    // traversal and lookups run to the check rather than panic first.
+    // As on the small instances, these strides let the corrupted lookups
+    // and prefix queries run to the check rather than panic first.
     faulted_run(large(), WorkloadKind::Search, "btree", 1 << 16, 256, 3);
-    faulted_run(large(), WorkloadKind::Bfs, "mark", 1 << 16, 3, 9);
+    faulted_run(large(), WorkloadKind::Scan, "tree", 1 << 16, 64, 5);
 }
 
 #[test]

@@ -112,12 +112,13 @@ impl Conformation {
     pub fn generate(shape: MatrixShape, n: usize, delta: usize) -> Self {
         assert!(delta >= 1 && delta <= n, "need 1 <= delta <= n");
         let mut triples = Vec::with_capacity(n * delta);
+        let mut rows = Vec::with_capacity(delta);
         match shape {
             MatrixShape::Random { seed } => {
                 let mut rng = SplitMix64::seed_from_u64(seed);
                 for col in 0..n {
-                    let rows = sample_distinct(&mut rng, n, delta, 0);
-                    triples.extend(rows.into_iter().map(|row| Triple { row, col }));
+                    sample_distinct(&mut rng, n, delta, 0, &mut rows);
+                    triples.extend(rows.iter().map(|&row| Triple { row, col }));
                 }
             }
             MatrixShape::Banded { bandwidth, seed } => {
@@ -126,8 +127,8 @@ impl Conformation {
                     let lo = col.saturating_sub(bandwidth);
                     let hi = (col + bandwidth + 1).min(n);
                     assert!(hi - lo >= delta, "band too narrow for delta");
-                    let rows = sample_distinct(&mut rng, hi - lo, delta, lo);
-                    triples.extend(rows.into_iter().map(|row| Triple { row, col }));
+                    sample_distinct(&mut rng, hi - lo, delta, lo, &mut rows);
+                    triples.extend(rows.iter().map(|&row| Triple { row, col }));
                 }
             }
             MatrixShape::BlockDiagonal { block, seed } => {
@@ -137,8 +138,8 @@ impl Conformation {
                     let base = (col / block) * block;
                     let width = block.min(n - base);
                     assert!(width >= delta, "tail block too small for delta");
-                    let rows = sample_distinct(&mut rng, width, delta, base);
-                    triples.extend(rows.into_iter().map(|row| Triple { row, col }));
+                    sample_distinct(&mut rng, width, delta, base, &mut rows);
+                    triples.extend(rows.iter().map(|&row| Triple { row, col }));
                 }
             }
         }
@@ -197,25 +198,34 @@ impl Conformation {
     }
 }
 
-/// Sample `k` distinct values from `offset..offset+range`, returned sorted.
-fn sample_distinct(rng: &mut SplitMix64, range: usize, k: usize, offset: usize) -> Vec<usize> {
+/// Sample `k` distinct values from `offset..offset+range` into `rows`
+/// (cleared first), sorted. Large ranges rejection-sample against the
+/// at most `k` rows drawn so far, so a column costs no allocation once
+/// `rows` has grown to `k`.
+fn sample_distinct(
+    rng: &mut SplitMix64,
+    range: usize,
+    k: usize,
+    offset: usize,
+    rows: &mut Vec<usize>,
+) {
     debug_assert!(k <= range);
+    rows.clear();
     // For small ranges shuffle; for large, rejection-sample.
-    let mut rows: Vec<usize> = if range <= 4 * k {
-        let mut all: Vec<usize> = (0..range).collect();
-        rng.shuffle(&mut all);
-        all.truncate(k);
-        all
+    if range <= 4 * k {
+        rows.extend(0..range);
+        rng.shuffle(rows);
+        rows.truncate(k);
     } else {
-        let mut seen = std::collections::HashSet::with_capacity(k * 2);
-        while seen.len() < k {
-            seen.insert(rng.next_below_usize(range));
+        while rows.len() < k {
+            let r = rng.next_below_usize(range);
+            if !rows.contains(&r) {
+                rows.push(r);
+            }
         }
-        seen.into_iter().collect()
-    };
+    }
     rows.sort_unstable();
     rows.iter_mut().for_each(|r| *r += offset);
-    rows
 }
 
 #[cfg(test)]
