@@ -96,65 +96,26 @@ where
     Ok(())
 }
 
-/// `c += a·b` for row-major `t×t` tiles in wrapping `u64` arithmetic;
-/// each slice holds at least `t²` elements and any padding after them is
-/// left alone. Row `x` of `c` takes four rank-1 updates per pass, one per
-/// row of `b` in the group `z..z+4`, so each `c` element is loaded and
-/// stored once per four multiply-adds; a group whose four `a[x][z]` are
-/// all zero is skipped (ghost tiles are all zeros). Wrapping arithmetic
-/// is exact mod 2^64, so the grouping does not change the product.
-fn tile_product(t: usize, a: &[u64], b: &[u64], c: &mut [u64]) {
-    let (a, b, c) = (&a[..t * t], &b[..t * t], &mut c[..t * t]);
-    // Rows of `b` in groups of four, and the `t mod 4` rows left over.
-    let quads = b.chunks_exact(4 * t);
-    let tail = quads.remainder();
-    for (arow, crow) in a.chunks_exact(t).zip(c.chunks_exact_mut(t)) {
-        let agroups = arow.chunks_exact(4);
-        let arest = agroups.remainder();
-        for (ag, brows) in agroups.zip(quads.clone()) {
-            let (a0, a1, a2, a3) = (ag[0], ag[1], ag[2], ag[3]);
-            if a0 | a1 | a2 | a3 == 0 {
-                continue;
-            }
-            let (b0, rest) = brows.split_at(t);
-            let (b1, rest) = rest.split_at(t);
-            let (b2, b3) = rest.split_at(t);
-            let rows = b0.iter().zip(b1).zip(b2).zip(b3);
-            for (cv, (((&x0, &x1), &x2), &x3)) in crow.iter_mut().zip(rows) {
-                *cv = cv
-                    .wrapping_add(a0.wrapping_mul(x0))
-                    .wrapping_add(a1.wrapping_mul(x1))
-                    .wrapping_add(a2.wrapping_mul(x2))
-                    .wrapping_add(a3.wrapping_mul(x3));
-            }
-        }
-        for (&av, brow) in arest.iter().zip(tail.chunks_exact(t)) {
-            if av != 0 {
-                for (cv, &x) in crow.iter_mut().zip(brow) {
-                    *cv = cv.wrapping_add(av.wrapping_mul(x));
-                }
-            }
-        }
-    }
-}
-
-/// Accumulate `A·B` into `c`, the run of the row-major `t × t` product
-/// tile that starts at element `lo`. The run is cut into row segments,
-/// and each segment adds the matching slices of `b`'s rows, four at a
-/// time, scaled by its row of `a`, as [`tile_product`] does for whole
-/// rows. Wrapping sums do not depend on order, so the result equals the
-/// per-element dot product.
-fn segment_product(t: usize, lo: usize, a: &[u64], b: &[u64], c: &mut [u64]) {
+/// `c += a·b` over a run of the product of row-major `t×t` tiles, in
+/// wrapping `u64` arithmetic: `c` holds the product's elements
+/// `lo..lo + c.len()` (a whole tile at `lo = 0`, one block of it in the
+/// streaming tiling), and `a` and `b` hold at least `t²` elements. Each
+/// row segment of the run takes four rank-1 updates per pass, one per
+/// row of `b` in the group `z..z+4` (sliced to the segment's columns),
+/// so each `c` element is loaded and stored once per four multiply-adds;
+/// a group whose four `a[x][z]` are all zero is skipped (ghost tiles are
+/// all zeros). Wrapping arithmetic is exact mod 2^64, so neither the
+/// grouping nor the cut into segments changes the product.
+fn tile_product(t: usize, lo: usize, a: &[u64], b: &[u64], c: &mut [u64]) {
     let (mut idx, mut rest) = (lo, c);
     while !rest.is_empty() {
         let (x, y) = (idx / t, idx % t);
         let len = (t - y).min(rest.len());
         let (seg, tail) = std::mem::take(&mut rest).split_at_mut(len);
         let brow = |z: usize| &b[z * t + y..z * t + y + len];
-        let arow = &a[x * t..(x + 1) * t];
-        let quads = arow.chunks_exact(4);
-        let arest = quads.remainder();
-        for (q, ag) in quads.enumerate() {
+        let agroups = a[x * t..(x + 1) * t].chunks_exact(4);
+        let arest = agroups.remainder();
+        for (q, ag) in agroups.enumerate() {
             let (a0, a1, a2, a3) = (ag[0], ag[1], ag[2], ag[3]);
             if a0 | a1 | a2 | a3 == 0 {
                 continue;
@@ -175,8 +136,8 @@ fn segment_product(t: usize, lo: usize, a: &[u64], b: &[u64], c: &mut [u64]) {
         }
         for (z, &av) in (t - arest.len()..t).zip(arest) {
             if av != 0 {
-                for (cv, &bv) in seg.iter_mut().zip(brow(z)) {
-                    *cv = cv.wrapping_add(av.wrapping_mul(bv));
+                for (cv, &x) in seg.iter_mut().zip(brow(z)) {
+                    *cv = cv.wrapping_add(av.wrapping_mul(x));
                 }
             }
         }
@@ -211,7 +172,7 @@ where
             for k in 0..h {
                 load_tile(m, ar, i * h + k, bt, &mut abuf)?;
                 load_tile(m, br, k * h + j, bt, &mut bbuf)?;
-                tile_product(t, &abuf, &bbuf, &mut ctile);
+                tile_product(t, 0, &abuf, &bbuf, &mut ctile[..t * t]);
             }
             m.write_run(cr.block((i * h + j) * bt), &ctile)?;
         }
@@ -256,7 +217,7 @@ where
                         m.read_block_into(cr.block(base + cb), &mut cbuf)?;
                     }
                     let (lo, hi) = (cb * blk, ((cb + 1) * blk).min(t * t));
-                    segment_product(t, lo, &abuf, &bbuf, &mut cbuf[..hi - lo]);
+                    tile_product(t, lo, &abuf, &bbuf, &mut cbuf[..hi - lo]);
                     m.write_block(cr.block(base + cb), std::mem::take(&mut cbuf))?;
                 }
             }
@@ -318,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_and_segment_products_match_a_triple_loop() {
+    fn tile_product_matches_a_triple_loop() {
         let mut rng = aem_workloads::SplitMix64::seed_from_u64(0x711e);
         for t in 1..=13usize {
             // Padding after t² must survive untouched.
@@ -345,15 +306,12 @@ mod tests {
                         }
                     }
                 }
-                let mut got = c0.clone();
-                tile_product(t, &a, &b, &mut got);
-                assert_eq!(got, want, "t={t} zeros={zeros}");
-                // The streaming kernel's runs of one block: whole rows,
-                // rows split across runs, and runs spanning rows.
-                for blk in [1, 3, 4, t, t + 5] {
+                // A whole tile, then the streaming kernel's runs of one
+                // block: rows split across runs and runs spanning rows.
+                for blk in [t * t, 1, 3, 4, t, t + 5] {
                     let mut got = c0.clone();
                     for (cb, run) in got[..t * t].chunks_mut(blk).enumerate() {
-                        segment_product(t, cb * blk, &a, &b, run);
+                        tile_product(t, cb * blk, &a, &b, run);
                     }
                     assert_eq!(got, want, "t={t} zeros={zeros} blk={blk}");
                 }

@@ -4,10 +4,11 @@
 //! Each case runs the kind's default input at `(M, B, ω) = (1024, 64, 16)`
 //! on the vec backend, once at `n = 4096` and once at `n = 2^16`, and
 //! pins `(Q_r, Q_w, checksum)`. The two sizes sit on either side of
-//! `2^16`, so a change to how large runs are verified must keep both the
-//! metered cost and the verified digest.
+//! `ORACLE_BESIDE_MIN_N` (2^16): the smaller run checks its oracle after
+//! the kernel, the larger one runs the oracle on a helper thread beside
+//! it, and both must keep the metered cost and the verified digest.
 
-use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind};
+use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind, ORACLE_BESIDE_MIN_N};
 use aem_machine::{AemConfig, Backend};
 
 /// Instance seed; `9 % 5 == 4` gives the sort kinds uniform keys.
@@ -95,6 +96,7 @@ const PINNED: &[Pin] = &[
 
 #[test]
 fn registry_costs_and_checksums_are_pinned() {
+    assert!(SIZES[0] < ORACLE_BESIDE_MIN_N && SIZES[1] >= ORACLE_BESIDE_MIN_N);
     let got = registry_runs();
     let table: String = got
         .iter()
