@@ -841,8 +841,8 @@ pub const ORACLE_BESIDE_MIN_N: usize = 1 << 16;
 /// run on a scoped helper thread while the kernel and `output` run on the
 /// calling thread; the digest is then the oracle's, which equals the
 /// output's once the two compare equal. Otherwise everything runs on the
-/// calling thread in order — kernel, oracle, compare, hash — and a ghost
-/// run never computes the oracle. A kernel error waits for the helper and
+/// calling thread in order — kernel, read-back, oracle, compare, hash —
+/// and a ghost run stops after the kernel, never computing the oracle. A kernel error waits for the helper and
 /// wins over anything the oracle did; an oracle panic is re-raised.
 fn verify<T, R>(
     m: &mut dyn WorkloadMachine<T>,
