@@ -22,7 +22,7 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 
-use aem_core::sort::{em_merge_sort, merge_sort, sort_via_pq};
+use aem_core::sort::{distribution_sort, em_merge_sort, merge_sort, sort_via_pq};
 use aem_machine::{AemAccess, AemConfig, Cost, Machine, Region, Result};
 use aem_workloads::KeyDist;
 
@@ -109,7 +109,8 @@ const LARGE: (usize, usize, u64) = (1 << 16, 1 << 8, 16);
 /// build measures (release builds skip the sortedness asserts and count
 /// less). The comments give the debug count over `n·log₂ n` before the
 /// loser-tree heads, the heapify-once round buffer, the by-run round
-/// order of the §3.1 merge and the heap-ordered insert buffer.
+/// order of the §3.1 merge and the heap-ordered insert buffer; a bare
+/// figure is the count the row was added at.
 type Budget = ((usize, usize, u64), usize, f64);
 
 fn check_budgets(name: &str, sorter: Sorter, rows: &[Budget]) {
@@ -149,6 +150,19 @@ fn merge_sort_within_comparison_budget() {
         &[
             (GATE, 2048, 4.2),     // was 4.10
             (LARGE, 1 << 20, 2.3), // was 3.23
+            (LARGE, 1 << 19, 2.1), // 1.922: one small_sort of nine passes
+        ],
+    );
+}
+
+#[test]
+fn distribution_sort_within_comparison_budget() {
+    check_budgets(
+        "distribution_sort",
+        distribution_sort,
+        &[
+            (GATE, 2048, 1.65),    // 1.519
+            (LARGE, 1 << 20, 1.2), // 1.098
         ],
     );
 }
@@ -172,7 +186,7 @@ fn sort_via_pq_within_comparison_budget() {
 /// measured count; the comments give the count before `small_sort`
 /// scanned borrowed blocks and cloned only the elements entering its pool,
 /// then (second figure) before the §3.1 merge and the queue's refill scans
-/// did the same.
+/// did the same; a bare figure is the count the row was added at.
 type CloneBudget = ((usize, usize, u64), usize, f64);
 
 fn check_clone_budgets(name: &str, sorter: Sorter, rows: &[CloneBudget]) {
@@ -214,6 +228,19 @@ fn merge_sort_within_clone_budget() {
         &[
             (GATE, 2048, 0.40),     // was 0.903, 0.470
             (LARGE, 1 << 20, 0.44), // was 0.916, 0.409
+            (LARGE, 1 << 19, 0.31), // 0.288: one small_sort of nine passes
+        ],
+    );
+}
+
+#[test]
+fn distribution_sort_within_clone_budget() {
+    check_clone_budgets(
+        "distribution_sort",
+        distribution_sort,
+        &[
+            (GATE, 2048, 0.58),     // 0.531
+            (LARGE, 1 << 20, 0.56), // 0.510
         ],
     );
 }

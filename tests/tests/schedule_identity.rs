@@ -1,7 +1,7 @@
 //! Schedule identity: host-side work may change, the metered program may
 //! not.
 //!
-//! Three families are pinned:
+//! Five families are pinned:
 //!
 //! * the §3 sort family — `small_sort`, `merge_runs`, the resident-cursor
 //!   merge ablation, `merge_sort` and the buffered priority queue (through
@@ -19,7 +19,12 @@
 //! * the dense kernels — matmul tiled and stream, on shapes whose tile
 //!   sides cover every residue mod 4, and permute by-sort — whose hashes
 //!   were recorded while the tile product indexed both tiles per
-//!   multiply-add and `small_sort` copied every block it scanned.
+//!   multiply-add and `small_sort` copied every block it scanned;
+//! * the §3 family at the sizes the benchmark runs — permute by-sort,
+//!   spmv sorted and the buffered queue on the sim-large machine, and
+//!   serve's two costliest spmv jobs — whose hashes were recorded before
+//!   the selection scans, the merge's round output and the queue's insert
+//!   path were rewritten.
 //!
 //! Every case runs on a seeded input on an `InstrumentedMachine`. Each
 //! run's I/O program — every event's `(op, block, len, aux)` plus the
@@ -312,34 +317,47 @@ fn stream_merge_hashes() -> Vec<(String, u64)> {
         // fan-in m − 2 = 6 and four at M = 4B (fan-in 2).
         let (n, delta) = (128, 16);
         for input in ["random", "banded", "block-diagonal"] {
-            let seed = 0x5b_a77e + si as u64;
-            let conf = Conformation::generate(
-                MatrixShape::from_label(input, n, delta, seed).unwrap(),
-                n,
-                delta,
-            );
-            let a: Vec<U64Ring> = (0..conf.nnz())
-                .map(|i| U64Ring((i as u64 * 37 + 1) % 97))
-                .collect();
-            let x: Vec<U64Ring> = (0..n).map(|j| U64Ring((j as u64 * 13 + 5) % 89)).collect();
-            let inst = SpmvInstance {
-                conf: &conf,
-                a_vals: &a,
-                x: &x,
-            };
-            let mut im = machine::<MatEntry<U64Ring>>(shape);
-            let (ar, xr) = install_instance(&mut im, &inst);
-            let y = spmv_sorted_on(&mut im, &conf, ar, xr).unwrap();
-            let got: Vec<U64Ring> = im.inspect(y).into_iter().map(|e| e.val).collect();
-            assert_eq!(
-                got,
-                reference_multiply(&conf, &a, &x),
-                "spmv/{name}/{input}"
-            );
-            out.push((format!("spmv_sorted/{name}/{input}"), program_hash(im, &[])));
+            let hash = spmv_sorted_hash(shape, n, delta, input, 0x5b_a77e + si as u64);
+            out.push((format!("spmv_sorted/{name}/{input}"), hash));
         }
     }
     out
+}
+
+/// Hash of spmv sorted on a seeded `n × n` matrix of shape `input` with
+/// `delta` non-zeros per column, checked against the reference product.
+fn spmv_sorted_hash(
+    shape: (&str, usize, usize, u64),
+    n: usize,
+    delta: usize,
+    input: &str,
+    seed: u64,
+) -> u64 {
+    let conf = Conformation::generate(
+        MatrixShape::from_label(input, n, delta, seed).unwrap(),
+        n,
+        delta,
+    );
+    let a: Vec<U64Ring> = (0..conf.nnz())
+        .map(|i| U64Ring((i as u64 * 37 + 1) % 97))
+        .collect();
+    let x: Vec<U64Ring> = (0..n).map(|j| U64Ring((j as u64 * 13 + 5) % 89)).collect();
+    let inst = SpmvInstance {
+        conf: &conf,
+        a_vals: &a,
+        x: &x,
+    };
+    let mut im = machine::<MatEntry<U64Ring>>(shape);
+    let (ar, xr) = install_instance(&mut im, &inst);
+    let y = spmv_sorted_on(&mut im, &conf, ar, xr).unwrap();
+    let got: Vec<U64Ring> = im.inspect(y).into_iter().map(|e| e.val).collect();
+    let name = shape.0;
+    assert_eq!(
+        got,
+        reference_multiply(&conf, &a, &x),
+        "spmv/{name}/{input}"
+    );
+    program_hash(im, &[])
 }
 
 /// Hashes recorded while `em_merge_sort` and spmv's merge-add scanned
@@ -550,28 +568,33 @@ fn dense_hashes() -> Vec<(String, u64)> {
             omega as usize * (mem / 2).max(b)
         };
         for input in ["random", "reverse", "transpose"] {
-            let pi = PermKind::from_label(input, n, 1).unwrap().generate(n);
-            let values: Vec<u64> = (0..n as u64).collect();
-            let tagged: Vec<DestTagged<u64>> = values
-                .iter()
-                .zip(&pi)
-                .map(|(&value, &d)| DestTagged {
-                    dest: d as u64,
-                    value,
-                })
-                .collect();
-            let mut im = machine::<DestTagged<u64>>(shape);
-            let r = im.install(&tagged);
-            let out_r = permute_by_sort_on(&mut im, r).unwrap();
-            let got: Vec<u64> = im.inspect(out_r).into_iter().map(|t| t.value).collect();
-            assert_eq!(got, perm::apply(&pi, &values), "by-sort/{name}/{input}");
-            out.push((
-                format!("by-sort/{name}/n={n}/{input}"),
-                program_hash(im, &[]),
-            ));
+            let hash = by_sort_hash(shape, n, input);
+            out.push((format!("by-sort/{name}/n={n}/{input}"), hash));
         }
     }
     out
+}
+
+/// Hash of permute by-sort on `n` values under the seeded permutation
+/// `input`, checked against the permutation applied in RAM.
+fn by_sort_hash(shape: (&str, usize, usize, u64), n: usize, input: &str) -> u64 {
+    let pi = PermKind::from_label(input, n, 1).unwrap().generate(n);
+    let values: Vec<u64> = (0..n as u64).collect();
+    let tagged: Vec<DestTagged<u64>> = values
+        .iter()
+        .zip(&pi)
+        .map(|(&value, &d)| DestTagged {
+            dest: d as u64,
+            value,
+        })
+        .collect();
+    let mut im = machine::<DestTagged<u64>>(shape);
+    let r = im.install(&tagged);
+    let out_r = permute_by_sort_on(&mut im, r).unwrap();
+    let got: Vec<u64> = im.inspect(out_r).into_iter().map(|t| t.value).collect();
+    let name = shape.0;
+    assert_eq!(got, perm::apply(&pi, &values), "by-sort/{name}/{input}");
+    program_hash(im, &[])
 }
 
 /// Hashes recorded while the tile product indexed both tiles per
@@ -607,6 +630,48 @@ const PINNED_DENSE: &[(&str, u64)] = &[
     ("by-sort/M=3B,B=49/n=1168/random", 0xf0953f127c447c64),
     ("by-sort/M=3B,B=49/n=1168/reverse", 0x094e8992a0a58255),
     ("by-sort/M=3B,B=49/n=1168/transpose", 0xd940c7db78cd31bd),
+];
+
+/// The sim-large machine.
+const LARGE: (&str, usize, usize, u64) = ("large", 1 << 16, 1 << 8, 16);
+
+/// The §3 family at the sizes the benchmark runs it: sim-large's permute
+/// by-sort (one `small_sort` of nine selection passes), spmv sorted and
+/// pq, and serve-payload's two costliest spmv jobs.
+fn large_hashes() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let n = 1 << 19;
+    out.push((
+        format!("by-sort/large/n={n}/random"),
+        by_sort_hash(LARGE, n, "random"),
+    ));
+    let spmv_rows = [
+        (LARGE, 1 << 17),
+        (("serve", 1024, 64, 16), 16384),
+        (("serve-small", 512, 32, 4), 16384),
+    ];
+    for (shape, n) in spmv_rows {
+        let hash = spmv_sorted_hash(shape, n, 4, "random", 1);
+        out.push((format!("spmv_sorted/{}/n={n}/random", shape.0), hash));
+    }
+    let n = 1 << 18;
+    let input = KeyDist::Uniform { seed: 1 }.generate(n);
+    out.push((
+        format!("sort_via_pq/large/n={n}/uniform"),
+        checked_sort(LARGE, &input, sort_via_pq),
+    ));
+    out
+}
+
+/// Hashes recorded on the sort family's heap-based selection scans, before
+/// `small_sort`, the §3.1 merge's round output and the queue's insert
+/// path were rewritten.
+const PINNED_LARGE: &[(&str, u64)] = &[
+    ("by-sort/large/n=524288/random", 0x13989c67de8290e1),
+    ("spmv_sorted/large/n=131072/random", 0xef767fc1f0b40b8b),
+    ("spmv_sorted/serve/n=16384/random", 0xb53acea3aa0aeabe),
+    ("spmv_sorted/serve-small/n=16384/random", 0x87b44e755189aecd),
+    ("sort_via_pq/large/n=262144/uniform", 0x35f4c87fbea4204b),
 ];
 
 fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
@@ -645,4 +710,9 @@ fn probe_kernel_schedules_are_pinned() {
 #[test]
 fn dense_kernel_schedules_are_pinned() {
     assert_pinned(&dense_hashes(), PINNED_DENSE);
+}
+
+#[test]
+fn large_shape_schedules_are_pinned() {
+    assert_pinned(&large_hashes(), PINNED_LARGE);
 }
