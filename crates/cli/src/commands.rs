@@ -970,6 +970,13 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.starts_with("run sort --n 4096 --algo aem --trace-out")));
+        for kernel in [
+            "run permute --n 524288 --mem 65536 --block 256 --omega 16",
+            "run spmv --n 131072 --delta 4 --mem 65536 --block 256 --omega 16",
+            "run pq --n 262144 --mem 65536 --block 256 --omega 16",
+        ] {
+            assert!(lines.iter().any(|l| l == kernel), "CI runs `{kernel}`");
+        }
         for line in &lines {
             let mut args = Args::parse(line.split_whitespace().map(String::from)).expect(line);
             args.dry_run = true;

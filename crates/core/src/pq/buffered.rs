@@ -2,19 +2,21 @@
 //!
 //! [`BufferedPq`] batches both directions of the queue:
 //!
-//! * **Inserts** accumulate in an internal buffer of `M/4` elements — a
-//!   min-heap, so a pop finds the buffer's minimum without a scan — and
+//! * **Inserts** accumulate in an internal buffer of `M/4` elements and
 //!   are flushed as one sorted run (plus the current delete buffer — see
-//!   below).
+//!   below). A push only appends; the first pop after a run of pushes
+//!   heapifies them (or adds them to the heap a previous pop built), so a
+//!   pop finds the buffer's minimum without a scan and a stream of pushes
+//!   pays no heap order it never reads.
 //! * **Deletes** are served from an internal *delete buffer* holding the
 //!   `M/4` globally smallest external elements. When it drains, one
 //!   **refill round** — structured like a round of the §3.1 merge — scans
 //!   every live run and moves the next `M/4` smallest elements in. The
-//!   round buffer is the merge's `Selector` on its sorted path; a run's
-//!   scan stops once the buffer is full and a block's last element lies
-//!   above the buffer maximum. As in the merge, each run's members are
-//!   consecutive positions, so the batch is ordered by run before one
-//!   run-merging sort instead of being sorted from scratch.
+//!   round buffer is the merge's `RunSelector`; a run's scan stops once
+//!   the buffer is full and a block's last element lies above the buffer
+//!   maximum. As in the merge, each run's members form one ascending
+//!   stretch, which gives the run's consumption directly, and the
+//!   stretches merge into the delete buffer in one stable sort.
 //!
 //! The per-run consumption state follows the §3 mergesort discipline
 //! exactly:
@@ -49,8 +51,8 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use aem_machine::{AemAccess, AemConfig, MachineError, Region, Result};
 
-use crate::sort::merge::{advance_pointers, in_order, pointer_after};
-use crate::sort::{merge_runs, Selector};
+use crate::sort::merge::{advance_pointers, pointer_after};
+use crate::sort::{merge_runs, RunSelector};
 
 /// Tagged element `(key, run id, position within run)`: a strict total
 /// order consistent with the key order, shared with the §3.1 merge.
@@ -134,8 +136,11 @@ struct PqRun<T> {
 /// ```
 #[derive(Debug)]
 pub struct BufferedPq<T> {
-    /// Min-heap of the pushed elements not yet flushed.
-    insert_buf: BinaryHeap<Reverse<T>>,
+    /// Pushed elements not yet flushed, in push order, until a pop needs
+    /// their minimum.
+    insert_buf: Vec<T>,
+    /// Pushed elements not yet flushed that a pop has ordered: a min-heap.
+    insert_heap: BinaryHeap<Reverse<T>>,
     /// Sorted ascending; always a prefix of the global external order.
     delete_buf: VecDeque<T>,
     runs: Vec<PqRun<T>>,
@@ -154,7 +159,8 @@ impl<T: Ord + Clone> BufferedPq<T> {
     pub fn new(cfg: AemConfig) -> Result<Self> {
         let params = PqParams::for_config(cfg)?;
         Ok(Self {
-            insert_buf: BinaryHeap::new(),
+            insert_buf: Vec::new(),
+            insert_heap: BinaryHeap::new(),
             delete_buf: VecDeque::new(),
             runs: Vec::new(),
             ptrs: None,
@@ -188,9 +194,9 @@ impl<T: Ord + Clone> BufferedPq<T> {
     /// Insert an element (charges one internal slot until flushed).
     pub fn push<A: AemAccess<T>>(&mut self, machine: &mut A, x: T) -> Result<()> {
         machine.reserve(1)?;
-        self.insert_buf.push(Reverse(x));
+        self.insert_buf.push(x);
         self.len += 1;
-        if self.insert_buf.len() >= self.params.insert_cap {
+        if self.insert_buf.len() + self.insert_heap.len() >= self.params.insert_cap {
             self.flush(machine)?;
         }
         Ok(())
@@ -205,7 +211,11 @@ impl<T: Ord + Clone> BufferedPq<T> {
         if self.delete_buf.is_empty() && self.external_remaining() > 0 {
             self.refill(machine)?;
         }
-        let take_insert = match (self.insert_buf.peek(), self.delete_buf.front()) {
+        // Order the pushes since the last pop (`extend` heapifies them in
+        // one pass when they outnumber the heap).
+        self.insert_heap
+            .extend(self.insert_buf.drain(..).map(Reverse));
+        let take_insert = match (self.insert_heap.peek(), self.delete_buf.front()) {
             (Some(Reverse(im)), Some(dm)) => im <= dm,
             (Some(_), None) => true,
             (None, Some(_)) => false,
@@ -213,7 +223,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
         };
         let x = if take_insert {
             // Charged at push time; the slot moves to the caller.
-            self.insert_buf.pop().expect("non-empty").0
+            self.insert_heap.pop().expect("non-empty").0
         } else {
             // Charged since its refill round; the slot moves to the caller.
             self.delete_buf.pop_front().expect("non-empty")
@@ -230,12 +240,15 @@ impl<T: Ord + Clone> BufferedPq<T> {
     /// Flush the insert buffer — folded with the delete buffer, preserving
     /// the prefix invariant — into a fresh level-0 run, then restructure.
     fn flush<A: AemAccess<T>>(&mut self, machine: &mut A) -> Result<()> {
-        let mut data: Vec<T> = self.insert_buf.drain().map(|Reverse(x)| x).collect();
+        let mut data = std::mem::take(&mut self.insert_buf);
+        data.extend(self.insert_heap.drain().map(|Reverse(x)| x));
         data.extend(self.delete_buf.drain(..));
         if data.is_empty() {
             return Ok(());
         }
-        data.sort();
+        // Elements equal under `Ord` are interchangeable in the queue, so
+        // their order within the run is free.
+        data.sort_unstable();
         let region = machine.alloc_region(data.len());
         // Bulk write of the sorted buffer into the fresh run: identical
         // cost to the former per-block loop, one ledger release.
@@ -425,71 +438,38 @@ impl<T: Ord + Clone> BufferedPq<T> {
                 at_slot[run.slot] = Some(i);
             }
         }
-        let mut sel: Selector<Tagged<T>> = Selector::new(cap);
+        let mut sel: RunSelector<T> = RunSelector::new(cap, self.runs.len());
         for pb in 0..ptrs.blocks {
             let words = machine.read_aux_block(ptrs.block(pb))?;
             for (&p, at) in words.iter().zip(&at_slot[pb * b..]) {
                 if let Some(i) = *at {
-                    scan_run(machine, &self.runs[i], p as usize, &mut sel)?;
+                    scan_run(machine, &self.runs[i], i, p as usize, &mut sel)?;
                 }
             }
             machine.discard(words.len())?;
         }
-        let members = sel.into_members();
         debug_assert!(
-            members.is_empty() == (self.external_remaining() == 0),
+            (sel.len() == 0) == (self.external_remaining() == 0),
             "a refill makes progress whenever external elements remain"
         );
         // Per-run consumption: the round's members of run i are the
-        // `count[i]` consecutive positions from `first[i]` on (the
-        // selection keeps the globally smallest, and runs are sorted), so
-        // the last one, `members[last_at[i]]`, fixes the new boundary and
-        // block pointer. Runs are found by id through a sorted index.
-        let mut by_id: Vec<(u32, usize)> = self.runs.iter().map(|r| r.id).zip(0..).collect();
-        by_id.sort_unstable();
-        let run_of = |id: u32| {
-            let k = by_id
-                .binary_search_by_key(&id, |&(id, _)| id)
-                .expect("round members come from live runs");
-            by_id[k].1
-        };
-        let live = self.runs.len();
-        let (mut first, mut count, mut last_at) =
-            (vec![0u64; live], vec![0usize; live], vec![0; live]);
-        let mut contributing = Vec::new();
-        for (at, (_, id, pos)) in members.iter().enumerate() {
-            let i = run_of(*id);
-            if count[i] == 0 {
-                contributing.push(i);
-                (first[i], last_at[i]) = (*pos, at);
-            } else if *pos < first[i] {
-                first[i] = *pos;
-            } else if *pos > members[last_at[i]].2 {
-                last_at[i] = at;
-            }
-            count[i] += 1;
-        }
+        // consecutive positions of its stretch (the selection keeps the
+        // globally smallest, and runs are sorted), so the last one fixes
+        // the new boundary and block pointer.
         let mut ptr_updates: Vec<(usize, u64)> = Vec::new();
-        for &i in &contributing {
+        for (i, id, first, members) in sel.spans() {
             let run = &mut self.runs[i];
-            let last = members[last_at[i]].clone();
-            run.remaining -= count[i];
-            let new_ptr = pointer_after(last.2 as usize, run.region.elems, b);
-            run.boundary = Some(last);
+            let pos = first + members.len() as u64 - 1;
+            run.remaining -= members.len();
+            let new_ptr = pointer_after(pos as usize, run.region.elems, b);
+            run.boundary = members.last().map(|x| (x.clone(), id, pos));
             if run.remaining > 0 {
                 // Exhausted runs are dropped below; their pointer word is
                 // left stale and reset when the slot is reused.
                 ptr_updates.push((run.slot, new_ptr));
             }
         }
-        let batch = in_order(
-            members,
-            |t| run_of(t.1),
-            &contributing,
-            &first,
-            &count,
-            &mut vec![0; live],
-        );
+        let batch = sel.into_sorted();
         ptr_updates.sort_unstable();
         advance_pointers(machine, ptrs, &ptr_updates)?;
         // Drop exhausted runs (their external blocks are simply abandoned;
@@ -503,7 +483,7 @@ impl<T: Ord + Clone> BufferedPq<T> {
                 true
             }
         });
-        self.delete_buf = batch.into_iter().map(|(x, _, _)| x).collect();
+        self.delete_buf = VecDeque::from(batch);
         Ok(())
     }
 }
@@ -514,8 +494,9 @@ impl<T: Ord + Clone> BufferedPq<T> {
 fn scan_run<T, A>(
     machine: &mut A,
     run: &PqRun<T>,
+    slot: usize,
     first_blk: usize,
-    sel: &mut Selector<Tagged<T>>,
+    sel: &mut RunSelector<T>,
 ) -> Result<()>
 where
     T: Ord + Clone,
@@ -526,10 +507,10 @@ where
         let first = (blk * b) as u64;
         let (mut kept, mut past_cut) = (0, false);
         let len = machine.read_block_with(run.region.block(blk), &mut |data| {
-            kept = sel.offer_sorted(data, run.id, first, run.boundary.as_ref());
+            kept = sel.offer(data, slot, run.id, first, run.boundary.as_ref());
             // The block's maximum is its last element.
-            if let (Some(x), Some((tx, tr, tp))) = (data.last(), sel.full_max()) {
-                past_cut = (x, run.id, first + data.len() as u64 - 1) > (tx, *tr, *tp);
+            if let (Some(x), Some(max)) = (data.last(), sel.full_max()) {
+                past_cut = (x, run.id, first + data.len() as u64 - 1) > max;
             }
         })?;
         machine.discard(len - kept)?;

@@ -25,13 +25,17 @@
 //!   active run with the smallest maximal loaded element, until no active
 //!   run can contribute.
 //!
-//! The round buffer is a `Selector` fed through its sorted path: each
-//! block read skips its prefix at or below the boundary by binary search
-//! and stops at the first element that cannot enter a full buffer, and
-//! the block maximum (`s_i`) is its last element. Activation and the
-//! merge loop's `retain` read only `Selector::full_max`, the maximum of
-//! the exact `M̂`-smallest set, so the I/O schedule is that of a plain
-//! capped heap (`docs/COST_MODEL.md` §7).
+//! The round buffer is a `RunSelector`: each block read skips its prefix
+//! at or below the boundary by binary search and stops at the first
+//! element that cannot enter a full buffer, and the block maximum (`s_i`)
+//! is its last element. Activation and the merge loop's `retain` read
+//! only `RunSelector::full_max`, the maximum of the exact `M̂`-smallest
+//! set, so the I/O schedule is that of a plain capped heap
+//! (`docs/COST_MODEL.md` §7). The buffer holds a run's members as one
+//! ascending stretch of consecutive positions, so a round's output needs
+//! no per-member bookkeeping: each stretch gives its run's pointer update
+//! directly, the largest stretch end is the next boundary, and the
+//! stretches merge into the untagged output in one stable sort.
 //!
 //! Ties are broken by `(key, run, position)`, making the merge stable and
 //! every comparison strict. The tags are the constant per-element auxiliary
@@ -39,7 +43,7 @@
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
-use crate::sort::Selector;
+use crate::sort::RunSelector;
 
 /// Statistics reported by [`merge_runs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,13 +119,6 @@ where
         machine.write_aux_block(ptr_region.block(pb), vec![0u64; words])?;
     }
 
-    // Per-round scratch indexed by run: a contributing run's first member
-    // position, member count (0 = none) and offset in the ordered round.
-    let mut first = vec![0u64; k];
-    let mut count = vec![0usize; k];
-    let mut base = vec![0usize; k];
-    let mut contributing: Vec<usize> = Vec::new();
-
     // Boundary: largest element written out so far.
     let mut boundary: Option<Tagged<T>> = None;
     let mut written = 0usize;
@@ -132,7 +129,7 @@ where
         rounds += 1;
         // The round buffer (the paper's in-memory array `M`): it always
         // holds the `mhat` smallest candidates seen this round.
-        let mut sel: Selector<Tagged<T>> = Selector::new(mhat);
+        let mut sel: RunSelector<T> = RunSelector::new(mhat, k);
 
         // --- Seeding scan: up to two blocks from each run. -------------
         for pb in 0..ptr_region.blocks {
@@ -175,7 +172,7 @@ where
                 // the loaded ones, and (b) s_i is among the M̂ smallest seen
                 // (when the buffer is full, that means s_i ≤ its maximum).
                 let more = last_loaded + 1 < run.blocks;
-                let eligible = more && sel.full_max().map_or(true, |t| s_max <= *t);
+                let eligible = more && sel.full_max().map_or(true, |t| tag_ref(&s_max) <= t);
                 if eligible {
                     actives.push(Active {
                         run: run_idx,
@@ -199,7 +196,7 @@ where
         while !actives.is_empty() {
             // Drop runs that can no longer contribute this round.
             if let Some(t) = sel.full_max() {
-                actives.retain(|a| a.s_max <= *t);
+                actives.retain(|a| tag_ref(&a.s_max) <= t);
                 if actives.is_empty() {
                     break;
                 }
@@ -221,49 +218,25 @@ where
         }
 
         // --- Output: write the round buffer in sorted order. -----------
-        // A run's members are consecutive positions (see `in_order`):
-        // note where each contributing run's members start and how many
-        // there are.
-        let members = sel.into_members();
-        for (_, run_u32, pos) in &members {
-            let r = *run_u32 as usize;
-            if count[r] == 0 {
-                contributing.push(r);
-                first[r] = *pos;
-            }
-            first[r] = first[r].min(*pos);
-            count[r] += 1;
-        }
-        contributing.sort_unstable();
-        let batch = in_order(
-            members,
-            |t| t.1 as usize,
-            &contributing,
-            &first,
-            &count,
-            &mut base,
-        );
-        debug_assert!(!batch.is_empty(), "progress while written < total");
-        boundary = batch.last().cloned();
-        written += batch.len();
-
-        // One bulk write for the whole round buffer: identical cost and
-        // occupancies to the former per-block loop (chunks of exactly
-        // `b`, final chunk partial), one ledger release, one bounds sweep.
-        let round_out: Vec<T> = batch.into_iter().map(|(x, _, _)| x).collect();
-        out_blk += machine.write_run(out.block(out_blk), &round_out)?;
-
         // Each contributing run's pointer moves to the block of its last
-        // output element.
-        let updates: Vec<(usize, u64)> = contributing
-            .iter()
-            .map(|&r| {
-                let last = first[r] as usize + std::mem::take(&mut count[r]) - 1;
+        // output element; the round's largest member is the new boundary.
+        let mut updates: Vec<(usize, u64)> = sel
+            .spans()
+            .map(|(r, _, first, members)| {
+                let last = first as usize + members.len() - 1;
                 (r, pointer_after(last, runs[r].elems, b))
             })
             .collect();
+        updates.sort_unstable();
+        boundary = sel.max_member().map(|(x, r, p)| (x.clone(), r, p));
+        let batch = sel.into_sorted();
+        debug_assert!(!batch.is_empty(), "progress while written < total");
+        written += batch.len();
+        // One bulk write for the whole round buffer: identical cost and
+        // occupancies to a per-block loop (chunks of exactly `b`, final
+        // chunk partial), one ledger release, one bounds sweep.
+        out_blk += machine.write_run(out.block(out_blk), &batch)?;
         advance_pointers(machine, ptr_region, &updates)?;
-        contributing.clear();
     }
 
     Ok((
@@ -321,46 +294,9 @@ pub(crate) fn advance_pointers<T, A: AemAccess<T>>(
     Ok(())
 }
 
-/// A round's members in ascending order.
-///
-/// Member `t` belongs to run `run_of(t)`, an index into `first`, `count`
-/// and `base`. Run `r`'s members are the `count[r]` positions from
-/// `first[r]` on: the buffer keeps the smallest candidates, a run's
-/// candidates are its unconsumed elements in position order, and tags
-/// ascend with position within a run. One pass therefore places every
-/// member at its run's offset plus its distance from the run's first
-/// member, leaving one ascending stretch per contributing run. The
-/// standard library's stable sort finds long ascending stretches and
-/// merges them, so a round fed by few runs — the buffered queue's
-/// two-way merges — costs about
-/// `M̂·log₂ k'` comparisons for `k'` contributing runs instead of the
-/// `M̂·log₂ M̂` of sorting the buffer from scratch; many short stretches
-/// cost no more than that.
-pub(crate) fn in_order<T: Ord>(
-    members: Vec<Tagged<T>>,
-    run_of: impl Fn(&Tagged<T>) -> usize,
-    contributing: &[usize],
-    first: &[u64],
-    count: &[usize],
-    base: &mut [usize],
-) -> Vec<Tagged<T>> {
-    let mut next = 0;
-    for &r in contributing {
-        base[r] = next;
-        next += count[r];
-    }
-    let mut slots: Vec<Option<Tagged<T>>> = (0..members.len()).map(|_| None).collect();
-    for t in members {
-        let r = run_of(&t);
-        let slot = base[r] + (t.2 - first[r]) as usize;
-        slots[slot] = Some(t);
-    }
-    let mut batch: Vec<Tagged<T>> = slots
-        .into_iter()
-        .map(|t| t.expect("a run's members are consecutive positions"))
-        .collect();
-    batch.sort();
-    batch
+/// A tag by reference, for comparison with `RunSelector::full_max`.
+fn tag_ref<T>((x, run, pos): &Tagged<T>) -> (&T, u32, u64) {
+    (x, *run, *pos)
 }
 
 /// Tag an element with `(run, global position within run)`.
@@ -376,7 +312,7 @@ fn read_merge<T, A>(
     run_idx: usize,
     blk: usize,
     boundary: &Option<Tagged<T>>,
-    sel: &mut Selector<Tagged<T>>,
+    sel: &mut RunSelector<T>,
 ) -> Result<Option<Tagged<T>>>
 where
     T: Ord + Clone,
@@ -385,7 +321,13 @@ where
     let b = machine.cfg().block;
     let (mut kept, mut max) = (0, None);
     let len = machine.read_block_with(run.block(blk), &mut |data| {
-        kept = sel.offer_sorted(data, run_idx as u32, (blk * b) as u64, boundary.as_ref());
+        kept = sel.offer(
+            data,
+            run_idx,
+            run_idx as u32,
+            (blk * b) as u64,
+            boundary.as_ref(),
+        );
         max = data
             .last()
             .map(|x| tag(x.clone(), run_idx, blk, data.len() - 1, b));

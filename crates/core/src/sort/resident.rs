@@ -17,7 +17,7 @@
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
 use super::merge::{pointer_after, MergeStats};
-use super::Selector;
+use super::RunSelector;
 
 /// Cursor of one run, resident in internal memory (charged 2 words ≈ 1
 /// element slot each; we charge one slot per run, the model's constant-
@@ -89,7 +89,7 @@ where
 
     while written < total {
         rounds += 1;
-        let mut sel: Selector<Tagged<T>> = Selector::new(mhat);
+        let mut sel: RunSelector<T> = RunSelector::new(mhat, k);
         // Per-round local state (free internal bookkeeping for the runs
         // touched this round): last block loaded and its maximal element.
         let mut loaded_through: Vec<usize> = vec![usize::MAX; k];
@@ -108,7 +108,7 @@ where
         // Merge loop: load the next block of the run with the smallest
         // maximal loaded element, while it may still contribute.
         loop {
-            let t = sel.full_max().cloned();
+            let t = sel.full_max().map(|(x, r, p)| (x.clone(), r, p));
             let candidate = (0..k)
                 .filter(|&i| {
                     loaded_through[i] != usize::MAX && loaded_through[i] + 1 < runs[i].blocks
@@ -125,21 +125,20 @@ where
             loaded_through[j] = blk;
         }
 
-        // Output.
-        let batch = sel.into_sorted();
-        debug_assert!(!batch.is_empty());
-        boundary = batch.last().cloned();
-        written += batch.len();
-        // Advance cursors past fully consumed blocks.
-        for (_, run_u32, pos) in &batch {
-            let i = *run_u32 as usize;
-            let new_next = pointer_after(*pos as usize, runs[i].elems, b) as usize;
+        // Output: advance cursors past fully consumed blocks.
+        for (i, _, first, members) in sel.spans() {
+            let last = first as usize + members.len() - 1;
+            let new_next = pointer_after(last, runs[i].elems, b) as usize;
             cursors[i].next_blk = cursors[i].next_blk.max(new_next);
             if cursors[i].next_blk >= runs[i].blocks {
                 cursors[i].exhausted = true;
             }
         }
-        let mut iter = batch.into_iter().map(|(x, _, _)| x).peekable();
+        boundary = sel.max_member().map(|(x, r, p)| (x.clone(), r, p));
+        let batch = sel.into_sorted();
+        debug_assert!(!batch.is_empty());
+        written += batch.len();
+        let mut iter = batch.into_iter().peekable();
         while iter.peek().is_some() {
             let chunk: Vec<T> = iter.by_ref().take(b).collect();
             machine.write_block(out.block(out_blk), chunk)?;
@@ -169,7 +168,7 @@ fn load_merge<T, A>(
     i: usize,
     blk: usize,
     boundary: &Option<Tag<T>>,
-    sel: &mut Selector<Tag<T>>,
+    sel: &mut RunSelector<T>,
 ) -> Result<Option<Tag<T>>>
 where
     T: Ord + Clone,
@@ -179,7 +178,7 @@ where
     let first = (blk * b) as u64;
     let (mut kept, mut max) = (0, None);
     let len = machine.read_block_with(runs[i].block(blk), &mut |data| {
-        kept = sel.offer_sorted(data, i as u32, first, boundary.as_ref());
+        kept = sel.offer(data, i, i as u32, first, boundary.as_ref());
         max = data
             .last()
             .map(|x| (x.clone(), i as u32, first + data.len() as u64 - 1));

@@ -1,73 +1,95 @@
-//! The round buffer of the §3 sort family: the `cap` smallest of a stream
+//! The round buffers of the §3 sort family: the `cap` smallest of a stream
 //! of distinct tagged candidates.
 //!
 //! [`small_sort`](crate::sort::small_sort), the §3.1 merge
 //! ([`merge_runs`](crate::sort::merge_runs)) and its resident-cursor
 //! ablation, and the buffered priority queue's refill
 //! ([`BufferedPq`](crate::pq::BufferedPq)) all keep, per round, the `cap`
-//! smallest candidates above the previous round's boundary. In the model that set is what internal memory holds, and the
-//! ledger is charged `min(cap, candidates seen)` for it. The model does not
-//! charge internal computation, so a [`Selector`] is free to compute the
-//! set with more host scratch than `cap`, as long as every quantity the
-//! algorithms read back — [`len`](Selector::len), the buffer maximum
-//! ([`full_max`](Selector::full_max)) and the final set — is exactly that
-//! of the `cap`-smallest set (see `docs/COST_MODEL.md` §7). There are two
-//! ingest paths:
+//! smallest candidates above the previous round's boundary. In the model
+//! that set is what internal memory holds, and the ledger is charged
+//! `min(cap, candidates seen)` for it. The model does not charge internal
+//! computation, so the buffers are free to compute the set with other host
+//! structures, as long as every quantity the algorithms read back — the
+//! member count (`len`), the buffer maximum (`full_max`) and the final set
+//! — is exactly that of the `cap`-smallest set (see `docs/COST_MODEL.md`
+//! §7). There are two buffers, one per way the blocks arrive:
 //!
-//! * [`offer_unsorted`](Selector::offer_unsorted) — for blocks in no
-//!   particular order, lent by the machine and tagged by position.
-//!   Candidates below a running cut are cloned and appended; when the
-//!   pool reaches `2·cap` it is compacted to the `cap` smallest with
-//!   `select_nth_unstable`, which lowers the cut. `O(1)` amortised work
-//!   per element, and no copy of an element that is not a candidate.
-//! * [`offer_sorted`](Selector::offer_sorted) — for blocks of sorted runs,
-//!   lent by the machine and tagged by run and position. The prefix at or
-//!   below the boundary is skipped by binary search, and every test
-//!   compares borrowed tags, so only an element that enters is cloned.
-//!   Until the buffer is full its members are collected unordered (nothing
-//!   reads the order before then: [`full_max`](Selector::full_max) is
-//!   `None`), and the `cap`-th member heapifies them once. From then on
-//!   better candidates replace the maximum of the capped max-heap in place,
-//!   and the scan stops at the first candidate that cannot enter the
-//!   buffer: every later element of the block is larger still. Only
-//!   elements that enter a full buffer cost a heap operation.
-//!
-//! A selector is fed through one path only. [`into_sorted`](Selector::into_sorted)
-//! drains it with `sort_unstable`; tags are distinct, so the order equals
-//! a stable sort's. [`into_members`](Selector::into_members) drains it
-//! unordered, for the §3.1 merge, which orders its round by run.
+//! * [`Selector`] — for blocks in no particular order, lent by the machine
+//!   and tagged by position (`small_sort`'s scans). Each block is
+//!   classified 64 elements at a time into bit masks: one comparison per
+//!   element against the boundary, one more for the elements above it
+//!   against a running cut. The masks are built without a branch per
+//!   element, and only the elements under the cut are cloned into a pool.
+//!   When the pool reaches `2·cap` it is compacted to the `cap` smallest
+//!   with `select_nth_unstable`, which lowers the cut. `O(1)` amortised
+//!   work per element, and no copy of an element that is not a candidate.
+//! * [`RunSelector`] — for blocks of sorted runs, lent by the machine and
+//!   tagged by run and position (the §3.1 merge, its ablation and the
+//!   queue's refill). A run's members are always consecutive positions of
+//!   that run: candidates of a run arrive in position order, and once an
+//!   element of a run cannot enter the buffer no later one can. So the
+//!   buffer is kept as one ascending *stretch* per contributing run. Until
+//!   it is full a block's candidates are appended to their stretch in one
+//!   slice copy. From then on the buffer maximum is the largest stretch
+//!   end, found through a max-heap over the stretches (not over the
+//!   members): an entering element drops that end and is appended to its
+//!   own stretch, `O(log k′)` for `k′` contributing runs, and the scan
+//!   stops at the first element that cannot enter. Draining it merges the
+//!   stretches, already sorted, with no tags attached.
 
-use std::collections::BinaryHeap;
+/// Candidates tagged by position: the unsorted path's `(element, position)`.
+type Pos<T> = (T, u64);
 
-/// The `cap` smallest distinct candidates offered so far (see the module
-/// docs).
+/// The `cap` smallest distinct `(element, position)` candidates offered
+/// so far, from blocks in no particular order (see the module docs).
 #[derive(Debug)]
-pub(crate) struct Selector<K> {
+pub(crate) struct Selector<T> {
     cap: usize,
     /// Candidates above the boundary offered so far.
     seen: usize,
-    /// Sorted path: the members while fewer than `cap`, in arrival order.
-    filling: Vec<K>,
-    /// Sorted path: the `cap` smallest, as a max-heap, once full.
-    heap: BinaryHeap<K>,
-    /// Unsorted path: every candidate below `cut` (a superset of the kept
-    /// set), at most `2·cap` long.
-    pool: Vec<K>,
-    /// Unsorted path: the largest kept candidate at the last compaction.
-    cut: Option<K>,
+    /// Every candidate below `cut` (a superset of the kept set): under
+    /// `2·cap` between blocks, plus at most one block's worth.
+    pool: Vec<Pos<T>>,
+    /// The largest kept candidate at the last compaction.
+    cut: Option<Pos<T>>,
+    /// Elements at or below the boundary, and above the cut, counted since
+    /// the cut was set: they pick which test runs first.
+    below: u64,
+    over: u64,
+    /// Test against the cut before the boundary.
+    under_first: bool,
 }
 
-impl<K: Ord + Clone> Selector<K> {
+/// The bits of `mask` whose element of `chunk` (tagged from `base` on)
+/// passes `test`, tested one set bit at a time; the result is built
+/// without a branch per element.
+fn refine<T>(
+    chunk: &[T],
+    base: u64,
+    mut mask: u64,
+    mut test: impl FnMut((&T, u64)) -> bool,
+) -> u64 {
+    let mut out = 0;
+    while mask != 0 {
+        let i = mask.trailing_zeros();
+        mask &= mask - 1;
+        out |= u64::from(test((&chunk[i as usize], base + u64::from(i)))) << i;
+    }
+    out
+}
+
+impl<T: Ord + Clone> Selector<T> {
     /// An empty selector keeping at most `cap ≥ 1` candidates.
     pub(crate) fn new(cap: usize) -> Self {
         assert!(cap >= 1, "a selector keeps at least one candidate");
         Self {
             cap,
             seen: 0,
-            filling: Vec::new(),
-            heap: BinaryHeap::new(),
             pool: Vec::new(),
             cut: None,
+            below: 0,
+            over: 0,
+            under_first: false,
         }
     }
 
@@ -76,31 +98,75 @@ impl<K: Ord + Clone> Selector<K> {
         self.seen.min(self.cap)
     }
 
-    /// The largest kept candidate once the buffer is full, else `None`.
-    /// Sorted path only.
-    pub(crate) fn full_max(&self) -> Option<&K> {
-        debug_assert!(self.pool.is_empty(), "full_max needs the sorted path");
-        self.heap.peek()
-    }
-
-    /// The kept candidates in ascending order.
-    pub(crate) fn into_sorted(self) -> Vec<K> {
-        let mut kept = self.into_members();
-        kept.sort_unstable();
-        kept
-    }
-
-    /// The kept candidates in no particular order, for callers that know
-    /// more about their structure than `Ord` does.
-    pub(crate) fn into_members(mut self) -> Vec<K> {
-        if !self.pool.is_empty() {
-            self.compact();
-            self.pool
-        } else if self.heap.is_empty() {
-            self.filling
-        } else {
-            self.heap.into_vec()
+    /// Offer one block whose elements arrive in no particular order,
+    /// borrowed from the machine: the block's `i`-th element `x` is the
+    /// candidate `(x, first + i)`. Tags at or below `boundary` are not
+    /// candidates. Every test compares through references, so an element
+    /// is cloned only when it enters the pool. Returns how many members
+    /// the buffer gained (`len()` after minus before).
+    pub(crate) fn offer(&mut self, block: &[T], first: u64, boundary: Option<&Pos<T>>) -> usize {
+        let before = self.len();
+        for (chunk, base) in block.chunks(64).zip((first..).step_by(64)) {
+            let all = u64::MAX >> (64 - chunk.len());
+            let above = |m| match boundary {
+                None => m,
+                Some((bx, bp)) => refine(chunk, base, m, |t| t > (bx, *bp)),
+            };
+            // Bit `i` of `enter`: element `i` is a candidate under the cut.
+            let enter = match &self.cut {
+                None => {
+                    let enter = above(all);
+                    self.seen += enter.count_ones() as usize;
+                    enter
+                }
+                // A cut exists only after a compaction, so `seen ≥ 2·cap`
+                // and `len()` is `cap` whatever `seen` becomes: the tests
+                // may run in the cheaper order, and `seen` is not kept.
+                Some((cx, cp)) => {
+                    let under = |m| refine(chunk, base, m, |t| t < (cx, *cp));
+                    let (first_pass, enter) = if self.under_first {
+                        let u = under(all);
+                        (u, above(u))
+                    } else {
+                        let a = above(all);
+                        (a, under(a))
+                    };
+                    // Count the non-candidates the first test rejects and
+                    // the second would have: test first against the side
+                    // that rejects more.
+                    let rejected = (chunk.len() - first_pass.count_ones() as usize) as u64;
+                    let passed_over = u64::from((first_pass & !enter).count_ones());
+                    let (below, over) = if self.under_first {
+                        (passed_over, rejected)
+                    } else {
+                        (rejected, passed_over)
+                    };
+                    self.below += below;
+                    self.over += over;
+                    self.under_first = self.over > self.below;
+                    enter
+                }
+            };
+            let mut enter = enter;
+            while enter != 0 {
+                let i = enter.trailing_zeros();
+                enter &= enter - 1;
+                self.pool
+                    .push((chunk[i as usize].clone(), base + u64::from(i)));
+            }
         }
+        if self.pool.len() >= 2 * self.cap {
+            self.compact();
+        }
+        self.len() - before
+    }
+
+    /// The kept candidates in ascending order. Tags are distinct, so the
+    /// order equals a stable sort's.
+    pub(crate) fn into_sorted(mut self) -> Vec<Pos<T>> {
+        self.compact();
+        self.pool.sort_unstable();
+        self.pool
     }
 
     /// Shrink the pool to its `cap` smallest and lower the cut to their
@@ -115,25 +181,113 @@ impl<K: Ord + Clone> Selector<K> {
     }
 }
 
-impl<T: Ord + Clone> Selector<(T, u32, u64)> {
-    /// Offer one block of sorted run `run`, borrowed from the machine: the
-    /// block's `i`-th element `x` is the candidate `(x, run, first + i)`.
-    /// Tags at or below `boundary` are not candidates. Every test compares
-    /// through references, so an element is cloned only when it enters
-    /// the buffer. Returns how many members the buffer gained.
-    pub(crate) fn offer_sorted(
+/// Candidates tagged by run and position: `(element, run, position)`.
+type RunTag<T> = (T, u32, u64);
+
+/// No stretch at this slot.
+const ABSENT: usize = usize::MAX;
+
+/// One contributing run's members: consecutive positions from `first` on,
+/// in ascending order.
+#[derive(Debug)]
+struct Stretch<T> {
+    /// The caller's dense index of the run.
+    slot: usize,
+    /// The run's tag.
+    run: u32,
+    /// Position of the first member.
+    first: u64,
+    members: Vec<T>,
+    /// Index in the heap once the buffer is full (`ABSENT` when empty).
+    heap_at: usize,
+}
+
+impl<T> Stretch<T> {
+    /// The tag of the largest member.
+    fn last_tag(&self) -> Option<(&T, u32, u64)> {
+        let last = self.members.last()?;
+        Some((last, self.run, self.first + self.members.len() as u64 - 1))
+    }
+}
+
+/// The `cap` smallest distinct `(element, run, position)` candidates
+/// offered so far, from the blocks of sorted runs (see the module docs).
+#[derive(Debug)]
+pub(crate) struct RunSelector<T> {
+    cap: usize,
+    /// Candidates above the boundary offered so far.
+    seen: usize,
+    /// Members held: `min(cap, seen)`.
+    held: usize,
+    /// Stretches in the order their runs first contributed.
+    stretches: Vec<Stretch<T>>,
+    /// Stretch index by the caller's run slot, `ABSENT` if none.
+    at: Vec<usize>,
+    /// Once full: the non-empty stretches as a max-heap by their last tag.
+    heap: Vec<usize>,
+}
+
+impl<T: Ord + Clone> RunSelector<T> {
+    /// An empty buffer keeping at most `cap ≥ 1` candidates from runs the
+    /// caller numbers `0..slots`.
+    pub(crate) fn new(cap: usize, slots: usize) -> Self {
+        assert!(cap >= 1, "a selector keeps at least one candidate");
+        Self {
+            cap,
+            seen: 0,
+            held: 0,
+            stretches: Vec::new(),
+            at: vec![ABSENT; slots],
+            heap: Vec::new(),
+        }
+    }
+
+    /// Number of candidates the model holds: `min(cap, seen)`.
+    pub(crate) fn len(&self) -> usize {
+        self.held
+    }
+
+    /// The largest member once the buffer is full, else `None`.
+    pub(crate) fn full_max(&self) -> Option<(&T, u32, u64)> {
+        if self.held < self.cap {
+            return None;
+        }
+        self.stretches[self.heap[0]].last_tag()
+    }
+
+    /// The largest member, full or not (the round's new boundary).
+    pub(crate) fn max_member(&self) -> Option<(&T, u32, u64)> {
+        self.stretches.iter().filter_map(Stretch::last_tag).max()
+    }
+
+    /// Each contributing run's members as `(slot, run, first position,
+    /// members)`, in the order the runs first contributed.
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, u32, u64, &[T])> {
+        self.stretches
+            .iter()
+            .filter(|s| !s.members.is_empty())
+            .map(|s| (s.slot, s.run, s.first, s.members.as_slice()))
+    }
+
+    /// Offer one block of the sorted run `run` (the caller's slot `slot`),
+    /// borrowed from the machine: the block's `i`-th element `x` is the
+    /// candidate `(x, run, first + i)`. Tags at or below `boundary` are not
+    /// candidates. Every test compares through references, so an element
+    /// is cloned only when it enters the buffer. Returns how many members
+    /// the buffer gained.
+    pub(crate) fn offer(
         &mut self,
         block: &[T],
+        slot: usize,
         run: u32,
         first: u64,
-        boundary: Option<&(T, u32, u64)>,
+        boundary: Option<&RunTag<T>>,
     ) -> usize {
-        debug_assert!(self.pool.is_empty(), "a selector is fed one way");
         debug_assert!(
             block.windows(2).all(|w| w[0] <= w[1]),
-            "offer_sorted needs a sorted block"
+            "offer needs a sorted block"
         );
-        let before = self.len();
+        let before = self.held;
         let tag = |i: usize| (&block[i], run, first + i as u64);
         // Candidates start after the prefix at or below the boundary.
         let (mut start, mut hi) = (0, block.len());
@@ -148,63 +302,152 @@ impl<T: Ord + Clone> Selector<(T, u32, u64)> {
             }
         }
         self.seen += block.len() - start;
-        let mut rest = start..block.len();
-        if self.heap.is_empty() {
-            for i in rest.by_ref() {
-                self.filling.push((block[i].clone(), run, first + i as u64));
-                if self.filling.len() == self.cap {
-                    self.heap = BinaryHeap::from(std::mem::take(&mut self.filling));
-                    break;
-                }
+        // Until the buffer is full every candidate enters, in one copy.
+        let fill = (self.cap - self.held).min(block.len() - start);
+        if fill > 0 {
+            let s = self.stretch(slot, run, first + start as u64);
+            self.stretches[s]
+                .members
+                .extend_from_slice(&block[start..start + fill]);
+            self.held += fill;
+            if self.held == self.cap {
+                self.heapify();
             }
         }
         // Anything left is offered to a full buffer.
-        for i in rest {
-            let mut top = self.heap.peek_mut().expect("the buffer is full");
-            if tag(i) >= (&top.0, top.1, top.2) {
+        for (x, pos) in block.iter().zip(first..).skip(start + fill) {
+            let top = self.heap[0];
+            let max = self.stretches[top]
+                .last_tag()
+                .expect("heaped stretches are non-empty");
+            if (x, run, pos) >= max {
                 break; // the rest of the block is larger still
             }
-            *top = (block[i].clone(), run, first + i as u64);
-        }
-        self.len() - before
-    }
-}
-
-impl<T: Ord + Clone> Selector<(T, u64)> {
-    /// Offer one block whose elements arrive in no particular order,
-    /// borrowed from the machine: the block's `i`-th element `x` is the
-    /// candidate `(x, first + i)`. Tags at or below `boundary` are not
-    /// candidates. The boundary and cut tests compare through references,
-    /// so an element is cloned only when it enters the pool. Returns how many members
-    /// the buffer gained (`len()` after minus before).
-    pub(crate) fn offer_unsorted(
-        &mut self,
-        block: &[T],
-        first: u64,
-        boundary: Option<&(T, u64)>,
-    ) -> usize {
-        debug_assert!(
-            self.heap.is_empty() && self.filling.is_empty(),
-            "a selector is fed one way"
-        );
-        let before = self.len();
-        for (x, pos) in block.iter().zip(first..) {
-            if boundary.is_some_and(|(bx, bp)| (x, pos) <= (bx, *bp)) {
-                continue;
+            // The maximum leaves; its stretch ends one member earlier.
+            self.stretches[top].members.pop();
+            if self.stretches[top].members.is_empty() {
+                self.heap_remove_root();
+            } else {
+                self.sift_down(0);
             }
-            self.seen += 1;
-            if self
-                .cut
-                .as_ref()
-                .map_or(true, |(cx, cp)| (x, pos) < (cx, *cp))
-            {
-                self.pool.push((x.clone(), pos));
-                if self.pool.len() >= 2 * self.cap {
-                    self.compact();
+            let s = self.stretch(slot, run, pos);
+            self.stretches[s].members.push(x.clone());
+            match self.stretches[s].heap_at {
+                ABSENT => {
+                    self.heap.push(s);
+                    self.stretches[s].heap_at = self.heap.len() - 1;
+                    self.sift_up(self.heap.len() - 1);
                 }
+                h => self.sift_up(h),
             }
         }
-        self.len() - before
+        self.held - before
+    }
+
+    /// The kept candidates in ascending order, untagged: the stretches
+    /// laid out by run and merged by a stable sort, which finds them as
+    /// ascending runs and orders equal elements by run and then by
+    /// position, as the tags do.
+    pub(crate) fn into_sorted(self) -> Vec<T> {
+        let mut stretches = self.stretches;
+        stretches.retain(|s| !s.members.is_empty());
+        stretches.sort_unstable_by_key(|s| s.run);
+        if stretches.len() == 1 {
+            return stretches.pop().expect("one stretch").members;
+        }
+        let mut out = Vec::with_capacity(self.held);
+        for s in stretches {
+            out.extend(s.members);
+        }
+        out.sort();
+        out
+    }
+
+    /// The stretch of `slot`, created with its first member at `pos` if
+    /// the run has none yet.
+    fn stretch(&mut self, slot: usize, run: u32, pos: u64) -> usize {
+        if self.at[slot] == ABSENT {
+            self.at[slot] = self.stretches.len();
+            self.stretches.push(Stretch {
+                slot,
+                run,
+                first: pos,
+                members: Vec::new(),
+                heap_at: ABSENT,
+            });
+        }
+        let s = self.at[slot];
+        debug_assert_eq!(
+            self.stretches[s].first + self.stretches[s].members.len() as u64,
+            pos,
+            "a run's members are consecutive positions"
+        );
+        s
+    }
+
+    /// `true` when stretch `a` ends above stretch `b`.
+    fn above(&self, a: usize, b: usize) -> bool {
+        let (sa, sb) = (&self.stretches[a], &self.stretches[b]);
+        (sa.members.last(), sa.run) > (sb.members.last(), sb.run)
+    }
+
+    /// Build the heap over the non-empty stretches.
+    fn heapify(&mut self) {
+        self.heap = (0..self.stretches.len())
+            .filter(|&s| !self.stretches[s].members.is_empty())
+            .collect();
+        for (h, &s) in self.heap.iter().enumerate() {
+            self.stretches[s].heap_at = h;
+        }
+        for h in (0..self.heap.len() / 2).rev() {
+            self.sift_down(h);
+        }
+    }
+
+    fn swap(&mut self, h: usize, g: usize) {
+        self.heap.swap(h, g);
+        self.stretches[self.heap[h]].heap_at = h;
+        self.stretches[self.heap[g]].heap_at = g;
+    }
+
+    fn sift_up(&mut self, mut h: usize) {
+        while h > 0 {
+            let parent = (h - 1) / 2;
+            if !self.above(self.heap[h], self.heap[parent]) {
+                break;
+            }
+            self.swap(h, parent);
+            h = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut h: usize) {
+        loop {
+            let (l, r) = (2 * h + 1, 2 * h + 2);
+            let mut top = h;
+            if l < self.heap.len() && self.above(self.heap[l], self.heap[top]) {
+                top = l;
+            }
+            if r < self.heap.len() && self.above(self.heap[r], self.heap[top]) {
+                top = r;
+            }
+            if top == h {
+                break;
+            }
+            self.swap(h, top);
+            h = top;
+        }
+    }
+
+    /// Drop the root, an emptied stretch, from the heap.
+    fn heap_remove_root(&mut self) {
+        let last = self.heap.len() - 1;
+        self.swap(0, last);
+        let gone = self.heap.pop().expect("non-empty heap");
+        self.stretches[gone].heap_at = ABSENT;
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
     }
 }
 
@@ -224,24 +467,51 @@ mod tests {
 
     const B: usize = 8;
 
-    /// `blocks` blocks of tags over `runs` sorted runs, in a shuffled block
-    /// order; `distinct` bounds the key alphabet (small = duplicate-heavy).
-    fn stream(rng: &mut SplitMix64, runs: u32, blocks: usize, distinct: u64) -> Vec<Vec<Tag>> {
-        let mut out = Vec::new();
+    /// `blocks` blocks of tags over `runs` sorted runs. The unsorted path
+    /// gets them in a shuffled block order; the sorted path in a random
+    /// interleaving of the runs that keeps each run's blocks in order, as
+    /// the merge and the refill read them. `distinct` bounds the key
+    /// alphabet (small = duplicate-heavy).
+    fn stream(
+        rng: &mut SplitMix64,
+        runs: u32,
+        blocks: usize,
+        distinct: u64,
+        sorted: bool,
+    ) -> Vec<Vec<Tag>> {
+        let mut per_run: Vec<Vec<Vec<Tag>>> = Vec::new();
         for run in 0..runs {
             let len = blocks * B / runs as usize;
             let mut keys: Vec<u64> = (0..len).map(|_| rng.next_below(distinct)).collect();
             keys.sort_unstable();
-            for (blk, chunk) in keys.chunks(B).enumerate() {
-                let block = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(off, &k)| (k, run, (blk * B + off) as u64))
-                    .collect();
-                out.push(block);
-            }
+            let run_blocks = keys
+                .chunks(B)
+                .enumerate()
+                .map(|(blk, chunk)| {
+                    chunk
+                        .iter()
+                        .enumerate()
+                        .map(|(off, &k)| (k, run, (blk * B + off) as u64))
+                        .collect()
+                })
+                .collect();
+            per_run.push(run_blocks);
         }
-        rng.shuffle(&mut out);
+        let mut out: Vec<Vec<Tag>> = Vec::new();
+        if sorted {
+            for r in &mut per_run {
+                r.reverse();
+            }
+            while per_run.iter().any(|r| !r.is_empty()) {
+                let r = rng.next_below_usize(per_run.len());
+                if let Some(block) = per_run[r].pop() {
+                    out.push(block);
+                }
+            }
+        } else {
+            out = per_run.into_iter().flatten().collect();
+            rng.shuffle(&mut out);
+        }
         out
     }
 
@@ -257,9 +527,10 @@ mod tests {
         want
     }
 
-    /// Feed every case through `offer`, checking the invariants after each
-    /// block; returns the number of cases run and the number of blocks
-    /// that filled a buffer of more than `B` with candidates to spare.
+    /// Feed every case through one path, checking the invariants after
+    /// each block; returns the number of cases run and the number of
+    /// blocks that filled a buffer of more than `B` with candidates to
+    /// spare.
     fn check_path(sorted: bool) -> (usize, usize) {
         let mut rng = SplitMix64::seed_from_u64(if sorted { 0x5e1 } else { 0x5e2 });
         let (mut cases, mut mid_block_fills) = (0, 0);
@@ -268,25 +539,18 @@ mod tests {
             for cap in [1, B, 37, 1000] {
                 for _ in 0..6 {
                     let runs = 1 + rng.next_below(6) as u32;
-                    let blocks = stream(&mut rng, runs, 24, distinct);
+                    let blocks = stream(&mut rng, runs, 24, distinct, sorted);
                     let all: Vec<Tag> = blocks.iter().flatten().copied().collect();
                     let boundary = match rng.next_below(3) {
                         0 => None,
                         _ => Some(all[rng.next_below_usize(all.len())]),
                     };
                     // A case feeds one of the two.
-                    let mut sel = Selector::<Tag>::new(cap);
+                    let mut run_sel = RunSelector::<u64>::new(cap, runs as usize);
                     let mut pos_sel = Selector::new(cap);
-                    let len = |sel: &Selector<_>, pos_sel: &Selector<_>| {
-                        if sorted {
-                            sel.len()
-                        } else {
-                            pos_sel.len()
-                        }
-                    };
                     let mut offered: Vec<Tag> = Vec::new();
                     for block in blocks {
-                        let before = len(&sel, &pos_sel);
+                        let before = if sorted { run_sel.len() } else { pos_sel.len() };
                         let fresh = reference(&block, boundary.as_ref(), B).len();
                         if cap > B && before < cap && before + fresh > cap {
                             mid_block_fills += 1;
@@ -297,29 +561,43 @@ mod tests {
                         let (run, first) = (block[0].1, block[0].2);
                         let gained = if sorted {
                             let keys: Vec<u64> = block.iter().map(|t| t.0).collect();
-                            sel.offer_sorted(&keys, run, first, boundary.as_ref())
+                            run_sel.offer(&keys, run as usize, run, first, boundary.as_ref())
                         } else {
                             let elems: Vec<(u64, u32)> = block.iter().map(|t| (t.0, t.1)).collect();
-                            pos_sel.offer_unsorted(&elems, first, boundary.map(nest).as_ref())
+                            pos_sel.offer(&elems, first, boundary.map(nest).as_ref())
                         };
-                        let after = len(&sel, &pos_sel);
+                        let after = if sorted { run_sel.len() } else { pos_sel.len() };
                         assert_eq!(after, want.len(), "len == min(cap, seen)");
                         assert_eq!(gained, after - before);
                         if sorted {
                             let full = want.len() == cap;
-                            assert_eq!(sel.full_max(), want.last().filter(|_| full));
+                            let max = want.last().filter(|_| full).map(|t| (&t.0, t.1, t.2));
+                            assert_eq!(run_sel.full_max(), max);
                         }
                     }
                     let want = reference(&offered, boundary.as_ref(), cap);
-                    let kept = if sorted {
-                        sel.into_sorted()
+                    if sorted {
+                        let max = want.last().map(|t| (&t.0, t.1, t.2));
+                        assert_eq!(run_sel.max_member(), max);
+                        let mut spans: Vec<Tag> = run_sel
+                            .spans()
+                            .flat_map(|(slot, run, first, members)| {
+                                assert_eq!(slot, run as usize);
+                                members.iter().zip(first..).map(move |(&k, p)| (k, run, p))
+                            })
+                            .collect();
+                        spans.sort_unstable();
+                        assert_eq!(spans, want, "the spans are the kept set");
+                        let keys: Vec<u64> = want.iter().map(|t| t.0).collect();
+                        assert_eq!(run_sel.into_sorted(), keys, "kept set in order");
                     } else {
-                        let kept = pos_sel.into_sorted();
-                        kept.into_iter()
+                        let kept: Vec<Tag> = pos_sel
+                            .into_sorted()
+                            .into_iter()
                             .map(|((k, run), pos)| (k, run, pos))
-                            .collect()
-                    };
-                    assert_eq!(kept, want, "kept set is the cap smallest");
+                            .collect();
+                        assert_eq!(kept, want, "kept set is the cap smallest");
+                    }
                     cases += 1;
                 }
             }
@@ -331,8 +609,7 @@ mod tests {
     fn sorted_path_keeps_the_cap_smallest() {
         let (cases, mid_block_fills) = check_path(true);
         assert_eq!(cases, 72);
-        // The fill-to-heap switch happens inside a block, not only at a
-        // block boundary.
+        // The buffer fills inside a block, not only at a block boundary.
         assert!(mid_block_fills > 0);
     }
 
@@ -342,22 +619,47 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_path_masks_blocks_of_any_length() {
+        // Blocks of 1 to 200 elements cross the 64-element mask chunks at
+        // every offset; each scan keeps the cap smallest above a boundary.
+        let mut rng = SplitMix64::seed_from_u64(0x5e3);
+        for len in [1usize, 63, 64, 65, 127, 128, 129, 200] {
+            for cap in [1, 50, 300] {
+                let keys: Vec<u64> = (0..4 * len).map(|_| rng.next_below(97)).collect();
+                let tags: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+                let boundary = tags[rng.next_below_usize(tags.len())];
+                let mut sel = Selector::new(cap);
+                for (blk, block) in keys.chunks(len).enumerate() {
+                    sel.offer(block, (blk * len) as u64, Some(&boundary));
+                }
+                let mut want: Vec<(u64, u64)> =
+                    tags.iter().copied().filter(|t| *t > boundary).collect();
+                want.sort_unstable();
+                let seen = want.len();
+                want.truncate(cap);
+                assert_eq!(sel.len(), seen.min(cap), "len={len} cap={cap}");
+                assert_eq!(sel.into_sorted(), want, "len={len} cap={cap}");
+            }
+        }
+    }
+
+    #[test]
     fn early_stop_follows_a_replacement() {
         // A full buffer {1, 2}; the block's 0 enters, its 5 stops the scan
         // and the 3 behind it would not have entered either.
-        let mut sel = Selector::new(2);
-        sel.offer_sorted(&[1u64, 2], 0, 0, None);
-        assert_eq!(sel.offer_sorted(&[0u64, 5, 9], 1, 0, None), 0);
-        assert_eq!(sel.full_max(), Some(&(1, 0, 0)));
-        assert_eq!(sel.into_sorted(), vec![(0, 1, 0), (1, 0, 0)]);
+        let mut sel = RunSelector::new(2, 2);
+        sel.offer(&[1u64, 2], 0, 0, 0, None);
+        assert_eq!(sel.offer(&[0u64, 5, 9], 1, 1, 0, None), 0);
+        assert_eq!(sel.full_max(), Some((&1, 0, 0)));
+        assert_eq!(sel.into_sorted(), vec![0, 1]);
     }
 
     #[test]
     fn boundary_prefix_is_not_counted() {
-        let mut sel = Selector::new(4);
-        let gained = sel.offer_sorted(&[1u64, 2, 3, 4, 5], 0, 0, Some(&(3, 0, 2)));
+        let mut sel = RunSelector::new(4, 1);
+        let gained = sel.offer(&[1u64, 2, 3, 4, 5], 0, 0, 0, Some(&(3, 0, 2)));
         assert_eq!(gained, 2);
-        let gained = Selector::new(4).offer_unsorted(&[5u64, 1, 4, 2, 3], 0, Some(&(3, 9)));
+        let gained = Selector::new(4).offer(&[5u64, 1, 4, 2, 3], 0, Some(&(3, 9)));
         assert_eq!(gained, 2);
     }
 
@@ -365,6 +667,6 @@ mod tests {
     #[should_panic(expected = "sorted block")]
     #[cfg(debug_assertions)]
     fn sorted_path_rejects_unsorted_blocks() {
-        Selector::new(2).offer_sorted(&[2u64, 1], 0, 0, None);
+        RunSelector::new(2, 1).offer(&[2u64, 1], 0, 0, 0, None);
     }
 }

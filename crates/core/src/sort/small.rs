@@ -12,13 +12,16 @@
 //! asymmetric-memory bargain.
 //!
 //! Each scan reads its blocks borrowed (`read_block_with`, metered exactly
-//! as a copying read) and feeds them to a `Selector` through the unsorted
-//! path: candidates below a running cut are cloned, appended and compacted
-//! with `select_nth_unstable` whenever the host pool reaches `2C`, so the
-//! scan costs `O(1)` amortised host work per element, not a heap operation,
-//! and copies only the elements that enter the pool. The ledger still
-//! holds exactly `min(C, candidates seen)` after every block
-//! (`docs/COST_MODEL.md` §7).
+//! as a copying read) and feeds them to a `Selector`: 64 elements at a
+//! time are tested against the boundary and a running cut into bit masks,
+//! with no branch per element, and only the elements under the cut are
+//! cloned into a host pool, which is compacted with `select_nth_unstable`
+//! whenever it reaches `2C`. Once the pool has a cut, whichever of the two
+//! tests rejects more elements runs first, so early scans compare most
+//! elements once against the cut and late ones once against the
+//! boundary. The ledger still holds exactly `min(C, candidates seen)`
+//! after every block (`docs/COST_MODEL.md` §7). Each batch is sorted once
+//! and moved into its output blocks.
 //!
 //! Ties are broken by input position, making the sort stable and the
 //! selection boundary exact even with duplicate keys. The position tag is
@@ -77,7 +80,7 @@ where
         for blk in 0..input.blocks {
             let mut kept = 0;
             let len = machine.read_block_with(input.block(blk), &mut |data| {
-                kept = sel.offer_unsorted(data, (blk * b) as u64, last.as_ref());
+                kept = sel.offer(data, (blk * b) as u64, last.as_ref());
             })?;
             machine.discard(len - kept)?;
         }

@@ -110,7 +110,9 @@ const LARGE: (usize, usize, u64) = (1 << 16, 1 << 8, 16);
 /// less). The comments give the debug count over `n·log₂ n` before the
 /// loser-tree heads, the heapify-once round buffer, the by-run round
 /// order of the §3.1 merge and the heap-ordered insert buffer; a bare
-/// figure is the count the row was added at.
+/// figure is the count the row was added at, and `a → b` the count before
+/// and after the masked selection scans, the per-run stretches of the
+/// merge's round buffer and the append-only insert buffer.
 type Budget = ((usize, usize, u64), usize, f64);
 
 fn check_budgets(name: &str, sorter: Sorter, rows: &[Budget]) {
@@ -148,9 +150,9 @@ fn merge_sort_within_comparison_budget() {
         "merge_sort",
         merge_sort,
         &[
-            (GATE, 2048, 4.2),     // was 4.10
-            (LARGE, 1 << 20, 2.3), // was 3.23
-            (LARGE, 1 << 19, 2.1), // 1.922: one small_sort of nine passes
+            (GATE, 2048, 3.9),      // was 4.10; 3.853 → 3.562
+            (LARGE, 1 << 20, 2.15), // was 3.23; 2.085 → 1.957
+            (LARGE, 1 << 19, 2.05), // one small_sort of nine passes: 1.922 → 1.900
         ],
     );
 }
@@ -173,10 +175,10 @@ fn sort_via_pq_within_comparison_budget() {
         "sort_via_pq",
         sort_via_pq,
         &[
-            (GATE, 2048, 5.9),           // was 7.96
-            (GATE, 2047, 5.5),           // was 7.62
-            (LARGE, 1 << 16, 3.05),      // was 6.11
-            (LARGE, (1 << 16) - 1, 2.6), // was 517: every pop scanned the insert buffer
+            (GATE, 2048, 4.05),           // was 7.96; 4.894 → 3.683
+            (GATE, 2047, 4.1),            // was 7.62; 4.809 → 3.750
+            (LARGE, 1 << 16, 1.45),       // was 6.11; 1.953 → 1.345
+            (LARGE, (1 << 16) - 1, 1.35), // was 517 (every pop scanned the insert buffer); 1.775 → 1.247
         ],
     );
 }
