@@ -457,19 +457,19 @@ impl<T: Ord + Clone> BufferedPq<T> {
         // globally smallest, and runs are sorted), so the last one fixes
         // the new boundary and block pointer.
         let mut ptr_updates: Vec<(usize, u64)> = Vec::new();
-        for (i, id, first, members) in sel.spans() {
-            let run = &mut self.runs[i];
-            let pos = first + members.len() as u64 - 1;
-            run.remaining -= members.len();
+        for span in sel.spans() {
+            let run = &mut self.runs[span.slot];
+            let pos = span.last_pos();
+            run.remaining -= span.len;
             let new_ptr = pointer_after(pos as usize, run.region.elems, b);
-            run.boundary = members.last().map(|x| (x.clone(), id, pos));
+            run.boundary = Some((span.last.clone(), span.run, pos));
             if run.remaining > 0 {
                 // Exhausted runs are dropped below; their pointer word is
                 // left stale and reset when the slot is reused.
                 ptr_updates.push((run.slot, new_ptr));
             }
         }
-        let batch = sel.into_sorted();
+        let batch = sel.take_sorted();
         ptr_updates.sort_unstable();
         advance_pointers(machine, ptrs, &ptr_updates)?;
         // Drop exhausted runs (their external blocks are simply abandoned;

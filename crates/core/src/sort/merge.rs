@@ -125,11 +125,11 @@ where
     let mut out_blk = 0usize;
     let mut rounds = 0u64;
 
+    // The round buffer (the paper's in-memory array `M`): it always holds
+    // the `mhat` smallest candidates seen this round.
+    let mut sel: RunSelector<T> = RunSelector::new(mhat, k);
     while written < total {
         rounds += 1;
-        // The round buffer (the paper's in-memory array `M`): it always
-        // holds the `mhat` smallest candidates seen this round.
-        let mut sel: RunSelector<T> = RunSelector::new(mhat, k);
 
         // --- Seeding scan: up to two blocks from each run. -------------
         for pb in 0..ptr_region.blocks {
@@ -222,14 +222,16 @@ where
         // output element; the round's largest member is the new boundary.
         let mut updates: Vec<(usize, u64)> = sel
             .spans()
-            .map(|(r, _, first, members)| {
-                let last = first as usize + members.len() - 1;
-                (r, pointer_after(last, runs[r].elems, b))
+            .map(|s| {
+                (
+                    s.slot,
+                    pointer_after(s.last_pos() as usize, runs[s.slot].elems, b),
+                )
             })
             .collect();
         updates.sort_unstable();
         boundary = sel.max_member().map(|(x, r, p)| (x.clone(), r, p));
-        let batch = sel.into_sorted();
+        let batch = sel.take_sorted();
         debug_assert!(!batch.is_empty(), "progress while written < total");
         written += batch.len();
         // One bulk write for the whole round buffer: identical cost and

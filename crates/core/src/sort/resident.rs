@@ -87,9 +87,9 @@ where
     let mut out_blk = 0usize;
     let mut rounds = 0u64;
 
+    let mut sel: RunSelector<T> = RunSelector::new(mhat, k);
     while written < total {
         rounds += 1;
-        let mut sel: RunSelector<T> = RunSelector::new(mhat, k);
         // Per-round local state (free internal bookkeeping for the runs
         // touched this round): last block loaded and its maximal element.
         let mut loaded_through: Vec<usize> = vec![usize::MAX; k];
@@ -126,16 +126,16 @@ where
         }
 
         // Output: advance cursors past fully consumed blocks.
-        for (i, _, first, members) in sel.spans() {
-            let last = first as usize + members.len() - 1;
-            let new_next = pointer_after(last, runs[i].elems, b) as usize;
+        for span in sel.spans() {
+            let i = span.slot;
+            let new_next = pointer_after(span.last_pos() as usize, runs[i].elems, b) as usize;
             cursors[i].next_blk = cursors[i].next_blk.max(new_next);
             if cursors[i].next_blk >= runs[i].blocks {
                 cursors[i].exhausted = true;
             }
         }
         boundary = sel.max_member().map(|(x, r, p)| (x.clone(), r, p));
-        let batch = sel.into_sorted();
+        let batch = sel.take_sorted();
         debug_assert!(!batch.is_empty());
         written += batch.len();
         let mut iter = batch.into_iter().peekable();

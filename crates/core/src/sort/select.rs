@@ -32,10 +32,14 @@
 //!   it is full a block's candidates are appended to their stretch in one
 //!   slice copy. From then on the buffer maximum is the largest stretch
 //!   end, found through a max-heap over the stretches (not over the
-//!   members): an entering element drops that end and is appended to its
-//!   own stretch, `O(log k′)` for `k′` contributing runs, and the scan
-//!   stops at the first element that cannot enter. Draining it merges the
-//!   stretches, already sorted, with no tags attached.
+//!   members) whose entries hold the ends themselves, so sifting compares
+//!   without following a stretch. Each entering element drops that end,
+//!   `O(log k′)` for `k′` contributing runs; the scan stops at the first
+//!   element that cannot enter, and the block's entering elements join
+//!   their stretch in one copy. Draining it merges the stretches, already
+//!   sorted, with no tags attached. One selector serves every round of a
+//!   merge, and keeps emptied member buffers (room for at most
+//!   `cap + 8·slots` elements) for the next round's stretches.
 
 /// Candidates tagged by position: the unsorted path's `(element, position)`.
 type Pos<T> = (T, u64);
@@ -184,11 +188,12 @@ impl<T: Ord + Clone> Selector<T> {
 /// Candidates tagged by run and position: `(element, run, position)`.
 type RunTag<T> = (T, u32, u64);
 
-/// No stretch at this slot.
+/// No stretch at this slot, or no heap entry for this stretch.
 const ABSENT: usize = usize::MAX;
 
 /// One contributing run's members: consecutive positions from `first` on,
-/// in ascending order.
+/// in ascending order. While the stretch is heaped its largest member is
+/// held by its heap entry instead.
 #[derive(Debug)]
 struct Stretch<T> {
     /// The caller's dense index of the run.
@@ -198,20 +203,59 @@ struct Stretch<T> {
     /// Position of the first member.
     first: u64,
     members: Vec<T>,
-    /// Index in the heap once the buffer is full (`ABSENT` when empty).
+    /// Index of the heap entry once the buffer is full (`ABSENT` when
+    /// empty).
     heap_at: usize,
 }
 
-impl<T> Stretch<T> {
-    /// The tag of the largest member.
-    fn last_tag(&self) -> Option<(&T, u32, u64)> {
-        let last = self.members.last()?;
-        Some((last, self.run, self.first + self.members.len() as u64 - 1))
+/// A heaped stretch's largest member and its tag, kept in the heap itself
+/// so that sifting compares without following the stretch.
+#[derive(Debug)]
+struct End<T> {
+    x: T,
+    run: u32,
+    pos: u64,
+    /// Index of the stretch.
+    stretch: usize,
+}
+
+impl<T: Ord> End<T> {
+    fn tag(&self) -> (&T, u32, u64) {
+        (&self.x, self.run, self.pos)
+    }
+
+    /// `true` when this end lies above `other` (they are of distinct runs).
+    fn above(&self, other: &Self) -> bool {
+        (&self.x, self.run) > (&other.x, other.run)
+    }
+}
+
+/// One contributing run's share of a round buffer, from
+/// [`RunSelector::spans`].
+#[derive(Debug)]
+pub(crate) struct Span<'a, T> {
+    /// The caller's slot of the run.
+    pub(crate) slot: usize,
+    /// The run's tag.
+    pub(crate) run: u32,
+    /// Position of the run's first member.
+    pub(crate) first: u64,
+    /// Number of members.
+    pub(crate) len: usize,
+    /// The largest member.
+    pub(crate) last: &'a T,
+}
+
+impl<T> Span<'_, T> {
+    /// Position of the largest member.
+    pub(crate) fn last_pos(&self) -> u64 {
+        self.first + self.len as u64 - 1
     }
 }
 
 /// The `cap` smallest distinct `(element, run, position)` candidates
-/// offered so far, from the blocks of sorted runs (see the module docs).
+/// offered in a round, from the blocks of sorted runs (see the module
+/// docs). One selector serves every round of a merge.
 #[derive(Debug)]
 pub(crate) struct RunSelector<T> {
     cap: usize,
@@ -223,13 +267,16 @@ pub(crate) struct RunSelector<T> {
     stretches: Vec<Stretch<T>>,
     /// Stretch index by the caller's run slot, `ABSENT` if none.
     at: Vec<usize>,
-    /// Once full: the non-empty stretches as a max-heap by their last tag.
-    heap: Vec<usize>,
+    /// Once full: the ends of the non-empty stretches, as a max-heap.
+    heap: Vec<End<T>>,
+    /// Emptied member buffers for later rounds' stretches, holding room
+    /// for at most `cap + 8·slots` elements together.
+    spare: Vec<Vec<T>>,
 }
 
 impl<T: Ord + Clone> RunSelector<T> {
-    /// An empty buffer keeping at most `cap ≥ 1` candidates from runs the
-    /// caller numbers `0..slots`.
+    /// An empty buffer keeping at most `cap ≥ 1` candidates per round from
+    /// runs the caller numbers `0..slots`.
     pub(crate) fn new(cap: usize, slots: usize) -> Self {
         assert!(cap >= 1, "a selector keeps at least one candidate");
         Self {
@@ -239,6 +286,7 @@ impl<T: Ord + Clone> RunSelector<T> {
             stretches: Vec::new(),
             at: vec![ABSENT; slots],
             heap: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -252,21 +300,30 @@ impl<T: Ord + Clone> RunSelector<T> {
         if self.held < self.cap {
             return None;
         }
-        self.stretches[self.heap[0]].last_tag()
+        self.heap.first().map(End::tag)
     }
 
     /// The largest member, full or not (the round's new boundary).
     pub(crate) fn max_member(&self) -> Option<(&T, u32, u64)> {
-        self.stretches.iter().filter_map(Stretch::last_tag).max()
+        self.spans().map(|s| (s.last, s.run, s.last_pos())).max()
     }
 
-    /// Each contributing run's members as `(slot, run, first position,
-    /// members)`, in the order the runs first contributed.
-    pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, u32, u64, &[T])> {
-        self.stretches
-            .iter()
-            .filter(|s| !s.members.is_empty())
-            .map(|s| (s.slot, s.run, s.first, s.members.as_slice()))
+    /// Each contributing run's members, in the order the runs first
+    /// contributed.
+    pub(crate) fn spans(&self) -> impl Iterator<Item = Span<'_, T>> {
+        self.stretches.iter().filter_map(|s| {
+            let (len, last) = match s.heap_at {
+                ABSENT => (s.members.len(), s.members.last()?),
+                h => (s.members.len() + 1, &self.heap[h].x),
+            };
+            Some(Span {
+                slot: s.slot,
+                run: s.run,
+                first: s.first,
+                len,
+                last,
+            })
+        })
     }
 
     /// Offer one block of the sorted run `run` (the caller's slot `slot`),
@@ -314,52 +371,82 @@ impl<T: Ord + Clone> RunSelector<T> {
                 self.heapify();
             }
         }
-        // Anything left is offered to a full buffer.
-        for (x, pos) in block.iter().zip(first..).skip(start + fill) {
-            let top = self.heap[0];
-            let max = self.stretches[top]
-                .last_tag()
-                .expect("heaped stretches are non-empty");
-            if (x, run, pos) >= max {
-                break; // the rest of the block is larger still
+        // Anything left is offered to a full buffer. Each entering element
+        // drops the maximum of the other stretches: this run's own members
+        // lie below the rest of its block, so its stretch is never the
+        // maximum an element of the block beats, and the entering elements
+        // join it in one copy after the scan.
+        let (rest, mut end) = (start + fill, start + fill);
+        while end < block.len() {
+            match self.heap.first() {
+                Some(max) if tag(end) < max.tag() => {}
+                _ => break, // the rest of the block is larger still
             }
-            // The maximum leaves; its stretch ends one member earlier.
-            self.stretches[top].members.pop();
-            if self.stretches[top].members.is_empty() {
-                self.heap_remove_root();
-            } else {
-                self.sift_down(0);
-            }
-            let s = self.stretch(slot, run, pos);
-            self.stretches[s].members.push(x.clone());
-            match self.stretches[s].heap_at {
+            self.drop_max();
+            end += 1;
+        }
+        if end > rest {
+            let s = self.stretch(slot, run, first + rest as u64);
+            let (x, pos) = (block[end - 1].clone(), first + end as u64 - 1);
+            let stretch = &mut self.stretches[s];
+            match stretch.heap_at {
                 ABSENT => {
-                    self.heap.push(s);
-                    self.stretches[s].heap_at = self.heap.len() - 1;
+                    stretch.members.extend_from_slice(&block[rest..end - 1]);
+                    stretch.heap_at = self.heap.len();
+                    self.heap.push(End {
+                        x,
+                        run,
+                        pos,
+                        stretch: s,
+                    });
                     self.sift_up(self.heap.len() - 1);
                 }
-                h => self.sift_up(h),
+                h => {
+                    // The stretch's old end steps down into its members.
+                    let old = std::mem::replace(&mut self.heap[h].x, x);
+                    stretch.members.push(old);
+                    stretch.members.extend_from_slice(&block[rest..end - 1]);
+                    self.heap[h].pos = pos;
+                    self.sift_up(h);
+                }
             }
         }
         self.held - before
     }
 
-    /// The kept candidates in ascending order, untagged: the stretches
-    /// laid out by run and merged by a stable sort, which finds them as
-    /// ascending runs and orders equal elements by run and then by
-    /// position, as the tags do.
-    pub(crate) fn into_sorted(self) -> Vec<T> {
-        let mut stretches = self.stretches;
-        stretches.retain(|s| !s.members.is_empty());
-        stretches.sort_unstable_by_key(|s| s.run);
-        if stretches.len() == 1 {
-            return stretches.pop().expect("one stretch").members;
+    /// The kept candidates in ascending order, untagged, leaving the
+    /// buffer empty for the next round. The stretches are laid out by run
+    /// and, when there are several, merged by a stable sort, which finds
+    /// them as ascending runs and orders equal elements by run and then by
+    /// position, as the tags do. The member buffers are kept, within a
+    /// bound, for the next round's stretches.
+    pub(crate) fn take_sorted(&mut self) -> Vec<T> {
+        for end in self.heap.drain(..) {
+            self.stretches[end.stretch].members.push(end.x);
         }
+        self.stretches.sort_unstable_by_key(|s| s.run);
         let mut out = Vec::with_capacity(self.held);
-        for s in stretches {
-            out.extend(s.members);
+        let mut contributing = 0;
+        let mut room = self.cap + 8 * self.at.len();
+        room -= self
+            .spare
+            .iter()
+            .map(Vec::capacity)
+            .sum::<usize>()
+            .min(room);
+        for mut s in self.stretches.drain(..) {
+            contributing += usize::from(!s.members.is_empty());
+            out.append(&mut s.members);
+            self.at[s.slot] = ABSENT;
+            if s.members.capacity() <= room {
+                room -= s.members.capacity();
+                self.spare.push(s.members);
+            }
         }
-        out.sort();
+        if contributing > 1 {
+            out.sort();
+        }
+        (self.seen, self.held) = (0, 0);
         out
     }
 
@@ -372,48 +459,70 @@ impl<T: Ord + Clone> RunSelector<T> {
                 slot,
                 run,
                 first: pos,
-                members: Vec::new(),
+                members: self.spare.pop().unwrap_or_default(),
                 heap_at: ABSENT,
             });
         }
         let s = self.at[slot];
+        let st = &self.stretches[s];
         debug_assert_eq!(
-            self.stretches[s].first + self.stretches[s].members.len() as u64,
+            st.first + st.members.len() as u64 + u64::from(st.heap_at != ABSENT),
             pos,
             "a run's members are consecutive positions"
         );
         s
     }
 
-    /// `true` when stretch `a` ends above stretch `b`.
-    fn above(&self, a: usize, b: usize) -> bool {
-        let (sa, sb) = (&self.stretches[a], &self.stretches[b]);
-        (sa.members.last(), sa.run) > (sb.members.last(), sb.run)
-    }
-
-    /// Build the heap over the non-empty stretches.
+    /// Move each non-empty stretch's largest member into a heap entry and
+    /// order the entries.
     fn heapify(&mut self) {
-        self.heap = (0..self.stretches.len())
-            .filter(|&s| !self.stretches[s].members.is_empty())
-            .collect();
-        for (h, &s) in self.heap.iter().enumerate() {
-            self.stretches[s].heap_at = h;
+        for (s, st) in self.stretches.iter_mut().enumerate() {
+            if let Some(x) = st.members.pop() {
+                st.heap_at = self.heap.len();
+                self.heap.push(End {
+                    x,
+                    run: st.run,
+                    pos: st.first + st.members.len() as u64,
+                    stretch: s,
+                });
+            }
         }
         for h in (0..self.heap.len() / 2).rev() {
             self.sift_down(h);
         }
     }
 
+    /// Drop the buffer maximum: its stretch's next member becomes the
+    /// stretch's end, or the emptied stretch leaves the heap.
+    fn drop_max(&mut self) {
+        let s = self.heap[0].stretch;
+        match self.stretches[s].members.pop() {
+            Some(x) => {
+                self.heap[0].x = x;
+                self.heap[0].pos -= 1;
+            }
+            None => {
+                self.stretches[s].heap_at = ABSENT;
+                self.heap.swap_remove(0);
+                match self.heap.first() {
+                    Some(moved) => self.stretches[moved.stretch].heap_at = 0,
+                    None => return,
+                }
+            }
+        }
+        self.sift_down(0);
+    }
+
     fn swap(&mut self, h: usize, g: usize) {
         self.heap.swap(h, g);
-        self.stretches[self.heap[h]].heap_at = h;
-        self.stretches[self.heap[g]].heap_at = g;
+        self.stretches[self.heap[h].stretch].heap_at = h;
+        self.stretches[self.heap[g].stretch].heap_at = g;
     }
 
     fn sift_up(&mut self, mut h: usize) {
         while h > 0 {
             let parent = (h - 1) / 2;
-            if !self.above(self.heap[h], self.heap[parent]) {
+            if !self.heap[h].above(&self.heap[parent]) {
                 break;
             }
             self.swap(h, parent);
@@ -425,10 +534,10 @@ impl<T: Ord + Clone> RunSelector<T> {
         loop {
             let (l, r) = (2 * h + 1, 2 * h + 2);
             let mut top = h;
-            if l < self.heap.len() && self.above(self.heap[l], self.heap[top]) {
+            if l < self.heap.len() && self.heap[l].above(&self.heap[top]) {
                 top = l;
             }
-            if r < self.heap.len() && self.above(self.heap[r], self.heap[top]) {
+            if r < self.heap.len() && self.heap[r].above(&self.heap[top]) {
                 top = r;
             }
             if top == h {
@@ -436,17 +545,6 @@ impl<T: Ord + Clone> RunSelector<T> {
             }
             self.swap(h, top);
             h = top;
-        }
-    }
-
-    /// Drop the root, an emptied stretch, from the heap.
-    fn heap_remove_root(&mut self) {
-        let last = self.heap.len() - 1;
-        self.swap(0, last);
-        let gone = self.heap.pop().expect("non-empty heap");
-        self.stretches[gone].heap_at = ABSENT;
-        if !self.heap.is_empty() {
-            self.sift_down(0);
         }
     }
 }
@@ -579,17 +677,33 @@ mod tests {
                     if sorted {
                         let max = want.last().map(|t| (&t.0, t.1, t.2));
                         assert_eq!(run_sel.max_member(), max);
-                        let mut spans: Vec<Tag> = run_sel
+                        // Each run's kept members are consecutive positions:
+                        // the spans give their first position, count and
+                        // largest key.
+                        let mut spans: Vec<(u32, u64, usize, u64)> = run_sel
                             .spans()
-                            .flat_map(|(slot, run, first, members)| {
-                                assert_eq!(slot, run as usize);
-                                members.iter().zip(first..).map(move |(&k, p)| (k, run, p))
+                            .map(|s| {
+                                assert_eq!(s.slot, s.run as usize);
+                                (s.run, s.first, s.len, *s.last)
                             })
                             .collect();
                         spans.sort_unstable();
-                        assert_eq!(spans, want, "the spans are the kept set");
+                        let mut by_run = want.clone();
+                        by_run.sort_unstable_by_key(|t| (t.1, t.2));
+                        let mut want_spans: Vec<(u32, u64, usize, u64)> = Vec::new();
+                        for (k, run, pos) in by_run {
+                            match want_spans.last_mut() {
+                                Some(sp) if sp.0 == run => {
+                                    assert_eq!(sp.1 + sp.2 as u64, pos, "consecutive");
+                                    (sp.2, sp.3) = (sp.2 + 1, k);
+                                }
+                                _ => want_spans.push((run, pos, 1, k)),
+                            }
+                        }
+                        assert_eq!(spans, want_spans, "the spans are the kept set");
                         let keys: Vec<u64> = want.iter().map(|t| t.0).collect();
-                        assert_eq!(run_sel.into_sorted(), keys, "kept set in order");
+                        assert_eq!(run_sel.take_sorted(), keys, "kept set in order");
+                        assert_eq!((run_sel.len(), run_sel.max_member()), (0, None));
                     } else {
                         let kept: Vec<Tag> = pos_sel
                             .into_sorted()
@@ -651,7 +765,12 @@ mod tests {
         sel.offer(&[1u64, 2], 0, 0, 0, None);
         assert_eq!(sel.offer(&[0u64, 5, 9], 1, 1, 0, None), 0);
         assert_eq!(sel.full_max(), Some((&1, 0, 0)));
-        assert_eq!(sel.into_sorted(), vec![0, 1]);
+        assert_eq!(sel.take_sorted(), vec![0, 1]);
+        // The next round starts empty, with the same runs.
+        sel.offer(&[5u64, 9], 0, 0, 2, Some(&(2, 0, 1)));
+        assert_eq!(sel.offer(&[5u64, 6], 1, 1, 1, None), 0);
+        assert_eq!(sel.full_max(), Some((&5, 1, 1)));
+        assert_eq!(sel.take_sorted(), vec![5, 5]);
     }
 
     #[test]

@@ -150,7 +150,7 @@ fn merge_sort_within_comparison_budget() {
         "merge_sort",
         merge_sort,
         &[
-            (GATE, 2048, 3.9),      // was 4.10; 3.853 → 3.562
+            (GATE, 2048, 3.85),     // was 4.10; 3.853 → 3.532
             (LARGE, 1 << 20, 2.15), // was 3.23; 2.085 → 1.957
             (LARGE, 1 << 19, 2.05), // one small_sort of nine passes: 1.922 → 1.900
         ],
@@ -175,10 +175,10 @@ fn sort_via_pq_within_comparison_budget() {
         "sort_via_pq",
         sort_via_pq,
         &[
-            (GATE, 2048, 4.05),           // was 7.96; 4.894 → 3.683
-            (GATE, 2047, 4.1),            // was 7.62; 4.809 → 3.750
+            (GATE, 2048, 4.0),            // was 7.96; 4.894 → 3.667
+            (GATE, 2047, 4.05),           // was 7.62; 4.809 → 3.688
             (LARGE, 1 << 16, 1.45),       // was 6.11; 1.953 → 1.345
-            (LARGE, (1 << 16) - 1, 1.35), // was 517 (every pop scanned the insert buffer); 1.775 → 1.247
+            (LARGE, (1 << 16) - 1, 1.35), // was 517 (every pop scanned the insert buffer); 1.775 → 1.236
         ],
     );
 }
