@@ -392,7 +392,6 @@ impl<T: Ord + Clone> RunSelector<T> {
             match stretch.heap_at {
                 ABSENT => {
                     stretch.members.extend_from_slice(&block[rest..end - 1]);
-                    stretch.heap_at = self.heap.len();
                     self.heap.push(End {
                         x,
                         run,
@@ -424,9 +423,18 @@ impl<T: Ord + Clone> RunSelector<T> {
         for end in self.heap.drain(..) {
             self.stretches[end.stretch].members.push(end.x);
         }
-        self.stretches.sort_unstable_by_key(|s| s.run);
+        let mut by_run: Vec<(u32, usize)> = (self.stretches.iter().enumerate())
+            .filter(|(_, s)| !s.members.is_empty())
+            .map(|(i, s)| (s.run, i))
+            .collect();
+        by_run.sort_unstable();
         let mut out = Vec::with_capacity(self.held);
-        let mut contributing = 0;
+        for &(_, i) in &by_run {
+            out.append(&mut self.stretches[i].members);
+        }
+        if by_run.len() > 1 {
+            out.sort();
+        }
         let mut room = self.cap + 8 * self.at.len();
         room -= self
             .spare
@@ -434,17 +442,12 @@ impl<T: Ord + Clone> RunSelector<T> {
             .map(Vec::capacity)
             .sum::<usize>()
             .min(room);
-        for mut s in self.stretches.drain(..) {
-            contributing += usize::from(!s.members.is_empty());
-            out.append(&mut s.members);
+        for s in self.stretches.drain(..) {
             self.at[s.slot] = ABSENT;
             if s.members.capacity() <= room {
                 room -= s.members.capacity();
                 self.spare.push(s.members);
             }
-        }
-        if contributing > 1 {
-            out.sort();
         }
         (self.seen, self.held) = (0, 0);
         out
@@ -504,19 +507,17 @@ impl<T: Ord + Clone> RunSelector<T> {
             None => {
                 self.stretches[s].heap_at = ABSENT;
                 self.heap.swap_remove(0);
-                match self.heap.first() {
-                    Some(moved) => self.stretches[moved.stretch].heap_at = 0,
-                    None => return,
+                if self.heap.is_empty() {
+                    return;
                 }
             }
         }
         self.sift_down(0);
     }
 
-    fn swap(&mut self, h: usize, g: usize) {
-        self.heap.swap(h, g);
+    /// Record where heap entry `h` sits.
+    fn place(&mut self, h: usize) {
         self.stretches[self.heap[h].stretch].heap_at = h;
-        self.stretches[self.heap[g].stretch].heap_at = g;
     }
 
     fn sift_up(&mut self, mut h: usize) {
@@ -525,9 +526,11 @@ impl<T: Ord + Clone> RunSelector<T> {
             if !self.heap[h].above(&self.heap[parent]) {
                 break;
             }
-            self.swap(h, parent);
+            self.heap.swap(h, parent);
+            self.place(h);
             h = parent;
         }
+        self.place(h);
     }
 
     fn sift_down(&mut self, mut h: usize) {
@@ -543,9 +546,11 @@ impl<T: Ord + Clone> RunSelector<T> {
             if top == h {
                 break;
             }
-            self.swap(h, top);
+            self.heap.swap(h, top);
+            self.place(h);
             h = top;
         }
+        self.place(h);
     }
 }
 

@@ -90,8 +90,9 @@ where
         debug_assert!(!batch.is_empty(), "progress guaranteed while written < N'");
         last = batch.last().cloned();
         written += batch.len();
-        let mut iter = batch.into_iter().map(|(x, _)| x).peekable();
-        while iter.peek().is_some() {
+        let blocks = batch.len().div_ceil(b);
+        let mut iter = batch.into_iter().map(|(x, _)| x);
+        for _ in 0..blocks {
             let chunk: Vec<T> = iter.by_ref().take(b).collect();
             machine.write_block(out.block(out_block), chunk)?;
             out_block += 1;
