@@ -7,6 +7,10 @@
 //! `ORACLE_BESIDE_MIN_N` (2^16): the smaller run checks its oracle after
 //! the kernel, the larger one runs the oracle on a helper thread beside
 //! it, and both must keep the metered cost and the verified digest.
+//!
+//! One more case pins bfs mark at the size and on the machine the
+//! benchmark runs it: `n = 2^18`, `δ = 4`, `(2^16, 2^8, 16)`, instance
+//! seed 499 (a random graph).
 
 use aem_core::workload::{run_workload, LiveHarness, RunCtx, WorkloadKind, ORACLE_BESIDE_MIN_N};
 use aem_machine::{AemConfig, Backend};
@@ -110,4 +114,29 @@ fn registry_costs_and_checksums_are_pinned() {
         .map(|((k, ..), _)| k.as_str())
         .collect();
     assert!(moved.is_empty(), "runs moved: {moved:?}\ngot:\n{table}");
+}
+
+/// Recorded while each discovery copied its distance block out and back.
+const PINNED_LARGE_BFS: Pin = ("bfs/mark/n=262144", 2312928, 258803, 0x106b9a06ef7db171);
+
+#[test]
+fn sim_large_bfs_mark_is_pinned() {
+    let cfg = AemConfig::new(1 << 16, 1 << 8, 16).unwrap();
+    let n = 1 << 18;
+    let ctx = RunCtx::new(WorkloadKind::Bfs, "mark", cfg, n, 4, 499).unwrap();
+    let mut h = LiveHarness {
+        backend: Backend::Vec,
+    };
+    let (cost, checksum) = run_workload(&ctx, &mut h).unwrap();
+    let got = (format!("bfs/mark/n={n}"), cost.reads, cost.writes, checksum);
+    let (k, r, w, c) = PINNED_LARGE_BFS;
+    assert_eq!(
+        (got.0.as_str(), got.1, got.2, got.3),
+        (k, r, w, c),
+        "got (\"{}\", {}, {}, 0x{:016x})",
+        got.0,
+        got.1,
+        got.2,
+        got.3
+    );
 }

@@ -24,7 +24,11 @@
 //!   spmv sorted and the buffered queue on the sim-large machine, and
 //!   serve's two costliest spmv jobs — whose hashes were recorded before
 //!   the selection scans, the merge's round output and the queue's insert
-//!   path were rewritten.
+//!   path were rewritten;
+//! * bfs mark at the benchmark's size on the sim-large machine, whose hash
+//!   was recorded while every discovery copied its distance block out and
+//!   wrote the copy back, and every adjacency probe was a borrowed read
+//!   followed by a separate `discard`.
 //!
 //! Every case runs on a seeded input on an `InstrumentedMachine`. Each
 //! run's I/O program — every event's `(op, block, len, aux)` plus the
@@ -674,6 +678,24 @@ const PINNED_LARGE: &[(&str, u64)] = &[
     ("sort_via_pq/large/n=262144/uniform", 0x35f4c87fbea4204b),
 ];
 
+/// bfs mark on the sim-large machine at the benchmark's size: a random
+/// graph (instance seed 499, as the benchmark runs it) of 2^18 vertices
+/// and out-degree 4.
+fn large_bfs_hashes() -> Vec<(String, u64)> {
+    let (n, delta, seed) = (1 << 18, 4, 499);
+    let g = graph_instance(n, delta, seed);
+    let mut im = machine(LARGE);
+    let dist = bfs::bfs_mark(&mut im, n, &g.offs, &g.adj).unwrap();
+    assert_eq!(im.inspect(dist), bfs_reference(n, &g.offs, &g.adj));
+    vec![(
+        format!("bfs/mark/large/n={n}/random"),
+        program_hash(im, &[]),
+    )]
+}
+
+/// Recorded while each discovery copied its distance block out and back.
+const PINNED_LARGE_BFS: &[(&str, u64)] = &[("bfs/mark/large/n=262144/random", 0x2b649934682643a6)];
+
 fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String = got
         .iter()
@@ -715,4 +737,9 @@ fn dense_kernel_schedules_are_pinned() {
 #[test]
 fn large_shape_schedules_are_pinned() {
     assert_pinned(&large_hashes(), PINNED_LARGE);
+}
+
+#[test]
+fn large_bfs_schedule_is_pinned() {
+    assert_pinned(&large_bfs_hashes(), PINNED_LARGE_BFS);
 }
