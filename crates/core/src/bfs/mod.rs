@@ -39,7 +39,8 @@ use crate::search::MISS;
 use crate::spmv::InstallExt;
 
 /// Read `offs[v]` and `offs[v + 1]` from the installed offsets region
-/// (one or two borrowed block reads, each discarded at once).
+/// (one borrowed block read, or a second one-element probe when the pair
+/// straddles a block boundary, each discarded at once).
 fn read_offsets<A>(m: &mut A, offs: Region, v: usize, b: usize) -> Result<(usize, usize)>
 where
     A: AemAccess<u64> + ?Sized,
@@ -54,8 +55,7 @@ where
     })?;
     m.discard(len)?;
     if !same_block {
-        let len = m.read_block_with(offs.block((v + 1) / b), &mut |blk| o1 = blk[0] as usize)?;
-        m.discard(len)?;
+        o1 = m.probe_elem(offs.block((v + 1) / b), 0)? as usize;
     }
     Ok((o0, o1))
 }
@@ -102,9 +102,8 @@ where
     m.write_block(seed, vec![0u64])?;
     let (mut cur_start, mut cur_len) = (0usize, 1usize);
     let mut level = 0u64;
-    // `frontier` holds the resident queue block; `buf` receives a
-    // distance block only when a probe discovers a vertex.
-    let (mut frontier, mut buf) = (Vec::new(), Vec::new());
+    // `frontier` holds the resident queue block.
+    let mut frontier = Vec::new();
     loop {
         level += 1;
         let next_start = queue.len();
@@ -115,24 +114,18 @@ where
             for &v in &frontier {
                 let (o0, o1) = read_offsets(m, offs_r, v as usize, b)?;
                 for e in o0..o1 {
-                    let mut w = 0;
-                    let alen = m.read_block_with(adj_r.block(e / b), &mut |blk| {
-                        w = blk[e % b] as usize;
-                    })?;
-                    m.discard(alen)?;
-                    // Probe the distance block; copy it only on a
-                    // discovery, to write it back with the new level.
-                    let mut found = false;
-                    let dlen = m.read_block_with(dist.block(w / b), &mut |blk| {
-                        found = blk[w % b] == MISS;
+                    let w = m.probe_elem(adj_r.block(e / b), e % b)? as usize;
+                    // Probe the distance block; on a discovery, record the
+                    // level in place, which writes the block back.
+                    let found = m.update_block_with(dist.block(w / b), &mut |blk| {
+                        let slot = &mut blk[w % b];
+                        let found = *slot == MISS;
                         if found {
-                            buf.clear();
-                            buf.extend_from_slice(blk);
+                            *slot = level;
                         }
+                        found
                     })?;
                     if found {
-                        buf[w % b] = level;
-                        m.write_run(dist.block(w / b), &buf)?;
                         m.reserve(1)?;
                         batch.push(w as u64);
                         next_len += 1;
@@ -141,8 +134,6 @@ where
                             m.write_run(id, &batch)?;
                             batch.clear();
                         }
-                    } else {
-                        m.discard(dlen)?;
                     }
                 }
             }

@@ -1,13 +1,15 @@
-//! Fault injection must reach borrowed reads.
+//! Fault injection must reach borrowed reads, in-place updates and
+//! single-element probes.
 //!
-//! The probe kernels read through `AemAccess::read_block_with`.
+//! The probe kernels read through `AemAccess::read_block_with`, and bfs
+//! mark through `probe_elem` and `update_block_with`.
 //! [`OffByOneMachine`] overrides only `read_block`, so its faults reach
-//! those reads through the trait's default method. These runs go through
+//! those reads through the trait's default methods. These runs go through
 //! the registry (`run_workload`) on a faulty machine and check two
-//! things: faults were injected at the stride's rate, borrowed reads
-//! included, and the registry's own output check rejected the run. A
-//! wrapper that later overrides `read_block_with` without faulting it
-//! makes the first check fail.
+//! things: faults were injected at the stride's rate, borrowed reads,
+//! updates and probes included, and the registry's own output check
+//! rejected the run. A wrapper that later overrides one of those methods
+//! without faulting it makes the first check fail.
 //!
 //! The runs at `n ≥ 2^16` take the registry's other verification path,
 //! with the oracle on a helper thread beside the kernel: a fault there is
@@ -108,6 +110,31 @@ fn bfs_mark_faults_are_caught_by_the_output_check() {
     // the traversal index past a corrupted block and panic before the
     // check runs. Stride 9 reaches the check on this instance.
     faulted_run(small(), WorkloadKind::Bfs, "mark", 200, 3, 9);
+}
+
+#[test]
+fn faults_reach_updates_and_probes_through_the_defaults() {
+    // Stride 2 redirects every second read of block 0 to block 1.
+    let mut m = OffByOneMachine::new(Machine::<u64>::new(small()), 2);
+    let r = m.inner_mut().install(&(0..16).collect::<Vec<u64>>());
+    let probed: Vec<u64> = (0..4)
+        .map(|_| m.probe_elem(r.block(0), 3).unwrap())
+        .collect();
+    assert_eq!(probed, [3, 11, 3, 11]);
+    assert_eq!(m.faults_injected, 2);
+    // A faulted update edits block 1's contents and writes them back
+    // over block 0, as the spelled-out read and write would.
+    for _ in 0..2 {
+        m.update_block_with(r.block(0), &mut |blk| {
+            blk[0] += 100;
+            true
+        })
+        .unwrap();
+    }
+    assert_eq!(m.faults_injected, 3);
+    assert_eq!(m.inner().inspect(r)[..8], [108, 9, 10, 11, 12, 13, 14, 15]);
+    assert_eq!(m.cost().reads, 6);
+    assert_eq!(m.internal_used(), 0);
 }
 
 #[test]

@@ -3,13 +3,16 @@
 //! A `MachineCore` hands its `Observer` sink one event after each
 //! successful metered operation, one occupancy update after each
 //! successful `discard`/`reserve`, and the phase hooks. These tests drive
-//! a scripted sequence — single, bulk, borrowed and fused-exchange data
-//! ops, aux ops and failing ops — through a logging sink that records a
-//! `Trace` plus the occupancy after every event, and check:
+//! a scripted sequence — single, bulk, borrowed, fused-exchange, in-place
+//! update and single-element probe data ops, aux ops and failing ops —
+//! through a logging sink that records a `Trace` plus the occupancy after
+//! every event, and check:
 //!
 //! * after every operation, the trace prices exactly what the meter
 //!   charged and the last reported occupancy is the ledger's;
-//! * bulk runs give the per-block loop's events and occupancies;
+//! * bulk runs give the per-block loop's events and occupancies, and
+//!   updates and probes those of the reads, writes and discards they
+//!   stand for;
 //! * a failed operation — a bulk run that fails part-way through its
 //!   range and a BadBlock exchange included — emits nothing;
 //! * phase hooks reach the sink through the fault-injecting wrapper.
@@ -124,8 +127,9 @@ fn fails<T: std::fmt::Debug>(
     err
 }
 
-/// The scripted sequence. `bulk` picks bulk runs or the equivalent
-/// per-block loops; everything else is identical.
+/// The scripted sequence. `bulk` picks bulk runs, in-place updates and
+/// probes, or the equivalent per-block loops, reads, writes and discards;
+/// everything else is identical.
 fn script(m: &mut dyn AemAccess<u32>, sink: &Shared, bulk: bool) {
     fails(m, sink, |m| m.read_block(BlockId(42)));
     let r = m.alloc_region(10);
@@ -188,6 +192,44 @@ fn script(m: &mut dyn AemAccess<u32>, sink: &Shared, bulk: bool) {
     fails(m, sink, |m| m.reserve(17));
     settled(m, sink);
 
+    // In-place updates (one writing back, one not) and a probe.
+    for (i, edit) in [(0, true), (1, false)] {
+        if bulk {
+            let wrote = m
+                .update_block_with(r.block(i), &mut |blk| {
+                    if edit {
+                        blk[0] = 1;
+                    }
+                    edit
+                })
+                .unwrap();
+            assert_eq!(wrote, edit);
+        } else {
+            let mut d = m.read_block(r.block(i)).unwrap();
+            if edit {
+                d[0] = 1;
+                m.write_block(r.block(i), d).unwrap();
+            } else {
+                m.discard(d.len()).unwrap();
+            }
+        }
+        settled(m, sink);
+    }
+    if bulk {
+        m.probe_elem(r.block(2), 1).unwrap();
+    } else {
+        let d = m.read_block(r.block(2)).unwrap();
+        m.discard(d.len()).unwrap();
+    }
+    settled(m, sink);
+    fails(m, sink, |m| m.update_block_with(BlockId(99), &mut |_| true));
+    fails(m, sink, |m| m.probe_elem(BlockId(99), 0));
+    m.reserve(14).unwrap();
+    fails(m, sink, |m| m.update_block_with(r.block(0), &mut |_| true));
+    fails(m, sink, |m| m.probe_elem(r.block(0), 0));
+    m.discard(14).unwrap();
+    settled(m, sink);
+
     // Aux ops.
     let ar = m.alloc_aux_region(4);
     m.reserve(3).unwrap();
@@ -213,8 +255,12 @@ fn every_backend_honours_the_sink_contract() {
         assert_eq!(log.mems, per_block.mems, "{backend}: discard/reserve");
     }
     // One event per metered I/O: 3 + 3 writes and reads of the runs, four
-    // reads and a write of the single ops, one aux write and one aux read.
-    assert_eq!(per_block.trace.cost(), Cost::new(3 + 4 + 1, 3 + 1 + 1));
+    // reads and a write of the single ops, three reads and a write of the
+    // updates and the probe, one aux write and one aux read.
+    assert_eq!(
+        per_block.trace.cost(),
+        Cost::new(3 + 4 + 3 + 1, 3 + 1 + 1 + 1)
+    );
 }
 
 #[test]

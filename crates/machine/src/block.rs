@@ -151,6 +151,13 @@ impl<T> Block<T> {
         &self.data
     }
 
+    /// Borrow the contents mutably (an in-place read-modify-write; the
+    /// occupancy cannot change).
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// Take the contents, leaving the block empty.
     pub fn take(&mut self) -> Vec<T> {
         std::mem::take(&mut self.data)

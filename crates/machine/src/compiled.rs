@@ -307,6 +307,48 @@ mod tests {
     }
 
     #[test]
+    fn updates_and_probes_compile_like_their_decomposed_sequences() {
+        fn run(fused: bool) -> CompiledTrace {
+            let mut m: TraceMachine<u32> = TraceMachine::new(cfg());
+            let r = m.install(&[1, 2, 3, 4, 5]);
+            for (i, edit) in [(0, true), (1, false)] {
+                if fused {
+                    let wrote = m
+                        .update_block_with(r.block(i), &mut |blk| {
+                            blk[0] += u32::from(edit);
+                            edit
+                        })
+                        .unwrap();
+                    assert_eq!(wrote, edit);
+                } else {
+                    let mut d = m.read_block(r.block(i)).unwrap();
+                    if edit {
+                        d[0] += 1;
+                        m.write_block(r.block(i), d).unwrap();
+                    } else {
+                        m.discard(d.len()).unwrap();
+                    }
+                }
+            }
+            let x = if fused {
+                m.probe_elem(r.block(0), 0).unwrap()
+            } else {
+                let d = m.read_block(r.block(0)).unwrap();
+                m.discard(d.len()).unwrap();
+                d[0]
+            };
+            assert_eq!(x, 2);
+            assert!(m.update_block_with(BlockId(9), &mut |_| true).is_err());
+            assert!(m.probe_elem(BlockId(9), 0).is_err());
+            m.into_schedule()
+        }
+        let (fused, spelled) = (run(true), run(false));
+        assert_eq!(fused, spelled, "a failed update or probe records nothing");
+        assert_eq!(fused.len(), 4);
+        assert_eq!(fused.replay(), Cost::new(3, 1));
+    }
+
+    #[test]
     fn single_block_ops_compile_to_single_ops() {
         let mut m: TraceMachine<u32> = TraceMachine::new(cfg());
         let r = m.install(&[1, 2, 3, 4, 5]);

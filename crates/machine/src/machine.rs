@@ -86,6 +86,56 @@ pub trait AemAccess<T> {
         Ok(len)
     }
 
+    /// Read a data block and let `f` edit it in place: a read-modify-write
+    /// of one block without a host copy. Cost, ledger, events and error
+    /// precedence are exactly those of [`AemAccess::read_block_into`]
+    /// followed, when `f` returns `true`, by [`AemAccess::write_block`] of
+    /// the edited block (1 read, 1 write, the charge released by the
+    /// write) and, when it returns `false`, by [`AemAccess::discard`] of
+    /// the occupancy (1 read). Returns `f`'s verdict. `f` is called once
+    /// on success and never on error, and it cannot change the occupancy.
+    ///
+    /// `f` must return `true` whenever it edited the block: the machines
+    /// edit the stored block itself, so an edit reported as `false` would
+    /// persist without a metered write. The default reads into a
+    /// temporary and writes it back, so wrappers that override only
+    /// [`AemAccess::read_block`] and [`AemAccess::write_block`] keep their
+    /// semantics.
+    fn update_block_with(
+        &mut self,
+        id: BlockId,
+        f: &mut dyn FnMut(&mut [T]) -> bool,
+    ) -> Result<bool> {
+        let mut tmp = Vec::new();
+        let len = self.read_block_into(id, &mut tmp)?;
+        if f(&mut tmp) {
+            self.write_block(id, tmp)?;
+            Ok(true)
+        } else {
+            self.discard(len)?;
+            Ok(false)
+        }
+    }
+
+    /// Read a data block, return a clone of its element `i` and release
+    /// the charge: [`AemAccess::read_block_into`] followed by
+    /// [`AemAccess::discard`] of the occupancy, in cost, ledger, events
+    /// and error precedence (1 read). Panics when `i` is not below the
+    /// block's occupancy, as indexing the read block would. Kernels that
+    /// need one element of a block use this; the default reads into a
+    /// temporary, so wrappers that override only
+    /// [`AemAccess::read_block`] keep their semantics.
+    fn probe_elem(&mut self, id: BlockId, i: usize) -> Result<T>
+    where
+        T: Clone,
+    {
+        let mut tmp = Vec::new();
+        let len = self.read_block_into(id, &mut tmp)?;
+        let elem = tmp[i].clone();
+        self.discard(len)?;
+        Ok(elem)
+    }
+
     /// Evict the block currently held in `buf` (unmodified, so no
     /// write-back — its `buf.len()` budget is released) and read block
     /// `id` into `buf` in its place. Cost: 1 read I/O, exactly as
@@ -212,6 +262,19 @@ impl<T, M: AemAccess<T> + ?Sized> AemAccess<T> for &mut M {
     }
     fn read_block_with(&mut self, id: BlockId, f: &mut dyn FnMut(&[T])) -> Result<usize> {
         (**self).read_block_with(id, f)
+    }
+    fn update_block_with(
+        &mut self,
+        id: BlockId,
+        f: &mut dyn FnMut(&mut [T]) -> bool,
+    ) -> Result<bool> {
+        (**self).update_block_with(id, f)
+    }
+    fn probe_elem(&mut self, id: BlockId, i: usize) -> Result<T>
+    where
+        T: Clone,
+    {
+        (**self).probe_elem(id, i)
     }
     fn exchange_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
         (**self).exchange_block_into(id, buf)
@@ -542,6 +605,60 @@ where
             aux: false,
         });
         Ok(len)
+    }
+
+    fn update_block_with(
+        &mut self,
+        id: BlockId,
+        f: &mut dyn FnMut(&mut [T]) -> bool,
+    ) -> Result<bool> {
+        // One fused lookup for the read-modify-write: the store charges
+        // the ledger through the closure (BadBlock first, as every read),
+        // lends the stored block to `f`, and the machine then meters the
+        // read, and the write or the release, as the decomposed sequence
+        // would.
+        let (used, capacity) = (&mut self.internal_used, self.cfg.memory);
+        let (len, wrote) = self
+            .data
+            .update_charged(id, |k| charge_ledger(used, capacity, k), f)?;
+        self.counter.charge_read();
+        self.record(IoEvent::Read {
+            block: id,
+            len,
+            aux: false,
+        });
+        self.internal_used -= len;
+        if wrote {
+            self.counter.charge_write();
+            self.record(IoEvent::Write {
+                block: id,
+                len,
+                aux: false,
+            });
+        } else {
+            self.sink.on_mem(self.internal_used);
+        }
+        Ok(wrote)
+    }
+
+    fn probe_elem(&mut self, id: BlockId, i: usize) -> Result<T>
+    where
+        T: Clone,
+    {
+        // A borrowed read and its discard in one store lookup.
+        let (used, capacity) = (&mut self.internal_used, self.cfg.memory);
+        let (len, elem) = self
+            .data
+            .probe_charged(id, i, |k| charge_ledger(used, capacity, k))?;
+        self.counter.charge_read();
+        self.record(IoEvent::Read {
+            block: id,
+            len,
+            aux: false,
+        });
+        self.internal_used -= len;
+        self.sink.on_mem(self.internal_used);
+        Ok(elem)
     }
 
     fn exchange_block_into(&mut self, id: BlockId, buf: &mut Vec<T>) -> Result<usize> {
@@ -1062,6 +1179,127 @@ mod tests {
                 assert_eq!(pair[0], pair[1], "{backend}: trace event");
             }
         }
+    }
+
+    // Read-modify-writes and single-element probes, either fused or spelled
+    // out as the reads, writes and discards they stand for. Returns the
+    // cost and ledger after each step, the probed elements and the stored
+    // blocks, read back the same way on both paths.
+    type Steps = (Vec<(Cost, usize)>, Vec<u32>, Vec<u32>);
+
+    fn updates_and_probes(m: &mut dyn AemAccess<u32>, fused: bool) -> Steps {
+        let r = m.alloc_region(10);
+        m.reserve(10).unwrap();
+        m.write_run(r.block(0), &(50..60).collect::<Vec<u32>>())
+            .unwrap();
+        let mut steps = Vec::new();
+        for (i, edit) in [(0, true), (1, false), (2, true), (0, true), (2, false)] {
+            let mut bump = |blk: &mut [u32]| {
+                if edit {
+                    blk[blk.len() - 1] += 100;
+                }
+                edit
+            };
+            let wrote = if fused {
+                m.update_block_with(r.block(i), &mut bump).unwrap()
+            } else {
+                let mut tmp = Vec::new();
+                let len = m.read_block_into(r.block(i), &mut tmp).unwrap();
+                if bump(&mut tmp) {
+                    m.write_block(r.block(i), tmp).unwrap();
+                    true
+                } else {
+                    m.discard(len).unwrap();
+                    false
+                }
+            };
+            assert_eq!(wrote, edit);
+            steps.push((m.cost(), m.internal_used()));
+        }
+        let mut probed = Vec::new();
+        for (i, j) in [(0, 3), (2, 1), (1, 0), (0, 3)] {
+            let x = if fused {
+                m.probe_elem(r.block(i), j).unwrap()
+            } else {
+                let mut tmp = Vec::new();
+                let len = m.read_block_into(r.block(i), &mut tmp).unwrap();
+                let x = tmp[j];
+                m.discard(len).unwrap();
+                x
+            };
+            probed.push(x);
+            steps.push((m.cost(), m.internal_used()));
+        }
+        let mut stored = Vec::new();
+        let total = m.read_run(r.block(0), 3, &mut stored).unwrap();
+        m.discard(total).unwrap();
+        (steps, probed, stored)
+    }
+
+    #[test]
+    fn updates_and_probes_match_their_decomposed_sequences_on_every_backend() {
+        for backend in Backend::ALL {
+            let (spelled, spelled_events) = traced(backend, |m| updates_and_probes(m, false));
+            let (fused, events) = traced(backend, |m| updates_and_probes(m, true));
+            assert_eq!(fused.0, spelled.0, "{backend}: cost and ledger per step");
+            assert_eq!(events, spelled_events, "{backend}: trace events");
+            assert_eq!(fused.1, spelled.1, "{backend}: probed elements");
+            assert_eq!(fused.2, spelled.2, "{backend}: stored blocks");
+            if backend.carries_payload() {
+                assert_eq!(fused.1, [253, 159, 54, 253], "{backend}");
+                let mut want: Vec<u32> = (50..60).collect();
+                want[3] += 200;
+                want[9] += 100;
+                assert_eq!(fused.2, want, "{backend}");
+            } else {
+                assert!(fused.1.iter().chain(&fused.2).all(|&x| x == 0));
+            }
+            // Before the read-back: the setup run's three writes, then
+            // nine reads and the three edits' writes.
+            let (cost, used) = *fused.0.last().unwrap();
+            assert_eq!((cost, used), (Cost::new(9, 3 + 3), 0), "{backend}");
+        }
+    }
+
+    #[test]
+    fn failed_updates_and_probes_change_nothing() {
+        for backend in Backend::ALL {
+            let (_, events) = traced(backend, |m| {
+                let r = m.alloc_region(8);
+                m.reserve(8).unwrap();
+                m.write_run(r.block(0), &(1..9).collect::<Vec<u32>>())
+                    .unwrap();
+                // Room for less than a block: the in-range id overflows.
+                m.reserve(cfg().memory - 2).unwrap();
+                let (cost, used) = (m.cost(), m.internal_used());
+                let mut buf = Vec::new();
+                for id in [BlockId(99), r.block(0)] {
+                    let want = m.read_block_into(id, &mut buf).unwrap_err();
+                    let overflow = matches!(want, MachineError::InternalOverflow { .. });
+                    assert_eq!(overflow, id == r.block(0), "{backend}: {want:?}");
+                    let mut called = false;
+                    let err = m
+                        .update_block_with(id, &mut |_| {
+                            called = true;
+                            true
+                        })
+                        .unwrap_err();
+                    assert_eq!(err, want, "{backend}: update");
+                    assert!(!called, "{backend}: f called on error");
+                    assert_eq!(m.probe_elem(id, 0).unwrap_err(), want, "{backend}");
+                    assert_eq!((m.cost(), m.internal_used()), (cost, used), "{backend}");
+                }
+            });
+            assert_eq!(events.len(), 2, "{backend}: only the setup writes");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn probing_past_the_occupancy_panics() {
+        let mut m: Machine<u32> = Machine::new(cfg());
+        let r = m.install(&[1, 2, 3, 4, 5]);
+        let _ = m.probe_elem(r.block(1), 1);
     }
 
     #[test]

@@ -596,6 +596,42 @@ mod tests {
     }
 
     #[test]
+    fn updates_and_probes_take_the_buffered_default_path() {
+        // The wrapper overrides neither method: an update is its read (of
+        // the buffered payload, if any) and its buffered write, a probe its
+        // read and discard, with the same rounds as the spelled-out calls.
+        fn run(fused: bool) -> (RoundStats, Vec<u32>, Vec<u32>) {
+            let mut rb: RoundBasedMachine<u32> = RoundBasedMachine::new(cfg());
+            let r = rb.install(&(0..16).collect::<Vec<u32>>());
+            let mut probed = Vec::new();
+            for i in [0usize, 1, 0, 3, 0, 2] {
+                if fused {
+                    rb.update_block_with(r.block(i), &mut |blk| {
+                        blk[1] += 10;
+                        true
+                    })
+                    .unwrap();
+                    probed.push(rb.probe_elem(r.block(i), 1).unwrap());
+                } else {
+                    let mut d = rb.read_block(r.block(i)).unwrap();
+                    d[1] += 10;
+                    rb.write_block(r.block(i), d).unwrap();
+                    let d = rb.read_block(r.block(i)).unwrap();
+                    rb.discard(d.len()).unwrap();
+                    probed.push(d[1]);
+                }
+                assert_eq!(rb.internal_used(), 0);
+            }
+            let stats = rb.finish().unwrap();
+            (stats, probed, rb.inspect(r))
+        }
+        let (fused, spelled) = (run(true), run(false));
+        assert_eq!(fused, spelled);
+        assert_eq!(fused.1, [11, 15, 21, 23, 31, 19]);
+        assert!(fused.0.rounds > 1, "the run crosses round boundaries");
+    }
+
+    #[test]
     fn rewrite_same_block_in_round_replaces_buffer() {
         let c = AemConfig::new(64, 4, 2).unwrap();
         let mut rb: RoundBasedMachine<u32> = RoundBasedMachine::new(c);

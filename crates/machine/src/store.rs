@@ -235,6 +235,32 @@ pub trait BlockStore<T> {
     where
         F: FnOnce(usize) -> Result<()>,
         Self: Sized;
+
+    /// Fused metered read-modify-write: validate `id` and gate its
+    /// occupancy through `charge` as [`BlockStore::peek_charged`] does,
+    /// then lend the stored payload to `f` mutably. Returns the occupancy
+    /// and `f`'s verdict; the block keeps whatever `f` left in it. `f` is
+    /// never called when validation or `charge` fails. Ghost stores lend
+    /// `occupancy` placeholders and keep nothing.
+    fn update_charged<F>(
+        &mut self,
+        id: BlockId,
+        charge: F,
+        f: &mut dyn FnMut(&mut [T]) -> bool,
+    ) -> Result<(usize, bool)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+        Self: Sized;
+
+    /// Fused metered probe: validate `id` and gate its occupancy through
+    /// `charge` as [`BlockStore::peek_charged`] does, then clone element
+    /// `i` of the stored payload (a placeholder on ghost stores). Returns
+    /// the occupancy and the element; panics when `i` is not below the
+    /// occupancy.
+    fn probe_charged<F>(&self, id: BlockId, i: usize, charge: F) -> Result<(usize, T)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+        Self: Sized;
 }
 
 /// The default copying backend: an alias for [`ExternalMemory`].
@@ -326,6 +352,27 @@ impl<T: Clone> BlockStore<T> for ExternalMemory<T> {
         charge(block.len())?;
         f(block.as_slice());
         Ok(block.len())
+    }
+    fn update_charged<F>(
+        &mut self,
+        id: BlockId,
+        charge: F,
+        f: &mut dyn FnMut(&mut [T]) -> bool,
+    ) -> Result<(usize, bool)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        let block = self.get_mut(id)?;
+        charge(block.len())?;
+        Ok((block.len(), f(block.as_mut_slice())))
+    }
+    fn probe_charged<F>(&self, id: BlockId, i: usize, charge: F) -> Result<(usize, T)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        let block = self.get(id)?;
+        charge(block.len())?;
+        Ok((block.len(), block.as_slice()[i].clone()))
     }
 }
 
@@ -550,6 +597,29 @@ impl<T: Clone> BlockStore<T> for ArenaStore<T> {
         f(block);
         Ok(block.len())
     }
+    fn update_charged<F>(
+        &mut self,
+        id: BlockId,
+        charge: F,
+        f: &mut dyn FnMut(&mut [T]) -> bool,
+    ) -> Result<(usize, bool)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        self.check(id)?;
+        let block = &mut self.blocks[id.index()];
+        charge(block.len())?;
+        Ok((block.len(), f(block)))
+    }
+    fn probe_charged<F>(&self, id: BlockId, i: usize, charge: F) -> Result<(usize, T)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        self.check(id)?;
+        let block = &self.blocks[id.index()];
+        charge(block.len())?;
+        Ok((block.len(), block[i].clone()))
+    }
 }
 
 /// Cost-only backend: per-block occupancy, no payload.
@@ -557,9 +627,9 @@ impl<T: Clone> BlockStore<T> for ArenaStore<T> {
 /// Reads return `vec![T::default(); occupancy]` so element *counts* (and
 /// therefore every internal-budget charge, every capacity error, every
 /// `Q_r`/`Q_w` increment) match [`VecStore`] exactly; the *values* are
-/// placeholders. Borrowed reads lend a prefix of one block of placeholders
-/// the store allocates once. Sound only for payload-oblivious workloads —
-/// see the module docs.
+/// placeholders. Borrowed reads, probes and in-place updates lend a prefix
+/// of one block of placeholders the store allocates once. Sound only for
+/// payload-oblivious workloads — see the module docs.
 #[derive(Debug, Clone)]
 pub struct GhostStore<T> {
     block_size: usize,
@@ -700,6 +770,34 @@ impl<T: Clone + Default> BlockStore<T> for GhostStore<T> {
         charge(len)?;
         f(&self.zeros[..len]);
         Ok(len)
+    }
+    fn update_charged<F>(
+        &mut self,
+        id: BlockId,
+        charge: F,
+        f: &mut dyn FnMut(&mut [T]) -> bool,
+    ) -> Result<(usize, bool)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        self.check(id)?;
+        let len = self.lens[id.index()];
+        charge(len)?;
+        // `f` may scribble on the placeholders it borrows; reset them so
+        // the next loan sees defaults again.
+        let lent = &mut self.zeros[..len];
+        let wrote = f(lent);
+        lent.fill(T::default());
+        Ok((len, wrote))
+    }
+    fn probe_charged<F>(&self, id: BlockId, i: usize, charge: F) -> Result<(usize, T)>
+    where
+        F: FnOnce(usize) -> Result<()>,
+    {
+        self.check(id)?;
+        let len = self.lens[id.index()];
+        charge(len)?;
+        Ok((len, self.zeros[..len][i].clone()))
     }
 }
 

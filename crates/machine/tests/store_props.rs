@@ -8,8 +8,10 @@
 //! * the [`GhostStore`] machine accepts and rejects *exactly* the
 //!   operations the [`VecStore`] machine does, with the same
 //!   [`MachineError`] variant and the same meter — the contract that makes
-//!   cost-only ghost sweeps sound. Borrowed reads (`read_block_with`) run
-//!   in the same lockstep and lend slices of the same length.
+//!   cost-only ghost sweeps sound. Borrowed reads (`read_block_with`),
+//!   in-place updates (`update_block_with`) and single-element probes
+//!   (`probe_elem`) run in the same lockstep and lend slices of the same
+//!   length.
 //!
 //! Randomness is the workspace's seeded [`SplitMix64`]; every case is
 //! deterministic and reproduces without an external shrinker.
@@ -27,17 +29,21 @@ use aem_workloads::SplitMix64;
 enum Action {
     Read(usize),
     Borrow(usize),
+    Update(usize, bool),
+    Probe(usize, usize),
     WriteHeld(usize, usize),
     Discard(usize),
     Reserve(usize),
 }
 
 fn random_action(rng: &mut SplitMix64) -> Action {
-    match rng.next_below(5) {
+    match rng.next_below(7) {
         0 => Action::Read(rng.next_below_usize(24)),
         1 => Action::WriteHeld(rng.next_below_usize(8), rng.next_below_usize(24)),
         2 => Action::Discard(rng.next_below_usize(8)),
         3 => Action::Borrow(rng.next_below_usize(24)),
+        4 => Action::Update(rng.next_below_usize(24), rng.next_below(2) == 0),
+        5 => Action::Probe(rng.next_below_usize(24), rng.next_below_usize(4)),
         _ => Action::Reserve(rng.next_below_usize(8)),
     }
 }
@@ -105,6 +111,23 @@ fn arena_freelist_never_aliases_live_blocks() {
                     // A borrowed read must not touch the free list.
                     if let Ok(len) = m.read_block_with(BlockId(i), &mut |_| {}) {
                         held += len;
+                    }
+                }
+                Action::Update(i, edit) => {
+                    // An in-place update must not touch the free list
+                    // either; it leaves the ledger as it found it.
+                    let _ = m.update_block_with(BlockId(i), &mut |blk| {
+                        if edit {
+                            blk.fill(3);
+                        }
+                        edit
+                    });
+                }
+                Action::Probe(i, j) => {
+                    // Index within the occupancy (an empty block has no
+                    // element to probe).
+                    if let Ok(len @ 1..) = m.block_len(BlockId(i)) {
+                        let _ = m.probe_elem(BlockId(i), j % len);
                     }
                 }
                 Action::WriteHeld(k, b) => {
@@ -211,6 +234,44 @@ fn ghost_rejects_exactly_where_vec_does() {
                     assert_eq!(v.as_ref().ok(), vlen.as_ref(), "case {case} step {step}");
                     if let Ok(len) = v {
                         held += len;
+                    }
+                }
+                Action::Update(i, edit) => {
+                    let mut fill = |blk: &mut [u32]| {
+                        if edit {
+                            blk.fill(5);
+                        }
+                        edit
+                    };
+                    let v = vec_m.update_block_with(BlockId(i), &mut fill);
+                    let g = ghost_m.update_block_with(BlockId(i), &mut fill);
+                    assert_eq!(v, g, "case {case} step {step}: update divergence");
+                    if v == Ok(true) {
+                        let stored = vec_m.inspect_block(BlockId(i)).unwrap();
+                        assert!(stored.iter().all(|&x| x == 5), "case {case} step {step}");
+                    }
+                }
+                Action::Probe(i, j) => {
+                    // Probe inside the occupancy, or any index of a bad id
+                    // (the error comes first); an empty block has no
+                    // element to probe.
+                    let j = match vec_m.block_len(BlockId(i)) {
+                        Ok(0) => None,
+                        Ok(len) => Some(j % len),
+                        Err(_) => Some(j),
+                    };
+                    if let Some(j) = j {
+                        let v = vec_m.probe_elem(BlockId(i), j);
+                        let g = ghost_m.probe_elem(BlockId(i), j);
+                        assert_eq!(
+                            v.as_ref().err(),
+                            g.as_ref().err(),
+                            "case {case} step {step}"
+                        );
+                        if let Ok(x) = v {
+                            assert_eq!(x, vec_m.inspect_block(BlockId(i)).unwrap()[j]);
+                            assert_eq!(g, Ok(0), "case {case} step {step}: placeholder");
+                        }
                     }
                 }
                 Action::WriteHeld(k, b) => {
