@@ -250,6 +250,45 @@ pub fn run_cost_gate(costs_path: &Path) -> Result<CostReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aem_core::workload::{run_workload, LiveHarness, RunCtx};
+    use aem_machine::{AemConfig, Backend};
+
+    /// Every algorithm the registry marks `exact` meters exactly its
+    /// prediction at every gate shape on both gate configs, whether or
+    /// not the planner picks it there.
+    #[test]
+    fn exact_algorithms_meter_their_predictions_at_the_gate_shapes() {
+        let mut checked = Vec::new();
+        for &(mem, block, omega) in &CONFIGS {
+            let cfg = AemConfig::new(mem, block, omega).unwrap();
+            for kind in JobKind::ALL {
+                let w = kind.descriptor();
+                for a in w.algos.iter().filter(|a| a.exact) {
+                    for &(n, delta) in w.gate_shapes {
+                        let Some(predicted) = (a.predict)(cfg, n, delta) else {
+                            continue;
+                        };
+                        let ctx = RunCtx::new(kind, a.name, cfg, n, delta, 1).unwrap();
+                        let mut h = LiveHarness {
+                            backend: Backend::Vec,
+                        };
+                        let (measured, _) = run_workload(&ctx, &mut h).unwrap();
+                        let cell =
+                            format!("{kind}/{}/{mem},{block},{omega}/n={n},d={delta}", a.name);
+                        assert_eq!(measured, predicted, "{cell}");
+                        checked.push(a.name);
+                    }
+                }
+            }
+        }
+        // Each of the six exact algorithms was priced somewhere.
+        checked.sort_unstable();
+        checked.dedup();
+        assert_eq!(
+            checked,
+            ["binary", "btree", "materialize", "stream", "tiled", "tree"]
+        );
+    }
 
     #[test]
     fn registry_is_nonempty_with_unique_stable_keys() {

@@ -356,8 +356,12 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
         out.push_str("\ncandidate menu: no predictor accepts this config\n");
     } else {
         let best = w.cheapest(ctx.cfg, ctx.n, ctx.delta).map(|(name, _)| name);
-        out.push_str("\ncandidate menu (exact-schedule predictions):\n");
+        out.push_str(
+            "\ncandidate menu (predicted Q: exact = exact schedule, bound = certified upper bound):\n",
+        );
         for (name, c) in &menu {
+            let exact = w.algo(name).is_some_and(|a| a.exact);
+            let label = if exact { "exact" } else { "bound" };
             let mut marks = String::new();
             if *name == ctx.algo.name {
                 marks.push_str("  ← ran");
@@ -365,7 +369,10 @@ pub fn cmd_run(args: &Args) -> Result<String, String> {
             if Some(*name) == best {
                 marks.push_str("  (cheapest)");
             }
-            out.push_str(&format!("  {name:<12} Q = {}{marks}\n", c.q(omega)));
+            out.push_str(&format!(
+                "  {name:<12} {label}  Q = {}{marks}\n",
+                c.q(omega)
+            ));
         }
     }
     out.push_str(&export);
@@ -713,11 +720,18 @@ mod tests {
     fn pq_command_and_sort_algo() {
         let out = run("run pq --n 2000 --mem 64 --block 8 --omega 16").unwrap();
         assert!(out.contains("pq/pq"), "{out}");
-        assert!(
-            out.contains("candidate menu (exact-schedule predictions)"),
-            "{out}"
-        );
+        assert!(out.contains("candidate menu (predicted Q: exact"), "{out}");
+        // The buffered queue's predictor is a certified bound.
+        assert!(out.contains("  pq           bound  Q = "), "{out}");
         assert!(out.contains("Thm 4.5 lower bound:"), "{out}");
+        let search = run("run search --n 2048 --delta 3 --mem 64 --block 8").unwrap();
+        for row in [
+            "binary       exact",
+            "btree        exact",
+            "eytzinger    bound",
+        ] {
+            assert!(search.contains(row), "{row}: {search}");
+        }
         let out = run("run sort --n 1000 --mem 64 --block 8 --algo pq").unwrap();
         assert!(out.contains("Q ="), "{out}");
         let path = tmp_path("sort-pq.jsonl");
@@ -815,6 +829,26 @@ mod tests {
                 "{}: no section in docs/WORKLOADS.md",
                 w.name
             );
+            // Each algorithm's table row in the kind's section says
+            // "exact schedule" exactly when the registry marks it exact.
+            let section = catalog
+                .split(&format!("\n## {} — ", w.name))
+                .nth(1)
+                .and_then(|rest| rest.split("\n## ").next())
+                .unwrap_or("");
+            for a in w.algos {
+                let row = section
+                    .lines()
+                    .find(|l| l.starts_with(&format!("| `{}`", a.name)))
+                    .unwrap_or_else(|| panic!("{}/{}: no table row", w.name, a.name));
+                assert_eq!(
+                    row.contains("| exact schedule"),
+                    a.exact,
+                    "{}/{}: registry `exact` disagrees with docs/WORKLOADS.md: {row}",
+                    w.name,
+                    a.name
+                );
+            }
             for a in w.algos {
                 for token in std::iter::once(&a.name).chain(a.aliases) {
                     assert!(

@@ -148,6 +148,11 @@ pub struct AlgoSpec {
     /// Run the `aem-obs` record invariants (cost conservation, phase
     /// tree, cost sandwich) on fuzzed executions.
     pub invariants: bool,
+    /// `true` when [`AlgoSpec::predict`] is an exact-schedule predictor:
+    /// wherever it prices a shape, the measured cost equals it. `false`
+    /// for certified bounds (measured `≤` predicted componentwise) and
+    /// for unpriced algorithms. `docs/WORKLOADS.md` lists the verdicts.
+    pub exact: bool,
     /// Worst-case schedule predictor; `None` when the config rejects
     /// the algorithm (it then stays off every menu) or no closed form
     /// is priced.
@@ -346,14 +351,17 @@ const fn sorter(
         ghost_note: "",
         fuzz_target,
         invariants: true,
+        exact: false,
         predict,
         predict_phases,
     }
 }
 
 /// An algorithm outside the sort family, without record invariants or a
-/// phase predictor: ghost-sound when `ghost_note` is empty, otherwise
-/// neither sound nor runnable on ghost, for the reason the note gives.
+/// phase predictor, priced by a certified bound: ghost-sound when
+/// `ghost_note` is empty, otherwise neither sound nor runnable on ghost,
+/// for the reason the note gives. `exact` marks the exact-schedule
+/// ones.
 const fn algo(
     name: &'static str,
     aliases: &'static [&'static str],
@@ -369,8 +377,17 @@ const fn algo(
         ghost_note,
         fuzz_target,
         invariants: false,
+        exact: false,
         predict,
         predict_phases: None,
+    }
+}
+
+/// `spec` with an exact-schedule predictor.
+const fn exact(spec: AlgoSpec) -> AlgoSpec {
+    AlgoSpec {
+        exact: true,
+        ..spec
     }
 }
 
@@ -480,8 +497,14 @@ static SEARCH: Workload = Workload {
     default_delta: 256,
     inputs: SEEDED,
     algos: &[
-        algo("binary", &[], "search_binary", predict_search_binary, ""),
-        algo("btree", &[], "search_btree", predict_search_btree, ""),
+        exact(algo(
+            "binary",
+            &[],
+            "search_binary",
+            predict_search_binary,
+            "",
+        )),
+        exact(algo("btree", &[], "search_btree", predict_search_btree, "")),
         algo(
             "eytzinger",
             &[],
@@ -507,14 +530,20 @@ static SCAN: Workload = Workload {
     default_delta: 64,
     inputs: SEEDED,
     algos: &[
-        algo(
+        exact(algo(
             "materialize",
             &["classic"],
             "scan_materialize",
             predict_scan_materialize,
             "",
-        ),
-        algo("tree", &["sum-tree"], "scan_tree", predict_scan_tree, ""),
+        )),
+        exact(algo(
+            "tree",
+            &["sum-tree"],
+            "scan_tree",
+            predict_scan_tree,
+            "",
+        )),
         algo("rescan", &[], "scan_rescan", predict_scan_rescan, ""),
     ],
     // Small batches (rescan territory at high ω) and a large batch
@@ -533,20 +562,20 @@ static MATMUL: Workload = Workload {
     default_delta: 0,
     inputs: SEEDED,
     algos: &[
-        algo(
+        exact(algo(
             "tiled",
             &["write-avoiding"],
             "matmul_tiled",
             matmul::tiled_cost,
             "",
-        ),
-        algo(
+        )),
+        exact(algo(
             "stream",
             &["streaming"],
             "matmul_stream",
             matmul::stream_cost,
             "",
-        ),
+        )),
     ],
     gate_shapes: &[(1764, 0)],
 };
