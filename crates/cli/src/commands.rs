@@ -1008,6 +1008,7 @@ mod tests {
             "run permute --n 524288 --mem 65536 --block 256 --omega 16",
             "run spmv --n 131072 --delta 4 --mem 65536 --block 256 --omega 16",
             "run pq --n 262144 --mem 65536 --block 256 --omega 16",
+            "run bfs --algo mark --n 4096 --delta 3 --mem 1024 --block 64 --backend arena --trace-out bfs-arena.jsonl",
         ] {
             assert!(lines.iter().any(|l| l == kernel), "CI runs `{kernel}`");
         }
