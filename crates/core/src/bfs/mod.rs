@@ -32,6 +32,19 @@
 //! (a placeholder-payload machine would traverse garbage edges), the
 //! same verdict as the Eytzinger lookup but for a stronger reason: the
 //! control flow itself is data-routed.
+//!
+//! ## Host work
+//!
+//! The model charges [`bfs_mark`] one read per adjacency probe and one
+//! read, plus one write on a discovery, per distance probe; it charges no
+//! host copying. The kernel copies nothing it does not need. Each
+//! adjacency target comes from [`AemAccess::probe_elem`]: one read of the
+//! block, one element cloned out, the charge released. Each distance probe
+//! is one [`AemAccess::update_block_with`]: the closure tests the target's
+//! slot and, on a discovery, writes the level into the stored block and
+//! returns `true`, which meters the write-back. The block is never copied
+//! out and back. Reads, writes, ledger steps and events are those of the
+//! copying form (`tests/tests/schedule_identity.rs` pins them).
 
 use aem_machine::{AemAccess, AemConfig, BlockId, Cost, Region, Result};
 

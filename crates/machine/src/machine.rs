@@ -25,7 +25,10 @@
 //!   they can only cause *spurious capacity errors*, never let an algorithm
 //!   use more than `M` elements of internal memory unnoticed. A borrowed
 //!   read ([`AemAccess::read_block_with`]) is metered identically but lends
-//!   the stored block instead of copying it.
+//!   the stored block instead of copying it. An in-place update
+//!   ([`AemAccess::update_block_with`]) and a one-element probe
+//!   ([`AemAccess::probe_elem`]) are metered as the reads, writes and
+//!   discards they stand for.
 //! * **Writes** store at most `B` elements to a block and release the
 //!   internal budget correspondingly.
 //! * A separate **auxiliary store** with the same block size carries machine
