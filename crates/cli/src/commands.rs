@@ -1009,6 +1009,10 @@ mod tests {
             "run spmv --n 131072 --delta 4 --mem 65536 --block 256 --omega 16",
             "run pq --n 262144 --mem 65536 --block 256 --omega 16",
             "run bfs --algo mark --n 4096 --delta 3 --mem 1024 --block 64 --backend arena --trace-out bfs-arena.jsonl",
+            "run bfs --algo mark --n 4096 --delta 3 --mem 1024 --block 64 --backend vec",
+            "run search --n 4096 --delta 512 --mem 1024 --block 64 --backend vec --trace-out search-vec.jsonl",
+            "run search --n 4096 --delta 512 --mem 1024 --block 64 --backend ghost",
+            "run search --n 4096 --delta 512 --mem 1024 --block 64 --backend ghost --trace-out search-ghost.jsonl",
         ] {
             assert!(lines.iter().any(|l| l == kernel), "CI runs `{kernel}`");
         }

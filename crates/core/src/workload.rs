@@ -22,6 +22,7 @@
 //! way) reaches serve, profile, fuzz, and the strict cost gate without
 //! touching any of those crates.
 
+use std::any::Any;
 use std::fmt;
 
 use aem_machine::{
@@ -621,25 +622,45 @@ impl<T: Clone + Default + fmt::Debug + 'static> Payload for T {}
 /// The machine capabilities a workload body needs, object-safe so one
 /// boxed body serves every backend: metered access, free installation,
 /// free inspection, and whether inspected values are real.
+///
+/// A body receives `&mut dyn WorkloadMachine<T>`, but its metered kernel
+/// does not run through the vtable on the two machines the hot paths use:
+/// [`run_workload`] downcasts through [`WorkloadMachine::as_any_mut`] once
+/// per run and runs the kernel compiled for the concrete vec
+/// ([`Machine<T>`]) or ghost ([`GhostMachine<T>`]) machine, so each
+/// metered call inlines its store access. Every other machine (arena,
+/// trace, an observed machine, any wrapper) runs the same kernel source
+/// through the trait object.
 pub trait WorkloadMachine<T>: AemAccess<T> + InstallExt<T> {
     /// Inspect a region without charging I/O (verification only).
     fn inspect_region(&self, r: Region) -> Vec<T>;
     /// `false` on ghost stores, whose inspected values are placeholders.
     fn payload_real(&self) -> bool;
+    /// The machine itself, for [`run_workload`] to downcast to a concrete
+    /// machine type; `None` keeps every call on the trait object. Only
+    /// the bare machine returns itself: a wrapper keeps this default, so
+    /// a fault it injects (or a count it keeps) can never be bypassed by
+    /// downcasting to the machine inside it.
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        None
+    }
 }
 
 impl<T, S, A, K> WorkloadMachine<T> for MachineCore<T, S, A, K>
 where
-    T: Clone,
-    S: BlockStore<T>,
-    A: BlockStore<u64>,
-    K: Observer,
+    T: Clone + 'static,
+    S: BlockStore<T> + 'static,
+    A: BlockStore<u64> + 'static,
+    K: Observer + 'static,
 {
     fn inspect_region(&self, r: Region) -> Vec<T> {
         self.inspect(r)
     }
     fn payload_real(&self) -> bool {
         S::BACKEND.carries_payload()
+    }
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
     }
 }
 
@@ -693,7 +714,11 @@ impl Verified {
     }
 }
 
-/// A boxed workload body, runnable on any [`WorkloadMachine`].
+/// A boxed workload body, runnable on any [`WorkloadMachine`]. The box
+/// and the trait object cost one indirect call per run: the body's
+/// metered kernel downcasts a bare vec or ghost machine through
+/// [`WorkloadMachine::as_any_mut`] and runs monomorphized on it, and runs
+/// through the trait object on every other machine.
 pub type Body<'a, T> =
     Box<dyn FnOnce(&mut dyn WorkloadMachine<T>) -> Result<Verified, WorkloadError> + 'a>;
 
@@ -838,12 +863,11 @@ fn sort_keys(input: &str, n: usize, seed: u64) -> Result<Vec<u64>, String> {
     Ok(dist.generate(n))
 }
 
-fn run_sorter(
+fn run_sorter<M: WorkloadMachine<u64> + ?Sized>(
     algo: &str,
-    m: &mut dyn WorkloadMachine<u64>,
+    mut m: &mut M,
     r: Region,
 ) -> Result<Region, MachineError> {
-    let mut m = m;
     match algo {
         "aem" => merge_sort(&mut m, r),
         "em" => em_merge_sort(&mut m, r),
@@ -852,6 +876,35 @@ fn run_sorter(
         "pq" => sort_via_pq(&mut m, r),
         other => unreachable!("unregistered sorter {other}"),
     }
+}
+
+/// A `verify` kernel for payload `$t`: `$body`, with `$m` bound to the
+/// machine, compiled once per listed concrete machine type (`Machine`,
+/// `GhostMachine`) and once against the trait object. One
+/// [`WorkloadMachine::as_any_mut`] downcast per run picks the copy, so on
+/// the listed machines every metered call in the kernel is a direct,
+/// inlinable call; any other machine, wrappers included, runs the same
+/// source through the vtable. `$m` is a `&mut` to the machine in every
+/// copy, so a body passes `&mut $m` to the generic kernels. Ghost is
+/// listed only where some algorithm of the body runs on ghost: each copy
+/// is code the binary carries.
+macro_rules! kernel {
+    ($t:ty, [$($mach:ident),+], |$m:ident| $body:expr) => {
+        |dm: &mut dyn WorkloadMachine<$t>| {
+            if let Some(any) = dm.as_any_mut() {
+                $(
+                    if let Some(cm) = any.downcast_mut::<$mach<$t>>() {
+                        #[allow(unused_mut)]
+                        let mut $m = cm;
+                        return $body;
+                    }
+                )+
+            }
+            #[allow(unused_mut)]
+            let mut $m = dm;
+            $body
+        }
+    };
 }
 
 /// Smallest `n` at which [`run_workload`] runs a body's RAM oracle on a
@@ -865,7 +918,11 @@ fn run_sorter(
 pub const ORACLE_BESIDE_MIN_N: usize = 1 << 16;
 
 /// Run `kernel` on `m`, read its answer back with `output`, and check it
-/// against `oracle`; `what` names the failure. On a real payload at
+/// against `oracle`; `what` names the failure. `kernel` takes the trait
+/// object; the registry's kernels are built with `kernel!`, which
+/// resolves a bare vec or ghost machine behind it once and runs the
+/// kernel compiled for that type, so `verify` itself stays one copy per
+/// payload type. On a real payload at
 /// `n ≥` [`ORACLE_BESIDE_MIN_N`] the oracle and the FNV-1a of its answer
 /// run on a scoped helper thread while the kernel and `output` run on the
 /// calling thread; the digest is then the oracle's, which equals the
@@ -926,10 +983,10 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     verify(
                         m,
                         n,
-                        |m| {
+                        kernel!(u64, [Machine, GhostMachine], |m| {
                             let r = m.install_atoms(&input);
                             run_sorter(algo, m, r)
-                        },
+                        }),
                         |m, out| m.inspect_region(out),
                         || oracle::sorted_reference(&input),
                         "sort: output diverges from the oracle",
@@ -949,10 +1006,10 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                         verify(
                             m,
                             n,
-                            |mut m| {
+                            kernel!(u64, [Machine, GhostMachine], |m| {
                                 let r = m.install_atoms(&values);
                                 permute_naive_on(&mut m, r, &pi)
-                            },
+                            }),
                             |m, out| m.inspect_region(out),
                             || perm::apply(&pi, &values),
                             "naive permute: verification failed",
@@ -974,10 +1031,10 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                             verify(
                                 m,
                                 n,
-                                |mut m| {
+                                kernel!(DestTagged<u64>, [Machine], |m| {
                                     let r = m.install_atoms(&tagged);
                                     permute_by_sort_on(&mut m, r)
-                                },
+                                }),
                                 |m, out| {
                                     m.inspect_region(out).into_iter().map(|t| t.value).collect()
                                 },
@@ -1003,7 +1060,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     verify(
                         m,
                         n,
-                        |mut m| {
+                        kernel!(MatEntry<U64Ring>, [Machine], |m| {
                             let inst = SpmvInstance {
                                 conf: &conf,
                                 a_vals: &a,
@@ -1014,7 +1071,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                                 "direct" => spmv_direct_on(&mut m, &conf, ar, xr),
                                 _ => spmv_sorted_on(&mut m, &conf, ar, xr),
                             }
-                        },
+                        }),
                         |m, y| m.inspect_region(y).into_iter().map(|e| e.val.0).collect(),
                         || {
                             reference_multiply(&conf, &a, &x)
@@ -1035,14 +1092,14 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     verify(
                         m,
                         n,
-                        |mut m| {
+                        kernel!(u64, [Machine, GhostMachine], |m| {
                             let idx = match algo {
                                 "binary" => search::build_binary(&mut m, &inst.keys)?,
                                 "eytzinger" => search::build_eytzinger(&mut m, &inst.keys)?,
                                 _ => search::build_btree(&mut m, &inst.keys)?,
                             };
                             search::lookup_batch(&mut m, &idx, &inst.queries)
-                        },
+                        }),
                         |_, got| got,
                         || oracle::lookup_reference(&inst.keys, &inst.queries),
                         "search: lookup verification failed",
@@ -1058,7 +1115,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     verify(
                         m,
                         n,
-                        |mut m| {
+                        kernel!(u64, [Machine, GhostMachine], |m| {
                             let r = m.install_atoms(&inst.values);
                             match algo {
                                 "materialize" => scan::scan_materialize(&mut m, r, &inst.queries),
@@ -1068,7 +1125,7 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                                     scan::query_tree(&mut m, &t, &inst.queries)
                                 }
                             }
-                        },
+                        }),
                         |_, got| got,
                         || oracle::prefix_reference(&inst.values, &inst.queries),
                         "scan: prefix verification failed",
@@ -1084,10 +1141,10 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     verify(
                         m,
                         n,
-                        |mut m| match algo {
+                        kernel!(u64, [Machine, GhostMachine], |m| match algo {
                             "stream" => matmul::matmul_stream(&mut m, inst.d, &inst.a, &inst.b),
                             _ => matmul::matmul_tiled(&mut m, inst.d, &inst.a, &inst.b),
-                        },
+                        }),
                         |m, (cr, t)| {
                             matmul::extract(inst.d, t, m.cfg().block, &m.inspect_region(cr))
                         },
@@ -1105,10 +1162,10 @@ pub fn run_workload<H: Harness>(ctx: &RunCtx, h: &mut H) -> Result<H::Out, Workl
                     verify(
                         m,
                         n,
-                        |mut m| match algo {
+                        kernel!(u64, [Machine], |m| match algo {
                             "rescan" => bfs::bfs_rescan(&mut m, n, &g.offs, &g.adj),
                             _ => bfs::bfs_mark(&mut m, n, &g.offs, &g.adj),
-                        },
+                        }),
                         |m, dist| m.inspect_region(dist),
                         || oracle::bfs_reference(n, &g.offs, &g.adj),
                         "bfs: distance verification failed",

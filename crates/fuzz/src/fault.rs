@@ -144,7 +144,11 @@ impl<T, A: AemAccess<T>> AemAccess<T> for OffByOneMachine<A> {
 // Registry bodies run through `&mut dyn WorkloadMachine<T>`, so the
 // wrapper is one too: installation and inspection go straight to the
 // wrapped machine (they are free and unfaulted), every metered read
-// passes through the fault.
+// passes through the fault. It keeps `as_any_mut`'s default `None`:
+// `run_workload` runs its kernels monomorphized only on a bare vec or
+// ghost machine it can downcast to, so on the wrapper they stay on the
+// trait object and no read can skip the fault by reaching the machine
+// inside.
 impl<T, A: InstallExt<T>> InstallExt<T> for OffByOneMachine<A> {
     fn install_atoms(&mut self, data: &[T]) -> Region {
         self.inner.install_atoms(data)
@@ -206,6 +210,21 @@ mod tests {
         assert_eq!(data, vec![4, 5, 6, 7]);
         assert_eq!(m.faults_injected, 1);
         m.discard(data.len()).unwrap();
+    }
+
+    #[test]
+    fn the_wrapper_never_resolves_to_the_machine_inside() {
+        let cfg = AemConfig::new(16, 4, 2).unwrap();
+        let mut bare = Machine::<u64>::new(cfg);
+        let any = WorkloadMachine::<u64>::as_any_mut(&mut bare).unwrap();
+        assert!(any.downcast_mut::<Machine<u64>>().is_some());
+        let mut ghost = aem_machine::GhostMachine::<u64>::new(cfg);
+        let any = WorkloadMachine::<u64>::as_any_mut(&mut ghost).unwrap();
+        assert!(any
+            .downcast_mut::<aem_machine::GhostMachine<u64>>()
+            .is_some());
+        let mut wrapped = OffByOneMachine::new(Machine::<u64>::new(cfg), 1);
+        assert!(WorkloadMachine::<u64>::as_any_mut(&mut wrapped).is_none());
     }
 
     #[test]

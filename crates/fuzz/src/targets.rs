@@ -199,8 +199,9 @@ fn record_invariants(rec: &RunRecord) -> Result<(), String> {
 /// One registry algorithm on one case: the kind's seeded instance
 /// through [`run_workload`] on an instrumented machine. The workload
 /// body performs the differential check (exact oracle equality); this
-/// wrapper adds the predictor upper bound and, for `invariants`
-/// algorithms, the record invariant suite.
+/// wrapper adds the predictor upper bound (equality for an
+/// [`exact`](aem_core::workload::AlgoSpec::exact) predictor) and, for
+/// `invariants` algorithms, the record invariant suite.
 fn registry_check(
     kind: WorkloadKind,
     algo_name: &'static str,
@@ -237,9 +238,21 @@ fn registry_check(
         }
     };
     // Thm 3.2 / closed-form upper branch: the metered Q may never exceed
-    // the menu price the planner quotes for this algorithm.
+    // the menu price the planner quotes for this algorithm, and an
+    // exact-schedule predictor must meet the metered cost exactly.
     if let Some(bound) = (algo.predict)(cfg, ctx.n, ctx.delta) {
-        let q = profiled.record.trace.cost().q(cfg.omega);
+        let measured = profiled.record.trace.cost();
+        if algo.exact && measured != bound {
+            return Outcome::Fail(format!(
+                "{}/{algo_name}: measured {measured:?} differs from exact predictor {bound:?} \
+                 (n={}, delta={})\n{}",
+                kind.name(),
+                ctx.n,
+                ctx.delta,
+                tail_from_record(&profiled.record, 16)
+            ));
+        }
+        let q = measured.q(cfg.omega);
         let b = bound.q(cfg.omega);
         if q > b {
             return Outcome::Fail(format!(

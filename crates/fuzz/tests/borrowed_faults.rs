@@ -11,6 +11,11 @@
 //! rejected the run. A wrapper that later overrides one of those methods
 //! without faulting it makes the first check fail.
 //!
+//! `run_workload` runs its kernels monomorphized only on a bare vec or
+//! ghost machine; the wrapper keeps `WorkloadMachine::as_any_mut`'s
+//! default, so every kernel on it runs through the trait object and meets
+//! the fault.
+//!
 //! The runs at `n ≥ 2^16` take the registry's other verification path,
 //! with the oracle on a helper thread beside the kernel: a fault there is
 //! still rejected, and a kernel that fails mid-run (an error, or the
@@ -140,6 +145,19 @@ fn faults_reach_updates_and_probes_through_the_defaults() {
 #[test]
 fn search_btree_faults_are_caught_by_the_output_check() {
     faulted_run(small(), WorkloadKind::Search, "btree", 700, 60, 5);
+}
+
+#[test]
+fn faults_reach_the_kernels_the_registry_runs_monomorphized() {
+    // On a bare vec or ghost machine `run_workload` runs each kernel
+    // compiled for that machine type; the wrapper keeps the hook's
+    // default, so these kernels run through the trait object and every
+    // read meets the fault. Search btree at its large gate shape (the
+    // ω-priced build and 1024 descents), binary search's borrowed
+    // probes, and the tiled matmul's tile reads.
+    faulted_run(small(), WorkloadKind::Search, "btree", 2048, 1024, 5);
+    faulted_run(small(), WorkloadKind::Search, "binary", 700, 60, 7);
+    faulted_run(small(), WorkloadKind::Matmul, "tiled", 400, 0, 7);
 }
 
 fn small() -> AemConfig {
