@@ -218,11 +218,6 @@ mod tests {
         let mut bare = Machine::<u64>::new(cfg);
         let any = WorkloadMachine::<u64>::as_any_mut(&mut bare).unwrap();
         assert!(any.downcast_mut::<Machine<u64>>().is_some());
-        let mut ghost = aem_machine::GhostMachine::<u64>::new(cfg);
-        let any = WorkloadMachine::<u64>::as_any_mut(&mut ghost).unwrap();
-        assert!(any
-            .downcast_mut::<aem_machine::GhostMachine<u64>>()
-            .is_some());
         let mut wrapped = OffByOneMachine::new(Machine::<u64>::new(cfg), 1);
         assert!(WorkloadMachine::<u64>::as_any_mut(&mut wrapped).is_none());
     }

@@ -149,12 +149,9 @@ fn search_btree_faults_are_caught_by_the_output_check() {
 
 #[test]
 fn faults_reach_the_kernels_the_registry_runs_monomorphized() {
-    // On a bare vec or ghost machine `run_workload` runs each kernel
-    // compiled for that machine type; the wrapper keeps the hook's
-    // default, so these kernels run through the trait object and every
-    // read meets the fault. Search btree at its large gate shape (the
-    // ω-priced build and 1024 descents), binary search's borrowed
-    // probes, and the tiled matmul's tile reads.
+    // Search btree at its large gate shape (the ω-priced build and 1024
+    // descents), binary search's borrowed probes, and the tiled matmul's
+    // tile reads.
     faulted_run(small(), WorkloadKind::Search, "btree", 2048, 1024, 5);
     faulted_run(small(), WorkloadKind::Search, "binary", 700, 60, 7);
     faulted_run(small(), WorkloadKind::Matmul, "tiled", 400, 0, 7);
