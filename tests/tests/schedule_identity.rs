@@ -1,7 +1,7 @@
 //! Schedule identity: host-side work may change, the metered program may
 //! not.
 //!
-//! Five families are pinned:
+//! Seven families are pinned:
 //!
 //! * the §3 sort family — `small_sort`, `merge_runs`, the resident-cursor
 //!   merge ablation, `merge_sort` and the buffered priority queue (through
@@ -28,7 +28,11 @@
 //! * bfs mark at the benchmark's size on the sim-large machine, whose hash
 //!   was recorded while every discovery copied its distance block out and
 //!   wrote the copy back, and every adjacency probe was a borrowed read
-//!   followed by a separate `discard`.
+//!   followed by a separate `discard`;
+//! * `heap_sort` through the LSM queue on the gate and sim-large
+//!   machines, at a size that leaves its insert buffer empty for the
+//!   extract phase and at one less, whose hashes were recorded while
+//!   every pop scanned the insert buffer for its minimum.
 //!
 //! Every case runs on a seeded input on an `InstrumentedMachine`. Each
 //! run's I/O program — every event's `(op, block, len, aux)` plus the
@@ -41,7 +45,8 @@ use aem_core::matmul::{extract, matmul_stream, matmul_tiled, tile_side};
 use aem_core::oracle::{bfs_reference, lookup_reference, matmul_reference, prefix_reference};
 use aem_core::permute::{permute_by_sort_on, DestTagged};
 use aem_core::sort::{
-    em_merge_sort, merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq, MergeStats,
+    em_merge_sort, heap_sort, merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq,
+    MergeStats,
 };
 use aem_core::spmv::{
     install_instance, reference_multiply, spmv_sorted_on, MatEntry, SpmvInstance, U64Ring,
@@ -696,6 +701,36 @@ fn large_bfs_hashes() -> Vec<(String, u64)> {
 /// Recorded while each discovery copied its distance block out and back.
 const PINNED_LARGE_BFS: &[(&str, u64)] = &[("bfs/mark/large/n=262144/random", 0x2b649934682643a6)];
 
+/// The gate machine of `cost_gate`.
+const GATE: (&str, usize, usize, u64) = ("gate", 64, 8, 16);
+
+/// `heap_sort` at a multiple of the queue's insert buffer (`M/4`), which
+/// every push flushes, and at one less, which leaves the buffer one short
+/// of full while every element is popped.
+fn heap_sort_hashes() -> Vec<(String, u64)> {
+    let rows = [
+        (GATE, 2048),
+        (GATE, 2047),
+        (LARGE, 1 << 18),
+        (LARGE, (1 << 18) - 1),
+    ];
+    rows.into_iter()
+        .map(|(shape, n)| {
+            let input = KeyDist::Uniform { seed: 1 }.generate(n);
+            let hash = checked_sort(shape, &input, heap_sort);
+            (format!("heap_sort/{}/n={n}/uniform", shape.0), hash)
+        })
+        .collect()
+}
+
+/// Recorded while every pop scanned the insert buffer twice.
+const PINNED_HEAP_SORT: &[(&str, u64)] = &[
+    ("heap_sort/gate/n=2048/uniform", 0x000d6603c0d58af6),
+    ("heap_sort/gate/n=2047/uniform", 0x2da75ff578fb8531),
+    ("heap_sort/large/n=262144/uniform", 0x2f03d16fbb903195),
+    ("heap_sort/large/n=262143/uniform", 0x703ec3956c7165c3),
+];
+
 fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String = got
         .iter()
@@ -742,4 +777,9 @@ fn large_shape_schedules_are_pinned() {
 #[test]
 fn large_bfs_schedule_is_pinned() {
     assert_pinned(&large_bfs_hashes(), PINNED_LARGE_BFS);
+}
+
+#[test]
+fn heap_sort_schedules_are_pinned() {
+    assert_pinned(&heap_sort_hashes(), PINNED_HEAP_SORT);
 }
