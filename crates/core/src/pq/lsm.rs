@@ -6,7 +6,9 @@
 //! provides such a queue in LSM style:
 //!
 //! * an **insertion buffer** of `M/4` elements in internal memory (sorted
-//!   for free on flush);
+//!   for free on flush). A push only appends; the first pop after a run of
+//!   pushes heapifies them (or adds them to the heap a previous pop
+//!   built), so a pop reads the buffer's minimum without a scan;
 //! * external **levels** `0, 1, 2, …`, each holding at most one sorted
 //!   run; flushing into an occupied level triggers a cascading merge using
 //!   [`crate::sort::merge_runs()`] — the §3.1 write-efficient merge, so
@@ -25,6 +27,9 @@
 //! returns the element *still charged* — the caller releases it by
 //! writing it out (as [`crate::sort::heap_sort()`] does) or via
 //! [`AemAccess::discard`].
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
 
@@ -160,7 +165,11 @@ impl<T: Ord + Clone> RunCursor<T> {
 #[derive(Debug)]
 pub struct ExternalPq<T> {
     levels: Vec<Option<RunCursor<T>>>,
+    /// Pushed elements not yet flushed, in push order, until a pop needs
+    /// their minimum.
     insert_buf: Vec<T>,
+    /// Pushed elements not yet flushed that a pop has ordered: a min-heap.
+    insert_heap: BinaryHeap<Reverse<T>>,
     buf_cap: usize,
     len: usize,
 }
@@ -175,6 +184,7 @@ impl<T: Ord + Clone> ExternalPq<T> {
         Ok(Self {
             levels: Vec::new(),
             insert_buf: Vec::new(),
+            insert_heap: BinaryHeap::new(),
             buf_cap: (cfg.memory / 4).max(1),
             len: 0,
         })
@@ -195,7 +205,7 @@ impl<T: Ord + Clone> ExternalPq<T> {
         machine.reserve(1)?;
         self.insert_buf.push(x);
         self.len += 1;
-        if self.insert_buf.len() >= self.buf_cap {
+        if self.insert_buf.len() + self.insert_heap.len() >= self.buf_cap {
             self.flush(machine)?;
         }
         Ok(())
@@ -203,14 +213,18 @@ impl<T: Ord + Clone> ExternalPq<T> {
 
     /// Flush the insertion buffer into level 0, cascading merges.
     fn flush<A: AemAccess<T>>(&mut self, machine: &mut A) -> Result<()> {
-        if self.insert_buf.is_empty() {
+        let mut data = std::mem::take(&mut self.insert_buf);
+        data.extend(self.insert_heap.drain().map(|Reverse(x)| x));
+        if data.is_empty() {
             return Ok(());
         }
         let b = machine.cfg().block;
-        self.insert_buf.sort();
-        let run = machine.alloc_region(self.insert_buf.len());
+        // Elements equal under `Ord` are interchangeable in the queue, so
+        // their order within the run is free.
+        data.sort_unstable();
+        let run = machine.alloc_region(data.len());
         let mut blk = 0usize;
-        let mut iter = std::mem::take(&mut self.insert_buf).into_iter().peekable();
+        let mut iter = data.into_iter().peekable();
         while iter.peek().is_some() {
             let chunk: Vec<T> = iter.by_ref().take(b).collect();
             machine.write_block(run.block(blk), chunk)?;
@@ -293,25 +307,21 @@ impl<T: Ord + Clone> ExternalPq<T> {
                 }
             }
         }
-        let buf_min = self.insert_buf.iter().min().cloned();
-        let from_buf = match (&buf_min, &best) {
-            (Some(bm), Some((_, bh))) => bm <= bh,
+        // Order the pushes since the last pop (`extend` heapifies them in
+        // one pass when they outnumber the heap).
+        self.insert_heap
+            .extend(self.insert_buf.drain(..).map(Reverse));
+        let from_buf = match (self.insert_heap.peek(), &best) {
+            (Some(Reverse(bm)), Some((_, bh))) => bm <= bh,
             (Some(_), None) => true,
             (None, _) => false,
         };
         let best_level = best.map(|(i, _)| i);
 
         let x = if from_buf {
-            let pos = self
-                .insert_buf
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.cmp(b))
-                .map(|(i, _)| i)
-                .expect("non-empty buffer");
             // The buffered element was charged at push time; it keeps its
             // slot as it moves to the caller.
-            self.insert_buf.swap_remove(pos)
+            self.insert_heap.pop().expect("non-empty buffer").0
         } else {
             let j = best_level.expect("some source is non-empty");
             let cur = self.levels[j].as_mut().expect("occupied");
