@@ -48,9 +48,3 @@ pub use sample::distribution_sort;
 pub(crate) use select::{RunSelector, Selector};
 pub use small::small_sort;
 pub use via_pq::sort_via_pq;
-
-/// A key type sortable on the AEM machines of this workspace: the machine
-/// needs `Clone` to move copies of atoms, comparisons are free internal
-/// computation.
-pub trait SortKey: Ord + Clone {}
-impl<T: Ord + Clone> SortKey for T {}
