@@ -10,8 +10,7 @@
 use aem_core::permute::by_sort::DestTagged;
 use aem_core::sort::{em_merge_sort, merge_sort};
 use aem_machine::{
-    AemAccess, AemConfig, ArenaStore, Backend, BlockStore, MachineCore, Region, RoundBasedMachine,
-    VecStore,
+    AemAccess, AemConfig, Backend, BlockStore, MachineCore, Region, RoundBasedMachine, VecStore,
 };
 use aem_workloads::{KeyDist, PermKind};
 
@@ -101,12 +100,12 @@ fn both<G: Algo>(
     algo: &G,
 ) -> (u64, u64, u64, bool) {
     match backend {
-        // The trace backend wraps vec-semantics storage, so the round
-        // sweeps run it on the same store pair as vec.
-        Backend::Vec | Backend::Trace => {
+        // Arena is the vec store under its own name, and the trace backend
+        // wraps vec-semantics storage, so the round sweeps run all three on
+        // the vec store pair.
+        Backend::Vec | Backend::Arena | Backend::Trace => {
             both_on::<G, VecStore<u64>, VecStore<u64>>(cfg, input, algo)
         }
-        Backend::Arena => both_on::<G, ArenaStore<u64>, ArenaStore<u64>>(cfg, input, algo),
         Backend::Ghost => unreachable!("round sweeps are not built for ghost"),
     }
 }
@@ -149,11 +148,8 @@ fn both_permute(
     n: usize,
 ) -> (u64, u64, u64, bool) {
     match backend {
-        Backend::Vec | Backend::Trace => {
+        Backend::Vec | Backend::Arena | Backend::Trace => {
             both_permute_on::<VecStore<DestTagged<u64>>, VecStore<u64>>(cfg, input, n)
-        }
-        Backend::Arena => {
-            both_permute_on::<ArenaStore<DestTagged<u64>>, ArenaStore<u64>>(cfg, input, n)
         }
         Backend::Ghost => unreachable!("round sweeps are not built for ghost"),
     }

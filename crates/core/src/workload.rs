@@ -26,8 +26,8 @@ use std::any::Any;
 use std::fmt;
 
 use aem_machine::{
-    AemAccess, AemConfig, ArenaMachine, Backend, BlockStore, Cost, GhostMachine, Machine,
-    MachineCore, MachineError, Observer, Region, TraceMachine,
+    AemAccess, AemConfig, Backend, BlockStore, Cost, GhostMachine, Machine, MachineCore,
+    MachineError, Observer, Region, TraceMachine,
 };
 use aem_workloads::{
     graph_instance, matmul_instance, perm, scan_instance, search_instance, Conformation, KeyDist,
@@ -629,8 +629,9 @@ impl<T: Clone + Default + fmt::Debug + 'static> Payload for T {}
 /// per run and runs the kernel compiled for the concrete vec machine
 /// ([`Machine<T>`]) and, for kinds with a ghost-sound algorithm, the
 /// ghost machine ([`GhostMachine<T>`]), so each metered call inlines its
-/// store access. Every other machine (arena, trace, an observed machine,
-/// any wrapper) runs the same kernel source through the trait object.
+/// store access. The arena backend builds the vec machine, so its runs take
+/// the vec path. Every other machine (trace, an observed machine, any
+/// wrapper) runs the same kernel source through the trait object.
 pub trait WorkloadMachine<T>: AemAccess<T> + InstallExt<T> {
     /// Inspect a region without charging I/O (verification only).
     fn inspect_region(&self, r: Region) -> Vec<T>;
@@ -883,7 +884,8 @@ fn run_sorter<M: WorkloadMachine<u64> + ?Sized>(
 /// `GhostMachine`) and once against the trait object. One
 /// [`WorkloadMachine::as_any_mut`] downcast per run picks the copy, so on
 /// the listed machines every metered call in the kernel is a direct,
-/// inlinable call; any other machine, wrappers included, runs the same
+/// inlinable call. The arena backend builds `Machine` too, so its runs
+/// take the vec copy; any other machine, wrappers included, runs the same
 /// source through the vtable. `$m` is a `&mut` to the machine in every
 /// copy, so a body passes `&mut $m` to the generic kernels. Each copy is
 /// code the binary carries, so ghost is listed only where the body has a
@@ -1198,8 +1200,7 @@ pub fn visit_backend<T: Payload, V: MachineVisitor<T>>(
     v: V,
 ) -> V::Out {
     match backend {
-        Backend::Vec => v.visit(Machine::<T>::new(cfg)),
-        Backend::Arena => v.visit(ArenaMachine::<T>::new(cfg)),
+        Backend::Vec | Backend::Arena => v.visit(Machine::<T>::new(cfg)),
         Backend::Ghost => v.visit(GhostMachine::<T>::new(cfg)),
         Backend::Trace => v.visit(TraceMachine::<T>::new(cfg)),
     }

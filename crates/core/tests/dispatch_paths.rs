@@ -1,7 +1,9 @@
 //! `run_workload` runs each kernel on the concrete vec or ghost machine
 //! when `WorkloadMachine::as_any_mut` resolves it, and through the trait
-//! object otherwise. Both paths must meter, account and answer alike.
+//! object otherwise. Both paths must meter, account and answer alike. The
+//! arena backend builds the vec machine, so its runs take the vec path.
 
+use aem_core::permute::DestTagged;
 use aem_core::spmv::InstallExt;
 use aem_core::workload::{
     run_workload, visit_backend, Body, Harness, LiveHarness, MachineVisitor, Payload, RunCtx,
@@ -200,7 +202,31 @@ fn vec_and_ghost_resolve_through_the_hook_and_the_other_backends_do_not() {
     let resolved = |b| visit_backend(b, cfg, Resolves);
     assert_eq!(resolved(Backend::Vec), (true, false));
     assert_eq!(resolved(Backend::Ghost), (false, true));
-    assert_eq!(resolved(Backend::Arena), (false, false));
+    // Arena is the vec machine under its own name.
+    assert_eq!(resolved(Backend::Arena), (true, false));
     assert_eq!(resolved(Backend::Trace), (false, false));
     assert!(Thin(Machine::<u64>::new(cfg)).as_any_mut().is_none());
+}
+
+#[test]
+fn arena_visits_the_vec_machine_for_every_payload() {
+    // Whatever the element type, `visit_backend` hands an arena visitor
+    // the bare `Machine<T>`, so arena jobs run the kernels `run_workload`
+    // compiles for vec rather than the trait-object copies.
+    struct IsVec;
+    impl<T: Payload> MachineVisitor<T> for IsVec {
+        type Out = bool;
+        fn visit<M: WorkloadMachine<T>>(self, mut m: M) -> bool {
+            m.as_any_mut().is_some_and(|any| any.is::<Machine<T>>())
+        }
+    }
+    let cfg = AemConfig::new(64, 8, 16).unwrap();
+    assert!(visit_backend::<u64, _>(Backend::Arena, cfg, IsVec));
+    assert!(visit_backend::<DestTagged<u64>, _>(
+        Backend::Arena,
+        cfg,
+        IsVec
+    ));
+    assert!(visit_backend::<(u64, u64), _>(Backend::Arena, cfg, IsVec));
+    assert!(!visit_backend::<u64, _>(Backend::Trace, cfg, IsVec));
 }

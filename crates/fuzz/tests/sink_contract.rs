@@ -22,8 +22,8 @@ use std::rc::Rc;
 
 use aem_fuzz::fault::OffByOneMachine;
 use aem_machine::{
-    AemAccess, AemConfig, ArenaMachine, Backend, BlockId, CompiledTrace, Cost, GhostMachine,
-    IoEvent, IoRun, Machine, MachineError, Observer, Trace,
+    AemAccess, AemConfig, Backend, BlockId, CompiledTrace, Cost, GhostMachine, IoEvent, IoRun,
+    Machine, MachineError, Observer, Trace,
 };
 use aem_obs::instrument::CTR_READS;
 use aem_obs::{RunRecorder, WorkloadMeta};
@@ -82,11 +82,9 @@ impl Observer for Shared {
 fn logged(backend: Backend, script: impl FnOnce(&mut dyn AemAccess<u32>, &Shared)) -> Log {
     let (c, sink) = (cfg(), Shared::default());
     match backend {
-        Backend::Vec => script(&mut Machine::<u32, _>::with_sink(c, sink.clone()), &sink),
-        Backend::Arena => script(
-            &mut ArenaMachine::<u32, _>::with_sink(c, sink.clone()),
-            &sink,
-        ),
+        Backend::Vec | Backend::Arena => {
+            script(&mut Machine::<u32, _>::with_sink(c, sink.clone()), &sink)
+        }
         Backend::Ghost => script(
             &mut GhostMachine::<u32, _>::with_sink(c, sink.clone()),
             &sink,

@@ -29,8 +29,8 @@
 //!   they run unmodified on wrappers that change behaviour.
 //! * [`MachineCore`] / [`BlockStore`] — the meter behind [`Machine`],
 //!   generic over pluggable storage backends: the copying [`VecStore`]
-//!   (default), the buffer-recycling [`ArenaStore`] ([`ArenaMachine`]) and
-//!   the cost-only [`GhostStore`] ([`GhostMachine`]), which carries no data
+//!   (default; the `vec` and `arena` backend labels both build it) and the
+//!   cost-only [`GhostStore`] ([`GhostMachine`]), which carries no data
 //!   payload and lets pure cost sweeps scale `N` by two orders of
 //!   magnitude. See [`store`] for when each backend is sound.
 //! * [`Observer`] — the one I/O event sink. A [`MachineCore`] calls its
@@ -109,8 +109,8 @@ pub use compiled::{CompiledTrace, TraceMachine, TraceOp};
 pub use config::AemConfig;
 pub use cost::{Cost, IoCounter};
 pub use error::{MachineError, Result};
-pub use machine::{AemAccess, ArenaMachine, GhostMachine, Machine, MachineCore};
+pub use machine::{AemAccess, GhostMachine, Machine, MachineCore};
 pub use observer::{IoRun, Observer};
 pub use rounds::RoundBasedMachine;
-pub use store::{ArenaStore, Backend, BlockStore, GhostStore, VecStore};
+pub use store::{Backend, BlockStore, GhostStore, VecStore};
 pub use trace::{IoEvent, Trace, TraceStats};

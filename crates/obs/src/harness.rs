@@ -15,7 +15,7 @@
 use aem_core::workload::{
     Body, Harness, Payload, RunCtx, Verified, WorkloadError, WorkloadMachine,
 };
-use aem_machine::{ArenaMachine, Backend, CompiledTrace, GhostMachine, Machine, Observer};
+use aem_machine::{Backend, CompiledTrace, GhostMachine, Machine, Observer};
 
 use crate::instrument::RunRecorder;
 use crate::record::{RunRecord, WorkloadMeta};
@@ -72,8 +72,9 @@ impl Harness for ProfileHarness {
             self.backend.name()
         ));
         let (v, rec) = match self.backend {
-            Backend::Vec => recorded(Machine::with_sink(cfg, rec), body, |m| m.into_sink()),
-            Backend::Arena => recorded(ArenaMachine::with_sink(cfg, rec), body, |m| m.into_sink()),
+            Backend::Vec | Backend::Arena => {
+                recorded(Machine::with_sink(cfg, rec), body, |m| m.into_sink())
+            }
             Backend::Ghost => recorded(GhostMachine::with_sink(cfg, rec), body, |m| m.into_sink()),
             Backend::Trace => {
                 let sinks = (CompiledTrace::new(cfg), rec);

@@ -12,7 +12,7 @@
 //!    price the job *before* execution; the planner picks the cheapest
 //!    eligible algorithm and a cost-model-sound backend (ghost for
 //!    payload-oblivious cost queries, compiled-trace replay for repeated
-//!    cells, vec/arena for payload-carrying jobs).
+//!    cells, vec for payload-carrying jobs, labelled arena when large).
 //! 2. **Admission** ([`admission`]) — the predicted `Q` is debited
 //!    against the tenant's budget; over-budget jobs are rejected or
 //!    parked until a top-up. Decisions are deterministic integers, so the

@@ -13,13 +13,15 @@
 //!   config, n, seed)` cell can be re-priced by compiled-trace replay
 //!   instead of a fresh simulation — replay cost equals live cost by
 //!   contract, which keeps metering deterministic under cache races;
-//! * **vec**/**arena** for payload-carrying jobs (arena once the slab
-//!   recycling pays for itself).
+//! * **vec** for payload-carrying jobs, labelled **arena** from
+//!   [`ARENA_THRESHOLD`] elements up. Both names build the vec machine;
+//!   the arena label only tags the job's spans and answers.
 
 use crate::protocol::{JobKind, JobSpec};
 use aem_machine::{AemConfig, Backend, Cost};
 
-/// Payload-carrying jobs at or above this size run on the arena backend.
+/// Payload-carrying jobs at or above this size are labelled with the arena
+/// backend (which runs the vec machine).
 pub const ARENA_THRESHOLD: usize = 4096;
 
 /// Where the service refuses to simulate: an element count above this is

@@ -456,4 +456,49 @@ mod tests {
         let meter = state.metering.snapshot("t");
         assert_eq!((meter.jobs_done, meter.replays), (6, 1));
     }
+
+    #[test]
+    fn arena_jobs_plan_run_and_answer_as_arena() {
+        // Arena builds the vec machine but keeps its name: a forced arena
+        // job and a large payload job the planner routes there both answer
+        // `arena`, and meter and digest what the job forced to vec does.
+        let state = State {
+            admission: Admission::new(false),
+            metering: Metering::new(),
+            cache: TraceCache::new(),
+        };
+        state.admission.hello("t", u64::MAX / 2);
+        let run =
+            |(spec, plan, job): (JobSpec, Plan, Prepared)| job.run(&spec, &plan, &state.cache);
+        let large = |id, backend| JobSpec {
+            n: planner::ARENA_THRESHOLD,
+            ..spec(id, JobKind::Sort, true, backend)
+        };
+        let jobs = [
+            large(1, Some("arena")),
+            large(2, None),
+            large(3, Some("vec")),
+        ];
+        let done: Vec<JobOutcome> = pool::scope(1, run, |pool| {
+            let slots = jobs.iter().map(|s| (s, admit(&state, "t", s)));
+            execute_all(&state, pool, "t", slots)
+                .into_iter()
+                .map(|r| match r {
+                    Response::Done(o) => o,
+                    other => panic!("expected done, got {other:?}"),
+                })
+                .collect()
+        });
+        let backends: Vec<&str> = done.iter().map(|o| o.backend.as_str()).collect();
+        assert_eq!(backends, ["arena", "arena", "vec"]);
+        for o in &done[..2] {
+            assert_ne!(o.checksum, 0, "job {}", o.id);
+            assert_eq!(
+                (o.measured, o.checksum),
+                (done[2].measured, done[2].checksum),
+                "job {}",
+                o.id
+            );
+        }
+    }
 }
