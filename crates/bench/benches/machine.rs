@@ -2,8 +2,8 @@
 //! round-based machines, the flash replay path — and, since the
 //! pluggable-store refactor, the same block-I/O loops per storage
 //! backend (vec vs arena vs ghost), which is where the ghost store's
-//! payload elision shows up as wall-clock. Arena now builds the vec
-//! machine, so its rows time the same code as vec's.
+//! payload elision shows up as wall-clock. Arena builds the vec machine,
+//! so its rows time the same code as vec's.
 //!
 //! `--json PATH` additionally writes the backend comparison (ops/sec per
 //! backend plus the quick-sweep wall time per backend) as a JSON

@@ -189,7 +189,7 @@ fn heap_sort_within_comparison_budget() {
         "heap_sort",
         heap_sort,
         &[
-            (LARGE, (1 << 18) - 1, 1.52), // was 484 in release (every pop scanned the insert buffer twice); 1.381
+            (LARGE, (1 << 18) - 1, 1.52), // was 484 (every pop scanned the insert buffer twice); 1.381
         ],
     );
 }
