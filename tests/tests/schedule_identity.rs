@@ -1,7 +1,7 @@
 //! Schedule identity: host-side work may change, the metered program may
 //! not.
 //!
-//! Seven families are pinned:
+//! Eight families are pinned:
 //!
 //! * the §3 sort family — `small_sort`, `merge_runs`, the resident-cursor
 //!   merge ablation, `merge_sort` and the buffered priority queue (through
@@ -32,7 +32,10 @@
 //! * `heap_sort` through the LSM queue on the gate and sim-large
 //!   machines, at a size that leaves its insert buffer empty for the
 //!   extract phase and at one less, whose hashes were recorded while
-//!   every pop scanned the insert buffer for its minimum.
+//!   every pop scanned the insert buffer for its minimum;
+//! * the baselines — `distribution_sort`, permute naive and spmv direct —
+//!   on the gate machine and the `ω > B`, `B = 1` and `M = 4B` shapes,
+//!   whose hashes were recorded as their first pins.
 //!
 //! Every case runs on a seeded input on an `InstrumentedMachine`. Each
 //! run's I/O program — every event's `(op, block, len, aux)` plus the
@@ -43,13 +46,14 @@
 
 use aem_core::matmul::{extract, matmul_stream, matmul_tiled, tile_side};
 use aem_core::oracle::{bfs_reference, lookup_reference, matmul_reference, prefix_reference};
-use aem_core::permute::{permute_by_sort_on, DestTagged};
+use aem_core::permute::{permute_by_sort_on, permute_naive_on, DestTagged};
 use aem_core::sort::{
-    em_merge_sort, heap_sort, merge_runs, merge_runs_resident, merge_sort, small_sort, sort_via_pq,
-    MergeStats,
+    distribution_sort, em_merge_sort, heap_sort, merge_runs, merge_runs_resident, merge_sort,
+    small_sort, sort_via_pq, MergeStats,
 };
 use aem_core::spmv::{
-    install_instance, reference_multiply, spmv_sorted_on, MatEntry, SpmvInstance, U64Ring,
+    install_instance, reference_multiply, spmv_direct_on, spmv_sorted_on, MatEntry, SpmvInstance,
+    U64Ring,
 };
 use aem_core::workload::fnv1a;
 use aem_core::{bfs, scan, search};
@@ -326,21 +330,26 @@ fn stream_merge_hashes() -> Vec<(String, u64)> {
         // fan-in m − 2 = 6 and four at M = 4B (fan-in 2).
         let (n, delta) = (128, 16);
         for input in ["random", "banded", "block-diagonal"] {
-            let hash = spmv_sorted_hash(shape, n, delta, input, 0x5b_a77e + si as u64);
+            let seed = 0x5b_a77e + si as u64;
+            let hash = spmv_hash(shape, n, delta, input, seed, spmv_sorted_on);
             out.push((format!("spmv_sorted/{name}/{input}"), hash));
         }
     }
     out
 }
 
-/// Hash of spmv sorted on a seeded `n × n` matrix of shape `input` with
+type SpmvKernel = fn(&mut Spmv, &Conformation, Region, Region) -> Result<Region>;
+type Spmv = InstrumentedMachine<MatEntry<U64Ring>>;
+
+/// Hash of `kernel` on a seeded `n × n` matrix of shape `input` with
 /// `delta` non-zeros per column, checked against the reference product.
-fn spmv_sorted_hash(
+fn spmv_hash(
     shape: (&str, usize, usize, u64),
     n: usize,
     delta: usize,
     input: &str,
     seed: u64,
+    kernel: SpmvKernel,
 ) -> u64 {
     let conf = Conformation::generate(
         MatrixShape::from_label(input, n, delta, seed).unwrap(),
@@ -356,9 +365,9 @@ fn spmv_sorted_hash(
         a_vals: &a,
         x: &x,
     };
-    let mut im = machine::<MatEntry<U64Ring>>(shape);
+    let mut im: Spmv = machine(shape);
     let (ar, xr) = install_instance(&mut im, &inst);
-    let y = spmv_sorted_on(&mut im, &conf, ar, xr).unwrap();
+    let y = kernel(&mut im, &conf, ar, xr).unwrap();
     let got: Vec<U64Ring> = im.inspect(y).into_iter().map(|e| e.val).collect();
     let name = shape.0;
     assert_eq!(
@@ -660,7 +669,7 @@ fn large_hashes() -> Vec<(String, u64)> {
         (("serve-small", 512, 32, 4), 16384),
     ];
     for (shape, n) in spmv_rows {
-        let hash = spmv_sorted_hash(shape, n, 4, "random", 1);
+        let hash = spmv_hash(shape, n, 4, "random", 1, spmv_sorted_on);
         out.push((format!("spmv_sorted/{}/n={n}/random", shape.0), hash));
     }
     let n = 1 << 18;
@@ -731,6 +740,97 @@ const PINNED_HEAP_SORT: &[(&str, u64)] = &[
     ("heap_sort/large/n=262143/uniform", 0x703ec3956c7165c3),
 ];
 
+/// The gate machine and the adversarial shapes of [`SHAPES`]: `ω > B`,
+/// `B = 1` and `M = 4B`.
+const BASELINE_SHAPES: [(&str, usize, usize, u64); 4] = [GATE, SHAPES[1], SHAPES[2], SHAPES[3]];
+
+/// The baselines the paper's algorithms are measured against —
+/// `distribution_sort`, permute naive and spmv direct — keyed
+/// `algorithm/shape/input`, each on seeded inputs.
+fn baseline_hashes() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (si, &shape) in BASELINE_SHAPES.iter().enumerate() {
+        let name = shape.0;
+        for (di, &dist) in DISTS.iter().enumerate() {
+            let input = keys(dist, 1500, 0xd157_0000 + (si * 16 + di) as u64);
+            let hash = checked_sort(shape, &input, distribution_sort);
+            out.push((format!("distribution_sort/{name}/{dist}"), hash));
+        }
+        for input in ["random", "reverse", "transpose"] {
+            let hash = naive_hash(shape, 2048, input, 0x9a1e + si as u64);
+            out.push((format!("permute_naive/{name}/{input}"), hash));
+        }
+        for input in ["random", "banded", "block-diagonal"] {
+            let hash = spmv_hash(shape, 128, 16, input, 0xd1 + si as u64, spmv_direct_on);
+            out.push((format!("spmv_direct/{name}/{input}"), hash));
+        }
+    }
+    out
+}
+
+/// Hash of permute naive on `n` values under the permutation `input`
+/// seeded with `seed`, checked against the permutation applied in RAM.
+fn naive_hash(shape: (&str, usize, usize, u64), n: usize, input: &str, seed: u64) -> u64 {
+    let pi = PermKind::from_label(input, n, seed).unwrap().generate(n);
+    let values: Vec<u64> = (0..n as u64).map(|v| v * 7 + 3).collect();
+    let mut im = machine(shape);
+    let r = im.install(&values);
+    let out_r = permute_naive_on(&mut im, r, &pi).unwrap();
+    let name = shape.0;
+    let got = im.inspect(out_r);
+    assert_eq!(got, perm::apply(&pi, &values), "naive/{name}/{input}");
+    program_hash(im, &[])
+}
+
+/// The baselines' first pins, recorded on the kernels as they stood when
+/// every other registered algorithm already had a schedule pin.
+const PINNED_BASELINES: &[(&str, u64)] = &[
+    ("distribution_sort/gate/uniform", 0x80fb72658c39b817),
+    ("distribution_sort/gate/sorted", 0x0321aa1f35d2fc37),
+    ("distribution_sort/gate/reversed", 0x60b0b78d0a452c61),
+    ("distribution_sort/gate/few-distinct", 0xdd2fd83c8a3257d2),
+    ("distribution_sort/gate/all-equal", 0xa8b7e56877b2d11b),
+    ("permute_naive/gate/random", 0x10f4f61415649045),
+    ("permute_naive/gate/reverse", 0x617a4d38cd96e5f9),
+    ("permute_naive/gate/transpose", 0x87c61d9c28addc25),
+    ("spmv_direct/gate/random", 0x37fcf431cf2fe2b4),
+    ("spmv_direct/gate/banded", 0x0a39cb46feeab54e),
+    ("spmv_direct/gate/block-diagonal", 0x479f1b07abc5c09a),
+    ("distribution_sort/omega>B/uniform", 0xfec37c54d343c11f),
+    ("distribution_sort/omega>B/sorted", 0x0321aa1f35d2fc37),
+    ("distribution_sort/omega>B/reversed", 0x60b0b78d0a452c61),
+    ("distribution_sort/omega>B/few-distinct", 0xe4426fce8c6e09f6),
+    ("distribution_sort/omega>B/all-equal", 0xa8b7e56877b2d11b),
+    ("permute_naive/omega>B/random", 0x56d74d745a8dc1f2),
+    ("permute_naive/omega>B/reverse", 0x617a4d38cd96e5f9),
+    ("permute_naive/omega>B/transpose", 0x87c61d9c28addc25),
+    ("spmv_direct/omega>B/random", 0x38dd7b7ab6123a09),
+    ("spmv_direct/omega>B/banded", 0xd8993d1717667795),
+    ("spmv_direct/omega>B/block-diagonal", 0x70da0729d034206c),
+    ("distribution_sort/B=1/uniform", 0x69751fe51b22fd8f),
+    ("distribution_sort/B=1/sorted", 0x24140eda2afcfaca),
+    ("distribution_sort/B=1/reversed", 0x096c07f3439dad6d),
+    ("distribution_sort/B=1/few-distinct", 0x76c49e6b4c31e7c7),
+    ("distribution_sort/B=1/all-equal", 0x142d6797cf702bd0),
+    ("permute_naive/B=1/random", 0x2a7a2cbaa5e01e41),
+    ("permute_naive/B=1/reverse", 0x21bf4513256c8195),
+    ("permute_naive/B=1/transpose", 0xbccf69c336206e4d),
+    ("spmv_direct/B=1/random", 0x353afe83a37397ea),
+    ("spmv_direct/B=1/banded", 0xceca20f0192b3c06),
+    ("spmv_direct/B=1/block-diagonal", 0x5cd8b5fbdf58ad16),
+    ("distribution_sort/M=4B/uniform", 0xdbe0fa747fce212d),
+    ("distribution_sort/M=4B/sorted", 0x79ce884b3508d7d1),
+    ("distribution_sort/M=4B/reversed", 0x22d16ba9d77be395),
+    ("distribution_sort/M=4B/few-distinct", 0xab4150bd39c11cb5),
+    ("distribution_sort/M=4B/all-equal", 0x68a5973f9c656aa0),
+    ("permute_naive/M=4B/random", 0x5441daff8e8bf107),
+    ("permute_naive/M=4B/reverse", 0xb282db7ed52fcf39),
+    ("permute_naive/M=4B/transpose", 0xfb51bf0d0568a35d),
+    ("spmv_direct/M=4B/random", 0x3b986bdb45edefa4),
+    ("spmv_direct/M=4B/banded", 0x13aaead51d7d9693),
+    ("spmv_direct/M=4B/block-diagonal", 0x1251bcc210d96ca4),
+];
+
 fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String = got
         .iter()
@@ -782,4 +882,9 @@ fn large_bfs_schedule_is_pinned() {
 #[test]
 fn heap_sort_schedules_are_pinned() {
     assert_pinned(&heap_sort_hashes(), PINNED_HEAP_SORT);
+}
+
+#[test]
+fn baseline_schedules_are_pinned() {
+    assert_pinned(&baseline_hashes(), PINNED_BASELINES);
 }
