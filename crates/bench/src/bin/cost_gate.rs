@@ -7,8 +7,8 @@
 //! cargo run -p aem-bench --bin cost_gate -- --write     # refresh snapshot
 //! ```
 //!
-//! Unlike `perf_gate` there is no tolerance: the simulator is
-//! deterministic and a single-I/O drift is a cost-model change. Pass
+//! There is no tolerance: the simulator is deterministic and a
+//! single-I/O drift is a cost-model change. Pass
 //! `--costs FILE` to override the snapshot path (default `COSTS.json` in
 //! the working directory). `--write` re-meters and overwrites the
 //! snapshot — only for deliberate, reviewed refreshes.

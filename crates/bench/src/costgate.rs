@@ -2,10 +2,10 @@
 //! workload/backend cell, compared **exactly** against the committed
 //! `COSTS.json` snapshot.
 //!
-//! Wall-clock benchmarks jitter, so [`crate::perfgate`] tolerates slack.
-//! I/O costs do not: the simulator is deterministic, every cell is a pure
-//! function of `(kind, algo, backend, M, B, ω, n, δ, seed)`, and the
-//! exact read/write counts are the quantity the paper's theorems bound.
+//! Wall-clock time jitters from run to run; I/O costs do not. The
+//! simulator is deterministic, every cell is a pure function of
+//! `(kind, algo, backend, M, B, ω, n, δ, seed)`, and the exact read/write
+//! counts are the quantity the paper's theorems bound.
 //! Any drift — one extra read on one cell — is a cost-model change that
 //! must be reviewed, so the gate compares integers for equality and
 //! `--strict` fails on the first mismatch. The committed snapshot is

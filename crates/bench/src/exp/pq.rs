@@ -1,7 +1,7 @@
 //! T9 / T9b / T9G — the buffered external priority queue and replacement
 //! selection run generation under the `(M, B, ω)` cost model.
 //!
-//! * T9 sandwiches the PQ-backed sorter between its exact-schedule
+//! * T9 sandwiches the PQ-backed sorter between its certified-bound
 //!   predictor ([`predict::pq_sort_cost`]) and the Theorem 3.2 mergesort.
 //! * T9b measures replacement selection across input shapes: the classical
 //!   `≈ 2h` expected run length, the `h + 1` adversarial floor on
@@ -71,7 +71,7 @@ pub fn sweeps(quick: bool, backend: Backend) -> Vec<Sweep> {
 }
 
 /// T9: the Theorem 3.2 sandwich for the PQ-backed sorter. Measured cost
-/// must stay under the exact-schedule predictor (component-wise) and
+/// must stay under the certified-bound predictor (component-wise) and
 /// within a constant factor of the §3 mergesort across four orders of
 /// magnitude of `ω`, including `ω > B`.
 pub fn t9_sandwich(quick: bool, backend: Backend) -> Sweep {
@@ -129,7 +129,7 @@ pub fn t9_sandwich(quick: bool, backend: Backend) -> Sweep {
             ]);
         }
         t.note(format!(
-            "measured ≤ exact-schedule predictor (component-wise) and within the 40x \
+            "measured ≤ certified-bound predictor (component-wise) and within the 40x \
              constant of the mergesort side of the Thm 3.2 sandwich at every ω: {}",
             if ok { "PASS" } else { "FAIL" }
         ));
@@ -258,7 +258,7 @@ pub fn t9g_constant_keys(quick: bool, backend: Backend) -> Sweep {
             ]);
         }
         t.note(format!(
-            "measured ≤ exact-schedule predictor on the constant-key grid \
+            "measured ≤ certified-bound predictor on the constant-key grid \
              (identical on every storage backend): {}",
             if ok { "PASS" } else { "FAIL" }
         ));

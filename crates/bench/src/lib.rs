@@ -35,9 +35,7 @@
 
 pub mod costgate;
 pub mod exp;
-pub mod perfgate;
 pub mod sweep;
 pub mod table;
-pub mod timing;
 
 pub use table::Table;

@@ -13,8 +13,8 @@
 //! mergesort), so this workspace implements the distribution family at the
 //! classical fan-out as a baseline. The structural obstacle to fan-out
 //! `ωm` is the same one §3.1 solves for merging — `ωm` cursors do not fit
-//! in memory — and the benches use this baseline to show the paper's
-//! mergesort pulling ahead as `ω` grows.
+//! in memory — and experiments T1e and F1 use this baseline to show the
+//! paper's mergesort pulling ahead as `ω` grows.
 
 use aem_machine::{AemAccess, MachineError, Region, Result};
 

@@ -569,8 +569,8 @@ impl<T: Clone + Default> BlockStore<T> for GhostStore<T> {
 }
 
 /// Run `$body` with `$M` bound to the concrete machine type for `$backend`
-/// over element type `$t` — the monomorphizing dispatch used by benches,
-/// fuzz targets and sweep cells. Vec and arena both bind the vec machine.
+/// over element type `$t` — the monomorphizing dispatch used by fuzz
+/// targets and sweep cells. Vec and arena both bind the vec machine.
 ///
 /// ```
 /// use aem_machine::{AemAccess, AemConfig, Backend};

@@ -32,8 +32,8 @@
 //!
 //! Dependency direction: `aem-core` never depends on this crate — its
 //! algorithms only call the phase hooks on `AemAccess`. The CLI, the
-//! benches and the integration tests attach a recorder when they want the
-//! data.
+//! experiments and the integration tests attach a recorder when they want
+//! the data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
