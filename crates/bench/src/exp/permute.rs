@@ -150,9 +150,10 @@ pub fn f4_transpose(quick: bool, backend: Backend) -> Sweep {
 }
 
 /// T8 (extension): exhaustive optimal-program search on tiny instances —
-/// the sandwich `counting bound ≤ OPTIMAL ≤ best algorithm`, with the
-/// middle quantity exact (Dijkstra over the full move-semantics state
-/// space). The search and the baseline columns are closed computations on
+/// `OPTIMAL ≤ best algorithm`, with the optimum exact (Dijkstra over the
+/// full move-semantics state space). The counting bound is shown but is 0
+/// at every size the search reaches, so it checks nothing here. The
+/// search and the baseline columns are closed computations on
 /// the reference machine, so this sweep is backend-neutral and appears in
 /// every backend's set.
 pub fn t8(quick: bool) -> Sweep {
@@ -222,7 +223,7 @@ pub fn t8(quick: bool) -> Sweep {
             ]);
         }
         t.note(format!(
-            "counting bound ≤ exhaustively optimal program ≤ every algorithm, on every instance: {}",
+            "exhaustively optimal program ≤ every algorithm, on every instance: {}",
             if ok { "PASS" } else { "FAIL" }
         ));
         t

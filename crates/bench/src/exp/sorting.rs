@@ -106,10 +106,9 @@ pub fn t1_phase_attribution(quick: bool, backend: Backend) -> Sweep {
     })
 }
 
-/// T1e: all four sorter families side by side across ω. The AEM mergesort
-/// and the PQ-backed heapsort share the write-lean profile (both move data
-/// through the §3.1 merge); the two ω-oblivious baselines pay ω on every
-/// level's writes.
+/// T1e: the three sorter families side by side across ω. The AEM
+/// mergesort is write-lean (it moves data through the §3.1 merge); the two
+/// ω-oblivious baselines pay ω on every level's writes.
 pub fn t1_sorter_zoo(quick: bool, backend: Backend) -> Sweep {
     let (mem, b) = (64usize, 8usize);
     let n = if quick { 1 << 11 } else { 1 << 14 };
@@ -123,7 +122,6 @@ pub fn t1_sorter_zoo(quick: bool, backend: Backend) -> Sweep {
                 CellOut::new()
                     .with_u64("omega", omega)
                     .with_u64("q_aem", q("aem"))
-                    .with_u64("q_heap", q("heap"))
                     .with_u64("q_em", q("em"))
                     .with_u64("q_dist", q("dist"))
             })
@@ -133,46 +131,33 @@ pub fn t1_sorter_zoo(quick: bool, backend: Backend) -> Sweep {
         let mut t = Table::new(
             "T1e",
             &format!("Sorter families across ω at N={n}, M={mem}, B={b}"),
-            &[
-                "ω",
-                "Q AEM-merge",
-                "Q heapsort (PQ)",
-                "Q EM-merge",
-                "Q distribution",
-                "best",
-            ],
+            &["ω", "Q AEM-merge", "Q EM-merge", "Q distribution", "best"],
         );
-        let names = ["AEM-merge", "heapsort", "EM-merge", "distribution"];
+        let names = ["AEM-merge", "EM-merge", "distribution"];
         let mut ok = true;
         for o in outs {
             let omega = o.u64("omega");
-            let qs = [
-                o.u64("q_aem"),
-                o.u64("q_heap"),
-                o.u64("q_em"),
-                o.u64("q_dist"),
-            ];
+            let qs = [o.u64("q_aem"), o.u64("q_em"), o.u64("q_dist")];
             let best = qs
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, q)| **q)
-                .expect("4 entries")
+                .expect("3 entries")
                 .0;
-            // At severe asymmetry one of the write-lean families must win.
+            // At severe asymmetry the write-lean §3 mergesort must win.
             if omega >= 256 {
-                ok &= best == 0 || best == 1;
+                ok &= best == 0;
             }
             t.row(vec![
                 omega.to_string(),
                 qs[0].to_string(),
                 qs[1].to_string(),
                 qs[2].to_string(),
-                qs[3].to_string(),
                 names[best].to_string(),
             ]);
         }
         t.note(format!(
-            "at ω ≥ 256 a write-lean (merge-§3.1-based) family wins: {}",
+            "at ω ≥ 256 AEM-merge is best: {}",
             if ok { "PASS" } else { "FAIL" }
         ));
         t

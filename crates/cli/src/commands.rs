@@ -689,7 +689,7 @@ mod tests {
         assert!(out.contains("input=seeded"), "{out}");
         assert!(out.contains("Thm 4.5 lower bound:"), "{out}");
         assert!(out.contains("(measured/bound = "), "{out}");
-        for a in ["aem", "em", "dist", "heap", "pq"] {
+        for a in ["aem", "em", "dist", "pq"] {
             let out = run(&format!("run sort --n 1000 --mem 64 --block 8 --algo {a}")).unwrap();
             assert!(out.contains(&format!("sort/{a} ")), "{out}");
         }
@@ -907,7 +907,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(runs, 5 * 6 + 2 * 5 + 2 * 3 + 6 + 3 + 3 + 2 + 2);
+        assert_eq!(runs, 4 * 6 + 2 * 5 + 2 * 3 + 6 + 3 + 3 + 2 + 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1256,14 +1256,14 @@ mod tests {
         let path = tmp_path("trace.jsonl");
         let p = path.to_str().unwrap();
         let out = run(&format!(
-            "run sort --n 2048 --mem 64 --block 8 --algo heap --trace-out {p}"
+            "run sort --n 2048 --mem 64 --block 8 --algo pq --trace-out {p}"
         ))
         .unwrap();
         assert!(out.contains("trace record:"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let rec = RunRecord::from_jsonl(&text).unwrap();
-        assert_eq!(rec.workload.algo, "heap");
-        assert!(rec.phases.iter().any(|ph| ph.name == "pq-extract"));
+        assert_eq!(rec.workload.algo, "pq");
+        assert!(rec.phases.iter().any(|ph| ph.name == "pq-drain"));
         std::fs::remove_file(&path).ok();
     }
 

@@ -24,31 +24,26 @@ const ROWS: &[Row] = &[
     ("sort", "aem", "uniform", 64, 8, 4096, 0, 8564, 1153),
     ("sort", "em", "uniform", 64, 8, 4096, 0, 2040, 2040),
     ("sort", "dist", "uniform", 64, 8, 4096, 0, 4540, 3916),
-    ("sort", "heap", "uniform", 64, 8, 4096, 0, 52200, 23349),
     ("sort", "pq", "uniform", 64, 8, 4096, 0, 14331, 7167),
     ("pq", "pq", "uniform", 64, 8, 4096, 0, 14331, 7167),
     ("sort", "aem", "sorted", 64, 8, 4096, 0, 7608, 1153),
     ("sort", "em", "sorted", 64, 8, 4096, 0, 2040, 2040),
     ("sort", "dist", "sorted", 64, 8, 4096, 0, 4241, 3626),
-    ("sort", "heap", "sorted", 64, 8, 4096, 0, 52784, 23349),
     ("sort", "pq", "sorted", 64, 8, 4096, 0, 13883, 7167),
     ("pq", "pq", "sorted", 64, 8, 4096, 0, 13883, 7167),
     ("sort", "aem", "reversed", 64, 8, 4096, 0, 7608, 1153),
     ("sort", "em", "reversed", 64, 8, 4096, 0, 2040, 2040),
     ("sort", "dist", "reversed", 64, 8, 4096, 0, 4337, 3710),
-    ("sort", "heap", "reversed", 64, 8, 4096, 0, 41066, 23349),
     ("sort", "pq", "reversed", 64, 8, 4096, 0, 13883, 7167),
     ("pq", "pq", "reversed", 64, 8, 4096, 0, 13883, 7167),
     ("sort", "aem", "few-distinct", 64, 8, 4096, 0, 8780, 1153),
     ("sort", "em", "few-distinct", 64, 8, 4096, 0, 2040, 2040),
     ("sort", "dist", "few-distinct", 64, 8, 4096, 0, 4811, 4259),
-    ("sort", "heap", "few-distinct", 64, 8, 4096, 0, 51722, 23349),
     ("sort", "pq", "few-distinct", 64, 8, 4096, 0, 14535, 7167),
     ("pq", "pq", "few-distinct", 64, 8, 4096, 0, 14535, 7167),
     ("sort", "aem", "organ-pipe", 64, 8, 4096, 0, 7672, 1153),
     ("sort", "em", "organ-pipe", 64, 8, 4096, 0, 2040, 2040),
     ("sort", "dist", "organ-pipe", 64, 8, 4096, 0, 4265, 3650),
-    ("sort", "heap", "organ-pipe", 64, 8, 4096, 0, 46896, 23349),
     ("sort", "pq", "organ-pipe", 64, 8, 4096, 0, 13947, 7167),
     ("pq", "pq", "organ-pipe", 64, 8, 4096, 0, 13947, 7167),
     ("permute", "naive", "random", 64, 8, 4096, 0, 4086, 512),
@@ -120,31 +115,26 @@ const ROWS: &[Row] = &[
     ("sort", "aem", "uniform", 1024, 64, 4096, 0, 320, 64),
     ("sort", "em", "uniform", 1024, 64, 4096, 0, 128, 128),
     ("sort", "dist", "uniform", 1024, 64, 4096, 0, 262, 206),
-    ("sort", "heap", "uniform", 1024, 64, 4096, 0, 578, 431),
     ("sort", "pq", "uniform", 1024, 64, 4096, 0, 715, 478),
     ("pq", "pq", "uniform", 1024, 64, 4096, 0, 715, 478),
     ("sort", "aem", "sorted", 1024, 64, 4096, 0, 320, 64),
     ("sort", "em", "sorted", 1024, 64, 4096, 0, 128, 128),
     ("sort", "dist", "sorted", 1024, 64, 4096, 0, 260, 204),
-    ("sort", "heap", "sorted", 1024, 64, 4096, 0, 566, 431),
     ("sort", "pq", "sorted", 1024, 64, 4096, 0, 703, 478),
     ("pq", "pq", "sorted", 1024, 64, 4096, 0, 703, 478),
     ("sort", "aem", "reversed", 1024, 64, 4096, 0, 320, 64),
     ("sort", "em", "reversed", 1024, 64, 4096, 0, 128, 128),
     ("sort", "dist", "reversed", 1024, 64, 4096, 0, 260, 204),
-    ("sort", "heap", "reversed", 1024, 64, 4096, 0, 566, 431),
     ("sort", "pq", "reversed", 1024, 64, 4096, 0, 703, 478),
     ("pq", "pq", "reversed", 1024, 64, 4096, 0, 703, 478),
     ("sort", "aem", "few-distinct", 1024, 64, 4096, 0, 320, 64),
     ("sort", "em", "few-distinct", 1024, 64, 4096, 0, 128, 128),
     ("sort", "dist", "few-distinct", 1024, 64, 4096, 0, 262, 206),
-    ("sort", "heap", "few-distinct", 1024, 64, 4096, 0, 578, 431),
     ("sort", "pq", "few-distinct", 1024, 64, 4096, 0, 715, 478),
     ("pq", "pq", "few-distinct", 1024, 64, 4096, 0, 715, 478),
     ("sort", "aem", "organ-pipe", 1024, 64, 4096, 0, 320, 64),
     ("sort", "em", "organ-pipe", 1024, 64, 4096, 0, 128, 128),
     ("sort", "dist", "organ-pipe", 1024, 64, 4096, 0, 260, 204),
-    ("sort", "heap", "organ-pipe", 1024, 64, 4096, 0, 570, 431),
     ("sort", "pq", "organ-pipe", 1024, 64, 4096, 0, 707, 478),
     ("pq", "pq", "organ-pipe", 1024, 64, 4096, 0, 707, 478),
     ("permute", "naive", "random", 1024, 64, 4096, 0, 4029, 64),
@@ -230,7 +220,7 @@ fn measured(report: &str) -> (u64, u64) {
 
 #[test]
 fn run_reproduces_every_recorded_row_of_the_folded_commands() {
-    assert_eq!(ROWS.len(), 92);
+    assert_eq!(ROWS.len(), 82);
     for &(kind, algo, input, mem, block, n, delta, reads, writes) in ROWS {
         let args = format!(
             "run {kind} --algo {algo} --input {input} --n {n} --delta {delta} \

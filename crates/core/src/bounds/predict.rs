@@ -1,7 +1,8 @@
 //! Closed-form cost predictors for the implemented algorithms.
 //!
 //! These mirror the accounting of each implementation (not just the
-//! asymptotic forms): they drive strategy selection in
+//! asymptotic forms): they price the registry's menus
+//! ([`crate::workload::Workload::menu`]), drive strategy selection in
 //! [`crate::permute::permute_auto`] and [`crate::spmv::spmv_auto`], and the
 //! test suites assert `measured ≤ predicted` (the predictors are
 //! worst-case) plus `predicted ≤ c · measured` on adversarial inputs (so
@@ -302,77 +303,6 @@ pub fn spmv_sorted_cost(cfg: AemConfig, n: usize, delta: usize) -> Cost {
     cost
 }
 
-/// Candidate algorithms a query planner can price for the `sort` (and
-/// `pq`) workload family: `(algorithm name, predicted worst-case cost)`
-/// pairs in canonical order. The buffered-PQ sorter is omitted when the
-/// configuration rejects its parameters (`M < 8B`), where [`pq_sort_cost`]
-/// would report a vacuous zero.
-pub fn sort_candidates(cfg: AemConfig, n_elems: usize) -> Vec<(&'static str, Cost)> {
-    let mut out = vec![
-        ("aem", merge_sort_cost(cfg, n_elems)),
-        ("em", em_sort_cost(cfg, n_elems)),
-    ];
-    if crate::pq::PqParams::for_config(cfg).is_ok() {
-        out.push(("pq", pq_sort_cost(cfg, n_elems)));
-    }
-    out
-}
-
-/// Candidate algorithms for the `permute` workload family. Mirrors the
-/// strategy menu of [`crate::permute::permute_auto`].
-pub fn permute_candidates(cfg: AemConfig, n_elems: usize) -> Vec<(&'static str, Cost)> {
-    vec![
-        ("naive", permute_naive_cost(cfg, n_elems)),
-        ("by-sort", permute_by_sort_cost(cfg, n_elems)),
-    ]
-}
-
-/// Candidate algorithms for the `spmv` workload family (δ-regular
-/// `N × N` conformations).
-pub fn spmv_candidates(cfg: AemConfig, n: usize, delta: usize) -> Vec<(&'static str, Cost)> {
-    vec![
-        ("direct", spmv_direct_cost(cfg, n, delta)),
-        ("sorted", spmv_sorted_cost(cfg, n, delta)),
-    ]
-}
-
-/// The priced algorithm menu for a workload kind, by its wire name — a
-/// thin veneer over [`crate::workload::Workload::menu`], kept for callers
-/// that hold a string rather than a [`crate::workload::WorkloadKind`].
-/// Unknown kinds and shapes with no eligible algorithm yield `None`.
-///
-/// Every entry's cost is a deterministic integer derived from
-/// `(M, B, ω, n, δ)` alone — the registry behind the `aem-serve` query
-/// planner and the `cost_gate` canonical cells.
-pub fn candidates(
-    kind: &str,
-    cfg: AemConfig,
-    n: usize,
-    delta: usize,
-) -> Option<Vec<(&'static str, Cost)>> {
-    let k = crate::workload::WorkloadKind::from_name(kind).ok()?;
-    let menu = k.descriptor().menu(cfg, n, delta);
-    if menu.is_empty() {
-        return None;
-    }
-    Some(menu)
-}
-
-/// The cheapest candidate for a workload kind under `Q = Q_r + ω·Q_w`
-/// (saturating, so absurd parameter points compare sanely). Ties resolve
-/// to the earliest candidate in canonical order, keeping planner output
-/// deterministic. `None` for unknown kinds or configs with no eligible
-/// algorithm.
-pub fn cheapest(
-    kind: &str,
-    cfg: AemConfig,
-    n: usize,
-    delta: usize,
-) -> Option<(&'static str, Cost)> {
-    let k = crate::workload::WorkloadKind::from_name(kind).ok()?;
-    k.descriptor().cheapest(cfg, n, delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,64 +405,5 @@ mod tests {
     fn base_case_matches_small_sort() {
         let c = cfg(); // base = ω·M/2 = 8·16 = 128
         assert_eq!(merge_sort_cost(c, 100), small_sort_cost(c, 100));
-    }
-
-    #[test]
-    fn candidate_menus_cover_the_kinds() {
-        let c = AemConfig::new(64, 8, 16).unwrap();
-        let sort: Vec<&str> = candidates("sort", c, 1000, 0)
-            .unwrap()
-            .into_iter()
-            .map(|(a, _)| a)
-            .collect();
-        assert_eq!(sort, vec!["aem", "em", "pq"]);
-        let perm: Vec<&str> = candidates("permute", c, 1000, 0)
-            .unwrap()
-            .into_iter()
-            .map(|(a, _)| a)
-            .collect();
-        assert_eq!(perm, vec!["naive", "by-sort"]);
-        let spmv: Vec<&str> = candidates("spmv", c, 256, 4)
-            .unwrap()
-            .into_iter()
-            .map(|(a, _)| a)
-            .collect();
-        assert_eq!(spmv, vec!["direct", "sorted"]);
-        assert!(candidates("bogus", c, 10, 0).is_none());
-    }
-
-    #[test]
-    fn pq_menu_empties_when_config_rejects_the_queue() {
-        // M < 8B: BufferedPq refuses the config, so the sort menu drops
-        // the pq entry and the pq kind has no eligible algorithm at all.
-        let tight = AemConfig::new(16, 4, 2).unwrap();
-        let sort: Vec<&str> = sort_candidates(tight, 1000)
-            .into_iter()
-            .map(|(a, _)| a)
-            .collect();
-        assert_eq!(sort, vec!["aem", "em"]);
-        assert!(candidates("pq", tight, 1000, 0).is_none());
-        assert!(cheapest("pq", tight, 1000, 0).is_none());
-    }
-
-    #[test]
-    fn cheapest_agrees_with_the_menu_minimum() {
-        for omega in [1u64, 16, 256] {
-            let c = AemConfig::new(64, 8, omega).unwrap();
-            for (kind, n, delta) in [("sort", 5000, 0), ("permute", 5000, 0), ("spmv", 512, 4)] {
-                let (algo, cost) = cheapest(kind, c, n, delta).unwrap();
-                let menu = candidates(kind, c, n, delta).unwrap();
-                let best = menu.iter().map(|(_, c2)| c2.q(omega)).min().unwrap();
-                assert_eq!(cost.q(omega), best, "{kind} ω={omega}");
-                assert!(menu.iter().any(|&(a, _)| a == algo));
-            }
-        }
-        // The permute menu has a real crossover (the §5 min in the bound):
-        // at M=1024, B=64, ω=16 sorting amortizes its I/O over whole blocks
-        // and wins mid-range, while at huge n its level count multiplies
-        // the write term and the naive scatter's n/B writes win back.
-        let c = AemConfig::new(1024, 64, 16).unwrap();
-        assert_eq!(cheapest("permute", c, 1 << 12, 0).unwrap().0, "by-sort");
-        assert_eq!(cheapest("permute", c, 1 << 20, 0).unwrap().0, "naive");
     }
 }

@@ -30,8 +30,6 @@
 //!   write-marking baseline vs a frontier re-derivation traversal that
 //!   writes only the final distance file — the data-routed family where
 //!   ghost pricing is unsound;
-//! * [`stream`] — streaming primitives (map, reduce, filter, zip, prefix
-//!   scan): the one-pass building blocks user algorithms compose from;
 //! * [`workload`] — the workload registry: one descriptor per kind
 //!   (names, menus, predictors, ghost flags, validity, seeded instances)
 //!   that serve, the CLI, the fuzzer, and the cost gate all iterate;
@@ -73,12 +71,10 @@ pub mod matmul;
 pub mod oracle;
 pub mod permute;
 pub mod pq;
-pub mod relational;
 pub mod scan;
 pub mod search;
 pub mod sort;
 pub mod spmv;
-pub mod stream;
 pub mod workload;
 
 pub use aem_machine::{AemAccess, AemConfig, Cost, Machine, MachineError};

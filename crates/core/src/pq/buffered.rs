@@ -43,8 +43,8 @@
 //! a cost of `≤ M/4` re-written elements per flush (`O(n/B)` block writes
 //! overall), which is what makes interleaved `push`/`pop` correct.
 //!
-//! Budget contract: as for [`crate::pq::ExternalPq`] — `push` charges one
-//! internal slot, `pop` returns the element still charged.
+//! Budget contract: as for the §3.1 merge — `push` charges one internal
+//! slot, `pop` returns the element still charged.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -109,9 +109,8 @@ struct PqRun<T> {
     remaining: usize,
 }
 
-/// The multiway-buffered external priority queue. Like
-/// [`crate::pq::ExternalPq`], the queue is a structure *on* a machine: the
-/// machine is passed per operation.
+/// The multiway-buffered external priority queue. The queue is a
+/// structure *on* a machine: the machine is passed per operation.
 ///
 /// # Example
 ///
@@ -558,26 +557,29 @@ mod tests {
 
     #[test]
     fn interleaved_operations_match_binary_heap() {
-        let mut m: Machine<u64> = Machine::new(cfg());
-        let mut pq = BufferedPq::new(cfg()).unwrap();
-        let mut reference = std::collections::BinaryHeap::new();
-        let keys = KeyDist::Uniform { seed: 2 }.generate(600);
-        for (i, &x) in keys.iter().enumerate() {
-            pq.push(&mut m, x).unwrap();
-            reference.push(std::cmp::Reverse(x));
-            if i % 3 == 2 {
+        for (mem, b, n) in [(64usize, 8usize, 600usize), (32, 4, 900), (128, 8, 2000)] {
+            let cfg = AemConfig::new(mem, b, 8).unwrap();
+            let mut m: Machine<u64> = Machine::new(cfg);
+            let mut pq = BufferedPq::new(cfg).unwrap();
+            let mut reference = std::collections::BinaryHeap::new();
+            let keys = KeyDist::Uniform { seed: 2 }.generate(n);
+            for (i, &x) in keys.iter().enumerate() {
+                pq.push(&mut m, x).unwrap();
+                reference.push(std::cmp::Reverse(x));
+                if i % 3 == 2 {
+                    let got = pq.pop(&mut m).unwrap().unwrap();
+                    m.discard(1).unwrap();
+                    assert_eq!(got, reference.pop().unwrap().0, "M={mem} B={b}: step {i}");
+                }
+            }
+            while let Some(std::cmp::Reverse(want)) = reference.pop() {
                 let got = pq.pop(&mut m).unwrap().unwrap();
                 m.discard(1).unwrap();
-                assert_eq!(got, reference.pop().unwrap().0, "at step {i}");
+                assert_eq!(got, want, "M={mem} B={b}");
             }
+            assert!(pq.is_empty());
+            assert_eq!(m.internal_used(), 0, "M={mem} B={b} n={n}: leaked budget");
         }
-        while let Some(std::cmp::Reverse(want)) = reference.pop() {
-            let got = pq.pop(&mut m).unwrap().unwrap();
-            m.discard(1).unwrap();
-            assert_eq!(got, want);
-        }
-        assert!(pq.is_empty());
-        assert_eq!(m.internal_used(), 0);
     }
 
     #[test]

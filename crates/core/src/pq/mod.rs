@@ -3,12 +3,8 @@
 //! Sorting and priority queues are cost-equivalent in external memory
 //! (Wei–Yi, see `PAPERS.md`), so a reproduction of the paper's sorting
 //! bounds is incomplete without the *dynamic* side of the story. This
-//! module provides it three ways:
+//! module provides it two ways:
 //!
-//! * [`ExternalPq`] — the LSM-style queue behind
-//!   [`crate::sort::heap_sort()`]: one run per level, a resident cursor
-//!   block per run, cascading §3.1 merges. Simple and write-lean, but its
-//!   per-level resident head blocks cap the level count at `M/(2B)`.
 //! * [`BufferedPq`] — the **multiway-buffered** queue: an internal insert
 //!   buffer and an internal *delete buffer* of `M/4` elements each, over
 //!   external sorted runs whose consumption pointers live in an **external
@@ -22,15 +18,13 @@
 //!   for mergesort under the AEM cost measure: one read pass, one write
 //!   pass, runs of expected length `2(M − B)` on random inputs.
 //!
-//! Both queues share the budget contract of the §3.1 merge: `push` charges
+//! The queue shares the budget contract of the §3.1 merge: `push` charges
 //! one internal slot per element, `pop` returns the element *still
 //! charged* — the caller releases it by writing it out or via
 //! [`aem_machine::AemAccess::discard`].
 
 mod buffered;
-mod lsm;
 pub mod run_gen;
 
 pub use buffered::{BufferedPq, PqParams};
-pub use lsm::ExternalPq;
 pub use run_gen::{replacement_select, RunGenStats};

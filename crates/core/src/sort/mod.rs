@@ -30,7 +30,6 @@
 
 pub mod em_sort;
 pub(crate) mod heads;
-pub mod heap;
 pub mod merge;
 pub mod merge_sort;
 pub mod resident;
@@ -40,7 +39,6 @@ pub mod small;
 pub mod via_pq;
 
 pub use em_sort::em_merge_sort;
-pub use heap::heap_sort;
 pub use merge::{merge_runs, MergeStats};
 pub use merge_sort::{merge_sort, merge_sort_with_fan_in};
 pub use resident::merge_runs_resident;

@@ -43,7 +43,7 @@ use crate::permute::{permute_by_sort_on, permute_naive_on, DestTagged};
 use crate::pq::PqParams;
 use crate::scan;
 use crate::search;
-use crate::sort::{distribution_sort, em_merge_sort, heap_sort, merge_sort, sort_via_pq};
+use crate::sort::{distribution_sort, em_merge_sort, merge_sort, sort_via_pq};
 use crate::spmv::{
     install_instance, reference_multiply, spmv_direct_on, spmv_sorted_on, InstallExt, MatEntry,
     SpmvInstance, U64Ring,
@@ -53,7 +53,7 @@ use crate::spmv::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadKind {
     /// Sort `n` seeded keys (§3 family: AEM/EM mergesorts, sorters via
-    /// distribution, heaps, and the buffered PQ).
+    /// distribution and the buffered PQ).
     Sort,
     /// Apply a seeded permutation to `0..n` (§4: naive vs by-sort).
     Permute,
@@ -413,7 +413,6 @@ static SORT: Workload = Workload {
         sorter("em", &[], "em_sort", predict_em, None),
         sorter("pq", &[], "pq_sort", predict_pq, None),
         sorter("dist", &[], "dist_sort", predict_unpriced, None),
-        sorter("heap", &[], "heap_sort", predict_unpriced, None),
     ],
     gate_shapes: &[(2048, 3)],
 };
@@ -873,7 +872,6 @@ fn run_sorter<M: WorkloadMachine<u64> + ?Sized>(
         "aem" => merge_sort(&mut m, r),
         "em" => em_merge_sort(&mut m, r),
         "dist" => distribution_sort(&mut m, r),
-        "heap" => heap_sort(&mut m, r),
         "pq" => sort_via_pq(&mut m, r),
         other => unreachable!("unregistered sorter {other}"),
     }
@@ -1288,17 +1286,41 @@ mod tests {
         );
         assert_eq!(names(WorkloadKind::Matmul), vec!["tiled", "stream"]);
         assert_eq!(names(WorkloadKind::Bfs), vec!["mark", "rescan"]);
-        // The PQ sorter leaves the menu when the config rejects it.
+        // At M < 8B the queue rejects the config: the PQ sorter leaves the
+        // sort menu and the pq kind has no eligible algorithm at all.
         let tiny = AemConfig::new(16, 4, 2).unwrap();
         assert!(!SORT
             .menu(tiny, 2048, 3)
             .iter()
             .any(|&(name, _)| name == "pq"));
+        assert!(PQ.menu(tiny, 2048, 3).is_empty());
+        assert!(PQ.cheapest(tiny, 2048, 3).is_none());
         // Marking BFS needs M >= 4B; at M = 2B only the re-scan remains.
         let twob = AemConfig::new(16, 8, 2).unwrap();
         let bfs_menu = BFS.menu(twob, 2048, 3);
         assert_eq!(bfs_menu.len(), 1);
         assert_eq!(bfs_menu[0].0, "rescan");
+    }
+
+    #[test]
+    fn cheapest_agrees_with_the_menu_minimum() {
+        for omega in [1u64, 16, 256] {
+            let c = AemConfig::new(64, 8, omega).unwrap();
+            for (w, n, delta) in [(&SORT, 5000, 0), (&PERMUTE, 5000, 0), (&SPMV, 512, 4)] {
+                let (algo, cost) = w.cheapest(c, n, delta).unwrap();
+                let menu = w.menu(c, n, delta);
+                let best = menu.iter().map(|(_, c2)| c2.q(omega)).min().unwrap();
+                assert_eq!(cost.q(omega), best, "{} ω={omega}", w.name);
+                assert!(menu.iter().any(|&(a, _)| a == algo));
+            }
+        }
+        // The permute menu has a real crossover (the §5 min in the bound):
+        // at M=1024, B=64, ω=16 sorting amortizes its I/O over whole blocks
+        // and wins mid-range, while at huge n its level count multiplies
+        // the write term and the naive scatter's n/B writes win back.
+        let c = AemConfig::new(1024, 64, 16).unwrap();
+        assert_eq!(PERMUTE.cheapest(c, 1 << 12, 0).unwrap().0, "by-sort");
+        assert_eq!(PERMUTE.cheapest(c, 1 << 20, 0).unwrap().0, "naive");
     }
 
     #[test]

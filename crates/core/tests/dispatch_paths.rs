@@ -180,9 +180,9 @@ fn concrete_and_dynamic_paths_agree_on_every_registered_run() {
             }
         }
     }
-    // 26 (algo, gate shape) pairs on vec and the 19 ghost-runnable ones
+    // 25 (algo, gate shape) pairs on vec and the 18 ghost-runnable ones
     // on ghost, on both configs.
-    assert_eq!(runs, 90);
+    assert_eq!(runs, 86);
 }
 
 #[test]

@@ -1,37 +1,9 @@
-use aem_core::pq::ExternalPq;
 use aem_core::spmv::direct::spmv_direct_on;
 use aem_core::spmv::layout::{install_instance, MatEntry, SpmvInstance};
 use aem_core::spmv::semiring::U64Ring;
 use aem_core::spmv::sorted::spmv_sorted_on;
 use aem_machine::{AemAccess, AemConfig, Machine};
-use aem_workloads::{Conformation, KeyDist, MatrixShape};
-
-#[test]
-fn pq_interleaved_ledger_balanced() {
-    for (m, b, n) in [(64usize, 8usize, 600usize), (32, 4, 900), (128, 8, 2000)] {
-        let cfg = AemConfig::new(m, b, 8).unwrap();
-        let mut mac: Machine<u64> = Machine::new(cfg);
-        let mut pq = ExternalPq::new(cfg).unwrap();
-        let keys = KeyDist::Uniform { seed: 42 }.generate(n);
-        let mut reference = std::collections::BinaryHeap::new();
-        for (i, &x) in keys.iter().enumerate() {
-            pq.push(&mut mac, x).unwrap();
-            reference.push(std::cmp::Reverse(x));
-            if i % 3 == 2 {
-                let got = pq.pop(&mut mac).unwrap().unwrap();
-                mac.discard(1).unwrap();
-                assert_eq!(got, reference.pop().unwrap().0);
-            }
-        }
-        while let Some(std::cmp::Reverse(want)) = reference.pop() {
-            let got = pq.pop(&mut mac).unwrap().unwrap();
-            mac.discard(1).unwrap();
-            assert_eq!(got, want);
-        }
-        assert!(pq.is_empty());
-        assert_eq!(mac.internal_used(), 0, "pq leaked budget m={m} b={b} n={n}");
-    }
-}
+use aem_workloads::{Conformation, MatrixShape};
 
 #[test]
 fn spmv_ledgers_balanced() {
@@ -86,36 +58,6 @@ fn transpose_ledger_balanced() {
 }
 
 #[test]
-fn relational_group_aggregate_ledger() {
-    use aem_core::relational::{group_aggregate, sort_merge_join, Tuple};
-    let cfg = AemConfig::new(64, 8, 8).unwrap();
-    let mut m: Machine<Tuple<u64>> = Machine::new(cfg);
-    let data: Vec<Tuple<u64>> = (0..301)
-        .map(|i| Tuple {
-            key: i % 7,
-            payload: 1,
-        })
-        .collect();
-    let r = m.install(&data);
-    group_aggregate(&mut m, r, |acc: u64, x: &u64| acc + x).unwrap();
-    assert_eq!(m.internal_used(), 0, "group_aggregate leaked");
-
-    // join where one side exhausts early with resident blocks on the other
-    let mut m2: Machine<Tuple<u64>> = Machine::new(cfg);
-    let left: Vec<Tuple<u64>> = (0..5).map(|i| Tuple { key: i, payload: i }).collect();
-    let right: Vec<Tuple<u64>> = (0..200)
-        .map(|i| Tuple {
-            key: i + 100,
-            payload: i,
-        })
-        .collect();
-    let lr = m2.install(&left);
-    let rr = m2.install(&right);
-    sort_merge_join(&mut m2, lr, rr, |a: &u64, b: &u64| a + b).unwrap();
-    assert_eq!(m2.internal_used(), 0, "join leaked");
-}
-
-#[test]
 fn permute_naive_ledger() {
     use aem_core::permute::naive::permute_naive_on;
     use aem_workloads::perm::PermKind;
@@ -128,17 +70,4 @@ fn permute_naive_ledger() {
         permute_naive_on(&mut m, reg, &pi).unwrap();
         assert_eq!(m.internal_used(), 0, "permute_naive leaked n={n}");
     }
-}
-
-#[test]
-fn stream_prefix_scan_and_map_ledger() {
-    use aem_core::stream::{map, prefix_scan};
-    let cfg = AemConfig::new(16, 4, 8).unwrap();
-    let mut m: Machine<u64> = Machine::new(cfg);
-    let r = m.install(&(0u64..23).collect::<Vec<_>>());
-    prefix_scan(&mut m, r, |a, b| a + b).unwrap();
-    assert_eq!(m.internal_used(), 0, "prefix_scan leaked");
-    let r2 = m.install(&(0u64..23).collect::<Vec<_>>());
-    map(&mut m, r2, |x: u64| x + 1).unwrap();
-    assert_eq!(m.internal_used(), 0, "map leaked");
 }

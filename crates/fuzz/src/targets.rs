@@ -534,7 +534,6 @@ mod tests {
                 "em_sort",
                 "pq_sort",
                 "dist_sort",
-                "heap_sort",
                 "permute_naive",
                 "permute_by_sort",
                 "spmv_direct",

@@ -9,9 +9,5 @@
 //!   iteration over a semiring) with crossover-aware algorithm selection.
 //! * `flash_reduction` — watch Lemma 4.3 compile an AEM permutation
 //!   program into a flash-model program, op by op.
-//! * `topk_stream` — streaming top-k on the external priority queue vs a
-//!   sort-everything baseline.
-//! * `sales_report` — a database-flavoured pipeline (sort-merge join +
-//!   group-by aggregation) with Zipf-skewed keys.
 //!
 //! Run with `cargo run --release -p aem-examples --bin <name>`.

@@ -22,7 +22,7 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 
-use aem_core::sort::{distribution_sort, em_merge_sort, heap_sort, merge_sort, sort_via_pq};
+use aem_core::sort::{distribution_sort, em_merge_sort, merge_sort, sort_via_pq};
 use aem_machine::{AemAccess, AemConfig, Cost, Machine, Region, Result};
 use aem_workloads::KeyDist;
 
@@ -179,17 +179,6 @@ fn sort_via_pq_within_comparison_budget() {
             (GATE, 2047, 4.05),           // was 7.62; 4.809 → 3.688
             (LARGE, 1 << 16, 1.45),       // was 6.11; 1.953 → 1.345
             (LARGE, (1 << 16) - 1, 1.35), // was 517 (every pop scanned the insert buffer); 1.775 → 1.236
-        ],
-    );
-}
-
-#[test]
-fn heap_sort_within_comparison_budget() {
-    check_budgets(
-        "heap_sort",
-        heap_sort,
-        &[
-            (LARGE, (1 << 18) - 1, 1.52), // was 484 (every pop scanned the insert buffer twice); 1.381
         ],
     );
 }

@@ -5,7 +5,7 @@
 //! from the workspace's `SplitMix64` generator.
 
 use aem_core::permute::{permute_auto, permute_by_sort, permute_naive};
-use aem_core::sort::{distribution_sort, em_merge_sort, heap_sort, merge_sort};
+use aem_core::sort::{distribution_sort, em_merge_sort, merge_sort, sort_via_pq};
 use aem_core::spmv::{reference_multiply, spmv_auto, spmv_direct, spmv_sorted, U64Ring};
 use aem_machine::{AemAccess, AemConfig, Machine};
 use aem_workloads::{perm, Conformation, MatrixShape, PermKind, SplitMix64};
@@ -47,8 +47,8 @@ fn all_sorters_agree_with_std_sort() {
         if cfg.memory >= 8 * cfg.block {
             let mut m: Machine<u64> = Machine::new(cfg);
             let r = m.install(&input);
-            let out = heap_sort(&mut m, r).unwrap();
-            assert_eq!(m.inspect(out), want, "case {case} heap_sort");
+            let out = sort_via_pq(&mut m, r).unwrap();
+            assert_eq!(m.inspect(out), want, "case {case} sort_via_pq");
         }
     }
 }

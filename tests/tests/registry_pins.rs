@@ -65,8 +65,6 @@ const PINNED: &[Pin] = &[
     ("sort/pq/n=65536", 19195, 12286, 0x30bd1b5d305af3d8),
     ("sort/dist/n=4096", 264, 208, 0x79f4d8b4c76f345f),
     ("sort/dist/n=65536", 6294, 5462, 0x30bd1b5d305af3d8),
-    ("sort/heap/n=4096", 578, 431, 0x79f4d8b4c76f345f),
-    ("sort/heap/n=65536", 17378, 11807, 0x30bd1b5d305af3d8),
     ("permute/naive/n=4096", 4034, 64, 0xbf854d2891ceb399),
     ("permute/naive/n=65536", 65469, 1024, 0x360cf5ad544a4e45),
     ("permute/by-sort/n=4096", 320, 64, 0xbf854d2891ceb399),

@@ -5,7 +5,8 @@
 //! from the workspace's `SplitMix64` generator.
 
 use aem_core::permute::by_sort::DestTagged;
-use aem_core::sort::{em_merge_sort, merge_sort, small_sort};
+use aem_core::permute::transpose_tiled;
+use aem_core::sort::{em_merge_sort, merge_sort, small_sort, sort_via_pq};
 use aem_machine::{AemAccess, AemConfig, Machine, RoundBasedMachine};
 use aem_workloads::SplitMix64;
 
@@ -31,6 +32,33 @@ fn merge_sort_is_round_base_invariant() {
         let mut rb: RoundBasedMachine<u64> = RoundBasedMachine::new(cfg);
         let r = rb.install(&input);
         let out = merge_sort(&mut rb, r).unwrap();
+        let stats = rb.finish().unwrap();
+        assert_eq!(rb.inspect(out), got_plain, "case {case}");
+
+        let q = plain.cost().q(cfg.omega);
+        let q2 = stats.cost.q(cfg.omega);
+        assert!(q2 <= 4 * q + 1, "case {case}: overhead {q2} vs {q}");
+    }
+}
+
+#[test]
+fn sort_via_pq_is_round_base_invariant() {
+    let mut rng = SplitMix64::seed_from_u64(0x9a5);
+    for case in 0..24u64 {
+        // The buffered queue needs M ≥ 8B.
+        let b = 4usize;
+        let cfg =
+            AemConfig::new((8 + rng.next_below_usize(9)) * b, b, 1 + rng.next_below(64)).unwrap();
+        let n = rng.next_below_usize(900);
+        let input: Vec<u64> = (0..n).map(|_| rng.next_below(1 << 32)).collect();
+        let mut plain: Machine<u64> = Machine::new(cfg);
+        let r = plain.install(&input);
+        let out = sort_via_pq(&mut plain, r).unwrap();
+        let got_plain = plain.inspect(out);
+
+        let mut rb: RoundBasedMachine<u64> = RoundBasedMachine::new(cfg);
+        let r = rb.install(&input);
+        let out = sort_via_pq(&mut rb, r).unwrap();
         let stats = rb.finish().unwrap();
         assert_eq!(rb.inspect(out), got_plain, "case {case}");
 
@@ -121,4 +149,22 @@ fn permute_by_sort_is_round_base_invariant() {
             "case {case}"
         );
     }
+}
+
+#[test]
+fn transpose_round_based_matches_plain() {
+    let cfg = AemConfig::new(80, 8, 8).unwrap(); // M ≥ B² + 2B = 80
+    let (r, c) = (16usize, 24usize);
+    let values: Vec<u64> = (0..(r * c) as u64).collect();
+
+    let mut plain: Machine<u64> = Machine::new(cfg);
+    let reg = plain.install(&values);
+    let out = transpose_tiled(&mut plain, reg, r, c).unwrap();
+    let want = plain.inspect(out);
+
+    let mut rb: RoundBasedMachine<u64> = RoundBasedMachine::new(cfg);
+    let reg = rb.install(&values);
+    let out = transpose_tiled(&mut rb, reg, r, c).unwrap();
+    rb.finish().unwrap();
+    assert_eq!(rb.inspect(out), want);
 }
